@@ -3,9 +3,9 @@
 Starts real ``ExtractionServer`` instances (forked worker, warm
 annotation cache — the serving steady state) and drives them with the
 pipelined closed-loop load generator at several offered-load levels,
-batched (coalescer on, size/deadline rule) vs a batch-size-1 baseline
-(same server, ``max_batch=1`` — every request pays its own dispatch
-wakeup and worker IPC round-trip).
+batched (coalescer on: size/token rule, work-conserving pipelined
+dispatch) vs a batch-size-1 baseline (same server, ``max_batch=1`` —
+every request pays its own dispatch wakeup and worker IPC round-trip).
 
 Asserted guarantees:
 
@@ -15,9 +15,9 @@ Asserted guarantees:
   the baseline never does;
 * the headline gate: at saturating offered load, batched throughput
   >= 2x the batch-size-1 baseline (the amortized dispatch+IPC win);
-* at moderate offered load, batched p99 latency stays under the
-  configured batching deadline plus a fixed service allowance — the
-  deadline rule bounds what a request can pay for batching.
+* at light offered load (one request in flight), batched throughput
+  stays within 0.8x of the baseline's — an idle server takes a lone
+  request at once, so batching may not tax the load it cannot help.
 
 Each (variant, load) cell runs ``REPEATS`` times interleaved and the
 reported cell is the best repeat.  Writes repo-root
@@ -44,19 +44,15 @@ SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_REQUESTS = 300 if SMOKE else 1500
 REPEATS = 2 if SMOKE else 3
 WORKERS = 1
-MAX_DELAY_MS = 8.0
-#: Hard cap on coalesced batch size.  Saturating offered load (2x
-#: this) keeps batches closing on size, not on the deadline — a
-#: saturated server must never idle-wait for stragglers.
+#: Hard cap on coalesced batch size; saturating offered load is 2x
+#: this, so a full batch is always queued behind the one in flight.
 MAX_BATCH = 16
 #: Offered-load levels: (connections, pipelined window per connection).
 LOADS = {"light": (1, 1), "moderate": (2, 4), "saturating": (2, 16)}
 #: Headline gate at saturating load (smoke: batched must merely win).
 THROUGHPUT_GATE = 1.05 if SMOKE else 2.0
-#: Latency gate at moderate load: batching may delay a request by at
-#: most the deadline, plus a service allowance for the batch in front
-#: of it and scheduler noise on a shared 1-core box.
-P99_BOUND_MS = MAX_DELAY_MS + 42.0
+#: Light-load gate: batched/light throughput over batch1/light.
+LIGHT_GATE = 0.8
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 
@@ -76,7 +72,7 @@ def run_once(pipeline, cache_dir, workload, max_batch: int,
     """One server lifecycle: start, warm drive, measured drive, stop."""
     session = ExtractionSession(pipeline, annotation_cache=cache_dir)
     config = ServeConfig(workers=WORKERS, max_batch=max_batch,
-                         max_delay_ms=MAX_DELAY_MS, queue_limit=256)
+                         queue_limit=256)
     server = ExtractionServer(session, config).start()
     try:
         host, port = server.address
@@ -126,7 +122,8 @@ def test_serve_throughput_and_latency(serve_setup):
     batched = cells[("batched", "saturating")]
     baseline = cells[("batch1", "saturating")]
     ratio = batched["throughput_rps"] / baseline["throughput_rps"]
-    moderate_p99 = cells[("batched", "moderate")]["p99_ms"]
+    light_ratio = (cells[("batched", "light")]["throughput_rps"]
+                   / cells[("batch1", "light")]["throughput_rps"])
 
     rows = []
     for load_name in LOADS:
@@ -142,6 +139,8 @@ def test_serve_throughput_and_latency(serve_setup):
         rows)
     report_lines.append(
         f"saturating throughput ratio (batched/batch1): {ratio:.2f}x")
+    report_lines.append(
+        f"light throughput ratio (batched/batch1): {light_ratio:.2f}x")
     write_report("serve_throughput",
                  "Batched serving vs batch-size-1 dispatch",
                  report_lines)
@@ -149,8 +148,7 @@ def test_serve_throughput_and_latency(serve_setup):
     payload = {
         "config": {
             "requests": N_REQUESTS, "workers": WORKERS,
-            "max_batch": MAX_BATCH,
-            "max_delay_ms": MAX_DELAY_MS, "repeats": REPEATS,
+            "max_batch": MAX_BATCH, "repeats": REPEATS,
             "loads": {name: {"connections": c, "window": w}
                       for name, (c, w) in LOADS.items()},
             "smoke": SMOKE,
@@ -161,8 +159,7 @@ def test_serve_throughput_and_latency(serve_setup):
             f"{variant}/{load}": count
             for (variant, load), count in sorted(coalesced.items())},
         "saturating_throughput_ratio": round(ratio, 3),
-        "moderate_p99_ms": moderate_p99,
-        "p99_bound_ms": P99_BOUND_MS,
+        "light_throughput_ratio": round(light_ratio, 3),
         "response_digest": digests.pop(),
     }
     out_path = (Path(__file__).parent / "out" / "BENCH_serve.json"
@@ -174,6 +171,6 @@ def test_serve_throughput_and_latency(serve_setup):
     assert ratio >= THROUGHPUT_GATE, (
         f"batched serving must be >= {THROUGHPUT_GATE}x batch-size-1 "
         f"at saturating load, got {ratio:.2f}x")
-    assert moderate_p99 <= P99_BOUND_MS, (
-        f"batched p99 at moderate load ({moderate_p99:.1f} ms) must "
-        f"stay under the deadline bound ({P99_BOUND_MS:.1f} ms)")
+    assert light_ratio >= LIGHT_GATE, (
+        f"batched serving must keep >= {LIGHT_GATE}x batch-size-1 "
+        f"throughput at light load, got {light_ratio:.2f}x")

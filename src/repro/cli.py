@@ -180,11 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32, metavar="N",
                        help="hard cap on requests per coalesced batch "
                             "(default 32)")
-    serve.add_argument("--max-delay-ms", type=float, default=10.0,
-                       metavar="MS",
-                       help="batching deadline: an unfilled batch "
-                            "closes this long after its oldest "
-                            "request arrived (default 10)")
+    serve.add_argument("--max-delay-ms", type=float, metavar="MS",
+                       help="deprecated, ignored: there is no "
+                            "batching deadline any more — a free "
+                            "dispatcher takes what is queued now")
     serve.add_argument("--queue-limit", type=int, default=256,
                        metavar="N",
                        help="admission queue bound; beyond it requests "
@@ -750,20 +749,22 @@ def cmd_serve(args) -> int:
             default_quota = (rate, burst)
         else:
             quotas[tenant] = (rate, burst)
+    if args.max_delay_ms is not None:
+        print("warning: --max-delay-ms is deprecated and ignored",
+              file=sys.stderr)
     ctx = _context(args)
     session = ExtractionSession(ctx.pipeline,
                                 annotation_cache=args.anno_cache)
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
-        max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
-        queue_limit=args.queue_limit, quotas=quotas,
+        max_batch=args.max_batch, queue_limit=args.queue_limit,
+        quotas=quotas,
         default_quota=default_quota, metrics_out=args.metrics_out)
     server = ExtractionServer(session, config,
                               query_engine=query_engine).start()
     host, port = server.address
     print(f"serving on {host}:{port} | workers {config.workers} | "
           f"batch <= {config.policy().max_requests} | "
-          f"deadline {config.max_delay_ms:g} ms | "
           f"queue limit {config.queue_limit}")
     if query_engine is not None:
         print(f"store: {query_engine.snapshot.n_facts} facts / "

@@ -7,30 +7,31 @@ thread wakeups — amortizes across the batch.
 
 Two parts, separable for testing:
 
-* :class:`BatchPolicy` — the deterministic closing rule, mirroring the
-  crawl executor's ``ChunkPlanner``: a batch closes when it reaches a
+* :class:`BatchPolicy` — the deterministic cutting rule, mirroring the
+  crawl executor's ``ChunkPlanner``: a batch is cut when it reaches a
   request target or a token target, whichever comes first, both
-  computed from configuration only (never from timing).  The *only*
-  timing input is the latency deadline: a batch that hasn't filled by
-  ``max_delay`` seconds after its oldest request arrived closes
-  anyway, bounding the latency cost a request can pay for batching.
-  The size/token boundaries a request stream produces are therefore a
-  pure function of the stream (property-tested: contiguous,
-  exact-cover, identical streaming vs. offline).
+  computed from configuration only (never from timing).  The
+  size/token boundaries a queued request stream produces are
+  therefore a pure function of the stream (property-tested:
+  contiguous, exact-cover, identical streaming vs. offline).
 * :class:`RequestCoalescer` — the thread-safe queue applying the
-  policy.  Multiple dispatchers may pull concurrently; each batch is a
-  contiguous slice of the arrival order.
+  policy, work-conserving: a dispatcher that asks for a batch gets
+  what is queued *now*, cut by the policy's targets.  There is no
+  timer — the only timing input is when a dispatcher frees up, so
+  batches grow exactly when workers are busy and an idle server adds
+  no wait.  Multiple dispatchers may pull concurrently; each batch is
+  a contiguous slice of the arrival order.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class BatchPolicy:
-    """Deterministic batch-closing rule (size/token/deadline).
+    """Deterministic batch-cutting rule (size/token targets).
 
     The request target splits the admission queue across
     ``workers * PIPELINE_DEPTH`` batches — each worker sees a couple
@@ -50,29 +51,23 @@ class BatchPolicy:
     TOKEN_TARGET = 4096
 
     def __init__(self, max_requests: int = 32,
-                 token_target: int | None = None,
-                 max_delay: float = 0.010) -> None:
+                 token_target: int | None = None) -> None:
         if max_requests < 1:
             raise ValueError("BatchPolicy needs max_requests >= 1")
-        if max_delay < 0:
-            raise ValueError("max_delay must be >= 0")
         self.max_requests = max_requests
         self.token_target = token_target or self.TOKEN_TARGET
-        self.max_delay = max_delay
         self._requests = 0
         self._tokens = 0
 
     @classmethod
     def for_config(cls, workers: int, queue_limit: int,
-                   max_delay: float = 0.010,
                    token_target: int | None = None) -> "BatchPolicy":
         """Derive the request target from serve configuration, the way
         ``ChunkPlanner`` derives its page target from the crawl's."""
         dispatchers = max(1, workers)
         target = -(-queue_limit // (dispatchers * cls.PIPELINE_DEPTH))
         target = max(cls.MIN_REQUESTS, min(cls.MAX_REQUESTS, target))
-        return cls(max_requests=target, token_target=token_target,
-                   max_delay=max_delay)
+        return cls(max_requests=target, token_target=token_target)
 
     def add(self, tokens: int) -> bool:
         """Account one request; True means "close the batch now"."""
@@ -108,6 +103,19 @@ class BatchPolicy:
             bounds.append((start, len(token_counts)))
         self.reset()
         return bounds
+
+    def cut(self, token_counts: Iterable[int]) -> int:
+        """Length of the first batch of a queued stream: up to and
+        including the request that reaches a target, else all of it
+        (``plan(counts)[0][1]`` without planning the rest)."""
+        self.reset()
+        count = 0
+        for tokens in token_counts:
+            count += 1
+            if self.add(tokens):
+                break
+        self.reset()
+        return count
 
 
 class PendingRequest:
@@ -156,13 +164,15 @@ class PendingRequest:
 
 
 class RequestCoalescer:
-    """Thread-safe batching queue applying a :class:`BatchPolicy`.
+    """Thread-safe, work-conserving batching queue.
 
-    ``submit`` never blocks (admission control happens before it);
-    ``take`` blocks until a batch closes — by size/tokens as soon as
-    enough requests queue, or by the latency deadline — and returns
-    it.  After :meth:`close`, ``take`` drains what's queued and then
-    returns None to each caller.
+    ``submit`` never blocks: it admits the request or, with the queue
+    at ``limit``, refuses it — one critical section, so concurrent
+    submitters cannot overshoot the bound.  ``take`` blocks only while
+    the queue is empty; otherwise it returns at once with what is
+    queued, cut by the :class:`BatchPolicy`.  After :meth:`close`,
+    ``take`` drains what's queued and then returns None to each
+    caller.
     """
 
     def __init__(self, policy: BatchPolicy,
@@ -175,17 +185,23 @@ class RequestCoalescer:
 
     @property
     def depth(self) -> int:
-        """Requests currently queued (admission control reads this)."""
+        """Requests currently queued."""
         with self._cond:
             return len(self._queue)
 
-    def submit(self, pending: PendingRequest) -> None:
+    def submit(self, pending: PendingRequest,
+               limit: int | None = None) -> bool:
+        """Queue one request; False (nothing queued) when ``limit``
+        requests are already waiting."""
         with self._cond:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
+            if limit is not None and len(self._queue) >= limit:
+                return False
             pending.enqueued_at = self._clock()
             self._queue.append(pending)
             self._cond.notify()
+            return True
 
     def close(self) -> None:
         """Stop accepting; wake every ``take`` to drain and exit."""
@@ -193,40 +209,22 @@ class RequestCoalescer:
             self._closed = True
             self._cond.notify_all()
 
-    def take(self) -> list[PendingRequest] | None:
-        """The next closed batch (a contiguous slice of arrival
-        order), or None once closed and drained."""
-        policy = self.policy
-        with self._cond:
-            while True:
-                if self._queue:
-                    count = self._ready_count()
-                    if count:
-                        batch = self._queue[:count]
-                        del self._queue[:count]
-                        return batch
-                    oldest = self._queue[0].enqueued_at
-                    remaining = oldest + policy.max_delay - self._clock()
-                    self._cond.wait(max(remaining, 0.0005))
-                elif self._closed:
-                    return None
-                else:
-                    self._cond.wait()
+    def take(self, block: bool = True) -> list[PendingRequest] | None:
+        """The next batch: the head of what is queued right now (a
+        contiguous slice of arrival order, cut by the policy).
 
-    def _ready_count(self) -> int:
-        """How many queued requests form a closed batch right now
-        (0 = keep waiting).  Caller holds the lock."""
-        policy = self.policy
-        policy.reset()
-        for index, pending in enumerate(self._queue):
-            if policy.add(pending.tokens):
-                return index + 1
-        policy.reset()
-        # Not full: close anyway if the oldest request has waited out
-        # the deadline, or if no more requests can ever arrive.
-        if self._closed:
-            return len(self._queue)
-        oldest = self._queue[0].enqueued_at
-        if self._clock() - oldest >= policy.max_delay:
-            return len(self._queue)
-        return 0
+        On an empty queue a blocking take waits for a ``submit`` and
+        returns None once closed; ``block=False`` returns None at
+        once, which is how a busy dispatcher asks "is anything
+        waiting?" without stalling.
+        """
+        with self._cond:
+            while not self._queue:
+                if self._closed or not block:
+                    return None
+                self._cond.wait()
+            count = self.policy.cut(
+                pending.tokens for pending in self._queue)
+            batch = self._queue[:count]
+            del self._queue[:count]
+            return batch

@@ -111,6 +111,14 @@ class QuotaManager:
                 self.rejections += 1
             return admitted
 
+    def refund(self, tenant: str, tokens: int) -> None:
+        """Return ``tokens`` an admitted request never used (it was
+        shed after being paid for)."""
+        with self._lock:
+            bucket = self._buckets.get(tenant)
+            if bucket is not None:
+                bucket.tokens = min(bucket.burst, bucket.tokens + tokens)
+
     def snapshot(self) -> dict[str, dict[str, float]]:
         """Current bucket levels per tenant (for the stats op)."""
         with self._lock:

@@ -4,9 +4,13 @@ Two layers, separable for testing:
 
 * :class:`BatchEngine` — admission control (bounded queue with
   retryable load-shed), per-tenant quotas, the request coalescer, and
-  dispatcher threads that feed closed batches to COW-forked workers
-  (or run them inline with ``workers=0``).  No sockets; the hypothesis
-  concurrency suite drives this layer directly.
+  dispatcher threads that feed batches to COW-forked workers (or run
+  them inline with ``workers=0``).  A free dispatcher takes what is
+  queued now, and the loop is pipelined: the next batch is shipped to
+  the worker before the previous batch's responses are encoded and
+  written, so the worker computes while the parent does JSON and
+  socket work.  No sockets; the hypothesis concurrency suite drives
+  this layer directly.
 * :class:`ExtractionServer` — a TCP frontend speaking
   :mod:`repro.serve.protocol`: one reader thread per connection,
   control ops answered inline, batch ops submitted to the engine with
@@ -65,8 +69,11 @@ _WORKER_GC_EVERY = 64
 class ServeConfig:
     """Everything the server layer derives its behaviour from.
 
-    All batching inputs are deterministic configuration; the only
-    timing knob is ``max_delay_ms``, the coalescer's latency deadline.
+    All batching inputs are deterministic configuration.
+    ``max_delay_ms`` is accepted and ignored: the coalescing deadline
+    it configured is gone (a free dispatcher takes what is queued
+    now), and the field survives only because ``benchmarks/e2e``
+    still passes it — remove it with the next ``benchmark`` PR.
     """
 
     host: str = "127.0.0.1"
@@ -83,14 +90,19 @@ class ServeConfig:
     def policy(self) -> BatchPolicy:
         policy = BatchPolicy.for_config(
             workers=self.workers, queue_limit=self.queue_limit,
-            max_delay=self.max_delay_ms / 1000.0,
             token_target=self.token_target)
         policy.max_requests = min(policy.max_requests, self.max_batch)
         return policy
 
 
 class _ForkedWorker:
-    """Parent-side handle of one forked extraction worker."""
+    """Parent-side handle of one forked extraction worker.
+
+    ``send`` ships a batch and returns; ``recv`` blocks for the oldest
+    shipped batch's results.  The pipe buffers, so a batch sent while
+    the child still computes the previous one starts the moment the
+    child is free.
+    """
 
     def __init__(self, session: ExtractionSession, index: int) -> None:
         context = multiprocessing.get_context("fork")
@@ -103,8 +115,10 @@ class _ForkedWorker:
         self.process.start()
         child_conn.close()
 
-    def run_batch(self, requests: list[tuple[str, str]]) -> list[dict]:
+    def send(self, requests: list[tuple[str, str]]) -> None:
         self.conn.send_bytes(marshal.dumps(requests))
+
+    def recv(self) -> list[dict]:
         return marshal.loads(self.conn.recv_bytes())
 
     def stop(self, timeout: float = 10.0) -> None:
@@ -117,6 +131,24 @@ class _ForkedWorker:
             self.process.terminate()
             self.process.join(timeout)
         self.conn.close()
+
+
+class _InlineWorker:
+    """``workers=0``: the forked worker's interface with the batch run
+    on the dispatcher thread.  ``send`` only parks the batch and
+    ``recv`` runs it, so the dispatch loop is the same loop minus the
+    overlap — the previous batch's responses go out before the parked
+    batch starts."""
+
+    def __init__(self, session: ExtractionSession) -> None:
+        self.session = session
+        self._parked: list[tuple[str, str]] = []
+
+    def send(self, requests: list[tuple[str, str]]) -> None:
+        self._parked = requests
+
+    def recv(self) -> list[dict]:
+        return self.session.run_batch(self._parked)
 
 
 def _worker_main(conn, session: ExtractionSession) -> None:
@@ -194,12 +226,12 @@ class BatchEngine:
             gc.freeze()
             self._workers = [_ForkedWorker(self.session, index)
                              for index in range(self.config.workers)]
-        worker_slots = self._workers or [None]
         self._dispatchers = [
             threading.Thread(target=self._dispatch_loop, args=(worker,),
                              name=f"repro-serve-dispatch-{index}",
                              daemon=True)
-            for index, worker in enumerate(worker_slots)]
+            for index, worker in enumerate(
+                self._workers or [_InlineWorker(self.session)])]
         for thread in self._dispatchers:
             thread.start()
 
@@ -235,15 +267,6 @@ class BatchEngine:
                 request_id, "unavailable", "server is shutting down",
                 retryable=True))
             return pending
-        depth = self.coalescer.depth
-        self.metrics.gauge("serve.queue_depth", volatile=True).set(depth)
-        if depth >= self.config.queue_limit:
-            self.metrics.counter("serve.shed", volatile=True).inc()
-            self._deliver_one(pending, protocol.error_response(
-                request_id, "shed",
-                f"admission queue full ({depth} queued)",
-                retryable=True))
-            return pending
         if not self.quotas.admit(tenant, tokens):
             self.metrics.counter("serve.quota_rejected",
                                  volatile=True).inc()
@@ -252,54 +275,104 @@ class BatchEngine:
                 f"tenant {tenant!r} is out of token budget",
                 retryable=True))
             return pending
+        limit = self.config.queue_limit
         try:
-            self.coalescer.submit(pending)
+            admitted = self.coalescer.submit(pending, limit=limit)
         except RuntimeError:
             self._deliver_one(pending, protocol.error_response(
                 request_id, "unavailable", "server is shutting down",
+                retryable=True))
+            return pending
+        self.metrics.gauge("serve.queue_depth", volatile=True).set(
+            self.coalescer.depth)
+        if not admitted:
+            self.quotas.refund(tenant, tokens)
+            self.metrics.counter("serve.shed", volatile=True).inc()
+            self._deliver_one(pending, protocol.error_response(
+                request_id, "shed",
+                f"admission queue full ({limit} queued)",
                 retryable=True))
         return pending
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch_loop(self, worker: _ForkedWorker | None) -> None:
+    def _dispatch_loop(self, worker) -> None:
+        """Take → ship → receive → deliver, pipelined one deep.
+
+        At most one batch is at the worker with its results unread.
+        The moment batch N's results are in, batch N+1 (whatever is
+        queued right now — never waited for) is shipped, and only then
+        are N's responses encoded and written: the worker computes N+1
+        while this thread does N's JSON and socket work.
+        """
+        take = self.coalescer.take
+        shipped = None
         while True:
-            batch = self.coalescer.take()
-            if batch is None:
-                return
-            self._observe_batch(batch)
-            requests = [(pending.op, pending.text) for pending in batch]
-            try:
-                if worker is None:
-                    results = self.session.run_batch(requests)
-                else:
-                    results = worker.run_batch(requests)
-            except Exception as exc:  # noqa: BLE001 - worker death
-                self.metrics.counter("serve.worker_failures",
-                                     volatile=True).inc()
-                message = f"worker failed: {type(exc).__name__}: {exc}"
-                self._deliver_batch([
-                    (pending, protocol.error_response(
-                        pending.request_id, "worker_failed", message,
-                        retryable=True))
-                    for pending in batch])
-                continue
-            now = self.clock()
-            latency = self.metrics.histogram(
-                "serve.latency_seconds", buckets=LATENCY_BUCKETS,
-                volatile=True)
-            deliveries = []
-            for pending, result in zip(batch, results):
-                if "_error" in result:
-                    response = protocol.error_response(
-                        pending.request_id, "failed", result["_error"],
-                        retryable=False)
-                else:
-                    response = protocol.ok_response(pending.request_id,
-                                                    result)
-                latency.observe(max(0.0, now - pending.enqueued_at))
-                deliveries.append((pending, response))
-            self._deliver_batch(deliveries)
+            if shipped is None:
+                batch = take()
+                if batch is None:
+                    return
+                shipped = self._ship(worker, batch)
+            else:
+                try:
+                    results = worker.recv()
+                except Exception as exc:  # noqa: BLE001 - worker death
+                    results = exc
+                batch, shipped = shipped, self._ship(
+                    worker, take(block=False))
+                self._deliver_batch(self._responses(batch, results))
+
+    def _ship(self, worker, batch: list[PendingRequest] | None,
+              ) -> list[PendingRequest] | None:
+        """Send ``batch`` (if any) to the worker.  Returns the batch
+        now at the worker, or None when nothing is: no batch was
+        given, or the send failed and the batch has been answered
+        ``worker_failed``."""
+        if batch is None:
+            return None
+        self._observe_batch(batch)
+        try:
+            worker.send([(pending.op, pending.text)
+                         for pending in batch])
+        except Exception as exc:  # noqa: BLE001 - worker death
+            self._deliver_batch(self._worker_failed(batch, exc))
+            return None
+        return batch
+
+    def _responses(self, batch: list[PendingRequest],
+                   results: list[dict] | Exception,
+                   ) -> list[tuple[PendingRequest, dict]]:
+        """Pair each request of a received batch with its response
+        (``worker_failed`` for all when receiving raised)."""
+        if isinstance(results, Exception):
+            return self._worker_failed(batch, results)
+        now = self.clock()
+        latency = self.metrics.histogram(
+            "serve.latency_seconds", buckets=LATENCY_BUCKETS,
+            volatile=True)
+        deliveries = []
+        for pending, result in zip(batch, results):
+            if "_error" in result:
+                response = protocol.error_response(
+                    pending.request_id, "failed", result["_error"],
+                    retryable=False)
+            else:
+                response = protocol.ok_response(pending.request_id,
+                                                result)
+            latency.observe(max(0.0, now - pending.enqueued_at))
+            deliveries.append((pending, response))
+        return deliveries
+
+    def _worker_failed(self, batch: list[PendingRequest],
+                       exc: Exception,
+                       ) -> list[tuple[PendingRequest, dict]]:
+        self.metrics.counter("serve.worker_failures",
+                             volatile=True).inc()
+        message = f"worker failed: {type(exc).__name__}: {exc}"
+        return [(pending, protocol.error_response(
+                    pending.request_id, "worker_failed", message,
+                    retryable=True))
+                for pending in batch]
 
     def _deliver_one(self, pending: PendingRequest,
                      response: dict) -> None:
@@ -426,10 +499,13 @@ class ExtractionServer:
         self._done = True
         self._shutdown_event.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in
+            # accept(); shutting the listening socket down does.
             try:
-                self._listener.close()
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
         self.engine.stop()
         with self._connections_lock:
             streams = list(self._connections)

@@ -1,10 +1,12 @@
 """Property tests for the serve-layer batching policy and coalescer.
 
-The coalescer is the serve layer's ChunkPlanner: batch boundaries must
-be a pure function of the request stream (never of timing, except the
-explicit latency deadline), so the same invariants are asserted —
-contiguous, order-preserving, exact-cover partitions, and identical
-boundaries whether the policy runs streaming or offline.
+The coalescer is the serve layer's ChunkPlanner: the boundaries the
+policy cuts into a queued request stream must be a pure function of
+the stream, so the same invariants are asserted — contiguous,
+order-preserving, exact-cover partitions, and identical boundaries
+whether the policy runs streaming or offline.  The queue itself is
+work-conserving: ``take`` never waits on a clock, only on an empty
+queue.
 """
 
 from __future__ import annotations
@@ -119,71 +121,98 @@ class TestBatchPolicyConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_requests=0)
-        with pytest.raises(ValueError):
-            BatchPolicy(max_delay=-1.0)
+
+
+def _ids(batch) -> list[str]:
+    return [pending.request_id for pending in batch]
 
 
 class TestRequestCoalescer:
     def test_take_closes_on_size(self):
-        clock = FakeClock()
-        coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=3, max_delay=100.0), clock=clock)
+        coalescer = RequestCoalescer(BatchPolicy(max_requests=3),
+                                     clock=FakeClock())
         for index in range(7):
             coalescer.submit(_pending(1, index))
-        first = coalescer.take()
-        second = coalescer.take()
-        assert [p.request_id for p in first] == ["r0", "r1", "r2"]
-        assert [p.request_id for p in second] == ["r3", "r4", "r5"]
+        assert _ids(coalescer.take()) == ["r0", "r1", "r2"]
+        assert _ids(coalescer.take()) == ["r3", "r4", "r5"]
         assert coalescer.depth == 1
 
-    def test_take_closes_on_deadline_with_fake_clock(self):
-        clock = FakeClock()
-        coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=100, max_delay=0.5), clock=clock)
+    def test_zero_delay_closes_immediately(self):
+        # Work-conserving: with a clock that never advances, a lone
+        # request on an idle coalescer comes straight out — nothing
+        # waits for company or for time to pass.
+        coalescer = RequestCoalescer(BatchPolicy(max_requests=100),
+                                     clock=FakeClock())
         coalescer.submit(_pending(1, 0))
-        coalescer.submit(_pending(1, 1))
+        assert _ids(coalescer.take()) == ["r0"]
+        assert coalescer.take(block=False) is None
+
+    def test_take_on_empty_queue_blocks_until_submit(self):
+        coalescer = RequestCoalescer(BatchPolicy(max_requests=100),
+                                     clock=FakeClock())
         result: list = []
         thread = threading.Thread(
             target=lambda: result.append(coalescer.take()))
         thread.start()
         thread.join(timeout=0.1)
-        assert thread.is_alive(), "batch must not close before deadline"
-        clock.now = 0.6  # past the oldest request's deadline
+        assert thread.is_alive(), "nothing queued: take must block"
+        coalescer.submit(_pending(1, 0))
         thread.join(timeout=10)
         assert not thread.is_alive()
-        assert [p.request_id for p in result[0]] == ["r0", "r1"]
+        assert _ids(result[0]) == ["r0"]
 
-    def test_zero_delay_closes_immediately(self):
-        coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=100, max_delay=0.0),
-            clock=FakeClock())
-        coalescer.submit(_pending(1, 0))
-        assert [p.request_id for p in coalescer.take()] == ["r0"]
+    @given(tokens=tokens_strategy, max_requests=max_requests_strategy,
+           token_target=token_target_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_backlog_is_cut_exactly_as_the_offline_plan(
+            self, tokens, max_requests, token_target):
+        """Requests that queue while the dispatcher is busy come out
+        as the batches ``BatchPolicy.plan`` cuts from the same
+        stream."""
+        policy = BatchPolicy(max_requests=max_requests,
+                             token_target=token_target)
+        coalescer = RequestCoalescer(policy, clock=FakeClock())
+        for index, count in enumerate(tokens):
+            coalescer.submit(_pending(count, index))
+        taken = []
+        while (batch := coalescer.take(block=False)) is not None:
+            taken.append(_ids(batch))
+        expected = [[f"r{index}" for index in range(start, end)]
+                    for start, end in BatchPolicy(
+                        max_requests=max_requests,
+                        token_target=token_target).plan(tokens)]
+        assert taken == expected
 
     def test_token_target_closes_batch(self):
         coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=100, token_target=10,
-                        max_delay=100.0), clock=FakeClock())
+            BatchPolicy(max_requests=100, token_target=10),
+            clock=FakeClock())
         coalescer.submit(_pending(6, 0))
         coalescer.submit(_pending(6, 1))
         coalescer.submit(_pending(1, 2))
-        batch = coalescer.take()
-        assert [p.request_id for p in batch] == ["r0", "r1"]
+        assert _ids(coalescer.take()) == ["r0", "r1"]
 
     def test_close_drains_then_returns_none(self):
-        coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=100, max_delay=100.0),
-            clock=FakeClock())
+        coalescer = RequestCoalescer(BatchPolicy(max_requests=100),
+                                     clock=FakeClock())
         coalescer.submit(_pending(1, 0))
         coalescer.close()
-        assert [p.request_id for p in coalescer.take()] == ["r0"]
+        assert _ids(coalescer.take()) == ["r0"]
         assert coalescer.take() is None
         with pytest.raises(RuntimeError):
             coalescer.submit(_pending(1, 1))
 
+    def test_submit_refuses_at_limit(self):
+        coalescer = RequestCoalescer(BatchPolicy(max_requests=100))
+        assert coalescer.submit(_pending(1, 0), limit=2)
+        assert coalescer.submit(_pending(1, 1), limit=2)
+        assert not coalescer.submit(_pending(1, 2), limit=2)
+        assert coalescer.depth == 2
+        assert _ids(coalescer.take()) == ["r0", "r1"]
+        assert coalescer.submit(_pending(1, 3), limit=2)
+
     def test_concurrent_takers_partition_the_stream(self):
-        coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=5, max_delay=0.005))
+        coalescer = RequestCoalescer(BatchPolicy(max_requests=5))
         taken: list[list[str]] = []
         lock = threading.Lock()
 

@@ -1,16 +1,22 @@
 """BatchEngine tests over a stub session: the batching layer must be
 response-invariant — every request gets the exact response it would
 get alone, no matter how requests coalesce — plus admission control
-(load-shed, quotas) and failure isolation."""
+(load-shed, quotas), the pipelined dispatch order, and failure
+isolation."""
 
 from __future__ import annotations
 
+import os
+import signal
+import sys
 import threading
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import server as server_module
 from repro.serve.server import BatchEngine, ServeConfig
 
 
@@ -41,9 +47,36 @@ class StubSession:
         return results
 
 
+class GatedSession(StubSession):
+    """Holds the dispatcher inside its first batch until ``gate`` is
+    set, so a test can queue a known backlog behind a busy worker."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def run_batch(self, requests):
+        self.entered.set()
+        self.gate.wait(timeout=30)
+        return super().run_batch(requests)
+
+
+def submit_behind_busy_worker(engine: BatchEngine,
+                              session: GatedSession, requests):
+    """Occupy the worker with a plug request, queue ``requests``
+    behind it, then let the worker go; the pendings of ``requests``."""
+    plug = engine.submit("classify", "plug", request_id="plug")
+    assert session.entered.wait(timeout=30)
+    pendings = [engine.submit(op, text, request_id=request_id)
+                for request_id, op, text in requests]
+    session.gate.set()
+    assert plug.wait(timeout=30)["ok"]
+    return pendings
+
+
 def make_engine(session=None, **overrides) -> BatchEngine:
-    config = ServeConfig(workers=0, max_batch=8, max_delay_ms=2.0,
-                         queue_limit=64)
+    config = ServeConfig(workers=0, max_batch=8, queue_limit=64)
     for key, value in overrides.items():
         setattr(config, key, value)
     engine = BatchEngine(session or StubSession(), config,
@@ -104,20 +137,34 @@ class TestResponseInvariance:
                 assert received[request_id] == expected
 
     def test_batches_are_actually_formed(self):
-        session = StubSession()
-        engine = make_engine(session, max_delay_ms=50.0)
+        """Requests that queue while the worker is busy come out cut
+        by the size target — batches grow exactly when workers are
+        busy."""
+        session = GatedSession()
+        engine = make_engine(session, max_batch=8)
         try:
-            pendings = [engine.submit("classify", f"text {i}",
-                                      request_id=str(i))
-                        for i in range(8)]
+            pendings = submit_behind_busy_worker(
+                engine, session,
+                [(str(i), "classify", f"text {i}") for i in range(19)])
             for pending in pendings:
                 assert pending.wait(timeout=30)["ok"]
         finally:
             engine.stop()
-        # 8 requests with max_batch=8 and a long deadline: the queue
-        # closes on size into few batches, at least one multi-request.
-        assert any(len(batch) > 1 for batch in session.batches)
-        assert engine.metrics.value_of("serve.multi_request_batches")
+        assert [len(batch) for batch in session.batches] == [1, 8, 8, 3]
+        assert engine.metrics.value_of(
+            "serve.multi_request_batches") == 3
+
+    def test_idle_engine_serves_a_lone_request_alone(self):
+        session = StubSession()
+        engine = make_engine(session)
+        try:
+            for index in range(5):
+                pending = engine.submit("classify", f"text {index}",
+                                        request_id=str(index))
+                assert pending.wait(timeout=30)["ok"]
+        finally:
+            engine.stop()
+        assert [len(batch) for batch in session.batches] == [1] * 5
 
 
 class TestAdmissionControl:
@@ -130,8 +177,7 @@ class TestAdmissionControl:
                 gate.wait(timeout=30)
                 return super().run_batch(requests)
 
-        engine = make_engine(SlowSession(), queue_limit=4,
-                             max_delay_ms=0.0)
+        engine = make_engine(SlowSession(), queue_limit=4)
         try:
             pendings = [engine.submit("classify", "x",
                                       request_id=str(i))
@@ -150,6 +196,78 @@ class TestAdmissionControl:
                     assert pending.wait(timeout=30)["ok"]
         finally:
             gate.set()
+            engine.stop()
+
+    def test_concurrent_submitters_never_overshoot_queue_limit(self):
+        """Admit-or-refuse is one critical section: threads hammering
+        a full queue never push it past its bound, and every offered
+        request is either admitted or shed."""
+        queue_limit, n_threads, per_thread = 4, 8, 3000
+
+        class SlowSession(StubSession):
+            def run_batch(self, requests):
+                time.sleep(0.0002)
+                return super().run_batch(requests)
+
+        engine = make_engine(SlowSession(), queue_limit=queue_limit,
+                             max_batch=2)
+        pendings: list = []
+        deepest = [0] * n_threads
+        start = threading.Barrier(n_threads)
+
+        def submitter(slot: int) -> None:
+            mine = []
+            start.wait()
+            for index in range(per_thread):
+                mine.append(engine.submit(
+                    "classify", "x", request_id=f"{slot}.{index}"))
+                deepest[slot] = max(deepest[slot],
+                                    engine.coalescer.depth)
+            pendings.extend(mine)
+
+        # Switch threads every few bytecodes so a check-then-act
+        # admission would interleave.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter, args=(slot,))
+                       for slot in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            responses = [pending.wait(timeout=30)
+                         for pending in pendings]
+        finally:
+            engine.stop()
+        assert max(deepest) <= queue_limit
+        admitted = sum(response["ok"] for response in responses)
+        shed = sum(not response["ok"]
+                   and response["error"]["code"] == "shed"
+                   for response in responses)
+        assert shed > 0, "the limit was never contended"
+        assert admitted + shed == n_threads * per_thread
+        assert engine.metrics.value_of("serve.shed") == shed
+
+    def test_shed_request_is_not_charged_to_the_tenant(self):
+        session = GatedSession()
+        engine = make_engine(session, queue_limit=1,
+                             default_quota=(0.001, 10.0))
+        try:
+            pendings = submit_behind_busy_worker(
+                engine, session,
+                [("queued", "classify", "a b c"),
+                 ("shed", "classify", "a b c")])
+            assert pendings[0].wait(timeout=30)["ok"]
+            assert pendings[1].response["error"]["code"] == "shed"
+            # 10 - plug(1) - queued(3) = 6: the shed request's three
+            # tokens went back to the bucket.
+            bucket = engine.stats()["quota_buckets"]["default"]
+            assert 6.0 <= bucket["tokens"] < 6.1
+        finally:
             engine.stop()
 
     def test_quota_rejection(self):
@@ -177,15 +295,18 @@ class TestAdmissionControl:
 
 class TestFailureIsolation:
     def test_failed_request_does_not_poison_batch(self):
-        session = StubSession(fail_texts=frozenset({"bad"}))
-        engine = make_engine(session, max_delay_ms=50.0)
+        session = GatedSession(fail_texts=frozenset({"bad"}))
+        engine = make_engine(session)
         try:
-            good = engine.submit("classify", "good", request_id="g")
-            bad = engine.submit("classify", "bad", request_id="b")
+            good, bad = submit_behind_busy_worker(
+                engine, session, [("g", "classify", "good"),
+                                  ("b", "classify", "bad")])
             good_response = good.wait(timeout=30)
             bad_response = bad.wait(timeout=30)
         finally:
             engine.stop()
+        assert session.batches[-1] == [("classify", "good"),
+                                       ("classify", "bad")]
         assert good_response["ok"]
         assert not bad_response["ok"]
         assert bad_response["error"]["code"] == "failed"
@@ -205,6 +326,124 @@ class TestFailureIsolation:
         assert response["error"]["code"] == "worker_failed"
         assert response["error"]["retryable"] is True
         assert engine.metrics.value_of("serve.worker_failures") == 1
+
+
+class RecordingWorker:
+    """Stands in for the engine's worker: logs every send and recv,
+    echoes results, and holds the first recv until released."""
+
+    def __init__(self, log: list) -> None:
+        self.log = log
+        self.sent: list[list[tuple[str, str]]] = []
+        self.first_sent = threading.Event()
+        self.release = threading.Event()
+
+    def send(self, requests) -> None:
+        self.log.append(("send", [text for _op, text in requests]))
+        self.sent.append(requests)
+        self.first_sent.set()
+
+    def recv(self) -> list[dict]:
+        self.release.wait(timeout=30)
+        requests = self.sent.pop(0)
+        self.log.append(("recv", [text for _op, text in requests]))
+        return [{"echo": text} for _op, text in requests]
+
+
+class TestPipelinedDispatch:
+    def test_next_batch_is_shipped_before_previous_is_delivered(
+            self, monkeypatch):
+        log: list = []
+        worker = RecordingWorker(log)
+        monkeypatch.setattr(server_module, "_InlineWorker",
+                            lambda session: worker)
+        engine = make_engine(max_batch=2)
+
+        def submit(index: int):
+            text = f"r{index}"
+            return engine.submit(
+                "classify", text, request_id=text,
+                on_done=lambda _response: log.append(("deliver", text)))
+
+        try:
+            pendings = [submit(0)]
+            assert worker.first_sent.wait(timeout=30)
+            pendings += [submit(index) for index in range(1, 5)]
+            worker.release.set()
+            for pending in pendings:
+                assert pending.wait(timeout=30)["ok"]
+        finally:
+            engine.stop()
+        assert log == [
+            ("send", ["r0"]), ("recv", ["r0"]),
+            ("send", ["r1", "r2"]), ("deliver", "r0"),
+            ("recv", ["r1", "r2"]),
+            ("send", ["r3", "r4"]), ("deliver", "r1"), ("deliver", "r2"),
+            ("recv", ["r3", "r4"]), ("deliver", "r3"), ("deliver", "r4"),
+        ]
+        # Never more than one batch at the worker with results unread.
+        unread = 0
+        for event, _texts in log:
+            unread += {"send": 1, "recv": -1}.get(event, 0)
+            assert unread <= 1
+
+    def test_close_drains_everything_queued(self):
+        session = GatedSession()
+        engine = make_engine(session, max_batch=4)
+        plug = engine.submit("classify", "plug", request_id="plug")
+        assert session.entered.wait(timeout=30)
+        pendings = [engine.submit("classify", f"text {i}",
+                                  request_id=str(i)) for i in range(10)]
+        stopper = threading.Thread(target=engine.stop)
+        stopper.start()
+        session.gate.set()
+        stopper.join(timeout=30)
+        assert not stopper.is_alive()
+        assert plug.response["ok"]
+        assert all(pending.response and pending.response["ok"]
+                   for pending in pendings)
+
+
+class SleepingSession(StubSession):
+    """Never finishes a batch: a forked worker running it stays busy
+    until it is killed."""
+
+    def run_batch(self, requests):
+        time.sleep(300)
+        return super().run_batch(requests)
+
+
+class TestWorkerDeath:
+    def test_sigkill_fails_in_flight_and_queued_batches_exactly_once(
+            self):
+        engine = make_engine(SleepingSession(), workers=1, max_batch=2)
+        delivered: dict[str, list[dict]] = {}
+
+        def submit(request_id: str):
+            return engine.submit(
+                "classify", "x", request_id=request_id,
+                on_done=lambda response: delivered.setdefault(
+                    request_id, []).append(response))
+
+        try:
+            in_flight = submit("in-flight")
+            deadline = time.monotonic() + 30
+            while not engine.stats()["batches"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            queued = [submit(f"queued-{index}") for index in range(2)]
+            assert engine.coalescer.depth == 2
+            os.kill(engine._workers[0].process.pid, signal.SIGKILL)
+            for pending in [in_flight, *queued]:
+                assert pending.wait(timeout=30) is not None
+        finally:
+            engine.stop()
+        assert sorted(delivered) == ["in-flight", "queued-0", "queued-1"]
+        for responses in delivered.values():
+            assert len(responses) == 1
+            assert responses[0]["error"]["code"] == "worker_failed"
+            assert responses[0]["error"]["retryable"] is True
+        assert engine.metrics.value_of("serve.worker_failures") == 2
 
 
 class TestStats:

@@ -9,6 +9,8 @@ produce the same digest for the same workload.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.serve.loadgen import (
@@ -21,8 +23,7 @@ WORKLOAD = generate_workload(48, seed=23)
 
 
 def start_server(pipeline, **overrides) -> ExtractionServer:
-    config = ServeConfig(workers=0, max_batch=8, max_delay_ms=3.0,
-                         queue_limit=64)
+    config = ServeConfig(workers=0, max_batch=8, queue_limit=64)
     for key, value in overrides.items():
         setattr(config, key, value)
     session = ExtractionSession(pipeline)
@@ -119,6 +120,32 @@ class TestControlOps:
             assert client.call("shutdown")["result"]["stopping"]
         server.serve_forever()  # returns because shutdown was requested
         assert server._done
+
+
+class TestShutdown:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_shutdown_wakes_the_accept_thread(self, pipeline, workers):
+        """``shutdown()`` must not sit out the accept thread's join
+        timeout: it wakes the listener itself."""
+        server = start_server(pipeline, workers=workers)
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
+
+    def test_address_is_connectable_between_request_and_shutdown(
+            self, pipeline):
+        """``request_shutdown()`` only flags: a client may still
+        connect before ``shutdown()`` runs (the e2e harness does)."""
+        import socket
+
+        server = start_server(pipeline)
+        server.request_shutdown()
+        socket.create_connection(server.address, timeout=5).close()
+        started = time.monotonic()
+        server.shutdown()
+        assert time.monotonic() - started < 1.0
+        assert not server._accept_thread.is_alive()
 
 
 class TestQuotasOverTheWire:

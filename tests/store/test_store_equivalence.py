@@ -164,8 +164,7 @@ class TestIngestionPathEquivalence:
 
 
 def _start_server(pipeline, query_engine=None):
-    config = ServeConfig(workers=0, max_batch=8, max_delay_ms=3.0,
-                         queue_limit=64)
+    config = ServeConfig(workers=0, max_batch=8, queue_limit=64)
     session = ExtractionSession(pipeline)
     return ExtractionServer(session, config,
                             query_engine=query_engine).start()
