@@ -653,18 +653,16 @@ def cmd_seeds(args) -> int:
 
 def cmd_facts(args) -> int:
     from repro.io import FactDatabase
-    from repro.ner.relations import RelationExtractor, relations_to_records
+    from repro.ner.relations import relations_to_records
+    from repro.store import analyzed_documents
 
     ctx = _context(args, crawl_pages=args.pages)
     result = ctx.run_crawl(max_pages=args.pages)
     database = FactDatabase()
-    extractor = RelationExtractor()
-    for document in result.relevant:
-        copy = document.copy_shallow()
-        ctx.pipeline.analyze(copy)
-        database.add_document(copy)
-        database.add_relations(
-            relations_to_records(extractor.extract(copy)))
+    for document, relations in analyzed_documents(result.relevant,
+                                                  ctx.pipeline):
+        database.add_document(document)
+        database.add_relations(relations_to_records(relations))
     paths = database.export(args.out)
     print(f"analyzed {len(result.relevant)} relevant documents")
     print(f"entity mentions: {len(database.entity_records)} "

@@ -100,8 +100,7 @@ def analyze_corpus(name: str, documents: Iterable[Document],
                    with_pos: bool = False) -> CorpusStats:
     """Run the full analysis on each document and aggregate."""
     stats = CorpusStats(name=name)
-    for document in documents:
-        pipeline.analyze(document, with_pos=with_pos)
+    for document in pipeline.analyze_stream(documents, with_pos=with_pos):
         accumulate_document(stats, document)
     return stats
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from repro.annotations import Document
 from repro.classify.naive_bayes import NaiveBayesClassifier
@@ -21,7 +22,7 @@ from repro.html.boilerplate import BoilerplateDetector
 from repro.ner.cache import AutomatonCache
 from repro.nlp.anno_cache import AnnotationCache
 from repro.ner.dictionary import DictionaryTagger
-from repro.ner.onepass import OnePassAnnotator
+from repro.ner.onepass import OnePassAnnotator, volume_chunks
 from repro.ner.taggers import (
     ENTITY_TYPES, MlEntityTagger, build_dictionary_taggers, build_ml_taggers,
 )
@@ -135,6 +136,9 @@ class TextAnalyticsPipeline:
 
         This is the one-step-at-a-time reference path; the equivalence
         tests hold :meth:`analyze_batch` (the one-pass engine) to it.
+        Production code annotating whole documents goes through
+        :meth:`analyze_stream` instead (CI guards against a loop over
+        this method creeping back into ``src/repro``).
         ``document.sentences is None`` means "never computed" and
         triggers preprocessing; an empty list means the split genuinely
         produced nothing and is trusted as-is.
@@ -202,6 +206,23 @@ class TextAnalyticsPipeline:
         for document in documents:
             self.linguistics.analyze(document)
         return documents
+
+    def analyze_stream(self, documents: Iterable[Document],
+                       methods: tuple[str, ...] = ("dictionary", "ml"),
+                       entity_types: tuple[str, ...] = ENTITY_TYPES,
+                       with_pos: bool = False) -> Iterator[Document]:
+        """:meth:`analyze` over a stream of whole documents, on the
+        one-pass engine: yields the (mutated) documents in input
+        order, byte-identical to the per-document reference.
+
+        The stream is consumed lazily and cut on text volume
+        (:func:`repro.ner.onepass.volume_chunks`), one
+        :meth:`analyze_batch` per chunk, so the memory in flight is a
+        chunk's worth however many pages a crawl harvested.
+        """
+        for chunk in volume_chunks(documents):
+            yield from self.analyze_batch(chunk, methods, entity_types,
+                                          with_pos)
 
     def _pos_tag_documents(self, documents: list[Document]) -> None:
         """POS-tag every sentence of every document in one batched

@@ -178,27 +178,18 @@ _register_entity_ops()
 class _FusedAnnotateOperator(MapOperator):
     """Micro-batching 1:1 operator around a one-pass annotator.
 
-    Streams documents through :meth:`OnePassAnnotator.annotate_batch`
-    in bounded chunks, so the cross-document batch kernels (packed POS
-    decode, whole-batch CRF prediction) engage inside flows too — per-
-    record mapping would hand them one document at a time.  Outputs
-    and order are identical to the per-record form; chunk state is
-    call-local, so concurrent partitions (thread mode) are safe.
+    Streams documents through
+    :meth:`OnePassAnnotator.annotate_stream` — volume-cut chunks, the
+    same cut store ingest uses — so the cross-document batch kernels
+    (packed POS decode, whole-batch CRF prediction) engage inside
+    flows too; per-record mapping would hand them one document at a
+    time.  Outputs and order are identical to the per-record form;
+    chunk state is call-local, so concurrent partitions (thread mode)
+    are safe.
     """
 
-    #: Documents per ``annotate_batch`` call — bounds arena memory
-    #: while keeping batch kernels saturated.
-    chunk_size = 32
-
     def _process(self, records):
-        chunk: list[Document] = []
-        for record in records:
-            chunk.append(record)
-            if len(chunk) >= self.chunk_size:
-                yield from self.fused_annotator.annotate_batch(chunk)
-                chunk = []
-        if chunk:
-            yield from self.fused_annotator.annotate_batch(chunk)
+        return self.fused_annotator.annotate_stream(records)
 
 
 @register("annotate_entities_fused", "ie",

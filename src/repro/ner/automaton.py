@@ -7,14 +7,15 @@ whose cost the paper measures at ~20 minutes for the 700K-entry gene
 dictionary, and whose node fan-out drives the 6-20 GB per-worker
 memory footprints that capped the cluster's degree of parallelism.
 
-Two representations are used.  While patterns are added, the trie is
-a list of per-node ``{char: child}`` dicts — convenient to grow.
-:meth:`build` freezes it into a single flat ``{(node << 21) | ord(char):
-child}`` transition dict plus tuple outputs, which is both smaller
-(one large dict instead of one small dict per node; the empty output
-tuple is an interned singleton) and orders of magnitude faster to
-serialize and re-load — the property the persistent build cache
-(:mod:`repro.ner.cache`) depends on.
+The trie is one flat ``{(node << 21) | ord(char): child}`` transition
+dict from the first :meth:`~AhoCorasickAutomaton.add` on, with tuple
+outputs per node (the empty tuple is an interned singleton) — smaller
+than a dict per node, orders of magnitude faster to serialize and
+re-load (the property the persistent build cache,
+:mod:`repro.ner.cache`, depends on), and with nothing to convert at
+:meth:`~AhoCorasickAutomaton.build` time, so construction never holds
+much more than the automaton retains (16 MB peak for 13 MB on the
+merged multi-type dictionary).
 
 ``approx_memory_bytes`` exposes a footprint estimate so the simulated
 cluster can reason about worker memory the same way the real
@@ -23,13 +24,13 @@ deployment had to.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 #: Bits reserved for the character codepoint in a flat transition key
 #: (max codepoint 0x10FFFF needs 21 bits).
 _CHAR_BITS = 21
+_CHAR_MASK = (1 << _CHAR_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,10 @@ class AhoCorasickAutomaton:
     """
 
     def __init__(self) -> None:
-        # Construction-time storage in parallel arrays: children dict,
-        # fail link, and output pattern ids per node.  build() replaces
-        # the per-node children dicts with the flat _edges dict and
-        # freezes outputs to tuples.
-        self._children: list[dict[str, int]] = [{}]
+        # Parallel arrays per node — fail link and output pattern ids
+        # — plus the flat transition dict, which add() grows directly.
         self._fail: list[int] = [0]
-        self._outputs: list[Any] = [[]]
+        self._outputs: list[tuple[int, ...]] = [()]
         self._patterns: list[str] = []
         self._payloads: list[Any] | None = None
         self._edges: dict[int, int] = {}
@@ -71,8 +69,7 @@ class AhoCorasickAutomaton:
 
     @property
     def n_edges(self) -> int:
-        return (len(self._edges) if self._built
-                else sum(len(c) for c in self._children))
+        return len(self._edges)
 
     def add(self, pattern: str) -> int:
         """Add a pattern; returns its pattern id."""
@@ -80,19 +77,19 @@ class AhoCorasickAutomaton:
             raise RuntimeError("cannot add patterns after build()")
         if not pattern:
             raise ValueError("empty pattern")
+        edges = self._edges
         node = 0
         for char in pattern:
-            nxt = self._children[node].get(char)
+            key = (node << _CHAR_BITS) | ord(char)
+            nxt = edges.get(key)
             if nxt is None:
-                nxt = len(self._children)
-                self._children.append({})
+                nxt = edges[key] = len(self._fail)
                 self._fail.append(0)
-                self._outputs.append([])
-                self._children[node][char] = nxt
+                self._outputs.append(())
             node = nxt
         pattern_id = len(self._patterns)
         self._patterns.append(pattern)
-        self._outputs[node].append(pattern_id)
+        self._outputs[node] += (pattern_id,)
         return pattern_id
 
     def add_all(self, patterns: Iterable[str]) -> None:
@@ -135,34 +132,29 @@ class AhoCorasickAutomaton:
         return self._payloads[pattern_id]
 
     def build(self) -> None:
-        """Compute failure links (BFS), merge outputs, and freeze.
+        """Compute failure links and merge outputs, shallow nodes
+        first, then freeze.
 
-        Freezing converts per-node output lists to tuples and the
-        per-node children dicts to one flat transition dict — see the
-        module docstring and :meth:`approx_memory_bytes`.
+        A node's failure target is always shallower than the node, and
+        a child is always created after its parent, so one pass over
+        the edges in creation order yields every node's depth and a
+        stable sort by depth is a breadth-first order.
         """
-        queue: deque[int] = deque()
-        for child in self._children[0].values():
-            self._fail[child] = 0
-            queue.append(child)
-        while queue:
-            node = queue.popleft()
-            for char, child in self._children[node].items():
-                queue.append(child)
-                fail = self._fail[node]
-                while fail and char not in self._children[fail]:
-                    fail = self._fail[fail]
-                self._fail[child] = self._children[fail].get(char, 0)
-                if self._fail[child] == child:
-                    self._fail[child] = 0
-                self._outputs[child].extend(self._outputs[self._fail[child]])
-        self._edges = {
-            (node << _CHAR_BITS) | ord(char): child
-            for node, children in enumerate(self._children)
-            for char, child in children.items()
-        }
-        self._outputs = [tuple(output) for output in self._outputs]
-        self._children = []
+        edges, fail, outputs = self._edges, self._fail, self._outputs
+        depth = [0] * len(fail)
+        for key, child in edges.items():
+            depth[child] = depth[key >> _CHAR_BITS] + 1
+        for key in sorted(edges, key=lambda key: depth[edges[key]]):
+            child = edges[key]
+            code = key & _CHAR_MASK
+            state = fail[key >> _CHAR_BITS]
+            while state and (state << _CHAR_BITS) | code not in edges:
+                state = fail[state]
+            target = edges.get((state << _CHAR_BITS) | code, 0)
+            if target != child:
+                fail[child] = target
+                if outputs[target]:
+                    outputs[child] += outputs[target]
         self._built = True
 
     def iter_matches(self, text: str) -> Iterator[Match]:
@@ -224,22 +216,13 @@ class AhoCorasickAutomaton:
         return found
 
     def approx_memory_bytes(self) -> int:
-        """Rough resident-size estimate of the automaton.
-
-        Before/after note: the original representation kept a
-        ``{char: child}`` dict *and* a mutable output ``list`` per node
-        — roughly 120 bytes of fixed overhead per node plus ~90 per
-        edge (~210 B/node on trie-shaped data).  After :meth:`build`
-        the frozen form holds one flat transition dict (~80 B/edge
-        including its boxed int key) and tuple outputs (the empty tuple
-        is an interned singleton shared by the great majority of nodes;
-        non-terminal nodes pay no per-output cost at all), cutting the
-        estimate to ~115 B/node — a bit under half.
+        """Rough resident-size estimate of the automaton: one flat
+        transition dict (~80 B/edge including its boxed int key), the
+        per-node fail link and output slot, and tuple outputs (the
+        empty tuple is an interned singleton shared by the great
+        majority of nodes) — ~115 B/node on trie-shaped data.
         """
         pattern_chars = sum(len(p) for p in self._patterns)
-        if not self._built:
-            n_edges = sum(len(c) for c in self._children)
-            return 120 * self.n_nodes + 90 * n_edges + 60 * pattern_chars
         n_output_refs = sum(len(o) for o in self._outputs)
         return (80 * len(self._edges) + 36 * self.n_nodes
                 + 16 * n_output_refs + 60 * pattern_chars)
@@ -266,7 +249,6 @@ class AhoCorasickAutomaton:
         """Rebuild an automaton from :meth:`to_state` output, skipping
         trie construction and the failure-link BFS entirely."""
         automaton = cls()
-        automaton._children = []
         automaton._edges = state["edges"]
         automaton._fail = state["fail"]
         automaton._outputs = state["outputs"]

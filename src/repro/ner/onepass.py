@@ -25,18 +25,57 @@ and stores.  The dataflow optimizer substitutes this engine for the
 ``annotate_sentences → annotate_tokens → annotate_pos → taggers``
 sub-chain (:func:`repro.dataflow.optimizer.fuse_annotation_stage`);
 the batch form backs :meth:`TextAnalyticsPipeline.analyze_batch` and
-therefore the serve path.
+therefore the serve path, and the streaming form
+(:meth:`OnePassAnnotator.annotate_stream`, cut by
+:func:`volume_chunks`) backs every whole-document caller — the fused
+flow operator, store ingest, ``repro facts`` and corpus analysis.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.annotations import Document
 from repro.ner.dictionary import MultiTypeDictionary, merged_dictionary_for
 from repro.nlp.arena import AnnotatedText, SentenceSlot
 from repro.nlp.pos_hmm import TaggerCrash
 from repro.nlp.sentence import SentenceSplitter
+
+#: Text volume at which a chunk of whole documents closes.  Batch
+#: kernels are saturated well below this (a few hundred sentences),
+#: while the per-batch arenas, feature memo and lattices grow with the
+#: characters in flight: 16-32 whole pages a batch measured *slower*
+#: and +27% peak RSS against 1-4 pages (docs/performance.md).
+CHUNK_CHARS = 32_768
+#: Backstop for streams of tiny or empty documents, which never reach
+#: the volume budget.
+CHUNK_DOCS = 64
+
+
+def volume_chunks(documents: Iterable[Document],
+                  ) -> Iterator[list[Document]]:
+    """Cut a document stream into contiguous, order-preserving chunks
+    of at most ``CHUNK_CHARS`` characters of text (and ``CHUNK_DOCS``
+    documents); a single document above the budget is its own chunk.
+
+    Consumes ``documents`` lazily — one chunk is in flight at a time —
+    and the boundaries depend only on the text lengths seen so far, so
+    streaming and offline cuts of the same sequence agree.
+    """
+    chunk: list[Document] = []
+    chars = 0
+    for document in documents:
+        size = len(document.text)
+        if chunk and chars + size > CHUNK_CHARS:
+            yield chunk
+            chunk, chars = [], 0
+        chunk.append(document)
+        chars += size
+        if chars >= CHUNK_CHARS or len(chunk) >= CHUNK_DOCS:
+            yield chunk
+            chunk, chars = [], 0
+    if chunk:
+        yield chunk
 
 
 class OnePassAnnotator:
@@ -120,6 +159,15 @@ class OnePassAnnotator:
                 step.annotate_many(documents, tokenized=pairs_per_doc,
                                    feature_cache=feature_cache)
         return documents
+
+    def annotate_stream(self, documents: Iterable[Document],
+                        ) -> Iterator[Document]:
+        """Annotate a stream of whole documents, yielding them in
+        input order: :meth:`annotate_batch` over each
+        :func:`volume_chunks` chunk, so batch kernels engage while the
+        state in flight stays bounded however long the stream is."""
+        for chunk in volume_chunks(documents):
+            yield from self.annotate_batch(chunk)
 
     def _pos_tag(self, arenas: list[AnnotatedText]) -> None:
         """Batched POS pass with the reference chain's crash behavior.

@@ -9,7 +9,8 @@ count.
 """
 
 from repro.store.ingest import (
-    ingest_crawl_result, ingest_documents, ingest_flow_outputs,
+    analyzed_documents, ingest_crawl_result, ingest_documents,
+    ingest_flow_outputs,
 )
 from repro.store.query import QueryEngine, format_fact_table
 from repro.store.store import (
@@ -28,6 +29,7 @@ __all__ = [
     "StoreSnapshot",
     "StoreVersionError",
     "alias_key",
+    "analyzed_documents",
     "format_fact_table",
     "ingest_crawl_result",
     "ingest_documents",

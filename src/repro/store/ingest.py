@@ -3,8 +3,8 @@
 Two equivalent paths feed an :class:`~repro.store.store.EntityStore`:
 
 * **document path** — annotated :class:`~repro.annotations.Document`
-  objects (the crawl sink analyzes each relevant page, then ingests
-  mentions + extracted relations);
+  objects (the crawl sink streams the relevant pages through the
+  one-pass engine, then ingests mentions + extracted relations);
 * **record path** — ``entities`` / ``relations`` sink records from a
   flow run (:func:`repro.core.flows.build_fig2_flow`).
 
@@ -15,7 +15,7 @@ asserted in ``tests/store/test_store_equivalence.py``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from repro.annotations import Document
 from repro.store.store import EntityStore
@@ -25,6 +25,30 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.crawler.crawl import CrawlResult
 
 
+def analyzed_documents(documents: Iterable[Document],
+                       pipeline: "TextAnalyticsPipeline | None" = None,
+                       extractor=None) -> Iterator[tuple[Document, list]]:
+    """Yield ``(annotated document, extracted relations)`` pairs in
+    input order, lazily.
+
+    With ``pipeline``, shallow copies stream through the one-pass
+    engine (:meth:`TextAnalyticsPipeline.analyze_stream`: volume-cut
+    batches, byte-identical to per-document ``analyze``) and the
+    originals stay untouched; without it, ``documents`` are taken as
+    already annotated.  The one copy → analyze → extract loop behind
+    store ingest and ``repro facts``.
+    """
+    if extractor is None:
+        from repro.ner.relations import RelationExtractor
+
+        extractor = RelationExtractor()
+    if pipeline is not None:
+        documents = pipeline.analyze_stream(
+            document.copy_shallow() for document in documents)
+    for document in documents:
+        yield document, extractor.extract(document)
+
+
 def ingest_documents(store: EntityStore,
                      documents: Iterable[Document],
                      pipeline: "TextAnalyticsPipeline | None" = None,
@@ -32,17 +56,10 @@ def ingest_documents(store: EntityStore,
     """Ingest annotated documents; with ``pipeline``, analyze a
     shallow copy of each first (originals untouched).  Returns the
     number of documents ingested."""
-    if extractor is None:
-        from repro.ner.relations import RelationExtractor
-
-        extractor = RelationExtractor()
     count = 0
-    for document in documents:
-        if pipeline is not None:
-            document = document.copy_shallow()
-            pipeline.analyze(document)
-        store.ingest_document(document,
-                              relations=extractor.extract(document),
+    for document, relations in analyzed_documents(documents, pipeline,
+                                                  extractor):
+        store.ingest_document(document, relations=relations,
                               round_=round_)
         count += 1
     return count

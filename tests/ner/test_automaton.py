@@ -82,6 +82,22 @@ class TestLifecycle:
         large = _build([f"pattern{i}" for i in range(500)])
         assert large.approx_memory_bytes() > 50 * small.approx_memory_bytes()
 
+    def test_build_never_holds_a_second_copy_of_the_trie(self):
+        """The trie is flat from the first ``add``; ``build`` has
+        nothing to convert, so the construction high-water mark stays
+        near what the automaton retains."""
+        import tracemalloc
+
+        patterns = [f"pattern {i:05d} suffix{i % 7}" for i in range(4000)]
+        tracemalloc.start()
+        try:
+            automaton = _build(patterns)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(automaton) == len(patterns)
+        assert peak < 1.5 * retained
+
     def test_node_count(self):
         automaton = _build(["ab", "ac"])
         # root + a + b + c

@@ -4,7 +4,8 @@ The store's contract: its persisted bytes and canonical digest are a
 function of *what was crawled and extracted*, never of how the work
 was scheduled.  Verified here across worker counts, shard counts,
 kill+resume, flow execution modes, the document-vs-record ingestion
-paths, and the serve ``query`` op against the library engine.
+paths, the streaming one-pass ingest against the per-document
+reference loop, and the serve ``query`` op against the library engine.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import json
 
 import pytest
 
+from repro.annotations import Document
 from repro.crawler.checkpoint import ResumableCrawl
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
 from repro.crawler.shard import ShardCrawler, ShardedCrawl
+from repro.ner.onepass import CHUNK_CHARS, volume_chunks
+from repro.ner.relations import RelationExtractor
 from repro.serve.loadgen import ServeClient
 from repro.serve.server import ExtractionServer, ServeConfig
 from repro.serve.session import ExtractionSession
@@ -106,15 +110,85 @@ class TestCrawlTopologyInvariance:
                 == _ingest(context, reference).digest())
 
 
+class TestStreamingIngestEquivalence:
+    """``ingest_documents(pipeline=...)`` runs the volume-cut one-pass
+    engine; the store it builds must be the per-document
+    ``pipeline.analyze`` loop's, byte for byte."""
+
+    @staticmethod
+    def _pages(context, webgraph):
+        """Crawl-result pages plus the cut's edge cases: an empty
+        page, a page whose split yields no sentences, a page larger
+        than the budget, and a run landing exactly on the budget."""
+        relevant = _make_crawler(context, webgraph).crawl(
+            context.seed_batch("second").urls).relevant
+        assert len(relevant) >= 4
+        long_text = " ".join(page.text for page in relevant)
+        while len(long_text) <= CHUNK_CHARS:
+            long_text += " " + long_text
+
+        def page(name: str, text: str) -> Document:
+            return Document(doc_id=name, text=text, meta={
+                "url": f"http://edge.example.org/{name}.html"})
+
+        return [
+            *relevant[:2],
+            page("empty", ""),
+            page("blank", " \n\t "),
+            page("oversized", long_text),
+            page("run-a", long_text[:20_000]),
+            page("run-b", long_text[:CHUNK_CHARS - 20_000]),
+            *relevant[2:],
+        ]
+
+    def test_store_bytes_match_per_document_reference(
+            self, context, webgraph, tmp_path):
+        pages = self._pages(context, webgraph)
+        chunks = [[page.doc_id for page in chunk]
+                  for chunk in volume_chunks(pages)]
+        assert ["oversized"] in chunks        # over budget: alone
+        assert ["run-a", "run-b"] in chunks   # lands exactly on it
+        assert any(len(chunk) > 2 for chunk in chunks)
+
+        pipeline, extractor = context.pipeline, RelationExtractor()
+        reference = EntityStore(vocabulary=context.vocabulary)
+        for page in pages:
+            copy = page.copy_shallow()
+            pipeline.analyze(copy)
+            reference.ingest_document(
+                copy, relations=extractor.extract(copy))
+
+        streamed = EntityStore(vocabulary=context.vocabulary)
+        count = ingest_documents(streamed, iter(pages), pipeline=pipeline)
+
+        assert count == len(pages)
+        assert streamed.snapshot().n_mentions > 0
+        assert streamed.digest() == reference.digest()
+        assert (streamed.save(tmp_path / "streamed").read_bytes()
+                == reference.save(tmp_path / "reference").read_bytes())
+        # Originals untouched: the engine annotated shallow copies.
+        assert all(page.sentences is None and not page.entities
+                   for page in pages)
+
+    def test_pipeline_none_is_a_pure_ingest_loop(self, vocabulary,
+                                                  store_documents):
+        """``pipeline=None`` is a pure ingest loop over the documents
+        as given (any iterable, consumed once)."""
+        listed = EntityStore(vocabulary=vocabulary)
+        lazy = EntityStore(vocabulary=vocabulary)
+        assert ingest_documents(listed, store_documents) \
+            == ingest_documents(lazy, iter(store_documents)) \
+            == len(store_documents)
+        assert lazy.digest() == listed.digest()
+
+
 class TestIngestionPathEquivalence:
     def test_record_path_matches_document_path(self, vocabulary,
                                                store_documents):
         """Flow sink records and annotated documents reduce to the
         same observation tuples (the record schema is pinned by
         ``entities_to_records`` / ``relations_to_records``)."""
-        from repro.ner.relations import (
-            RelationExtractor, relations_to_records,
-        )
+        from repro.ner.relations import relations_to_records
 
         document_path = EntityStore(vocabulary=vocabulary)
         ingest_documents(document_path, store_documents)
