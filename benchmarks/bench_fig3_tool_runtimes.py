@@ -145,9 +145,13 @@ def test_fig3b_quadratic_feature_growth(ctx, benchmark):
     assert long / short > 6.0
 
 
-def _best_seconds(fn, rounds: int) -> float:
+def _best_seconds(fn, rounds: int, before=None) -> float:
+    """Best of ``rounds`` timings of ``fn``; ``before`` runs untimed
+    ahead of each."""
     best = float("inf")
     for _ in range(rounds):
+        if before is not None:
+            before()
         started = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - started)
@@ -173,10 +177,20 @@ def test_kernel_throughput(ctx, benchmark):
     """Frozen vs. reference annotator kernels: POS (array Viterbi) and
     CRF decode (dense trellis), cold and annotation-cache-warm.
 
+    The ``crf_decode`` rows time ``predict_batch`` on *pre-extracted*
+    features, so they never included building the feature strings —
+    the larger half of what a tagger pays per sentence.  The
+    ``crf_words_to_labels`` rows time the whole step a tagger runs,
+    words in, labels out: the reference, the feature path
+    (``sentence_features`` + ``predict_batch``) and the word-type
+    table with the table emptied before every round (cold) and left
+    filled (warm).
+
     Writes repo-root BENCH_nlp.json — the committed evidence for the
-    >=3x POS / >=2x CRF kernel speedups (asserted here outside smoke
-    mode; BENCH_SMOKE=1 shrinks the workload below timer stability and
-    only checks that the harness runs end to end).
+    >=3x POS / >=2x CRF kernel speedups and the type table's >=2x over
+    the feature path even cold (asserted here outside smoke mode;
+    BENCH_SMOKE=1 shrinks the workload below timer stability and only
+    checks that the harness runs end to end).
     """
     smoke = os.environ.get("BENCH_SMOKE") == "1"
     rounds = 2 if smoke else 4
@@ -218,6 +232,21 @@ def test_kernel_throughput(ctx, benchmark):
             lambda: [cache.lookup(fingerprint, words)
                      for words in sentences], rounds)
 
+    # -- CRF, words -> labels: what a tagger pays per uncached sentence ---
+    expected = [crf.predict_reference(sentence) for sentence in features]
+    assert crf.predict_words(sentences) == expected
+    words_reference = _best_seconds(
+        lambda: [crf.predict_reference(sentence_features(words))
+                 for words in sentences], rounds)
+    words_features = _best_seconds(
+        lambda: crf.predict_batch([sentence_features(words)
+                                   for words in sentences]), rounds)
+    words_table_cold = _best_seconds(
+        lambda: crf.predict_words(sentences), rounds, before=crf.freeze)
+    words_table_warm = _best_seconds(
+        lambda: crf.predict_words(sentences), rounds)
+    n_types = len({word for words in sentences for word in words})
+
     benchmark.pedantic(lambda: [tagger.tag(words) for words in sentences],
                        rounds=2, iterations=1)
 
@@ -241,6 +270,21 @@ def test_kernel_throughput(ctx, benchmark):
             "speedup_frozen": crf_reference / crf_frozen,
             "speedup_cache_warm": crf_reference / crf_warm,
         },
+        "crf_words_to_labels": {
+            "n_types": n_types,
+            "types_per_token": n_types / n_tokens,
+            "reference_tokens_per_sec": tokens_per_second(words_reference),
+            "feature_path_tokens_per_sec":
+                tokens_per_second(words_features),
+            "type_table_cold_tokens_per_sec":
+                tokens_per_second(words_table_cold),
+            "type_table_warm_tokens_per_sec":
+                tokens_per_second(words_table_warm),
+            "speedup_cold_vs_feature_path":
+                words_features / words_table_cold,
+            "speedup_warm_vs_feature_path":
+                words_features / words_table_warm,
+        },
     }
     # Smoke runs (CI) keep their tiny-input numbers out of the
     # committed repo-root artifact.
@@ -258,11 +302,24 @@ def test_kernel_throughput(ctx, benchmark):
           f"{results['crf_decode']['reference_tokens_per_sec']:,.0f}",
           f"{results['crf_decode']['frozen_tokens_per_sec']:,.0f}",
           f"{results['crf_decode']['cache_warm_tokens_per_sec']:,.0f}"]])
+    words_row = results["crf_words_to_labels"]
+    lines.append("")
+    lines.extend(format_table(
+        ["CRF words -> labels", "tokens/s"],
+        [["reference", f"{words_row['reference_tokens_per_sec']:,.0f}"],
+         ["feature path",
+          f"{words_row['feature_path_tokens_per_sec']:,.0f}"],
+         ["type table, cold",
+          f"{words_row['type_table_cold_tokens_per_sec']:,.0f}"],
+         ["type table, warm",
+          f"{words_row['type_table_warm_tokens_per_sec']:,.0f}"]]))
+    lines.append(f"({n_types} word types over {n_tokens} tokens)")
     write_report("kernel_throughput",
                  "Frozen annotator kernel throughput", lines)
     if not smoke:
         assert results["pos"]["speedup_frozen"] >= 3.0
         assert results["crf_decode"]["speedup_frozen"] >= 2.0
+        assert words_row["speedup_cold_vs_feature_path"] >= 2.0
         assert results["pos"]["speedup_cache_warm"] > \
             results["pos"]["speedup_frozen"]
 
@@ -299,7 +356,8 @@ def test_component_runtime_shares(ctx, benchmark):
           f"{(total - entity - pos) / total:.0%}"]])
     lines.append("")
     lines.append("note: our pure-Python HMM is slow relative to the "
-                 "3-label CRFs, so the POS/entity split shifts versus "
+                 "3-label CRFs (whose emissions are a per-word-type "
+                 "table lookup), so the POS/entity split shifts versus "
                  "the paper's Java tools; the calibrated cluster cost "
                  "model (repro.dataflow.cluster.DEFAULT_COSTS) encodes "
                  "the paper's measured 70 % / 12 % split and drives the "

@@ -196,9 +196,9 @@ class TextAnalyticsPipeline:
         sentences split and tokenize once into a shared arena, one
         merged-automaton pass matches every dictionary type, one
         ``tag_batch`` call covers every sentence of every document,
-        and one ``predict_batch`` per entity type covers every uncached
-        sentence in the batch (with feature extraction shared between
-        taggers of the same configuration).  Per-document entity order
+        and one ``predict_words`` per entity type covers every uncached
+        sentence in the batch (emissions looked up per word type, no
+        feature strings built).  Per-document entity order
         (dictionary then ML, per entity type) matches :meth:`analyze`.
         """
         engine = self.one_pass_annotator(methods, entity_types, with_pos)

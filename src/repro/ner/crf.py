@@ -6,29 +6,63 @@ L-BFGS training (scipy), and Viterbi decoding.  This is the Mallet
 analog under all three ML entity taggers (BANNER, ChemSpot, and the
 authors' disease tagger all build on Mallet CRFs).
 
-Decoding has two kernels.  :meth:`LinearChainCrf.predict_reference`
-is the original per-position implementation, kept as the ground truth
-for the equivalence suite.  :meth:`LinearChainCrf.predict` (and the
-document-level :meth:`LinearChainCrf.predict_batch`) runs over the
-frozen model instead — ``fit()`` ends by calling
-:meth:`LinearChainCrf.freeze`, which caches transposed C-contiguous
-weight arrays, a scalar transition table, and the feature index's
-``get`` — computing emissions for *all* positions of all sentences in
-one vectorized pass and decoding the tiny 3-label trellis with scalar
-arithmetic, so per-sentence Python/numpy overhead is paid once per
-batch.
+Decoding has three kernels over one trellis.
+:meth:`LinearChainCrf.predict_reference` is the original per-position
+implementation, kept as the ground truth for the equivalence suite.
+:meth:`LinearChainCrf.predict` / :meth:`LinearChainCrf.predict_batch`
+take feature strings and run over the frozen model — ``fit()`` ends by
+calling :meth:`LinearChainCrf.freeze`, which caches transposed
+C-contiguous weight arrays, a scalar transition table, and the feature
+index's ``get`` — computing emissions for *all* positions of all
+sentences in one vectorized pass and decoding the tiny 3-label trellis
+with scalar arithmetic.  :meth:`LinearChainCrf.predict_words` takes
+*words*: with the context-window templates of
+:mod:`repro.ner.features` a position's active features are the
+disjoint union of three groups that each read one word, so
+``emission[t] = S[w[t]] + P[w[t-1]] + N[w[t+1]]`` with three
+``L``-float rows per word type, held in a type table on the frozen
+model and filled on first sight of a type.  A row is a pure function
+of (word, model) — never of batch composition, table state, worker or
+shard — and the table holds at most :data:`TYPE_TABLE_ROWS` rows;
+types past the bound get rows computed by the same function for the
+call and dropped after it.
+
+Contract: all three kernels return the labels of
+``predict_reference``.  Emission *floats* are not part of it — the
+reference sums a position's weights pairwise
+(``weights[:, active].sum(axis=1)``), the feature kernel sequentially
+(``reduceat``), the type table adds three per-group partial sums in a
+fixed association — only the decoded path is.  The model fingerprint
+hashes weights, transitions and feature names, none of which the
+table touches, so persisted annotation-cache entries stay valid.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections.abc import Sequence
-from dataclasses import dataclass
+from itertools import chain
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
+from repro.ner.features import (
+    next_features, previous_features, self_features,
+)
+
 LABELS = ("O", "B", "I")
+#: Most rows the per-model word-type table keeps (row 0, the sentence
+#: boundary, included).  Web text has unbounded types — numbers,
+#: identifiers, typos — so the table stops admitting at this size
+#: instead of growing with the crawl.  A full table retains ~12 MiB
+#: per model (measured: 4.5 MiB of rows for three labels, the rest
+#: the word -> row dict, its row ints and the key strings; ~20 MiB of
+#: RSS with the doubling copies' slack), per tagger and per process —
+#: forked workers fill their own copy — so three taggers top out at
+#: ~36 MiB retained in each worker.
+TYPE_TABLE_ROWS = 1 << 16
 _LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
@@ -54,6 +88,15 @@ class _FrozenCrf:
     #: Bound ``feature_index.get`` — one dict probe per feature string.
     index_get: object
     fingerprint: str
+    #: ``(rows, 3, L)`` per-word-type emission parts — self, as-previous
+    #: and as-next — with row 0 the sentence boundary (its self part is
+    #: unused).  Rows ``1..len(type_ids)`` are filled; a writer replaces
+    #: the array when it grows and never rewrites a published row, so a
+    #: reader works lock-free on the array it captured.
+    type_table: np.ndarray
+    #: word -> row, published only after the row is written.
+    type_ids: dict[str, int] = field(default_factory=dict)
+    type_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class LinearChainCrf:
@@ -225,8 +268,10 @@ class LinearChainCrf:
 
         Caches the transposed weight matrix (C-contiguous), a scalar
         transition table, the feature index's lookup, and the model
-        fingerprint.  ``fit()`` calls this automatically; call it
-        again only after mutating weights by hand.
+        fingerprint, and starts an empty word-type table (rows scored
+        under earlier weights are dropped).  ``fit()`` calls this
+        automatically; call it again only after mutating weights by
+        hand.
         """
         if not self.trained:
             raise RuntimeError("CRF has not been trained")
@@ -237,21 +282,28 @@ class LinearChainCrf:
         hasher.update(transitions.tobytes())
         hasher.update("\x00".join(sorted(self.feature_index)).encode())
         hasher.update("|".join(LABELS).encode())
+        weights_t = np.ascontiguousarray(self.state_weights.T, dtype=float)
+        index_get = self.feature_index.get
         self._frozen = _FrozenCrf(
-            weights_t=np.ascontiguousarray(self.state_weights.T,
-                                           dtype=float),
+            weights_t=weights_t,
             transitions=transitions,
             transitions_list=transitions.tolist(),
-            index_get=self.feature_index.get,
-            fingerprint=f"crf:{hasher.hexdigest()}")
+            index_get=index_get,
+            fingerprint=f"crf:{hasher.hexdigest()}",
+            type_table=self._type_rows([None], index_get, weights_t))
         return self
 
     def fingerprint(self) -> str:
         """Content hash of the trained model (weights + features) —
         the key space of the annotation cache."""
+        return self._compiled().fingerprint
+
+    def _compiled(self) -> _FrozenCrf:
+        """The frozen model, compiled on first use (raises if the CRF
+        is untrained)."""
         if self._frozen is None:
             self.freeze()
-        return self._frozen.fingerprint
+        return self._frozen
 
     # -- prediction ---------------------------------------------------------------
 
@@ -268,38 +320,148 @@ class LinearChainCrf:
         Feature encoding and emission computation run over the
         concatenated positions of *all* sentences in one vectorized
         pass; only the (tiny, 3-label) Viterbi recursion runs per
-        sentence.  ``MlEntityTagger.annotate`` feeds it a whole
-        document at a time.
+        sentence.  A ``quadratic_context`` ``MlEntityTagger`` feeds it
+        a whole batch of documents at a time.
         """
-        if not self.trained:
-            raise RuntimeError("CRF has not been trained")
-        if self._frozen is None:
-            self.freeze()
-        frozen = self._frozen
-        index_get = frozen.index_get
+        frozen = self._compiled()
+        emissions = self._emissions_of(
+            (position for features in sentences for position in features),
+            frozen.index_get, frozen.weights_t)
+        return self._decode_sentences(
+            emissions, [len(features) for features in sentences],
+            frozen.transitions_list)
+
+    def predict_words(self, sentences: Sequence[Sequence[str]],
+                      ) -> list[list[str]]:
+        """Decode sentences given as word lists under the
+        context-window templates (:func:`~repro.ner.features.sentence_features`
+        without ``quadratic_context``); same labels as
+        ``predict_batch`` over those features.
+
+        One dict probe per token finds its type's row; emissions are
+        three gathers and two adds in a fixed association, so they do
+        not depend on what else is in the batch or already in the
+        table.
+        """
+        frozen = self._compiled()
+        flat_words = list(chain.from_iterable(sentences))
+        if not flat_words:
+            return [[] for _ in sentences]
+        rows = list(map(frozen.type_ids.get, flat_words))
+        # Captured after the probes: every id seen above was published
+        # with its row already in the then-current array.
+        table = frozen.type_table
+        extra = None
+        if None in rows:
+            table, extra, fresh = self._admit_types(
+                frozen, list(dict.fromkeys(
+                    word for word, row in zip(flat_words, rows)
+                    if row is None)))
+            rows = [fresh[word] if row is None else row
+                    for word, row in zip(flat_words, rows)]
+        lengths = [len(words) for words in sentences]
+        ends = np.cumsum([length for length in lengths if length])
+        own = np.asarray(rows, dtype=np.intp)
+        # Each token's neighbours' rows; row 0 across sentence edges.
+        before = np.empty_like(own)
+        before[1:] = own[:-1]
+        before[0] = before[ends[:-1]] = 0
+        after = np.empty_like(own)
+        after[:-1] = own[1:]
+        after[ends - 1] = 0
+        emissions = (self._type_parts(table, extra, own, 0)
+                     + self._type_parts(table, extra, before, 1))
+        emissions += self._type_parts(table, extra, after, 2)
+        return self._decode_sentences(emissions, lengths,
+                                      frozen.transitions_list)
+
+    @staticmethod
+    def _type_parts(table: np.ndarray, extra: np.ndarray | None,
+                    rows: np.ndarray, part: int) -> np.ndarray:
+        """``(len(rows), L)`` gather of one emission part; rows at or
+        past ``len(table)`` index the call-local ``extra`` rows."""
+        if extra is None:
+            return table[rows, part]
+        local = rows >= len(table)
+        parts = table[np.where(local, 0, rows), part]
+        parts[local] = extra[rows[local] - len(table), part]
+        return parts
+
+    def _admit_types(self, frozen: _FrozenCrf, words: list[str],
+                     ) -> tuple[np.ndarray, np.ndarray | None,
+                                dict[str, int]]:
+        """Rows for word types the probe missed: ``(table, extra, word
+        -> row)``, valid together.
+
+        Types are admitted to the shared table while it has room under
+        :data:`TYPE_TABLE_ROWS`; the rest keep their rows in ``extra``
+        (``None`` when everything fit), numbered from ``len(table)``
+        and dropped with this call.  Rows are scored outside the
+        lock (two racing threads may score a type twice; both get the
+        same floats), written under it, and only then published in
+        ``type_ids``.
+        """
+        scored = self._type_rows(words, frozen.index_get, frozen.weights_t)
+        resolved: dict[str, int] = {}
+        overflow: list[int] = []
+        with frozen.type_lock:
+            ids = frozen.type_ids
+            table = frozen.type_table
+            used = len(ids) + 1
+            admitted: list[int] = []
+            for index, word in enumerate(words):
+                row = ids.get(word)
+                if row is not None:
+                    resolved[word] = row
+                elif used + len(admitted) < TYPE_TABLE_ROWS:
+                    admitted.append(index)
+                else:
+                    overflow.append(index)
+            if admitted:
+                needed = used + len(admitted)
+                if needed > len(table):
+                    grown = np.empty(
+                        (min(max(needed, 2 * len(table)), TYPE_TABLE_ROWS),)
+                        + table.shape[1:])
+                    grown[:used] = table[:used]
+                    table = grown
+                table[used:needed] = scored[admitted]
+                frozen.type_table = table
+                for row, index in enumerate(admitted, used):
+                    ids[words[index]] = resolved[words[index]] = row
+        if not overflow:
+            return table, None, resolved
+        for row, index in enumerate(overflow, len(table)):
+            resolved[words[index]] = row
+        return table, scored[overflow], resolved
+
+    @classmethod
+    def _type_rows(cls, words: Sequence[str | None], index_get,
+                   weights_t: np.ndarray) -> np.ndarray:
+        """``(len(words), 3, L)`` emission parts of each word type —
+        what it contributes as the focus token, as the previous token
+        and as the next one (``None`` is the sentence boundary) —
+        each group scored like one position of the feature kernel."""
+        groups = (group for word in words for group in (
+            self_features(word) if word is not None else (),
+            previous_features(word), next_features(word)))
+        return cls._emissions_of(groups, index_get, weights_t).reshape(
+            len(words), 3, -1)
+
+    @classmethod
+    def _emissions_of(cls, positions, index_get,
+                      weights_t: np.ndarray) -> np.ndarray:
+        """One emission row per feature-string collection in
+        ``positions``: its known feature ids, deduplicated and sorted,
+        summed by a single :meth:`_emissions_from_flat` call."""
         flat_ids: list[int] = []
         boundaries: list[int] = [0]
-        lengths: list[int] = []
-        for features in sentences:
-            lengths.append(len(features))
-            for position in features:
-                ids = {fid for fid in map(index_get, position)}
-                ids.discard(None)
-                flat_ids.extend(sorted(ids))
-                boundaries.append(len(flat_ids))
-        emissions = self._emissions_from_flat(flat_ids, boundaries,
-                                              frozen.weights_t)
-        labels: list[list[str]] = []
-        offset = 0
-        for length in lengths:
-            if not length:
-                labels.append([])
-                continue
-            labels.append(self._decode_trellis(
-                emissions[offset:offset + length],
-                frozen.transitions_list))
-            offset += length
-        return labels
+        for position in positions:
+            ids = set(map(index_get, position))
+            ids.discard(None)
+            flat_ids.extend(sorted(ids))
+            boundaries.append(len(flat_ids))
+        return cls._emissions_from_flat(flat_ids, boundaries, weights_t)
 
     @staticmethod
     def _emissions_from_flat(flat_ids: list[int], boundaries: list[int],
@@ -323,6 +485,22 @@ class LinearChainCrf:
         emissions[nonempty] = np.add.reduceat(rows, starts[nonempty],
                                               axis=0)
         return emissions
+
+    @classmethod
+    def _decode_sentences(cls, emissions: np.ndarray, lengths: list[int],
+                          transitions: list[list[float]],
+                          ) -> list[list[str]]:
+        """Viterbi per sentence over concatenated emission rows."""
+        labels: list[list[str]] = []
+        offset = 0
+        for length in lengths:
+            if not length:
+                labels.append([])
+                continue
+            labels.append(cls._decode_trellis(
+                emissions[offset:offset + length], transitions))
+            offset += length
+        return labels
 
     @staticmethod
     def _decode_trellis(emissions: np.ndarray,

@@ -52,44 +52,12 @@ def _distance_bucket(d: int) -> str:
     return "dfar"
 
 
-def token_analysis(words: Sequence[str],
-                   ) -> tuple[list[str], list[str]]:
-    """Per-token derived state the feature templates re-derive
-    otherwise: ``(lowercase forms, shapes)``, position-aligned with
-    ``words``.
-
-    The context-window templates consult each token's lowercase form
-    and shape up to three times (as the focus token and as either
-    neighbour); computing the arrays once per sentence and passing
-    them to :func:`sentence_features` yields identical features for a
-    third of the derivation work.  The one-pass engine shares one
-    analysis across every tagger scanning the same arena.
-    """
-    return [word.lower() for word in words], \
-        [token_shape(word) for word in words]
-
-
-def extract_features(words: Sequence[str], position: int,
-                     quadratic_context: bool = False,
-                     analysis: tuple[Sequence[str], Sequence[str]]
-                     | None = None) -> list[str]:
-    """Feature strings for one token in its sentence.
-
-    ``analysis`` is an optional :func:`token_analysis` result for
-    ``words``; output is byte-identical with or without it.
-    """
-    word = words[position]
-    if analysis is None:
-        lowers, shapes = None, None
-        lowered = word.lower()
-        shape = token_shape(word)
-    else:
-        lowers, shapes = analysis
-        lowered = lowers[position]
-        shape = shapes[position]
+def self_features(word: str) -> list[str]:
+    """Templates that read only the focus token."""
+    lowered = word.lower()
     features = [
         f"w={lowered}",
-        f"shape={shape}",
+        f"shape={token_shape(word)}",
         f"suf3={lowered[-3:]}",
         f"suf4={lowered[-4:]}",
         f"pre3={lowered[:3]}",
@@ -103,47 +71,55 @@ def extract_features(words: Sequence[str], position: int,
         features.append("has_hyphen")
     if word.isupper() and 2 <= len(word) <= 5:
         features.append("short_caps")
-    if position > 0:
-        prev_word = (lowers[position - 1] if lowers is not None
-                     else words[position - 1].lower())
-    else:
-        prev_word = "<bos>"
-    if position + 1 < len(words):
-        next_word = (lowers[position + 1] if lowers is not None
-                     else words[position + 1].lower())
-    else:
-        next_word = "<eos>"
-    features.append(f"w-1={prev_word}")
-    features.append(f"w+1={next_word}")
-    if position > 0:
-        prev_shape = (shapes[position - 1] if shapes is not None
-                      else token_shape(words[position - 1]))
-        features.append(f"shape-1={prev_shape}")
-    if position + 1 < len(words):
-        next_shape = (shapes[position + 1] if shapes is not None
-                      else token_shape(words[position + 1]))
-        features.append(f"shape+1={next_shape}")
+    return features
+
+
+def previous_features(word: str | None) -> list[str]:
+    """Templates the token *after* ``word`` derives from it; ``None``
+    is the sentence start."""
+    if word is None:
+        return ["w-1=<bos>"]
+    return [f"w-1={word.lower()}", f"shape-1={token_shape(word)}"]
+
+
+def next_features(word: str | None) -> list[str]:
+    """Templates the token *before* ``word`` derives from it; ``None``
+    is the sentence end."""
+    if word is None:
+        return ["w+1=<eos>"]
+    return [f"w+1={word.lower()}", f"shape+1={token_shape(word)}"]
+
+
+def extract_features(words: Sequence[str], position: int,
+                     quadratic_context: bool = False) -> list[str]:
+    """Feature strings for one token in its sentence.
+
+    Without ``quadratic_context`` the result is the disjoint union of
+    three groups that each read one word: :func:`self_features` of the
+    token, :func:`previous_features` of its left neighbour and
+    :func:`next_features` of its right one.  The CRF's type table
+    (:meth:`~repro.ner.crf.LinearChainCrf.predict_words`) scores the
+    same three functions per word type, so training, the reference
+    decoder and the table share one definition of the templates.
+    """
+    features = self_features(words[position])
+    features += previous_features(
+        words[position - 1] if position > 0 else None)
+    features += next_features(
+        words[position + 1] if position + 1 < len(words) else None)
     if quadratic_context:
+        shape = token_shape(words[position])
         for other, other_word in enumerate(words):
             if other == position:
                 continue
-            other_shape = (shapes[other] if shapes is not None
-                           else token_shape(other_word))
             features.append(
-                f"pair={shape}|{other_shape}"
+                f"pair={shape}|{token_shape(other_word)}"
                 f"|{_distance_bucket(abs(other - position))}")
     return features
 
 
 def sentence_features(words: Sequence[str],
-                      quadratic_context: bool = False,
-                      analysis: tuple[Sequence[str], Sequence[str]]
-                      | None = None) -> list[list[str]]:
-    """Features for every position of a sentence.
-
-    ``analysis`` (a :func:`token_analysis` result for ``words``) is
-    optional shared per-token state; the features are byte-identical
-    with or without it.
-    """
-    return [extract_features(words, i, quadratic_context, analysis)
+                      quadratic_context: bool = False) -> list[list[str]]:
+    """Features for every position of a sentence."""
+    return [extract_features(words, i, quadratic_context)
             for i in range(len(words))]

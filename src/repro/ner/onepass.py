@@ -3,8 +3,7 @@
 The reference entity-annotation chain scans each document many times:
 the three dictionary taggers each lower-case the text and run their
 own automaton over it, the POS tagger and each CRF tagger rebuild the
-word list per sentence, and each CRF tagger re-extracts features the
-others already computed.  :class:`OnePassAnnotator` runs the same
+word list per sentence.  :class:`OnePassAnnotator` runs the same
 logical steps over shared state instead:
 
 * sentences are split and tokenized once into an
@@ -14,9 +13,9 @@ logical steps over shared state instead:
   automaton (overlap resolution stays per type);
 * the POS decode is one cross-sentence ``tag_batch`` call with the
   reference path's per-sentence crash accounting;
-* CRF taggers consume the arena's word lists directly and share one
-  feature memo, so taggers with the same feature configuration extract
-  features once per sentence instead of once per tagger.
+* CRF taggers consume the arena's word lists directly and score them
+  through their models' word-type tables, so no feature strings are
+  built at decode time.
 
 Outputs are byte-identical to running the elementary steps in order:
 the same mentions in the same ``document.entities`` order, the same
@@ -43,7 +42,7 @@ from repro.nlp.sentence import SentenceSplitter
 
 #: Text volume at which a chunk of whole documents closes.  Batch
 #: kernels are saturated well below this (a few hundred sentences),
-#: while the per-batch arenas, feature memo and lattices grow with the
+#: while the per-batch arenas and lattices grow with the
 #: characters in flight: 16-32 whole pages a batch measured *slower*
 #: and +27% peak RSS against 1-4 pages (docs/performance.md).
 CHUNK_CHARS = 32_768
@@ -142,10 +141,8 @@ class OnePassAnnotator:
                   for document in documents]
         if self.pos_tagger is not None:
             self._pos_tag(arenas)
-        # Pairs reference post-POS tokens; words lists stay arena-owned
-        # so the id-keyed feature memo below is valid for this batch.
+        # Pairs reference post-POS tokens.
         pairs_per_doc = [arena.pairs() for arena in arenas]
-        feature_cache: dict = {}
         scans: list[dict | None] = [None] * len(documents)
         for step in self.steps:
             if step.method == "dictionary":
@@ -156,8 +153,7 @@ class OnePassAnnotator:
                     document.entities.extend(
                         scans[index][step.entity_type])
             else:
-                step.annotate_many(documents, tokenized=pairs_per_doc,
-                                   feature_cache=feature_cache)
+                step.annotate_many(documents, tokenized=pairs_per_doc)
         return documents
 
     def annotate_stream(self, documents: Iterable[Document],

@@ -25,7 +25,7 @@ from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.ner.cache import AutomatonCache
 from repro.ner.crf import LinearChainCrf, bio_to_spans
 from repro.ner.dictionary import DictionaryTagger, EntityDictionary
-from repro.ner.features import sentence_features, token_analysis
+from repro.ner.features import sentence_features
 from repro.nlp.sentence import split_sentences
 from repro.nlp.tokenize import tokenize
 
@@ -38,8 +38,8 @@ class MlEntityTagger:
     ``annotation_cache`` (an
     :class:`~repro.nlp.anno_cache.AnnotationCache`) memoizes decoded
     BIO labels per (model fingerprint, sentence) so repeated sentences
-    — re-crawled pages, shared boilerplate — skip feature extraction
-    and CRF decoding entirely.
+    — re-crawled pages, shared boilerplate — skip CRF decoding
+    entirely.
     """
 
     method = "ml"
@@ -90,34 +90,33 @@ class MlEntityTagger:
 
         Uses existing sentence/token annotations when present,
         otherwise runs the default splitter/tokenizer.  All uncached
-        sentences are decoded in a single ``predict_batch`` call, so
-        per-sentence Python overhead is paid once per document.
+        sentences are decoded in a single CRF call, so per-sentence
+        Python overhead is paid once per document.
         """
         return self.annotate_many([document])[0]
 
     def annotate_many(self, documents: Sequence[Document],
                       tokenized: "Sequence[Sequence[tuple[list, list[str]]]] | None" = None,
-                      feature_cache: dict | None = None,
                       ) -> list[list[EntityMention]]:
         """Tag several documents with one cross-document decode.
 
         The batch form of :meth:`annotate`, used by the serve-layer
         request coalescer: uncached sentences from *every* document
-        feed a single ``predict_batch`` call, so the flat-encode numpy
-        path amortizes across request boundaries, not just within one
-        document.  Per-document results (mention lists, ``entities``
-        extension, cache traffic) are identical to calling
-        :meth:`annotate` on each document in order.
+        feed a single CRF call, so the numpy path amortizes across
+        request boundaries, not just within one document.
+        Per-document results (mention lists, ``entities`` extension,
+        cache traffic) are identical to calling :meth:`annotate` on
+        each document in order.
+
+        With the context-window templates the words go straight to
+        the CRF's type table (``predict_words``); only a
+        ``quadratic_context`` tagger, whose ``pair=`` features read
+        the whole sentence, builds feature strings for
+        ``predict_batch``.
 
         ``tokenized`` (one ``(tokens, words)`` sequence per document,
         empty-word sentences already excluded) skips the split/tokenize
         pass — the one-pass engine supplies its shared arena here.
-        ``feature_cache`` is a mutable mapping keyed by
-        ``(id(words), quadratic_context)`` memoizing extracted feature
-        lists; taggers with the same feature configuration scanning the
-        same arena share extraction work through it.  The ``id`` keys
-        are only valid while the caller keeps the ``words`` lists
-        alive, so the cache must not outlive the batch.
 
         Sentence/token annotations distinguish ``None`` (never
         computed — recompute here) from ``[]`` (computed, genuinely
@@ -160,30 +159,13 @@ class MlEntityTagger:
         else:
             pending = list(range(len(flat)))
         if pending:
-            quadratic = self.quadratic_context
-            if feature_cache is None:
-                features = [sentence_features(flat[index][1], quadratic)
-                            for index in pending]
+            sentences = [flat[index][1] for index in pending]
+            if self.quadratic_context:
+                fresh = self.crf.predict_batch(
+                    [sentence_features(words, True)
+                     for words in sentences])
             else:
-                features = []
-                for index in pending:
-                    words = flat[index][1]
-                    key = (id(words), quadratic)
-                    cached = feature_cache.get(key)
-                    if cached is None:
-                        # Per-token derived state (lowercase forms,
-                        # shapes) is shared across every feature
-                        # configuration scanning this arena.
-                        akey = ("analysis", id(words))
-                        analysis = feature_cache.get(akey)
-                        if analysis is None:
-                            analysis = token_analysis(words)
-                            feature_cache[akey] = analysis
-                        cached = sentence_features(words, quadratic,
-                                                   analysis)
-                        feature_cache[key] = cached
-                    features.append(cached)
-            fresh = self.crf.predict_batch(features)
+                fresh = self.crf.predict_words(sentences)
             for index, labels in zip(pending, fresh):
                 decoded[index] = labels
                 if cache is not None:

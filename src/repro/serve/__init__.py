@@ -7,7 +7,7 @@ of that resident: ``repro serve`` builds the pipeline once, forks
 workers that share the frozen kernels copy-on-write, and amortizes
 per-request overhead by coalescing concurrent requests into batches
 that flow through the batch kernels (``HmmPosTagger.tag_batch``,
-``LinearChainCrf.predict_batch``) as a unit.
+``LinearChainCrf.predict_words``) as a unit.
 
 Layering (each module usable on its own):
 

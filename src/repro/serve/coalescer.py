@@ -1,7 +1,7 @@
 """Request coalescing: the serve layer's batching mechanism.
 
 Concurrent requests queue here; dispatcher threads pull *batches* that
-feed the batch kernels (``tag_batch`` / ``predict_batch``) as a unit,
+feed the batch kernels (``tag_batch`` / ``predict_words``) as a unit,
 so per-request call overhead — kernel entry, worker IPC round-trip,
 thread wakeups — amortizes across the batch.
 

@@ -5,7 +5,7 @@ A :class:`ExtractionSession` wraps a trained
 entry points the serve layer needs: a whole coalesced batch of
 requests runs through the cross-request kernels
 (``pipeline.analyze_batch`` → the one-pass annotation engine's merged
-dictionary scan, ``tag_batch``, and feature-shared ``predict_batch``)
+dictionary scan, ``tag_batch``, and type-table ``predict_words``)
 in one call.  Results are plain JSON-able dicts, and each request's
 result is a pure function of its ``(op, text)`` — independent of what
 else shares the batch — which is what makes batched responses

@@ -83,12 +83,28 @@ def test_fingerprint_content_addressed():
 
 def test_ml_tagger_cache_round_trip(tmp_path, medline_generator):
     """MlEntityTagger produces identical mentions cold, memory-warm,
-    and disk-warm."""
+    and disk-warm; the cache key space is the model's content (weights,
+    transitions, feature names, labels) and nothing the decoder builds
+    on top of it, so entries persisted by an earlier decoder stay
+    valid."""
+    import hashlib
+
+    import numpy as np
+
     from repro.nlp.anno_cache import AnnotationCache
+    from repro.ner.crf import LABELS
     from repro.ner.taggers import MlEntityTagger
 
     gold = [medline_generator.document(i) for i in range(12)]
     tagger = MlEntityTagger.train("gene", gold, max_iterations=15)
+    crf = tagger.crf
+    hasher = hashlib.sha256()
+    hasher.update(np.ascontiguousarray(crf.state_weights).tobytes())
+    hasher.update(np.ascontiguousarray(crf.transitions).tobytes())
+    hasher.update("\x00".join(sorted(crf.feature_index)).encode())
+    hasher.update("|".join(LABELS).encode())
+    fingerprint = f"ml:gene:q0:crf:{hasher.hexdigest()}"
+    assert tagger.fingerprint() == fingerprint
 
     def annotate(cache):
         tagger.annotation_cache = cache
@@ -109,3 +125,7 @@ def test_ml_tagger_cache_round_trip(tmp_path, medline_generator):
     disk_cache = AnnotationCache(tmp_path)
     assert annotate(disk_cache) == cold
     assert disk_cache.misses == 0
+    # Decoding filled the word-type table; the key space did not move.
+    assert crf._frozen.type_ids
+    assert f"ml:gene:q0:{crf.fingerprint()}" == fingerprint
+    assert f"ml:gene:q0:{crf.freeze().fingerprint()}" == fingerprint
