@@ -127,8 +127,11 @@ class CrawlResult:
     stage_pages: dict[str, int] = field(default_factory=dict)
     #: Wall-clock seconds spent per stage, measured where the work ran
     #: (summed across workers in parallel mode — CPU-time attribution,
-    #: not elapsed time).  Observability only: NOT deterministic, not
-    #: checkpointed, excluded from equivalence comparisons.
+    #: not elapsed time).  ``repair`` is the whole tokenizer pass,
+    #: block segmentation and href/title collection included;
+    #: ``parse`` is href resolution; ``boilerplate`` is block
+    #: classification + join.  Observability only: NOT deterministic,
+    #: not checkpointed, excluded from equivalence comparisons.
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Incremental recrawl accounting (all zero on single-round
     #: crawls).  ``fetches_skipped`` counts frontier entries replayed

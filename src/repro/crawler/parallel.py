@@ -9,8 +9,8 @@ The crawl loop splits into three phases per frontier batch:
   outcomes — never on document contents — so this phase fixes the
   entire simulated-time behaviour of the batch.
 * **document** (this module, parallelizable) —
-  :func:`process_document`: MIME sniffing, HTML repair, **one** DOM
-  parse feeding boilerplate segmentation + outlink extraction + title
+  :func:`process_document`: MIME sniffing, **one** repairing tokenizer
+  pass feeding boilerplate segmentation + outlink extraction + title
   extraction, language/length predicates, and the relevance score.
   A pure function of (url, body, content_type) given a frozen
   classifier, so its outputs are identical no matter where or in what
@@ -64,9 +64,12 @@ from dataclasses import dataclass, field
 
 from repro.crawler.filters import FilterChain
 from repro.crawler.parser import (
-    extract_links_from_tree, extract_title_from_tree,
+    anchor_hrefs, extract_title_from_tree, resolve_hrefs,
 )
-from repro.html.boilerplate import BoilerplateDetector
+from repro.html.boilerplate import (
+    BoilerplateDetector, extract_blocks_from_tree, scan_blocks,
+)
+from repro.html.repair import repair_document
 from repro.obs.metrics import MetricsRegistry
 
 #: One task per successfully fetched page: (batch index, url, body,
@@ -126,24 +129,28 @@ def process_document(url: str, body: str, content_type: str,
     if not mime_ok:
         return DocumentOutcome(mime_ok=False, stage_seconds=timings)
 
-    # One parse, shared everywhere: repair_document() yields the
-    # normalised DOM directly, and boilerplate segmentation, outlinks,
-    # and the title all read that one tree.
-    from repro.html.repair import repair_document
-
+    # One tokenizer pass, shared everywhere: scan_blocks() streams the
+    # repaired page into block segmentation while collecting the anchor
+    # hrefs and the title, so the crawl path allocates no DOM.
     started = time.perf_counter()
-    tree, report = repair_document(body)
+    scanned = scan_blocks(body)
+    if scanned is None:
+        # Reparse hazard: the literal two-pass repair and tree extractors.
+        tree, report = repair_document(body)
+        scanned = (extract_blocks_from_tree(tree), anchor_hrefs(tree),
+                   extract_title_from_tree(tree), report.transcodable)
+    blocks, hrefs, title, transcodable = scanned
     timings["repair"] = time.perf_counter() - started
-    if not report.transcodable:
+    if not transcodable:
         return DocumentOutcome(mime_ok=True, stage_seconds=timings)
 
     started = time.perf_counter()
-    outlinks = extract_links_from_tree(tree, url)
-    title = extract_title_from_tree(tree)
+    outlinks = resolve_hrefs(hrefs, url)
     timings["parse"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    net_text = context.boilerplate.extract_from_tree(tree)
+    detector = context.boilerplate
+    net_text = detector.join_content(detector.classify(blocks))
     timings["boilerplate"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -196,12 +203,12 @@ def _worker_init() -> None:
     off entirely: threshold-triggered collections fire mid-chunk at
     allocation-dependent moments and cost far more than one explicit
     sweep at a chunk boundary.  :func:`_worker_chunk` collects after
-    every chunk instead — mandatory, not an optimization, because the
-    parsed :class:`~repro.html.dom.HtmlNode` trees carry parent
-    back-pointers (reference cycles refcounting alone never frees).
-    The per-chunk sweep only traverses that chunk's garbage (the
-    frozen base is exempt), so it also keeps the worker's heap — and
-    its cache footprint — flat for the whole crawl.
+    every chunk instead.  The document stage itself builds no
+    reference cycles (it allocates no DOM, and a reparse-hazard page's
+    tree has no back-pointers), but with automatic collection off this
+    sweep is all that would ever free one (say, a traceback's).  It
+    only traverses that chunk's survivors — the frozen base is exempt —
+    so it costs next to nothing.
     """
     gc.freeze()
     gc.disable()
@@ -217,8 +224,8 @@ def _worker_chunk(payload: bytes) -> bytes:
         outcome = process_document(url, body, content_type, context)
         results.append((index, outcome_to_wire(outcome)))
     payload = marshal.dumps(results)
-    # Free this chunk's DOM-tree cycles before the next one arrives
-    # (automatic collection is off; see _worker_init).
+    # The only collection this worker runs (automatic collection is
+    # off; see _worker_init).
     gc.collect()
     return payload
 
@@ -363,10 +370,11 @@ class CrawlWorkerPool:
             self._pool = multiprocessing.get_context("fork").Pool(
                 processes=self.processes, initializer=_worker_init)
         # The coordinator gets the same GC regime as the workers while
-        # the pool lives: the cycle-heavy work (DOM trees) happens out
-        # of process (or per-chunk inline), so automatic collections
-        # here only steal CPU.  New coordinator garbage is collected
-        # at dispatch/drain barriers, against the frozen base.
+        # the pool lives: the allocation-heavy work happens out of
+        # process (or per-chunk inline) and builds no cycles, so
+        # automatic collections here only steal CPU.  New coordinator
+        # garbage is collected at dispatch/drain barriers, against the
+        # frozen base.
         self._gc_was_enabled = gc.isenabled()
         gc.disable()
         if metrics is not None:
@@ -415,7 +423,7 @@ class CrawlWorkerPool:
             # Inline plan (single-core box): run the chunk on the
             # coordinator, through the same wire round-trip as the
             # forked plan so the merge sees byte-identical outcomes,
-            # then sweep the chunk's DOM cycles exactly like a worker.
+            # then collect exactly like a worker.
             for index, url, body, content_type in chunk:
                 outcome = process_document(url, body, content_type,
                                            self._context)

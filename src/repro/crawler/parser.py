@@ -2,10 +2,11 @@
 
 Every extractor comes in two forms: a string-input convenience wrapper
 that parses the page itself, and a ``*_from_tree`` variant that walks
-an already-parsed DOM.  The tree variants exist for the parse-once
-document path: the crawler repairs a page, parses it a single time,
-and feeds the same tree to boilerplate segmentation, link extraction,
-and title extraction instead of re-parsing for each.
+an already-parsed DOM, so a caller holding a tree feeds it to
+boilerplate segmentation, link extraction, and title extraction
+instead of re-parsing for each.  The crawler holds no tree at all: its
+tokenizer pass collects the raw hrefs and :func:`resolve_hrefs` is the
+half of link extraction it still needs.
 """
 
 from __future__ import annotations
@@ -25,11 +26,22 @@ def extract_links(html: str, base_url: str) -> list[str]:
 
 def extract_links_from_tree(tree: HtmlNode, base_url: str) -> list[str]:
     """Outlinks of an already-parsed page (see :func:`extract_links`)."""
+    return resolve_hrefs(anchor_hrefs(tree), base_url)
+
+
+def anchor_hrefs(tree: HtmlNode) -> list[str]:
+    """The raw ``href`` of every anchor in document order ('' if absent)."""
+    return [anchor.attrs.get("href", "") for anchor in tree.find_all("a")]
+
+
+def resolve_hrefs(hrefs: list[str], base_url: str) -> list[str]:
+    """Resolve raw anchor hrefs against the page URL, keeping the first
+    occurrence of each outlink (see :func:`extract_links`)."""
     base = normalize(base_url)
     links: list[str] = []
     seen: set[str] = set()
-    for anchor in tree.find_all("a"):
-        href = anchor.attrs.get("href", "").strip()
+    for href in hrefs:
+        href = href.strip()
         if not href or href.startswith("#"):
             continue
         lowered = href.lower()

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.html.dom import BLOCK_ELEMENTS, HtmlNode, parse_html
-from repro.html.repair import repair_html
+from repro.html.dom import (
+    BLOCK_ELEMENTS, HtmlNode, parse_html, RAW_TEXT_ELEMENTS,
+)
+from repro.html.repair import _ReparseHazard, repair_html, scan_document
 
 #: Characters per visual line, used for text density (Boilerpipe uses
 #: a virtual 80-column wrap).
@@ -81,49 +83,51 @@ class _Segmenter:
         if tag in self._LIST_TAGS:
             self._list_depth -= 1
 
+    # The three segmentation events.  Whoever drives them — the
+    # streaming tokenizer pass (``repair.scan_document``) or
+    # :meth:`walk` over a parsed DOM — must emit the preorder of the
+    # normalised tree: ``enter``, the element's contents, ``exit``, and
+    # never the raw text of a script/style element.
+
+    def enter(self, tag: str) -> None:
+        if tag in BLOCK_ELEMENTS:
+            self.flush()
+            self._push_block(tag)
+        elif tag == "a":
+            self._anchor_depth += 1
+
+    def text(self, text: str) -> None:
+        words = text.split()
+        self._words.extend(words)
+        if self._anchor_depth > 0:
+            self._anchor_words += len(words)
+
+    def exit(self, tag: str) -> None:
+        if tag in BLOCK_ELEMENTS:
+            self.flush()
+            self._pop_block()
+        elif tag == "a":
+            self._anchor_depth -= 1
+
     def walk(self, node: HtmlNode) -> None:
         # Iterative DFS with explicit enter/exit entries: same event
         # order as the natural recursion (enter, children in order,
-        # exit) without a Python frame per node.  Exit entries are only
-        # scheduled for tags with exit work: blocks (flush + path pop)
-        # and anchors (depth decrement); the two sets are disjoint.
-        # A block boundary with no words accumulated only resets the
-        # anchor counter; the inline guard skips those no-op flushes
-        # (the overwhelmingly common case).
+        # exit) without a Python frame per node.
         stack: list[tuple[HtmlNode, bool]] = [(node, False)]
         pop = stack.pop
         while stack:
             node, exiting = pop()
             tag = node.tag
             if exiting:
-                if tag == "a":
-                    self._anchor_depth -= 1
-                else:
-                    if self._words:
-                        self.flush()
-                    else:
-                        self._anchor_words = 0
-                    self._pop_block()
-                continue
-            if tag == "#text":
-                words = node.text.split()
-                self._words.extend(words)
-                if self._anchor_depth > 0:
-                    self._anchor_words += len(words)
-                continue
-            if tag in BLOCK_ELEMENTS:
-                if self._words:
-                    self.flush()
-                else:
-                    self._anchor_words = 0
-                self._push_block(tag)
+                self.exit(tag)
+            elif tag == "#text":
+                self.text(node.text)
+            else:
+                self.enter(tag)
                 stack.append((node, True))
-            elif tag == "a":
-                self._anchor_depth += 1
-                stack.append((node, True))
-            if tag not in ("script", "style") and node.children:
-                stack.extend([(child, False)
-                              for child in reversed(node.children)])
+                if tag not in RAW_TEXT_ELEMENTS and node.children:
+                    stack.extend([(child, False)
+                                  for child in reversed(node.children)])
 
     def walk_reference(self, node: HtmlNode) -> None:
         """The pre-optimisation recursive walk, kept as the correctness
@@ -196,6 +200,23 @@ def extract_blocks_from_tree(tree: HtmlNode) -> list[TextBlock]:
     segmenter.walk(tree)
     segmenter.flush()
     return segmenter.blocks
+
+
+def scan_blocks(html: str) -> tuple[list[TextBlock], list[str], str,
+                                    bool] | None:
+    """Blocks, raw anchor hrefs, title and transcodable flag of an
+    *unrepaired* page in one tokenizer pass and no DOM: what the tree
+    extractors yield over ``repair_document(html)``.  ``None`` on the
+    rare page only the two-pass repair normalises soundly."""
+    segmenter = _Segmenter()
+    try:
+        hrefs, title, transcodable = scan_document(html, segmenter)
+    except _ReparseHazard:
+        return None
+    if not transcodable:  # repaired to the empty document
+        return [], hrefs, title, False
+    segmenter.flush()
+    return segmenter.blocks, hrefs, title, True
 
 
 class BoilerplateDetector:

@@ -52,14 +52,12 @@ class HtmlNode:
     attrs: dict[str, str] = field(default_factory=dict)
     children: list["HtmlNode"] = field(default_factory=list)
     text: str = ""
-    parent: "HtmlNode | None" = field(default=None, repr=False, compare=False)
 
     @property
     def is_text(self) -> bool:
         return self.tag == "#text"
 
     def append(self, node: "HtmlNode") -> None:
-        node.parent = self
         self.children.append(node)
 
     def find_all(self, tag: str) -> list["HtmlNode"]:
@@ -210,16 +208,6 @@ _AUTO_CLOSE = {
     "th": {"td", "th"},
     "option": {"option"},
 }
-
-
-def _implicit_close(stack: list[HtmlNode], name: str) -> None:
-    """HTML5-style implied end tags (``<p>`` closes an open ``<p>``,
-    ``<li>`` closes an open ``<li>``, table cells close cells)."""
-    closes = _AUTO_CLOSE.get(name)
-    if not closes:
-        return
-    if len(stack) > 1 and stack[-1].tag in closes:
-        stack.pop()
 
 
 def iter_text(root: HtmlNode) -> Iterator[str]:

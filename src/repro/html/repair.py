@@ -25,6 +25,9 @@ _UNQUOTED_ATTR_RE = re.compile(
     r"<[a-zA-Z][^<>]*?\s[a-zA-Z-]+=(?![\"'])[^\s<>\"']+")
 _RAW_AMP_RE = re.compile(r"&(?![a-zA-Z]{2,8};|#\d{1,6};|#x[0-9a-fA-F]{1,6};)")
 _DEPRECATED_RE = re.compile(r"<(font|center|marquee|blink)\b", re.IGNORECASE)
+_HTML_CLOSER_AT_END_RE = re.compile(r"</html\s*>\s*\Z", re.IGNORECASE)
+_BALANCED_OPEN_RE = re.compile(r"<(?:div|p|li|ul|span|td|tr)\b")
+_BALANCED_CLOSE_RE = re.compile(r"</(?:div|p|li|ul|span|td|tr)\s*>")
 
 
 @dataclass
@@ -49,11 +52,10 @@ def detect_markup_issues(html: str) -> list[str]:
         issues.append("raw_ampersand")
     if _DEPRECATED_RE.search(html):
         issues.append("deprecated_tag")
-    if not re.search(r"</html\s*>\s*$", html.strip(), re.IGNORECASE):
+    if not _HTML_CLOSER_AT_END_RE.search(html):
         issues.append("truncated")
-    opens = len(re.findall(r"<(?:div|p|li|ul|span|td|tr)\b", html))
-    closes = len(re.findall(r"</(?:div|p|li|ul|span|td|tr)\s*>", html))
-    if opens != closes:
+    if (len(_BALANCED_OPEN_RE.findall(html))
+            != len(_BALANCED_CLOSE_RE.findall(html))):
         issues.append("unbalanced_tags")
     return issues
 
@@ -89,25 +91,27 @@ class _ReparseHazard(Exception):
     restructured on re-parse, so the fused normalisation is unsound."""
 
 
-def _parse_normalized(html: str) -> tuple[HtmlNode, int]:
-    """Parse ``html`` into the tree ``parse_html(repair_html(html)[0])``
-    would produce, in one tokenizer pass.
+def scan_document(html: str, sink) -> tuple[list[str], str, bool]:
+    """Stream the tree ``parse_html(repair_html(html)[0])`` would
+    build into ``sink`` as preorder ``enter(tag)`` / ``text(str)`` /
+    ``exit(tag)`` events, in one tokenizer pass and without building it.
 
-    The tag/stack mechanics mirror ``parse_html`` exactly; what differs
-    is how the *reparse of the serialized tree* is replayed inline:
+    The tag/stack mechanics mirror ``parse_html`` exactly (the stack
+    holds tag names only); what differs is how the *reparse of the
+    serialized tree* is replayed inline:
 
     * Text runs that ``parse_html`` would append as adjacent text nodes
       (stray ``<``, ignored closers between runs) are buffered per open
-      element and merged into one node.  Serialize escapes each run and
-      the re-parse unescapes the concatenation; since escaping leaves no
-      naked ``&``, that round-trip is the identity on the already-
-      unescaped runs, so merging is plain concatenation of the runs
-      that individually survive the whitespace keep-check.
+      element and emitted as one ``text`` event.  Serialize escapes
+      each run and the re-parse unescapes the concatenation; since
+      escaping leaves no naked ``&``, that round-trip is the identity
+      on the already-unescaped runs, so merging is plain concatenation
+      of the runs that individually survive the whitespace keep-check.
     * Attribute values round-trip ``_escape_attr``/``unescape``
       unchanged, so ``parse_attrs`` output is used as-is.
-    * Raw-text (script/style) content comes back *escaped* — the
-      re-parse never unescapes raw content — so it is appended through
-      ``_escape_text``, whitespace preserved.
+    * Raw-text (script/style) content is never a ``text`` event (no
+      extractor renders it); inside ``<title>`` it joins the title the
+      way the re-parse leaves it: *escaped*, never unescaped.
 
     Raises :class:`_ReparseHazard` for the one case re-serialization is
     not structure-preserving: an element whose tag implicitly closes
@@ -115,50 +119,35 @@ def _parse_normalized(html: str) -> tuple[HtmlNode, int]:
     parse can build via a single-level implicit close but a re-parse
     would hoist).  Callers fall back to the real round-trip there.
 
-    Returns the tree plus the number of element nodes (minus the
-    ``#root``), which callers use for the transcodability screen.
+    Returns the ``href`` of every ``<a>`` in open order ('' if absent),
+    the text of the first ``<title>``, and :func:`repair_html`'s
+    transcodability screen (some structure, or a short input).
     """
+    transcodable = len(html) <= 200
     html = _COMMENT_RE.sub("", html)
     html = _DOCTYPE_RE.sub("", html)
-    root = HtmlNode("#root")
-    stack = [root]
+    enter, emit, leave = sink.enter, sink.text, sink.exit
+    stack = ["#root"]
     pending: list[str] = []  # text runs of the innermost open element
-    n_elements = 0
+    hrefs: list[str] = []
+    title: list[str] = []
+    # None until the first <title> opens, then the stack depth that
+    # keeps it open (0 once it has closed).
+    title_depth: int | None = None
     position = 0
     length = len(html)
-    raw_until: str | None = None
     lowered: str | None = None
     find = html.find
     tag_match = _TAG_RE.match
     while position < length:
-        if raw_until is not None:
-            if lowered is None:
-                lowered = html.lower()
-            closer = lowered.find(f"</{raw_until}", position)
-            if closer < 0:
-                closer = length
-            text = html[position:closer]
-            if text:
-                stack[-1].append(
-                    HtmlNode("#text", text=_escape_text(text)))
-            end = find(">", closer)
-            position = (end + 1) if end >= 0 else length
-            if stack[-1].tag == raw_until and len(stack) > 1:
-                stack.pop()
-            raw_until = None
-            continue
         lt = find("<", position)
-        if lt < 0:
-            raw = html[position:]
+        if lt != position:
+            raw = html[position:] if lt < 0 else html[position:lt]
             text = unescape(raw) if "&" in raw else raw
             if text.strip():
                 pending.append(text)
-            break
-        if lt > position:
-            raw = html[position:lt]
-            text = unescape(raw) if "&" in raw else raw
-            if text.strip():
-                pending.append(text)
+            if lt < 0:
+                break
         match = tag_match(html, lt)
         if match is None:
             # A stray '<' that is not a tag: text, merged into the run.
@@ -166,93 +155,78 @@ def _parse_normalized(html: str) -> tuple[HtmlNode, int]:
             position = lt + 1
             continue
         position = match.end()
-        close, name, attrs, self_closing = match.group(
-            "close", "name", "attrs", "self")
+        close, name, attrs, self_closing = match.groups()
         name = name.lower()
         if close:
-            # Text merging means a pop must flush the closed element's
-            # buffered run first — and an ignored stray closer must NOT
-            # flush, so the runs around it merge like the reparse would.
-            if stack[-1].tag == name and len(stack) > 1:
-                if pending:
-                    _flush_pending(stack[-1], pending)
-                stack.pop()
-            else:
-                for depth in range(len(stack) - 1, 0, -1):
-                    if stack[depth].tag == name:
-                        if pending:
-                            _flush_pending(stack[-1], pending)
-                        del stack[depth:]
-                        break
-            continue
+            # An ignored stray closer must NOT flush the buffered run,
+            # so the runs around it merge like the reparse would.
+            depth = len(stack) - 1
+            while depth and stack[depth] != name:
+                depth -= 1
+            if not depth:
+                continue
+        else:
+            closes = _AUTO_CLOSE.get(name)
+            depth = len(stack)
+            if closes:
+                if depth > 1 and stack[-1] in closes:
+                    depth -= 1
+                if stack[depth - 1] in closes:
+                    raise _ReparseHazard(name)
         if pending:
-            _flush_pending(stack[-1], pending)
-        node = HtmlNode(name, attrs=parse_attrs(attrs or ""))
-        n_elements += 1
-        closes = _AUTO_CLOSE.get(name)
-        if closes:
-            if len(stack) > 1 and stack[-1].tag in closes:
-                stack.pop()
-            if stack[-1].tag in closes:
-                raise _ReparseHazard(name)
-        stack[-1].append(node)
+            text = "".join(pending)
+            pending.clear()
+            emit(text)
+            if title_depth:
+                title.append(text.strip())
+        while len(stack) > depth:
+            leave(stack.pop())
+        if title_depth and depth < title_depth:
+            title_depth = 0
+        if close:
+            continue
+        transcodable = True
+        enter(name)
+        if name == "a":
+            hrefs.append(parse_attrs(attrs).get("href", ""))
+        elif name == "title" and title_depth is None:
+            title_depth = 0 if self_closing else depth + 1
         if name in RAW_TEXT_ELEMENTS:
-            stack.append(node)
-            raw_until = name
-        elif name not in VOID_ELEMENTS and not self_closing:
-            stack.append(node)
+            # Opaque script/style content: scan for the closer only.
+            if lowered is None:
+                lowered = html.lower()
+            closer = lowered.find(f"</{name}", position)
+            if closer < 0:
+                closer = length
+            if title_depth:
+                text = _escape_text(html[position:closer]).strip()
+                if text:
+                    title.append(text)
+            end = find(">", closer)
+            position = (end + 1) if end >= 0 else length
+            leave(name)
+        elif name in VOID_ELEMENTS or self_closing:
+            leave(name)
+        else:
+            stack.append(name)
     if pending:
-        _flush_pending(stack[-1], pending)
-    return root, n_elements
-
-
-def _flush_pending(parent: HtmlNode, pending: list[str]) -> None:
-    parent.append(HtmlNode("#text", text="".join(pending)))
-    pending.clear()
+        text = "".join(pending)
+        emit(text)
+        if title_depth:
+            title.append(text.strip())
+    while len(stack) > 1:
+        leave(stack.pop())
+    return hrefs, " ".join(title), transcodable
 
 
 def repair_document(html: str) -> tuple[HtmlNode, RepairReport]:
-    """Repair markup and return the normalised DOM in one parse.
-
-    Behaviourally identical to ``parse_html(repair_html(html)[0])`` —
-    the tree every shared-tree extractor expects — but built in a
-    single tokenizer pass by :func:`_parse_normalized`.  Falls back to
-    the real parse / serialize / re-parse round-trip on the rare
-    adjacency the fused pass cannot normalise soundly.
-    """
-    report = RepairReport(issues=detect_markup_issues(html))
-    try:
-        tree, n_elements = _parse_normalized(html)
-    except _ReparseHazard:
-        return _repair_roundtrip(html, report)
-    except RecursionError:  # pathological nesting depth
-        report.transcodable = False
-        report.issues.append("untranscodable")
-        return parse_html("<html><body></body></html>"), report
-    # Same predicate as repair_html ("≤ 1 element and long input"); the
-    # fused pass counted elements as it appended them, #root excluded.
-    if n_elements == 0 and len(html) > 200:
-        report.transcodable = False
-        report.issues.append("untranscodable")
-        return parse_html("<html><body></body></html>"), report
-    return tree, report
-
-
-def _repair_roundtrip(html: str,
-                      report: RepairReport) -> tuple[HtmlNode, RepairReport]:
-    """The literal two-pass repair, for reparse-hazard pages."""
-    try:
-        tree = parse_html(html)
-    except RecursionError:
-        report.transcodable = False
-        report.issues.append("untranscodable")
-        return parse_html("<html><body></body></html>"), report
-    n_elements = sum(1 for node in tree.walk() if not node.is_text)
-    if n_elements <= 1 and len(html) > 200:
-        report.transcodable = False
-        report.issues.append("untranscodable")
-        return parse_html("<html><body></body></html>"), report
-    return parse_html(serialize(tree)), report
+    """Repair markup and return the normalised DOM: the literal two-pass
+    ``parse_html(repair_html(html)[0])`` every shared-tree extractor
+    expects.  The crawl path streams the same tree through
+    :func:`scan_document` instead and only lands here on the rare
+    adjacency that pass cannot normalise soundly."""
+    repaired, report = repair_html(html)
+    return parse_html(repaired), report
 
 
 def strip_markup(html: str) -> str:

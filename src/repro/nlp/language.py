@@ -13,7 +13,11 @@ from collections import Counter
 from itertools import islice
 from operator import itemgetter
 
+import numpy as np
+
 _PROFILE_SIZE = 300
+#: Bits per code point in an integer trigram key (0x10FFFF < 2**21).
+_CODE_BITS = 21
 
 
 def _ngrams(text: str, n: int = 3) -> Counter:
@@ -71,10 +75,11 @@ class LanguageIdentifier:
     def __init__(self, profile_size: int = _PROFILE_SIZE) -> None:
         self.profile_size = profile_size
         self._profiles: dict[str, dict[str, int]] = {}
-        #: gram -> per-language rank row (penalty where absent), rebuilt
-        #: lazily after :meth:`train`; lets :meth:`detect` score every
-        #: language in one pass over the document grams.
-        self._rank_table: dict[str, tuple[int, ...]] | None = None
+        #: (sorted integer trigram keys, one rank row per language with
+        #: the penalty where it lacks the gram), rebuilt lazily after
+        #: :meth:`train`; lets :meth:`detect` score every language with
+        #: one ``searchsorted`` over the document profile.
+        self._rank_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def train(self, language: str, text: str) -> None:
         self._profiles[language] = _rank_profile(
@@ -85,48 +90,89 @@ class LanguageIdentifier:
     def languages(self) -> list[str]:
         return sorted(self._profiles)
 
-    def _ensure_rank_table(self) -> dict[str, tuple[int, ...]]:
+    def _ensure_rank_table(self) -> tuple[np.ndarray, np.ndarray]:
         if self._rank_table is None:
-            penalty = self.profile_size
-            grams = {g for profile in self._profiles.values()
-                     for g in profile}
-            self._rank_table = {
-                gram: tuple(profile.get(gram, penalty)
-                            for profile in self._profiles.values())
-                for gram in grams}
+            absent = [self.profile_size] * len(self._profiles)
+            columns: dict[int, list[int]] = {}
+            for j, profile in enumerate(self._profiles.values()):
+                for gram, rank in profile.items():
+                    a, b, c = map(ord, gram)
+                    key = a << 2 * _CODE_BITS | b << _CODE_BITS | c
+                    columns.setdefault(key, absent.copy())[j] = rank
+            keys = sorted(columns)
+            # A last all-penalty column under a key above every trigram
+            # is where the grams of no profile are sent.
+            self._rank_table = (
+                np.array(keys + [np.iinfo(np.int64).max], dtype=np.int64),
+                np.array([columns[key] for key in keys] + [absent],
+                         dtype=np.int64).T.copy())
         return self._rank_table
 
     def detect(self, text: str) -> str:
         """Return the closest language ('' when untrained or empty text).
 
-        Sums the out-of-place distances for *all* languages in a single
-        pass over the document profile via the merged rank table; the
+        One array pass, decision-identical to :meth:`detect_reference`:
+        every trigram becomes ``dense id << shift | position`` over a
+        per-document alphabet, so a single sort groups equal grams with
+        their first occurrence leading each group; a second sort on
+        ``(max count - count) << shift | first`` is the reference's
+        count-descending, first-seen-first profile order.  The
         arithmetic (integer sums, one final division) and the
         first-strictly-smaller tie-breaking over profile insertion
-        order match :meth:`detect_reference` bit for bit.
+        order match the reference bit for bit.
         """
         if not self._profiles or not text.strip():
             return ""
-        document_profile = _rank_profile(_ngrams(text), self.profile_size)
-        table = self._ensure_rank_table()
-        penalty = self.profile_size
-        n_languages = len(self._profiles)
-        totals = [0] * n_languages
-        miss = 0
-        for gram, rank in document_profile.items():
-            rows = table.get(gram)
-            if rows is None:
-                # Absent from every profile: identical penalty - rank
-                # contribution for each language (rank < penalty always).
-                miss += penalty - rank
-            else:
-                for j in range(n_languages):
-                    totals[j] += abs(rows[j] - rank)
-        scale = max(1, len(document_profile))
+        padded = f" {' '.join(text.lower().split())} "
+        codes = np.frombuffer(
+            padded.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        n = len(codes) - 2
+        shift = n.bit_length()
+        position = (1 << shift) - 1
+        # Dense ids for the code points present keep the packed key in
+        # the narrowest integer type that holds it (Python ints beyond
+        # 64 bits: tens of thousands of distinct characters).
+        seen = np.zeros(int(codes.max()) + 1, dtype=bool)
+        seen[codes] = True
+        alphabet = np.flatnonzero(seen)
+        k = len(alphabet)
+        dtype = np.min_scalar_type((k ** 3 << shift) - 1)
+        dense = np.empty(len(seen), dtype=dtype)
+        dense[alphabet] = np.arange(k)
+        ids = dense[codes]
+        packed = ids[:-2] * k
+        packed += ids[1:-1]
+        packed *= k
+        packed += ids[2:]
+        packed <<= shift
+        packed |= np.arange(n, dtype=dtype)
+        packed.sort()
+        grams = packed >> shift
+        change = np.flatnonzero(grams[1:] != grams[:-1])
+        bounds = np.empty(len(change) + 2, dtype=np.int64)
+        bounds[0], bounds[1:-1], bounds[-1] = -1, change, n - 1
+        bounds += 1
+        starts = bounds[:-1]
+        counts = bounds[1:] - starts
+        # Two fields of ``shift`` bits: fits int64 below 2**31 trigrams.
+        order = counts.max() - counts
+        order <<= shift
+        order |= (packed[starts] & position).astype(np.int64)
+        order.sort()
+        top = order[:self.profile_size] & position
+        wide = codes.astype(np.int64)
+        keys = (wide[top] << 2 * _CODE_BITS | wide[top + 1] << _CODE_BITS
+                | wide[top + 2])
+        table_keys, table_ranks = self._ensure_rank_table()
+        found = np.searchsorted(table_keys, keys)
+        found[table_keys[found] != keys] = len(table_keys) - 1
+        distances = table_ranks[:, found]
+        distances -= np.arange(len(top))
+        totals = np.abs(distances, out=distances).sum(axis=1)
         best_language = ""
         best_distance = float("inf")
-        for j, language in enumerate(self._profiles):
-            distance = (totals[j] + miss) / scale
+        for language, total in zip(self._profiles, totals.tolist()):
+            distance = total / len(top)
             if distance < best_distance:
                 best_distance = distance
                 best_language = language

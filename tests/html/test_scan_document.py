@@ -1,0 +1,191 @@
+"""The streaming tokenizer pass must equal the two-pass repair + DOM.
+
+``scan_document`` streams the tree ``parse_html(repair_html(html)[0])``
+would build into the block segmenter without building it.  For every
+page — well-formed, mutated, truncated — the blocks, title, raw anchor
+hrefs and transcodable flag it yields must be exactly what the tree
+extractors read off that tree, and the tree driver of the same three
+segmenter events must equal the recursive reference walk.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.crawler.parser import anchor_hrefs, extract_title_from_tree
+from repro.html.boilerplate import (
+    _Segmenter, extract_blocks_from_tree, scan_blocks,
+)
+from repro.html.dom import parse_html
+from repro.html.repair import _ReparseHazard, repair_html, scan_document
+
+from test_parse_once import HAZARD, PAGES, TRICKY, _rendered_pages
+
+#: Shapes the fixed lists of ``test_parse_once`` do not reach: title
+#: and anchor bookkeeping across implicit and mis-nested closes.
+TITLE_AND_ANCHOR = [
+    "<title>a<script>x<y&z</script>b</title><title>second</title>",
+    "<head><title>T <b>bold</b> x</head><p>body<title>no</title>",
+    "<title/><title>late</title>",
+    "<title><title>inner</title>outer</title>tail<title>third</title>",
+    "<p>in body<title>  late   title  </title></p>",
+    "<title>x &amp; y</nope> z<</title>",
+    "<title><style> </style><script>  </script></title>",
+    "<a href=x><a href='y'>t</a>z</a><hr><p>q<hr>r",
+    "<div><a href=1>in<p>para</div>after</a>",
+    '<a>no href</a><a HREF=" /up.html " href=/second>x</a><a href="">e</a>',
+    "<ul><li><a href=/a>one<li>two</a></ul>",
+    "<p>a<script>",
+    "<li>a<li>b</li></li>c",
+    "<td>x<td>y<tr>z",
+    "<!-- c --><p>x<!-- d -->y</p>" + "z" * 300,
+    "<!--" + "c" * 300 + "-->",
+    "<!DOCTYPE html>" + "y" * 250,
+]
+
+
+def tree_path(html: str):
+    """(blocks, raw hrefs, title, transcodable) off the real DOM."""
+    repaired, report = repair_html(html)
+    tree = parse_html(repaired)
+    return (extract_blocks_from_tree(tree), anchor_hrefs(tree),
+            extract_title_from_tree(tree), report.transcodable)
+
+
+def assert_scan_equals_tree(html: str) -> None:
+    scanned = scan_blocks(html)
+    if scanned is not None:  # None: caller takes the tree path itself
+        assert scanned == tree_path(html)
+
+
+class _Events:
+    """Records the raw event stream (no segmentation)."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, str]] = []
+
+    def enter(self, tag: str) -> None:
+        self.events.append(("enter", tag))
+
+    def text(self, text: str) -> None:
+        self.events.append(("text", text))
+
+    def exit(self, tag: str) -> None:
+        self.events.append(("exit", tag))
+
+
+def tree_events(html: str) -> list[tuple[str, str]]:
+    """Preorder events of the repaired DOM, by plain recursion."""
+    events: list[tuple[str, str]] = []
+
+    def visit(node) -> None:
+        if node.is_text:
+            events.append(("text", node.text))
+            return
+        events.append(("enter", node.tag))
+        if node.tag not in ("script", "style"):
+            for child in node.children:
+                visit(child)
+        events.append(("exit", node.tag))
+
+    for child in parse_html(repair_html(html)[0]).children:
+        visit(child)
+    return events
+
+
+FIXED = PAGES + _rendered_pages() + TRICKY + [HAZARD] + TITLE_AND_ANCHOR
+
+
+class TestFixedPages:
+    @pytest.mark.parametrize("html", FIXED)
+    def test_blocks_title_hrefs_transcodable(self, html):
+        assert_scan_equals_tree(html)
+
+    @pytest.mark.parametrize("html", FIXED)
+    def test_event_stream_is_the_tree_preorder(self, html):
+        sink = _Events()
+        try:
+            _hrefs, _title, transcodable = scan_document(html, sink)
+        except _ReparseHazard:
+            return
+        if transcodable:  # else the repair is the empty document
+            assert sink.events == tree_events(html)
+
+    def test_hazard_is_reported_not_guessed(self):
+        assert scan_blocks(HAZARD) is None
+
+    def test_untranscodable_yields_the_empty_document(self):
+        assert scan_blocks("x" * 500) == ([], [], "", False)
+        assert scan_blocks("x" * 200)[3] is True
+
+    @pytest.mark.parametrize("html", FIXED)
+    def test_tree_driver_equals_reference_walk(self, html):
+        tree = parse_html(repair_html(html)[0])
+        driven, reference = _Segmenter(), _Segmenter()
+        driven.walk(tree)
+        driven.flush()
+        reference.walk_reference(tree)
+        reference.flush()
+        assert driven.blocks == reference.blocks
+
+
+# -- mutated / truncated rendered pages ----------------------------------------
+
+_BASES = _rendered_pages() + [
+    "<html><head><title>Doc <script>var t = 1 < 2;</script> title</title>"
+    "</head><body><div><p>" + "alpha beta " * 12 + '<a href="/one.html">'
+    "anchor <b>text</b></a></p><hr><ul><li>first<li>second "
+    '<a href=/two.html>two</a></ul><table><tr><td>cell<td><a href="#frag">'
+    "skip</a></table><br><p>tail</p></div></body></html>",
+]
+
+#: Fragments spliced in at arbitrary offsets: stray '<', unmatched and
+#: mis-nesting closers, block-level void elements, nested anchors, raw
+#: text, auto-closing openers, entities.
+_SPLICES = [
+    "<", "< ", "<<", "</div>", "</p>", "</a>", "</nope>", "</body>",
+    "</ul>", "</table>", "</title>", "<hr>", "<br/>", "<div>", "<p>",
+    "<li>", "<td>", "<tr>", '<a href="/n.html">', "<a href=x>", "<a>",
+    "<title>", "<script>a<b</script>", "<style>", "<div/>", "&amp;",
+    "&lt;b&gt;", "&", " ", "text", "<!-- c -->", "<option>",
+]
+
+
+@st.composite
+def mutated_pages(draw):
+    html = draw(st.sampled_from(_BASES))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("splice", "drop_closer", "cut")))
+        at = draw(st.integers(0, len(html)))
+        if kind == "splice":
+            html = html[:at] + draw(st.sampled_from(_SPLICES)) + html[at:]
+        elif kind == "drop_closer":
+            start = html.find("</", at)
+            end = html.find(">", start)
+            if start >= 0 and end >= 0:
+                html = html[:start] + html[end + 1:]
+        else:
+            html = html[:at]
+    return html
+
+
+class TestMutatedPages:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_pages())
+    def test_scan_equals_tree_path(self, html):
+        assert_scan_equals_tree(html)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_pages())
+    def test_tree_driver_equals_reference_walk(self, html):
+        tree = parse_html(repair_html(html)[0])
+        driven, reference = _Segmenter(), _Segmenter()
+        driven.walk(tree)
+        reference.walk_reference(tree)
+        assert driven.blocks == reference.blocks
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(_SPLICES), max_size=25))
+    def test_fragment_soup(self, fragments):
+        assert_scan_equals_tree("".join(fragments))
