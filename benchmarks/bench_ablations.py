@@ -17,7 +17,7 @@ from repro.classify.naive_bayes import NaiveBayesClassifier
 from repro.corpora.goldstandard import build_classifier_gold
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
 from repro.dataflow.cluster import SimulatedCluster, split_flow_plan
-from repro.dataflow.executor import LocalExecutor
+from repro.dataflow.executor import Executor
 from repro.dataflow.optimizer import SofaOptimizer
 
 
@@ -114,7 +114,7 @@ def test_ablation_optimizer(ctx, benchmark):
         if optimize:
             swaps = SofaOptimizer().optimize(plan).n_swaps
         started = time.perf_counter()
-        outputs, _ = LocalExecutor().execute(
+        outputs, _ = Executor().execute(
             plan, [d.copy_shallow() for d in documents])
         return time.perf_counter() - started, swaps, outputs
 

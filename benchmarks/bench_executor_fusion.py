@@ -6,9 +6,10 @@ The physical-execution half of the Section 4.2 war story, measured:
   gene-dictionary load, re-paid by every worker at every task start,
   against building once and re-loading the serialized automaton.
   Criterion: cache-warm tagger construction >= 10x faster than cold.
-* **Execution engines** — the naive materialize-every-edge executor
-  against the fused streaming engine (threads / fork processes).
-  All modes must produce byte-identical sink outputs.
+* **Execution modes** — the executor materializing every edge
+  against the same executor with chain fusion on (in-process / threads
+  / fork processes).  All modes must produce byte-identical sink
+  outputs.
 * **End-to-end** — cold-build + naive execution vs warm-cache + best
   fused execution on the Fig. 2 flow.  Criterion: >= 1.5x.
 
@@ -29,8 +30,9 @@ import time
 
 from reporting import OUT_DIR, format_table, write_report
 
-from repro.core.flows import EXECUTION_MODES, build_fig2_flow, make_executor
+from repro.core.flows import build_fig2_flow
 from repro.corpora.vocabulary import BiomedicalVocabulary
+from repro.dataflow.executor import EXECUTION_MODES, Executor
 from repro.ner.cache import AutomatonCache
 from repro.ner.taggers import build_dictionary_taggers
 from repro.web.htmlgen import PageRenderer
@@ -92,7 +94,7 @@ def test_executor_fusion_and_dictionary_cache(ctx, benchmark, tmp_path):
     mode_reports: dict[str, object] = {}
     mode_outputs = {}
     for mode in EXECUTION_MODES:
-        executor = make_executor(mode, dop=DOP, batch_size=4)
+        executor = Executor(mode, dop=DOP)
         plan = build_fig2_flow(pipeline)
         copies = [d.copy_shallow() for d in documents]
         if mode == "fused":

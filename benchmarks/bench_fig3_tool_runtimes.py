@@ -329,7 +329,7 @@ def test_component_runtime_shares(ctx, benchmark):
     complete flow's runtime (measured on a 10k-document sample there;
     a smaller sample here)."""
     from repro.core.flows import build_fig2_flow
-    from repro.dataflow.executor import LocalExecutor
+    from repro.dataflow.executor import Executor
     from repro.web.htmlgen import PageRenderer
 
     renderer = PageRenderer(seed=77)
@@ -341,7 +341,7 @@ def test_component_runtime_shares(ctx, benchmark):
         documents.append(document)
     plan = build_fig2_flow(ctx.pipeline)
     _outputs, report = benchmark.pedantic(
-        lambda: LocalExecutor().execute(
+        lambda: Executor().execute(
             plan, [d.copy_shallow() for d in documents]),
         rounds=1, iterations=1)
     total = sum(s.seconds for s in report.operator_stats)

@@ -59,14 +59,14 @@ def test_fig5_executor_parallel_speedup(ctx, benchmark):
     threads preserves results (speedups are GIL-bound, as startup
     costs bound them on the paper's cluster)."""
     from repro.core.flows import build_linguistic_flow
-    from repro.dataflow.executor import LocalExecutor
+    from repro.dataflow.executor import Executor
 
     documents = ctx.corpus_documents("relevant")[:8]
     plan = build_linguistic_flow(ctx.pipeline, web_input=False)
-    sequential, _ = LocalExecutor().execute(
+    sequential, _ = Executor().execute(
         plan, [d.copy_shallow() for d in documents])
     threaded, _ = benchmark.pedantic(
-        lambda: LocalExecutor(dop=4, use_threads=True).execute(
+        lambda: Executor("threads", dop=4).execute(
             plan, [d.copy_shallow() for d in documents]),
         rounds=1, iterations=1)
     assert len(threaded["linguistics"]) == len(sequential["linguistics"])

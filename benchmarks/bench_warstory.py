@@ -92,7 +92,7 @@ def test_annotation_blowup(ctx, benchmark):
     import json
 
     from repro.core.flows import build_fig2_flow
-    from repro.dataflow.executor import LocalExecutor
+    from repro.dataflow.executor import Executor
     from repro.web.htmlgen import PageRenderer
 
     renderer = PageRenderer(seed=13)
@@ -105,7 +105,7 @@ def test_annotation_blowup(ctx, benchmark):
     input_bytes = sum(len(d.raw) for d in documents)
     plan = build_fig2_flow(ctx.pipeline)
     outputs, _ = benchmark.pedantic(
-        lambda: LocalExecutor().execute(
+        lambda: Executor().execute(
             plan, [d.copy_shallow() for d in documents]),
         rounds=1, iterations=1)
     derived_bytes = sum(

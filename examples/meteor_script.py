@@ -6,7 +6,7 @@ Run:  python examples/meteor_script.py
 """
 
 from repro.core import default_context
-from repro.dataflow.executor import LocalExecutor
+from repro.dataflow.executor import Executor
 from repro.dataflow.meteor import parse_meteor
 from repro.dataflow.optimizer import SofaOptimizer
 from repro.web.htmlgen import PageRenderer
@@ -67,7 +67,7 @@ def main() -> None:
         document.raw = renderer.render(url, "Article", document.text, [])
         document.meta.update({"url": url, "content_type": "text/html"})
         documents.append(document)
-    outputs, execution = LocalExecutor().execute(plan, documents)
+    outputs, execution = Executor().execute(plan, documents)
     print(f"executed in {execution.total_seconds:.2f} s")
     print(f"linguistic mentions: {len(outputs['linguistics'])}")
     print(f"drug mention records: {len(outputs['drug_mentions'])}")

@@ -4,8 +4,9 @@ Subcommands cover the main workflows:
 
 * ``repro crawl``       — run a focused crawl on the synthetic web;
 * ``repro analyze``     — run the content analysis on the four corpora;
-* ``repro flow``        — run the Fig. 2 flow on a chosen execution
-  engine (sequential / threads / fused / fused-processes);
+* ``repro flow``        — run the Fig. 2 flow in a chosen execution
+  mode (sequential / threads / fused / fused-threads /
+  fused-processes);
 * ``repro scalability`` — the simulated-cluster sweeps (Figs. 4-5);
 * ``repro seeds``       — seed generation statistics (Table 1);
 * ``repro facts``       — crawl, extract, and export a fact database;
@@ -33,6 +34,8 @@ from typing import Sequence
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.dataflow.executor import EXECUTION_MODES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Domain-Specific Information "
@@ -106,17 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="documents per corpus (default 12)")
 
     flow = subparsers.add_parser(
-        "flow", help="run the Fig. 2 flow with a chosen execution engine")
+        "flow", help="run the Fig. 2 flow in a chosen execution mode")
     flow.add_argument("--mode", default="fused",
-                      choices=["sequential", "threads", "fused",
-                               "fused-threads", "fused-processes"],
+                      choices=EXECUTION_MODES,
                       help="physical execution mode (default fused)")
     flow.add_argument("--dop", type=int, default=None,
                       help="degree of parallelism (default: CPU count)")
     flow.add_argument("--docs", type=int, default=16,
                       help="documents to run through the flow (default 16)")
-    flow.add_argument("--batch-size", type=int, default=32,
-                      help="records per parallel work batch (default 32)")
     flow.add_argument("--dict-cache", default=None, metavar="DIR",
                       help="persistent dictionary-automaton cache directory"
                            " (skips automaton rebuilds across runs)")
@@ -124,9 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="content-addressed per-sentence annotation cache"
                            " directory (POS + CRF results persist across"
                            " runs)")
-    flow.add_argument("--pos-beam", type=int, default=None, metavar="N",
-                      help="Viterbi beam width for the frozen POS kernel"
-                           " (default: exact search)")
     flow.add_argument("--repeat", type=int, default=1, metavar="N",
                       help="run the flow N times through one reusable "
                            "FlowSession (plan/executor built once; "
@@ -535,8 +532,7 @@ def cmd_flow(args) -> int:
 
     ctx = _context(args, corpus_docs=max(8, args.docs),
                    dictionary_cache_dir=args.dict_cache,
-                   annotation_cache_dir=args.anno_cache,
-                   pos_beam_width=args.pos_beam)
+                   annotation_cache_dir=args.anno_cache)
     dictionary_seconds = sum(
         tagger.dictionary.build_seconds
         for tagger in ctx.pipeline.dictionary_taggers.values())
@@ -562,7 +558,6 @@ def cmd_flow(args) -> int:
 
         tracer = Tracer()
     session = FlowSession(ctx.pipeline, mode=args.mode, dop=dop,
-                          batch_size=args.batch_size,
                           metrics=metrics, tracer=tracer,
                           fuse_annotators=not args.reference_annotators)
     if session.fused_stages:

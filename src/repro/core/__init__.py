@@ -16,7 +16,7 @@ analytics.
 from repro.core.pipeline import TextAnalyticsPipeline
 from repro.core.flows import (
     build_fig2_flow, build_linguistic_flow, build_entity_flow,
-    make_executor, run_flow, EXECUTION_MODES, FIG2_METEOR_SCRIPT,
+    run_flow, EXECUTION_MODES, FIG2_METEOR_SCRIPT,
 )
 from repro.core.analysis import (
     CorpusStats, analyze_corpus, compare_corpora, entity_overlap,
@@ -29,7 +29,6 @@ __all__ = [
     "build_fig2_flow",
     "build_linguistic_flow",
     "build_entity_flow",
-    "make_executor",
     "run_flow",
     "EXECUTION_MODES",
     "FIG2_METEOR_SCRIPT",

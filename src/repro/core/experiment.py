@@ -49,8 +49,6 @@ class ContextConfig:
     #: Directory for the content-addressed per-sentence annotation
     #: cache (None disables caching; see repro.nlp.anno_cache).
     annotation_cache_dir: str | None = None
-    #: Viterbi beam width for the frozen POS kernel (None = exact).
-    pos_beam_width: int | None = None
 
 
 class ReproductionContext:
@@ -83,8 +81,7 @@ class ReproductionContext:
                 n_training_docs=self.config.n_training_docs,
                 crf_iterations=self.config.crf_iterations,
                 dictionary_cache=self.config.dictionary_cache_dir,
-                annotation_cache=self.config.annotation_cache_dir,
-                pos_beam_width=self.config.pos_beam_width)
+                annotation_cache=self.config.annotation_cache_dir)
         return self._pipeline
 
     def corpora(self) -> dict[str, list[GoldDocument]]:

@@ -18,16 +18,13 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.core.pipeline import TextAnalyticsPipeline
-from repro.dataflow.executor import ExecutionReport, LocalExecutor
-from repro.dataflow.fusion import StreamingExecutor
+from repro.dataflow.executor import (
+    EXECUTION_MODES, ExecutionReport, Executor,
+)
 from repro.dataflow.packages import make_operator
 from repro.dataflow.plan import LogicalPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-
-#: Physical execution modes (docs/dataflow.md, "Physical execution").
-EXECUTION_MODES = ("sequential", "threads", "fused", "fused-threads",
-                   "fused-processes")
 
 FIG2_METEOR_SCRIPT = """
 -- Consolidated biomedical web analysis (core of Fig. 2)
@@ -178,48 +175,14 @@ def build_entity_flow(pipeline: TextAnalyticsPipeline,
     return plan
 
 
-def make_executor(mode: str = "sequential", dop: int = 1,
-                  batch_size: int = 32,
-                  metrics: MetricsRegistry | None = None,
-                  tracer: Tracer | None = None,
-                  ) -> LocalExecutor | StreamingExecutor:
-    """Executor factory for the physical execution modes.
-
-    ``sequential``/``threads`` use the materializing
-    :class:`LocalExecutor`; the ``fused*`` modes use the
-    :class:`StreamingExecutor`, which pipelines fused operator chains
-    and (for ``fused-processes``) escapes the GIL via a fork pool.
-    All modes produce byte-identical sink outputs.  ``metrics`` and
-    ``tracer`` attach the observability subsystem (docs/observability.md);
-    execution results are unchanged either way.
-    """
-    if mode == "sequential":
-        return LocalExecutor(metrics=metrics, tracer=tracer)
-    if mode == "threads":
-        return LocalExecutor(dop=dop, use_threads=True,
-                             metrics=metrics, tracer=tracer)
-    if mode == "fused":
-        return StreamingExecutor(batch_size=batch_size,
-                                 metrics=metrics, tracer=tracer)
-    if mode == "fused-threads":
-        return StreamingExecutor(dop=dop, use_threads=True,
-                                 batch_size=batch_size,
-                                 metrics=metrics, tracer=tracer)
-    if mode == "fused-processes":
-        return StreamingExecutor(dop=dop, use_processes=True,
-                                 batch_size=batch_size,
-                                 metrics=metrics, tracer=tracer)
-    raise ValueError(f"unknown execution mode {mode!r}; "
-                     f"expected one of {EXECUTION_MODES}")
-
-
 def run_flow(plan: LogicalPlan, records: Sequence[Any],
-             mode: str = "fused", dop: int = 1, batch_size: int = 32,
+             mode: str = "fused", dop: int = 1,
              metrics: MetricsRegistry | None = None,
              tracer: Tracer | None = None,
              fuse_annotators: bool = True,
              ) -> tuple[dict[str, list[Any]], ExecutionReport]:
-    """Execute any flow plan with the chosen physical mode.
+    """Execute any flow plan with the chosen physical mode (one of
+    :data:`EXECUTION_MODES`; all produce byte-identical sink outputs).
 
     ``fuse_annotators`` (default on) substitutes one-pass fused
     annotation stages for elementary annotate sub-chains
@@ -235,9 +198,8 @@ def run_flow(plan: LogicalPlan, records: Sequence[Any],
 
         plan = plan.copy_structure()
         fuse_annotation_stage(plan)
-    result = make_executor(mode, dop=dop, batch_size=batch_size,
-                           metrics=metrics,
-                           tracer=tracer).execute(plan, records)
+    result = Executor(mode, dop=dop, metrics=metrics,
+                      tracer=tracer).execute(plan, records)
     flush_annotation_caches(plan, metrics=metrics)
     return result
 
@@ -256,7 +218,7 @@ class FlowSession:
     """
 
     def __init__(self, pipeline: TextAnalyticsPipeline,
-                 mode: str = "fused", dop: int = 1, batch_size: int = 32,
+                 mode: str = "fused", dop: int = 1,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
                  build=build_fig2_flow,
@@ -268,9 +230,8 @@ class FlowSession:
             from repro.dataflow.optimizer import fuse_annotation_stage
 
             self.fused_stages = len(fuse_annotation_stage(self.plan))
-        self.executor = make_executor(mode, dop=dop,
-                                      batch_size=batch_size,
-                                      metrics=metrics, tracer=tracer)
+        self.executor = Executor(mode, dop=dop, metrics=metrics,
+                                 tracer=tracer)
         self.metrics = metrics
         self.runs = 0
         self.last_report: ExecutionReport | None = None

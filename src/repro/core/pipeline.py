@@ -59,7 +59,6 @@ class TextAnalyticsPipeline:
               gene_quadratic_context: bool = False,
               dictionary_cache: "AutomatonCache | str | Path | None" = None,
               annotation_cache: "AnnotationCache | str | Path | None" = None,
-              pos_beam_width: int | None = None,
               ) -> "TextAnalyticsPipeline":
         """Train everything from synthetic gold.
 
@@ -70,8 +69,7 @@ class TextAnalyticsPipeline:
         them — the paper's fix for the per-worker 20-minute load.
         ``annotation_cache`` (an AnnotationCache or a directory path)
         memoizes per-sentence POS/NER results across documents and
-        runs; ``pos_beam_width`` narrows the frozen POS tagger's
-        Viterbi beam (None = exact).
+        runs.
         """
         import dataclasses
 
@@ -96,7 +94,7 @@ class TextAnalyticsPipeline:
         pos_tagger = HmmPosTagger()
         pos_tagger.train(sentence for gold in training
                          for sentence in gold.tagged_sentences())
-        pos_tagger.freeze(beam_width=pos_beam_width)
+        pos_tagger.freeze()
         pos_tagger.annotation_cache = annotation_cache
         classifier = NaiveBayesClassifier(decision_threshold=0.9).fit(
             build_classifier_gold(vocabulary, n_classifier_docs,

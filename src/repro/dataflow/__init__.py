@@ -12,8 +12,10 @@ package re-creates that stack:
   IE, WA, DC) with 60+ registered operators;
 * :mod:`repro.dataflow.plan` — logical plans (operator DAGs);
 * :mod:`repro.dataflow.optimizer` — selectivity/cost-based reordering;
-* :mod:`repro.dataflow.executor` — a local parallel executor with
-  per-operator accounting;
+* :mod:`repro.dataflow.fusion` — plan → execution stages (chain
+  fusion);
+* :mod:`repro.dataflow.executor` — the one local executor (five
+  physical modes) with per-operator accounting;
 * :mod:`repro.dataflow.cluster` — the simulated cluster used for the
   scale-up/scale-out and war-story experiments (Figs. 4-5);
 * :mod:`repro.dataflow.meteor` — a Meteor-like script front-end.
@@ -23,14 +25,11 @@ from repro.dataflow.operators import (
     Operator, MapOperator, FilterOperator, FlatMapOperator, UdfOperator,
 )
 from repro.dataflow.record import Record, parse_path
-from repro.dataflow.physical import (
-    PhysicalExecutor, PhysicalPlan, Stage, compile_chain, compile_physical,
-)
 from repro.dataflow.plan import LogicalPlan, PlanNode
 from repro.dataflow.optimizer import SofaOptimizer
-from repro.dataflow.executor import LocalExecutor, ExecutionReport
-from repro.dataflow.fusion import (
-    FusedPlan, FusedStage, StreamingExecutor, fuse_plan,
+from repro.dataflow.fusion import FusedPlan, FusedStage, fuse_plan
+from repro.dataflow.executor import (
+    EXECUTION_MODES, ExecutionReport, Executor,
 )
 from repro.dataflow.cluster import (
     ClusterSpec, NodeSpec, SimulatedCluster, OperatorCostModel, FlowRunReport,
@@ -41,11 +40,6 @@ from repro.dataflow.packages import OPERATOR_REGISTRY, make_operator
 __all__ = [
     "Record",
     "parse_path",
-    "PhysicalExecutor",
-    "PhysicalPlan",
-    "Stage",
-    "compile_chain",
-    "compile_physical",
     "Operator",
     "MapOperator",
     "FilterOperator",
@@ -54,11 +48,11 @@ __all__ = [
     "LogicalPlan",
     "PlanNode",
     "SofaOptimizer",
-    "LocalExecutor",
+    "EXECUTION_MODES",
+    "Executor",
     "ExecutionReport",
     "FusedPlan",
     "FusedStage",
-    "StreamingExecutor",
     "fuse_plan",
     "ClusterSpec",
     "NodeSpec",

@@ -1,31 +1,59 @@
-"""Local plan execution with per-operator accounting.
+"""The plan executor, with per-operator accounting.
 
-Executes a :class:`~repro.dataflow.plan.LogicalPlan` over in-memory
-records, node by node in topological order, materializing every edge
-(the HDFS-intermediate behaviour the paper's war story turns on).
-Parallelizable operators can be run with a degree of parallelism:
-records are split into contiguous partitions, processed by a single
-thread pool shared across the whole ``execute()`` call, and merged
-back in the original record order — so parallel output is identical
-to sequential output, not merely set-equal.
+One :class:`Executor` runs a :class:`~repro.dataflow.plan.LogicalPlan`
+over in-memory records in every physical mode (:data:`EXECUTION_MODES`).
+The plan is first grouped into stages by
+:func:`~repro.dataflow.fusion.fuse_plan`: with fusion off every node is
+its own stage, so every edge materializes as a list (the
+HDFS-intermediate behaviour the paper's war story, Section 4.2, turns
+on); with fusion on, maximal linear chains stream through the
+operators' generators and only stage boundaries produce lists — the
+*potential* side of that story.
 
-For pipelined (non-materializing) execution see
-:mod:`repro.dataflow.fusion`.
+The pooled modes fan contiguous record batches of a parallelizable
+stage out over one thread pool or one **fork** process pool per
+``execute()`` call and merge them back in order, so every mode
+produces byte-identical sink outputs, not merely set-equal ones.
+Forked workers inherit the already-built operator chains (taggers,
+automata, CRF weights) by copy-on-write instead of re-building or
+pickling them — the in-process analogue of fixing the paper's
+20-minute per-worker dictionary load.  Only record batches cross the
+process boundary, and the fork pool sidesteps the GIL for CPU-heavy
+stages (POS HMM, CRF, dictionary tagging).
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Sequence
 
-from repro.dataflow.plan import LogicalPlan, PlanNode
+from repro.dataflow.fusion import FusedStage, fork_start_available, fuse_plan
+from repro.dataflow.operators import Operator
+from repro.dataflow.plan import LogicalPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, maybe_span
+
+#: Physical execution modes (docs/dataflow.md, "Physical execution").
+EXECUTION_MODES = ("sequential", "threads", "fused", "fused-threads",
+                   "fused-processes")
+
+#: Records per work batch in the pooled modes (a stage is cut into at
+#: least ``dop`` batches, and more when it holds more than this many
+#: records per worker).
+BATCH_RECORDS = 32
+
+#: Operator chains of the plan currently executing, one per stage,
+#: inherited by forked pool workers (set immediately before the pool
+#: is created so the fork snapshot contains it; cleared when the pool
+#: is torn down).
+_WORKER_STAGES: list[list[Operator]] | None = None
 
 
 def contiguous_partitions(records: Sequence[Any],
@@ -154,8 +182,7 @@ class ExecutionReport:
     operator_stats: list[OperatorStats] = field(default_factory=list)
     total_seconds: float = 0.0
     dop: int = 1
-    #: Engine mode that produced this report ("sequential", "threads",
-    #: "fused", "fused-threads", "fused-processes").
+    #: The :data:`EXECUTION_MODES` entry that produced this report.
     mode: str = "sequential"
 
     def seconds_of(self, operator_name: str) -> float:
@@ -224,23 +251,63 @@ class ExecutionReport:
         publish_report_metrics(self, registry)
 
 
-class LocalExecutor:
-    """Runs plans on the local machine.
+def _run_operator_chain(operators: Sequence[Operator],
+                        records: Sequence[Any]) -> list[Any]:
+    """Stream records through a stage's chain of operator generators."""
+    stream = iter(records)
+    for operator in operators:
+        operator.open()
+        stream = operator.process(stream)
+    return list(stream)
 
-    ``dop`` > 1 partitions the stream for parallelizable operators and
-    processes partitions in one thread pool shared by the whole
-    ``execute()`` call (semantics-preserving; the GIL bounds actual
-    speedups for CPU-heavy UDFs, just as startup costs bound them in
-    the paper's deployment).
+
+def _process_worker(task: tuple[int, list[Any]]) -> list[Any]:
+    stage_index, batch = task
+    assert _WORKER_STAGES is not None, "worker forked without stage table"
+    return _run_operator_chain(_WORKER_STAGES[stage_index], batch)
+
+
+class Executor:
+    """Runs plans on the local machine in one of :data:`EXECUTION_MODES`
+    (all produce byte-identical sink outputs):
+
+    * ``sequential`` — every node its own stage, every edge a list;
+    * ``fused`` — linear chains stream through generators,
+      materializing only at stage boundaries;
+    * ``threads`` / ``fused-threads`` — the same two, with contiguous
+      record batches of parallelizable stages fanned out over one
+      shared thread pool of ``dop`` workers (I/O-bound operators
+      benefit; the GIL bounds CPU-bound ones, just as startup costs
+      bound them in the paper's deployment);
+    * ``fused-processes`` — batches fan out over one shared fork-based
+      process pool, escaping the GIL.  Falls back to ``fused-threads``
+      where ``fork`` is unavailable.
+
+    ``dop`` only matters to the pooled modes; at ``dop=1`` they run
+    without a pool.  ``metrics`` and ``tracer`` attach the
+    observability subsystem (docs/observability.md); execution results
+    are unchanged either way.
     """
 
-    def __init__(self, dop: int = 1, use_threads: bool = False,
+    def __init__(self, mode: str = "sequential", dop: int = 1,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None) -> None:
+        if mode not in EXECUTION_MODES:
+            raise ValueError(f"unknown execution mode {mode!r}; "
+                             f"expected one of {EXECUTION_MODES}")
         if dop < 1:
             raise ValueError("dop must be >= 1")
-        self.dop = dop
-        self.use_threads = use_threads and dop > 1
+        if mode == "fused-processes" and dop > 1 \
+                and not fork_start_available():
+            # Without fork, degrade to threads rather than fail.
+            warnings.warn(
+                "fused-processes needs the 'fork' multiprocessing start "
+                "method, which this platform/configuration does not "
+                "provide; falling back to fused-threads",
+                RuntimeWarning, stacklevel=2)
+            mode = "fused-threads"
+        self.mode = mode
+        self.dop = dop if mode.endswith(("threads", "processes")) else 1
         self.metrics = metrics
         self.tracer = tracer
 
@@ -251,64 +318,74 @@ class LocalExecutor:
         If the plan has no marked sinks, the outputs of all leaf nodes
         are returned under their operator names.
         """
-        report = ExecutionReport(
-            dop=self.dop, mode="threads" if self.use_threads else "sequential")
+        global _WORKER_STAGES
+        staged = fuse_plan(plan, fuse=self.mode.startswith("fused"))
+        report = ExecutionReport(dop=self.dop, mode=self.mode)
         started = time.perf_counter()
         outputs: dict[int, list[Any]] = {}
-        order = plan.topological_order()
-        pool = (ThreadPoolExecutor(max_workers=self.dop)
-                if self.use_threads else None)
-        with maybe_span(self.tracer, "dataflow.execute", mode=report.mode,
-                        dop=self.dop, records=len(source_records)) as span:
-            try:
-                for node in order:
-                    inputs = (list(source_records) if not node.inputs
-                              else list(chain.from_iterable(
-                                  outputs[p.node_id] for p in node.inputs)))
-                    outputs[node.node_id] = self._run_node(node, inputs,
-                                                           report, pool)
-            finally:
-                if pool is not None:
-                    pool.shutdown()
-            span.set(stages=len(report.operator_stats))
+        process_pool = None
+        thread_pool = None
+        try:
+            if self.dop > 1 and self.mode == "fused-processes":
+                _WORKER_STAGES = [stage.operators for stage in staged.stages]
+                process_pool = multiprocessing.get_context("fork").Pool(
+                    processes=self.dop)
+            elif self.dop > 1:
+                thread_pool = ThreadPoolExecutor(max_workers=self.dop)
+            with maybe_span(self.tracer, "dataflow.execute",
+                            mode=self.mode, dop=self.dop,
+                            records=len(source_records)) as span:
+                for stage in staged.stages:
+                    records = (list(source_records) if not stage.inputs
+                               else list(chain.from_iterable(
+                                   outputs[parent.stage_id]
+                                   for parent in stage.inputs)))
+                    snapshots = snapshot_annotation_caches(stage.operators)
+                    with maybe_span(self.tracer, "dataflow.stage",
+                                    stage=stage.name,
+                                    records_in=len(records)) as stage_span:
+                        stage_started = time.perf_counter()
+                        result = self._run_stage(stage, records,
+                                                 process_pool, thread_pool)
+                        elapsed = time.perf_counter() - stage_started
+                        stage_span.set(records_out=len(result))
+                    hits, misses = annotation_cache_deltas(snapshots)
+                    outputs[stage.stage_id] = result
+                    report.operator_stats.append(OperatorStats(
+                        name=stage.name, records_in=len(records),
+                        records_out=len(result), seconds=elapsed,
+                        operators=stage.operator_names,
+                        est_output_bytes=estimate_records_bytes(result),
+                        cache_hits=hits, cache_misses=misses))
+                span.set(stages=len(report.operator_stats))
+        finally:
+            if process_pool is not None:
+                process_pool.close()
+                process_pool.join()
+                _WORKER_STAGES = None
+            if thread_pool is not None:
+                thread_pool.shutdown()
         report.total_seconds = time.perf_counter() - started
         if self.metrics is not None:
             report.publish_to(self.metrics)
-        sinks = plan.sinks or self._leaf_sinks(plan)
-        return ({name: outputs[node.node_id]
-                 for name, node in sinks.items()}, report)
+        return ({name: outputs[stage.stage_id]
+                 for name, stage in staged.sinks.items()}, report)
 
-    def _run_node(self, node: PlanNode, records: list[Any],
-                  report: ExecutionReport,
-                  pool: ThreadPoolExecutor | None) -> list[Any]:
-        operator = node.operator
-        operator.open()
-        snapshots = snapshot_annotation_caches((operator,))
-        with maybe_span(self.tracer, "dataflow.stage",
-                        stage=operator.name,
-                        records_in=len(records)) as span:
-            started = time.perf_counter()
-            if (pool is not None and operator.parallelizable
-                    and len(records) > 1):
-                partitions = contiguous_partitions(records, self.dop)
-                parts = list(pool.map(
-                    lambda part: list(operator.process(part)), partitions))
-                result = list(chain.from_iterable(parts))
-            else:
-                result = list(operator.process(records))
-            elapsed = time.perf_counter() - started
-            span.set(records_out=len(result))
-        hits, misses = annotation_cache_deltas(snapshots)
-        report.operator_stats.append(OperatorStats(
-            name=operator.name, records_in=len(records),
-            records_out=len(result), seconds=elapsed,
-            operators=(operator.name,),
-            est_output_bytes=estimate_records_bytes(result),
-            cache_hits=hits, cache_misses=misses))
-        return result
-
-    @staticmethod
-    def _leaf_sinks(plan: LogicalPlan) -> dict[str, PlanNode]:
-        has_consumer = set(plan.consumers())
-        return {node.name: node for node in plan.nodes
-                if node.node_id not in has_consumer}
+    def _run_stage(self, stage: FusedStage, records: list[Any],
+                   process_pool, thread_pool) -> list[Any]:
+        pooled = process_pool is not None or thread_pool is not None
+        if not (pooled and stage.parallel and len(records) > 1):
+            return _run_operator_chain(stage.operators, records)
+        batches = contiguous_partitions(
+            records, max(self.dop, -(-len(records) // BATCH_RECORDS)))
+        if process_pool is not None:
+            parts = process_pool.map(
+                _process_worker,
+                [(stage.stage_id, batch) for batch in batches])
+        else:
+            parts = list(thread_pool.map(
+                lambda batch: _run_operator_chain(stage.operators, batch),
+                batches))
+        # Batches are contiguous and both pools' map() preserve task
+        # order, so this concatenation restores the sequential order.
+        return list(chain.from_iterable(parts))

@@ -1,70 +1,25 @@
-"""Streaming fused execution: chain fusion, batching, process workers.
+"""Chain fusion: group a logical plan's nodes into execution stages.
 
 The paper's war story (Section 4.2) is a list of physical-execution
-pitfalls: every intermediate materialized through HDFS, every worker
-re-paying tool startup, and parallelism capped by per-worker memory.
-This module is the *potential* side of that story for the local
-engine:
+pitfalls, the first of them every intermediate materialized through
+HDFS.  :func:`fuse_plan` decides what the local engine materializes:
+it groups maximal linear chains of same-kind operators into
+:class:`FusedStage` units.  Inside a stage, records flow through the
+operators' generators without materializing any edge — only stage
+boundaries (fan-in, fan-out, parallelizability changes, and marked
+sinks) produce lists.  With ``fuse=False`` every node is its own
+stage, so every edge materializes.
 
-* :func:`fuse_plan` fuses maximal linear chains of same-kind
-  operators into :class:`FusedStage` units.  Inside a stage, records
-  flow through the operators' generators without materializing any
-  edge — only stage boundaries (fan-in, fan-out, parallelizability
-  changes, and marked sinks) produce lists.
-* :class:`StreamingExecutor` runs a fused plan either in-process, on
-  a thread pool, or on a **process pool** (``use_processes=True``)
-  that sidesteps the GIL for CPU-heavy stages (POS HMM, CRF, and
-  dictionary tagging).  One pool serves the entire ``execute()``
-  call.  Work is dispatched as contiguous record batches and merged
-  back in order, so every mode produces byte-identical sink outputs.
-
-Process workers are created with the ``fork`` start method: they
-inherit the already-built operator chains (taggers, automata, CRF
-weights) by copy-on-write instead of re-building or pickling them —
-the in-process analogue of fixing the paper's 20-minute per-worker
-dictionary load.  Only record batches cross the process boundary.
+:class:`~repro.dataflow.executor.Executor` runs the stages.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Sequence
 
-from repro.dataflow.executor import (
-    ExecutionReport, OperatorStats, annotation_cache_deltas,
-    contiguous_partitions, estimate_records_bytes,
-    snapshot_annotation_caches,
-)
 from repro.dataflow.operators import Operator
 from repro.dataflow.plan import LogicalPlan, PlanNode
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, maybe_span
-
-#: Fused operator chains of the plan currently executing, inherited by
-#: forked pool workers (set immediately before the pool is created so
-#: the fork snapshot contains it; cleared when the pool is torn down).
-_WORKER_STAGES: list[list[Operator]] | None = None
-
-
-def _run_operator_chain(operators: Sequence[Operator],
-                        records: Sequence[Any]) -> list[Any]:
-    """Stream records through a fused chain of operator generators."""
-    stream = iter(records)
-    for operator in operators:
-        operator.open()
-        stream = operator.process(stream)
-    return list(stream)
-
-
-def _process_worker(task: tuple[int, list[Any]]) -> list[Any]:
-    stage_index, batch = task
-    assert _WORKER_STAGES is not None, "worker forked without stage table"
-    return _run_operator_chain(_WORKER_STAGES[stage_index], batch)
 
 
 def fork_start_available() -> bool:
@@ -143,8 +98,9 @@ class FusedPlan:
         return "\n".join(lines)
 
 
-def fuse_plan(plan: LogicalPlan) -> FusedPlan:
-    """Group a logical plan's nodes into maximal fused stages.
+def fuse_plan(plan: LogicalPlan, fuse: bool = True) -> FusedPlan:
+    """Group a logical plan's nodes into maximal fused stages, or
+    (``fuse=False``) into one stage per node.
 
     A node extends its parent's stage iff the edge is linear (single
     input, single consumer), the parent is not a marked sink (sink
@@ -158,7 +114,7 @@ def fuse_plan(plan: LogicalPlan) -> FusedPlan:
     stages: list[FusedStage] = []
     for node in plan.topological_order():
         target = None
-        if len(node.inputs) == 1:
+        if fuse and len(node.inputs) == 1:
             parent = node.inputs[0]
             candidate = stage_of[parent.node_id]
             if (candidate.tail.node_id == parent.node_id
@@ -182,131 +138,3 @@ def fuse_plan(plan: LogicalPlan) -> FusedPlan:
         sinks = {stage.tail.name: stage for stage in stages
                  if stage.stage_id not in consumed}
     return FusedPlan(stages=stages, sinks=sinks)
-
-
-class StreamingExecutor:
-    """Executes fused plans with streamed stages and batch parallelism.
-
-    Modes (all produce byte-identical sink outputs):
-
-    * ``dop=1`` — fused sequential: chains stream through generators,
-      materializing only at stage boundaries;
-    * ``use_threads=True`` — contiguous record batches fan out over one
-      shared thread pool (I/O-bound operators benefit; the GIL bounds
-      CPU-bound ones);
-    * ``use_processes=True`` — batches fan out over one shared
-      fork-based process pool, escaping the GIL for CPU-heavy stages.
-      Falls back to threads where ``fork`` is unavailable.
-    """
-
-    def __init__(self, dop: int = 1, use_threads: bool = False,
-                 use_processes: bool = False, batch_size: int = 32,
-                 metrics: MetricsRegistry | None = None,
-                 tracer: Tracer | None = None) -> None:
-        if dop < 1:
-            raise ValueError("dop must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if use_threads and use_processes:
-            raise ValueError("choose use_threads or use_processes, not both")
-        self.dop = dop
-        self.use_threads = use_threads and dop > 1
-        self.use_processes = use_processes and dop > 1
-        self.batch_size = batch_size
-        self.metrics = metrics
-        self.tracer = tracer
-        if self.use_processes and not fork_start_available():
-            # Without fork, degrade to threads rather than fail.
-            warnings.warn(
-                "fused-processes needs the 'fork' multiprocessing start "
-                "method, which this platform/configuration does not "
-                "provide; falling back to fused-threads",
-                RuntimeWarning, stacklevel=2)
-            self.use_processes = False
-            self.use_threads = True
-
-    @property
-    def mode(self) -> str:
-        if self.use_processes:
-            return "fused-processes"
-        if self.use_threads:
-            return "fused-threads"
-        return "fused"
-
-    def execute(self, plan: LogicalPlan, source_records: Sequence[Any],
-                ) -> tuple[dict[str, list[Any]], ExecutionReport]:
-        """Run the plan fused; returns ({sink_name: records}, report)."""
-        global _WORKER_STAGES
-        fused = fuse_plan(plan)
-        report = ExecutionReport(dop=self.dop, mode=self.mode)
-        started = time.perf_counter()
-        outputs: dict[int, list[Any]] = {}
-        process_pool = None
-        thread_pool = None
-        try:
-            if self.use_processes:
-                _WORKER_STAGES = [stage.operators for stage in fused.stages]
-                process_pool = multiprocessing.get_context("fork").Pool(
-                    processes=self.dop)
-            elif self.use_threads:
-                thread_pool = ThreadPoolExecutor(max_workers=self.dop)
-            with maybe_span(self.tracer, "dataflow.execute",
-                            mode=self.mode, dop=self.dop,
-                            records=len(source_records)) as span:
-                for stage in fused.stages:
-                    records = (list(source_records) if not stage.inputs
-                               else list(chain.from_iterable(
-                                   outputs[parent.stage_id]
-                                   for parent in stage.inputs)))
-                    snapshots = snapshot_annotation_caches(stage.operators)
-                    with maybe_span(self.tracer, "dataflow.stage",
-                                    stage=stage.name,
-                                    records_in=len(records)) as stage_span:
-                        stage_started = time.perf_counter()
-                        result = self._run_stage(stage, records,
-                                                 process_pool, thread_pool)
-                        elapsed = time.perf_counter() - stage_started
-                        stage_span.set(records_out=len(result))
-                    hits, misses = annotation_cache_deltas(snapshots)
-                    outputs[stage.stage_id] = result
-                    report.operator_stats.append(OperatorStats(
-                        name=stage.name, records_in=len(records),
-                        records_out=len(result), seconds=elapsed,
-                        operators=stage.operator_names,
-                        est_output_bytes=estimate_records_bytes(result),
-                        cache_hits=hits, cache_misses=misses))
-                span.set(stages=len(report.operator_stats))
-        finally:
-            if process_pool is not None:
-                process_pool.close()
-                process_pool.join()
-                _WORKER_STAGES = None
-            if thread_pool is not None:
-                thread_pool.shutdown()
-        report.total_seconds = time.perf_counter() - started
-        if self.metrics is not None:
-            report.publish_to(self.metrics)
-        return ({name: outputs[stage.stage_id]
-                 for name, stage in fused.sinks.items()}, report)
-
-    def _run_stage(self, stage: FusedStage, records: list[Any],
-                   process_pool, thread_pool) -> list[Any]:
-        pooled = process_pool is not None or thread_pool is not None
-        if not (pooled and stage.parallel and len(records) > 1):
-            return _run_operator_chain(stage.operators, records)
-        batches = self._batches(records)
-        if process_pool is not None:
-            parts = process_pool.map(
-                _process_worker,
-                [(stage.stage_id, batch) for batch in batches])
-        else:
-            parts = list(thread_pool.map(
-                lambda batch: _run_operator_chain(stage.operators, batch),
-                batches))
-        # Batches are contiguous and both pools' map() preserve task
-        # order, so this concatenation restores the sequential order.
-        return list(chain.from_iterable(parts))
-
-    def _batches(self, records: list[Any]) -> list[list[Any]]:
-        n_batches = max(self.dop, -(-len(records) // self.batch_size))
-        return contiguous_partitions(records, n_batches)

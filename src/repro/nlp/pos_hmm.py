@@ -14,10 +14,10 @@ Two decoding kernels share the model:
   :class:`_FrozenHmm`) compiles the trained model into integer-indexed
   dense structures (a precomputed interpolated transition log-prob
   tensor over tag-pair states, per-word candidate-tag/emission arrays,
-  a shape-emission table) and decodes over those, optionally with a
-  beam.  It produces *identical* tag sequences (same floats, same
-  tie-breaking) several times faster; ``tag()`` dispatches to it
-  automatically once the model is frozen.
+  a shape-emission table) and decodes over those.  It produces
+  *identical* tag sequences (same floats, same tie-breaking) several
+  times faster; ``tag()`` dispatches to it automatically once the
+  model is frozen.
 
 Operational quirks of the original are modelled explicitly: runtime is
 linear in sentence length but fluctuates, and sentences beyond
@@ -47,12 +47,6 @@ _UNK_SHAPES = (
 #: lists instead of numpy — per-call overhead dwarfs vector wins on
 #: the tiny steps that known words with few candidate tags produce.
 _SMALL_STEP_CELLS = 192
-
-#: ``decode_batch`` kernel dispatch: one scalar trellis cell (python
-#: loop) costs about this many padded tensor cells (numpy).  Measured
-#: on the flow-throughput bench; only the crossover point depends on
-#: it, never the output.
-_SCALAR_BATCH_COST_RATIO = 32
 
 #: Shared backpointer matrix for forced (single-cell) trellis steps;
 #: read-only in backtrace, so one instance serves every step.
@@ -103,14 +97,9 @@ class _FrozenHmm:
     """
 
     __slots__ = ("ext_tags", "start_id", "trans", "trans_list",
-                 "word_table", "shape_table", "beam_width", "n_tags",
-                 "exact_table", "emission_rows", "_emission_row_list")
+                 "word_table", "shape_table", "n_tags", "exact_table")
 
-    def __init__(self, tagger: "HmmPosTagger",
-                 beam_width: int | None = None) -> None:
-        if beam_width is not None and beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        self.beam_width = beam_width
+    def __init__(self, tagger: "HmmPosTagger") -> None:
         ext = sorted([*tagger.tags, _START])
         self.ext_tags = ext
         self.n_tags = len(tagger.tags)
@@ -125,11 +114,6 @@ class _FrozenHmm:
                     trans[i2, i1, index[tag]] = value
         self.trans = trans
         self.trans_list = trans.tolist()
-        # Dense full-tagset emission rows, one per table entry (row 0
-        # is the all--inf padding row); decode_batch gathers per-token
-        # emission matrices from this with one fancy index.
-        self._emission_row_list: list[np.ndarray] = [
-            np.full(n_ext, -np.inf)]
         self.word_table: dict[str, tuple] = {}
         for word, tags in tagger._word_tags.items():
             ids = np.array([index[t] for t in tags], dtype=np.intp)
@@ -150,34 +134,21 @@ class _FrozenHmm:
         #: lookup; grows with distinct forms seen, which natural text
         #: bounds tightly (Heaps' law) relative to tokens decoded.
         self.exact_table: dict[str, tuple] = {}
-        self.emission_rows = np.stack(self._emission_row_list)
 
-    def _entry(self, ids: np.ndarray, emis: np.ndarray) -> tuple:
+    @staticmethod
+    def _entry(ids: np.ndarray, emis: np.ndarray) -> tuple:
         """One lookup-table entry, with everything the decode loop
         would otherwise rebuild per step precomputed: plain-list ids
-        and emissions, (id, emission) pairs, a shared zero backpointer
-        row, and the entry's row index in ``emission_rows``."""
+        and emissions, (id, emission) pairs, and a shared zero
+        backpointer row."""
         ids_list = ids.tolist()
         emis_list = emis.tolist()
-        row = np.full(len(self.ext_tags), -np.inf)
-        row[ids] = emis
-        row_index = len(self._emission_row_list)
-        self._emission_row_list.append(row)
         return (ids, emis, ids_list, emis_list,
-                list(zip(ids_list, emis_list)), [0] * len(ids_list),
-                row_index)
-
-    def _lookup(self, word: str) -> tuple:
-        entry = self.word_table.get(word.lower())
-        if entry is None:
-            entry = self.shape_table[_shape(word)]
-        return entry
+                list(zip(ids_list, emis_list)), [0] * len(ids_list))
 
     def decode(self, words: Sequence[str]) -> list[str]:
         """Viterbi over the dense structures; identical output to the
-        reference kernel (``beam_width=None``) or a top-k pruned
-        approximation of it."""
-        beam = self.beam_width
+        reference kernel."""
         trans_list = self.trans_list
         word_table = self.word_table
         shape_table = self.shape_table
@@ -193,7 +164,7 @@ class _FrozenHmm:
         i = 0
         n = len(words)
         while i < n:
-            if beam is None and len(pp_ids) == 1 and len(p_ids) == 1:
+            if len(pp_ids) == 1 and len(p_ids) == 1:
                 # Forced-run lane: while a single state chains into
                 # single-candidate words the path is forced — no max,
                 # no trellis matrices, just a scalar accumulator.
@@ -238,12 +209,12 @@ class _FrozenHmm:
                     if entry is None:
                         entry = shape_table[_shape(word)]
                     exact_table[word] = entry
-            cand_np, emis_np, cand, emis, pairs, zero_row, _row = entry
+            cand_np, emis_np, cand, emis, pairs, zero_row = entry
             if not cand:
                 raise TaggerCrash("no viable tag path (empty model?)")
             n_pp = len(pp_ids)
             cells = n_pp * len(p_ids) * len(cand)
-            if beam is None and cells <= _SMALL_STEP_CELLS:
+            if cells <= _SMALL_STEP_CELLS:
                 rows = scores if isinstance(scores, list) \
                     else scores.tolist()
                 new_scores: list | np.ndarray = []
@@ -285,130 +256,11 @@ class _FrozenHmm:
                     np.asarray(p_ids, dtype=np.intp), cand_np)]
                 args = expanded.argmax(axis=0)
                 new_scores = expanded.max(axis=0) + emis_np
-                if beam is not None and new_scores.size > beam:
-                    flat = new_scores.ravel()
-                    threshold = np.partition(
-                        flat, flat.size - beam)[flat.size - beam]
-                    new_scores = np.where(new_scores >= threshold,
-                                          new_scores, -np.inf)
             steps.append((p_ids, cand, args))
             pp_ids, p_ids = p_ids, cand
             scores = new_scores
             i += 1
         return self._backtrace(scores, steps)
-
-    def decode_batch(self, batch: Sequence[Sequence[str]],
-                     ) -> list[list[str]]:
-        """Viterbi over many sentences in one padded tensor pass.
-
-        Sentences are packed into a single ``(B, E, E)`` state tensor
-        over the *full* extended tagset: non-candidate tags carry
-        ``-inf`` emissions, so they can never win a max against a live
-        path (transition log-probs are floored at -50.0, never -inf,
-        and live-path scores stay finite).  Active cells therefore see
-        the exact same float operations, in the same association
-        ``(score + trans) + emis``, as every per-sentence lane — and
-        because ascending tag ids are lexicographic order, the full-
-        space first-maximum ``argmax`` resolves ties identically.
-        Output is bit-identical to ``[decode(s) for s in batch]``.
-
-        Shorter sentences retire from the active prefix as the time
-        loop passes their length (batch is processed longest-first and
-        unsorted on return); each sentence's final-state matrix is
-        snapshotted at its own last step.
-
-        Batches dominated by narrow candidate sets dispatch to the
-        per-sentence scalar kernel instead — same output, the padded
-        tensor just cannot beat the forced-run lane there.
-        """
-        if self.beam_width is not None:
-            # Beam pruning is a per-sentence top-k; batching would
-            # change which states survive. Keep exact per-sentence
-            # semantics by falling back.
-            return [self.decode(words) for words in batch]
-        results: list[list[str] | None] = [None] * len(batch)
-        jobs: list[tuple[int, Sequence[str]]] = []
-        for idx, words in enumerate(batch):
-            if words:
-                jobs.append((idx, words))
-            else:
-                results[idx] = []
-        if not jobs:
-            return results
-        if len(jobs) == 1:
-            idx, words = jobs[0]
-            results[idx] = self.decode(words)
-            return results
-        jobs.sort(key=lambda job: -len(job[1]))
-        lengths = [len(words) for _idx, words in jobs]
-        n_batch, n_steps = len(jobs), lengths[0]
-        n_ext = len(self.ext_tags)
-        word_table = self.word_table
-        shape_table = self.shape_table
-        exact_table = self.exact_table
-        index_rows = [[0] * n_steps for _ in range(n_batch)]
-        scalar_cells = 0
-        for b, (_idx, words) in enumerate(jobs):
-            row = index_rows[b]
-            width_pp = width_p = 1
-            for t, word in enumerate(words):
-                entry = exact_table.get(word)
-                if entry is None:
-                    entry = word_table.get(word.lower())
-                    if entry is None:
-                        entry = shape_table[_shape(word)]
-                    exact_table[word] = entry
-                width = len(entry[2])
-                if not width:
-                    raise TaggerCrash("no viable tag path (empty model?)")
-                scalar_cells += width_pp * width_p * width
-                width_pp, width_p = width_p, width
-                row[t] = entry[6]
-        # Kernel dispatch by predicted cost.  The padded tensor pass
-        # spends n_ext**3 cells per (sentence, step) no matter how
-        # narrow the candidate sets are, while the scalar kernel's
-        # trellis is bounded by the product of adjacent candidate
-        # widths — near-free on the single-tag runs that dominate
-        # natural text.  The tensor only pays off when wide candidate
-        # sets (unknown shapes, rich tagsets) dominate the batch;
-        # both kernels are bit-identical, so this is invisible.
-        if scalar_cells * _SCALAR_BATCH_COST_RATIO < \
-                sum(lengths) * n_ext ** 3:
-            for idx, words in jobs:
-                results[idx] = self.decode(words)
-            return results
-        emissions = self.emission_rows[
-            np.asarray(index_rows, dtype=np.intp)]
-        trans = self.trans
-        scores = np.full((n_batch, n_ext, n_ext), -np.inf)
-        scores[:, self.start_id, self.start_id] = 0.0
-        steps: list[np.ndarray] = []
-        finals: list[np.ndarray | None] = [None] * n_batch
-        active = n_batch
-        for t in range(n_steps):
-            while active and lengths[active - 1] <= t:
-                active -= 1
-            expanded = scores[:active, :, :, None] + trans
-            args = expanded.argmax(axis=1)
-            new_scores = expanded.max(axis=1) + emissions[:active, t,
-                                                          None, :]
-            for b in range(active):
-                if lengths[b] == t + 1:
-                    finals[b] = new_scores[b]
-            scores[:active] = new_scores
-            steps.append(args)
-        names = self.ext_tags
-        for b, (idx, words) in enumerate(jobs):
-            n = len(words)
-            final = finals[b]
-            x, y = divmod(int(final.argmax()), n_ext)
-            tags = [""] * n
-            tags[n - 1] = names[y]
-            for t in range(n - 1, 0, -1):
-                tags[t - 1] = names[x]
-                x, y = int(steps[t][b][x, y]), x
-            results[idx] = tags
-        return results
 
     def _backtrace(self, scores, steps) -> list[str]:
         # Final state: first maximum in (t_prev2, t_prev1) id order —
@@ -524,17 +376,15 @@ class HmmPosTagger:
     def frozen(self) -> bool:
         return self._frozen is not None
 
-    def freeze(self, beam_width: int | None = None) -> "HmmPosTagger":
+    def freeze(self) -> "HmmPosTagger":
         """Compile the trained model into the dense array kernel.
 
-        ``beam_width`` keeps only the best-scoring ``beam_width``
-        trellis states per token (ties inclusive); ``None`` decodes
-        exactly.  Further :meth:`train` calls drop the compiled form —
-        re-freeze after incremental training.
+        Further :meth:`train` calls drop the compiled form — re-freeze
+        after incremental training.
         """
         if not self._trained:
             raise RuntimeError("tagger has not been trained")
-        self._frozen = _FrozenHmm(self, beam_width=beam_width)
+        self._frozen = _FrozenHmm(self)
         return self
 
     def fingerprint(self) -> str:
@@ -641,10 +491,9 @@ class HmmPosTagger:
         """Decode many sentences at once, bit-identical to
         ``[tag(s) for s in batch]``.
 
-        With the frozen kernel, cache misses are packed into one
-        padded tensor decode (:meth:`_FrozenHmm.decode_batch`), so
-        per-call overhead amortizes across the batch — the kernel the
-        serve-layer request coalescer feeds.  Cache lookups, stores,
+        The entry point the one-pass engine and the serve-layer
+        request coalescer feed.  Cache misses decode per sentence
+        through the same kernel as :meth:`tag`; cache lookups, stores,
         and crash semantics match the per-sentence path exactly; any
         over-limit sentence raises :class:`TaggerCrash` before any
         work is done, like mapping :meth:`tag` would on its first
@@ -669,16 +518,12 @@ class HmmPosTagger:
                     results[i] = list(cached)
                     continue
             pending.append(i)
-        if pending:
-            if self._frozen is not None:
-                decoded = self._frozen.decode_batch(
-                    [sentences[i] for i in pending])
-            else:
-                decoded = [self._tag_dict(sentences[i]) for i in pending]
-            for i, tags in zip(pending, decoded):
-                results[i] = tags
-                if cache is not None:
-                    cache.store(fingerprint, sentences[i], tags)
+        decode = (self._frozen.decode if self._frozen is not None
+                  else self._tag_dict)
+        for i in pending:
+            results[i] = tags = decode(sentences[i])
+            if cache is not None:
+                cache.store(fingerprint, sentences[i], tags)
         return results
 
     def tag_tokens_batch(self, token_lists: Sequence[Sequence]) -> list[list]:

@@ -10,7 +10,7 @@ from repro.core.flows import (
     FIG2_METEOR_SCRIPT, build_entity_flow, build_fig2_flow,
     build_linguistic_flow,
 )
-from repro.dataflow.executor import LocalExecutor
+from repro.dataflow.executor import Executor
 from repro.dataflow.meteor import parse_meteor
 from repro.dataflow.optimizer import SofaOptimizer
 from repro.web.htmlgen import PageRenderer
@@ -93,7 +93,7 @@ class TestFlows:
 
     def test_fig2_executes_end_to_end(self, pipeline, web_documents):
         plan = build_fig2_flow(pipeline)
-        outputs, _report = LocalExecutor().execute(
+        outputs, _report = Executor().execute(
             plan, [d.copy_shallow() for d in web_documents])
         assert set(outputs) == {"sentences", "linguistics", "entities",
                                 "entity_frequencies", "edges",
@@ -104,16 +104,16 @@ class TestFlows:
     def test_fig2_optimizer_runs_and_preserves_sinks(self, pipeline,
                                                      web_documents):
         plan = build_fig2_flow(pipeline)
-        baseline, _ = LocalExecutor().execute(
+        baseline, _ = Executor().execute(
             plan, [d.copy_shallow() for d in web_documents])
         SofaOptimizer().optimize(plan)
-        optimized, _ = LocalExecutor().execute(
+        optimized, _ = Executor().execute(
             plan, [d.copy_shallow() for d in web_documents])
         assert len(optimized["entities"]) == len(baseline["entities"])
 
     def test_linguistic_flow(self, pipeline, web_documents):
         plan = build_linguistic_flow(pipeline)
-        outputs, _ = LocalExecutor().execute(
+        outputs, _ = Executor().execute(
             plan, [d.copy_shallow() for d in web_documents])
         categories = {r["category"] for r in outputs["linguistics"]}
         assert categories <= {"negation", "pronoun", "parenthesis"}
@@ -121,7 +121,7 @@ class TestFlows:
 
     def test_entity_flow_methods(self, pipeline, web_documents):
         plan = build_entity_flow(pipeline, methods=("dictionary",))
-        outputs, _ = LocalExecutor().execute(
+        outputs, _ = Executor().execute(
             plan, [d.copy_shallow() for d in web_documents])
         assert all(r["method"] == "dictionary"
                    for r in outputs["entities"])
@@ -133,7 +133,7 @@ class TestFlows:
             "gene_dict": pipeline.dictionary_taggers["gene"],
             "gene_ml": pipeline.ml_taggers["gene"],
         })
-        outputs, _ = LocalExecutor().execute(
+        outputs, _ = Executor().execute(
             plan, [d.copy_shallow() for d in web_documents])
         assert set(outputs) == {"linguistics", "entities"}
 

@@ -153,8 +153,7 @@ class TestFlowEquivalence:
     def _run(self, pipeline, texts, mode, fuse, dop=1):
         plan = build_entity_flow(pipeline, web_input=False)
         outputs, _ = run_flow(plan, _documents(texts), mode=mode,
-                              dop=dop, batch_size=2,
-                              fuse_annotators=fuse)
+                              dop=dop, fuse_annotators=fuse)
         return outputs
 
     def test_all_modes_match_unfused_reference(self, pipeline, texts):

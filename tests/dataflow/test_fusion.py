@@ -1,4 +1,4 @@
-"""Tests for chain fusion and the streaming/parallel executors.
+"""Tests for chain fusion and the executor's five physical modes.
 
 The load-bearing property is *mode equivalence*: every physical
 execution mode (sequential, threads, fused, fused-threads,
@@ -12,13 +12,11 @@ import random
 
 import pytest
 
-from repro.core.flows import EXECUTION_MODES, make_executor, run_flow
+from repro.core.flows import EXECUTION_MODES, run_flow
 from repro.dataflow.executor import (
-    LocalExecutor, contiguous_partitions, estimate_records_bytes,
+    BATCH_RECORDS, Executor, contiguous_partitions, estimate_records_bytes,
 )
-from repro.dataflow.fusion import (
-    FusedPlan, StreamingExecutor, fuse_plan,
-)
+from repro.dataflow.fusion import FusedPlan, fuse_plan
 from repro.dataflow.operators import (
     FilterOperator, FlatMapOperator, MapOperator, UdfOperator,
 )
@@ -110,8 +108,16 @@ class TestFusePlan:
         fused = fuse_plan(plan)
         assert [stage.name for stage in fused.stages] == \
             ["fused[inc > drop3]", "downstream"]
-        outputs, _ = StreamingExecutor().execute(plan, list(range(10)))
+        outputs, _ = Executor("fused").execute(plan, list(range(10)))
         assert set(outputs) == {"mid", "final"}
+
+    def test_fuse_off_is_one_stage_per_node(self):
+        plan = _linear_plan()
+        staged = fuse_plan(plan, fuse=False)
+        assert [stage.name for stage in staged.stages] == \
+            ["inc", "dup", "drop3"]
+        assert staged.n_fused == 0
+        assert list(staged.sinks) == ["out"]
 
     def test_fig2_flow_fuses(self, context):
         from repro.core.flows import build_fig2_flow
@@ -144,6 +150,29 @@ def _random_plan(rng):
     return plan
 
 
+def _pair_up(name="pair_up"):
+    """Consumes its input in a single pass, two records per step — only
+    correct when handed one iterator it alone advances."""
+    def fn(stream):
+        for first in stream:
+            yield (first, next(stream, None))
+    return UdfOperator(name, fn)
+
+
+def _diamond_plan():
+    """Fan-out into two branches, fan-in again, no marked sinks."""
+    plan = LogicalPlan()
+    head = plan.chain([_inc(), _dup()])
+    left = plan.add(_drop3("left"), head)
+    right = plan.chain([MapOperator("neg", lambda r: -r),
+                        _pair_up(), MapOperator("first", lambda r: r[0])],
+                       after=head)
+    union = plan.add(_prefix_sum("union"), [left, right])
+    plan.add(_inc("leaf_a"), union)
+    plan.add(_drop3("leaf_b"), union)
+    return plan
+
+
 class TestModeEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_all_modes_identical_on_random_plans(self, seed):
@@ -152,28 +181,56 @@ class TestModeEquivalence:
         reference = None
         for mode in EXECUTION_MODES:
             outputs, report = run_flow(_random_plan(random.Random(seed)),
-                                       list(records), mode=mode, dop=3,
-                                       batch_size=4)
+                                       list(records), mode=mode, dop=3)
             if reference is None:
                 reference = outputs
             else:
                 assert outputs == reference, mode
             assert report.mode in (mode, "fused-threads")
 
+    def test_all_modes_identical_on_fan_in_fan_out(self):
+        """Unmarked leaves are the sinks, named by their operators;
+        the union and the single-pass operator see their inputs in
+        plan order in every mode."""
+        records = list(range(70))
+        reference = None
+        for mode in EXECUTION_MODES:
+            outputs, _ = Executor(mode, dop=3).execute(_diamond_plan(),
+                                                       records)
+            assert list(outputs) == ["leaf_a", "leaf_b"], mode
+            if reference is None:
+                reference = outputs
+            else:
+                assert outputs == reference, mode
+        assert reference["leaf_a"][:3] == [2, 12, 14]
+
+    @pytest.mark.parametrize("mode", ["sequential", "threads"])
+    def test_unfused_modes_report_one_entry_per_node(self, mode):
+        plan = _diamond_plan()
+        _, report = Executor(mode, dop=3).execute(plan, list(range(70)))
+        order = [node.name for node in plan.topological_order()]
+        assert [stats.name for stats in report.operator_stats] == order
+        assert [stats.operators for stats in report.operator_stats] == \
+            [(name,) for name in order]
+        assert report.n_fused_stages == 0
+        assert report.mode == mode
+        assert report.dop == (3 if mode == "threads" else 1)
+
     def test_threaded_local_executor_preserves_order(self):
         plan = _linear_plan()
-        sequential, _ = LocalExecutor().execute(plan, list(range(40)))
-        threaded, _ = LocalExecutor(dop=4, use_threads=True).execute(
+        sequential, _ = Executor().execute(plan, list(range(40)))
+        threaded, _ = Executor("threads", dop=4).execute(
             _linear_plan(), list(range(40)))
         assert threaded["out"] == sequential["out"]
 
     def test_fused_processes_equivalence_with_closures(self):
-        """Closure-carrying operators survive the fork boundary."""
-        executor = StreamingExecutor(dop=2, use_processes=True,
-                                     batch_size=8)
-        outputs, report = executor.execute(_linear_plan(), list(range(50)))
-        reference, _ = LocalExecutor().execute(_linear_plan(),
-                                               list(range(50)))
+        """Closure-carrying operators survive the fork boundary; past
+        BATCH_RECORDS per worker the stage is cut into more than
+        ``dop`` batches and the merge still restores record order."""
+        records = list(range(BATCH_RECORDS * 5))
+        executor = Executor("fused-processes", dop=2)
+        outputs, report = executor.execute(_linear_plan(), records)
+        reference, _ = Executor().execute(_linear_plan(), records)
         assert outputs["out"] == reference["out"]
         assert report.mode in ("fused-processes", "fused-threads")
 
@@ -190,8 +247,7 @@ class TestExecutorPools:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "ThreadPoolExecutor", counting)
-        LocalExecutor(dop=4, use_threads=True).execute(
-            _linear_plan(), list(range(30)))
+        Executor("threads", dop=4).execute(_linear_plan(), list(range(30)))
         assert len(created) == 1
 
     def test_sequential_local_executor_creates_no_pool(self, monkeypatch):
@@ -205,7 +261,7 @@ class TestExecutorPools:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "ThreadPoolExecutor", counting)
-        LocalExecutor().execute(_linear_plan(), list(range(10)))
+        Executor().execute(_linear_plan(), list(range(10)))
         assert created == []
 
 
@@ -218,11 +274,10 @@ class TestSpawnFallback:
         monkeypatch.setattr(fusion_module.multiprocessing,
                             "get_all_start_methods", lambda: ["spawn"])
         with pytest.warns(RuntimeWarning, match="fork"):
-            executor = StreamingExecutor(dop=2, use_processes=True)
+            executor = Executor("fused-processes", dop=2)
         assert executor.mode == "fused-threads"
         outputs, report = executor.execute(_linear_plan(), list(range(30)))
-        reference, _ = LocalExecutor().execute(_linear_plan(),
-                                               list(range(30)))
+        reference, _ = Executor().execute(_linear_plan(), list(range(30)))
         assert outputs["out"] == reference["out"]
         assert report.mode == "fused-threads"
 
@@ -235,7 +290,7 @@ class TestSpawnFallback:
                             "get_start_method",
                             lambda allow_none=False: "spawn")
         with pytest.warns(RuntimeWarning, match="falling back"):
-            executor = StreamingExecutor(dop=2, use_processes=True)
+            executor = Executor("fused-processes", dop=2)
         assert executor.mode == "fused-threads"
 
     def test_fork_platform_keeps_processes(self):
@@ -243,7 +298,7 @@ class TestSpawnFallback:
 
         if not fork_start_available():  # pragma: no cover
             pytest.skip("no fork on this platform")
-        executor = StreamingExecutor(dop=2, use_processes=True)
+        executor = Executor("fused-processes", dop=2)
         assert executor.mode == "fused-processes"
 
     def test_probe_does_not_pin_start_method(self):
@@ -290,8 +345,8 @@ class TestThroughputGuards:
 
 class TestReport:
     def test_report_throughput_and_json(self):
-        outputs, report = StreamingExecutor().execute(_linear_plan(),
-                                                      list(range(20)))
+        outputs, report = Executor("fused").execute(_linear_plan(),
+                                                    list(range(20)))
         assert report.mode == "fused"
         assert report.n_fused_stages == 1
         stats = report.operator_stats[0]
@@ -311,6 +366,6 @@ class TestReport:
         large = estimate_records_bytes(["x" * 1000] * 4)
         assert large > small > 0
 
-    def test_make_executor_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            make_executor("mapreduce")
+    def test_executor_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="fused-processes"):
+            Executor("mapreduce")

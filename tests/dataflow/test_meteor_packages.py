@@ -3,7 +3,7 @@
 import pytest
 
 from repro.annotations import Document
-from repro.dataflow.executor import LocalExecutor
+from repro.dataflow.executor import Executor
 from repro.dataflow.meteor import MeteorError, parse_meteor
 from repro.dataflow.packages import (
     OPERATOR_REGISTRY, make_operator, operators_in_package,
@@ -219,7 +219,7 @@ class TestMeteor:
     def test_parse_and_execute(self):
         plan = parse_meteor(self.CONTEXT_SCRIPT)
         documents = [Document("d", "They did not come. Nor did we.")]
-        outputs, _report = LocalExecutor().execute(plan, documents)
+        outputs, _report = Executor().execute(plan, documents)
         assert {r["category"] for r in outputs["ling"]} == {"negation"}
 
     def test_context_values(self, pipeline):
@@ -234,7 +234,7 @@ class TestMeteor:
         plan = parse_meteor(script, context={
             "gene_dict": pipeline.dictionary_taggers["gene"]})
         gene = pipeline.vocabulary.genes[0].canonical
-        outputs, _ = LocalExecutor().execute(
+        outputs, _ = Executor().execute(
             plan, [Document("d", f"Expression of {gene} rose.")])
         assert outputs["genes"]
 
@@ -245,7 +245,7 @@ class TestMeteor:
         write($cut, 'out');
         """
         plan = parse_meteor(script)
-        outputs, _ = LocalExecutor().execute(plan, [Document("d", "x" * 50)])
+        outputs, _ = Executor().execute(plan, [Document("d", "x" * 50)])
         assert len(outputs["out"][0].text) == 7
 
     def test_missing_sink_rejected(self):

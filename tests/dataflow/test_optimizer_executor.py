@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dataflow.executor import LocalExecutor
+from repro.dataflow.executor import Executor
 from repro.dataflow.operators import FilterOperator, MapOperator, Operator
 from repro.dataflow.optimizer import SofaOptimizer, estimate_chain_cost
 from repro.dataflow.plan import LogicalPlan
@@ -56,10 +56,10 @@ class TestOptimizer:
                            selectivity=0.3, reads=frozenset({"u"})),
         ])
         plan.mark_sink("out", tail)
-        before, _ = LocalExecutor().execute(plan, records())
+        before, _ = Executor().execute(plan, records())
         report = SofaOptimizer().optimize(plan)
         assert report.n_swaps == 1
-        after, _ = LocalExecutor().execute(plan, records())
+        after, _ = Executor().execute(plan, records())
         key = lambda r: (r["v"], r["u"])  # noqa: E731
         assert sorted(before["out"], key=key) == sorted(after["out"],
                                                         key=key)
@@ -92,20 +92,20 @@ class TestExecutor:
         return plan
 
     def test_executes_chain(self):
-        outputs, report = LocalExecutor().execute(self._plan(), range(10))
+        outputs, report = Executor().execute(self._plan(), range(10))
         assert outputs["out"] == [2, 4, 6, 8, 10]
         assert report.total_seconds >= 0
 
     def test_report_per_operator(self):
-        _outputs, report = LocalExecutor().execute(self._plan(), range(10))
+        _outputs, report = Executor().execute(self._plan(), range(10))
         names = [s.name for s in report.operator_stats]
         assert names == ["inc", "even"]
         assert report.operator_stats[0].records_in == 10
         assert report.operator_stats[1].records_out == 5
 
     def test_threaded_execution_same_result(self):
-        sequential, _ = LocalExecutor().execute(self._plan(), range(50))
-        threaded, report = LocalExecutor(dop=4, use_threads=True).execute(
+        sequential, _ = Executor().execute(self._plan(), range(50))
+        threaded, report = Executor("threads", dop=4).execute(
             self._plan(), range(50))
         assert sorted(sequential["out"]) == sorted(threaded["out"])
         assert report.dop == 4
@@ -117,21 +117,21 @@ class TestExecutor:
             FilterOperator("evens", lambda x: x % 2 == 0), root))
         plan.mark_sink("odds", plan.add(
             FilterOperator("odds", lambda x: x % 2 == 1), root))
-        outputs, _ = LocalExecutor().execute(plan, range(6))
+        outputs, _ = Executor().execute(plan, range(6))
         assert outputs["evens"] == [0, 2, 4]
         assert outputs["odds"] == [1, 3, 5]
 
     def test_leaf_sinks_inferred(self):
         plan = LogicalPlan()
         plan.chain([MapOperator("only", lambda x: x)])
-        outputs, _ = LocalExecutor().execute(plan, [1, 2])
+        outputs, _ = Executor().execute(plan, [1, 2])
         assert outputs["only"] == [1, 2]
 
     def test_invalid_dop(self):
         with pytest.raises(ValueError):
-            LocalExecutor(dop=0)
+            Executor(dop=0)
 
     def test_dominant_operators(self):
-        _outputs, report = LocalExecutor().execute(self._plan(), range(100))
+        _outputs, report = Executor().execute(self._plan(), range(100))
         dominant = report.dominant_operators(1)
         assert dominant[0][0] in ("inc", "even")

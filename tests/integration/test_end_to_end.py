@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.analysis import CorpusStats, accumulate_document
 from repro.core.flows import build_fig2_flow
-from repro.dataflow.executor import LocalExecutor
+from repro.dataflow.executor import Executor
 from repro.dataflow.optimizer import SofaOptimizer
 
 
@@ -28,7 +28,7 @@ def crawl_documents(crawl):
 def flow_outputs(context, crawl_documents):
     plan = build_fig2_flow(context.pipeline)
     SofaOptimizer().optimize(plan)
-    outputs, report = LocalExecutor().execute(plan, crawl_documents)
+    outputs, report = Executor().execute(plan, crawl_documents)
     return outputs, report
 
 
@@ -74,8 +74,7 @@ class TestCrawlToFlow:
         for mode in EXECUTION_MODES:
             plan = build_fig2_flow(context.pipeline)
             documents = [d.copy_shallow() for d in crawl_documents]
-            outputs, report = run_flow(plan, documents, mode=mode,
-                                       dop=2, batch_size=4)
+            outputs, report = run_flow(plan, documents, mode=mode, dop=2)
             if reference is None:
                 reference = outputs
             else:
@@ -123,7 +122,7 @@ class TestFailureInjection:
                            "content_type": "text/html"}),
         ]
         plan = build_fig2_flow(context.pipeline)
-        outputs, _ = LocalExecutor().execute(plan, garbage)
+        outputs, _ = Executor().execute(plan, garbage)
         # Nothing useful survives, but nothing crashes either.
         assert outputs["entities"] == []
 
@@ -141,6 +140,6 @@ class TestFailureInjection:
             "http://x/r.html", "t", text, []),
             meta={"url": "http://x/r.html", "content_type": "text/html"})
         plan = build_fig2_flow(context.pipeline)
-        outputs, _ = LocalExecutor().execute(plan, [doc])
+        outputs, _ = Executor().execute(plan, [doc])
         # The POS tagger records crashes instead of killing the flow.
         assert isinstance(outputs["sentences"], list)

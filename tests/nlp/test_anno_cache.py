@@ -216,10 +216,10 @@ class TestExecutorSurfacing:
         return plan
 
     def test_local_executor_reports_cache_traffic(self, cache):
-        from repro.dataflow.executor import LocalExecutor
+        from repro.dataflow.executor import Executor
 
         plan = self._plan_with_cached_operator(cache)
-        _outputs, report = LocalExecutor().execute(
+        _outputs, report = Executor().execute(
             plan, ["a", "b", "a", "b", "c"])
         stage = report.operator_stats[0]
         assert (stage.cache_hits, stage.cache_misses) == (2, 3)
@@ -229,10 +229,10 @@ class TestExecutorSurfacing:
         assert as_dict["stages"][0]["cache_hits"] == 2
 
     def test_streaming_executor_reports_cache_traffic(self, cache):
-        from repro.dataflow.fusion import StreamingExecutor
+        from repro.dataflow.executor import Executor
 
         plan = self._plan_with_cached_operator(cache)
-        _outputs, report = StreamingExecutor().execute(
+        _outputs, report = Executor("fused").execute(
             plan, ["a", "b", "a", "b", "c"])
         assert report.annotation_cache_hits == 2
         assert report.annotation_cache_misses == 3

@@ -1,8 +1,7 @@
 """Equivalence tests for the batched POS decode path.
 
-``tag_batch`` (and the padded ``_FrozenHmm.decode_batch`` kernel
-under it) must be bit-identical to mapping per-sentence ``tag`` over
-the batch — same tags, same tie-breaking, same crash and cache
+``tag_batch`` must be bit-identical to mapping per-sentence ``tag``
+over the batch — same tags, same tie-breaking, same crash and cache
 semantics — at any batch composition: mixed lengths, empty sentences,
 duplicates, unknown shapes.
 """
@@ -83,13 +82,6 @@ def test_unfrozen_batch_matches_per_sentence():
     assert tagger.tag_batch(batch) == [tagger.tag(s) for s in batch]
 
 
-def test_beam_batch_falls_back_per_sentence():
-    tagger = _trained(6, freeze=False)
-    tagger.freeze(beam_width=2)
-    batch = _random_batch(random.Random(66), 20)
-    assert tagger.tag_batch(batch) == [tagger.tag(s) for s in batch]
-
-
 def test_empty_and_singleton_batches():
     tagger = _trained(8)
     assert tagger.tag_batch([]) == []
@@ -98,12 +90,15 @@ def test_empty_and_singleton_batches():
     assert tagger.tag_batch([sentence]) == [tagger.tag(sentence)]
 
 
-def test_batch_crash_on_over_limit_sentence():
+def test_batch_crash_on_over_limit_sentence(tmp_path):
     tagger = HmmPosTagger(crash_token_limit=5)
     tagger.train([[("w", "NN")] * 3])
     tagger.freeze()
+    cache = tagger.annotation_cache = AnnotationCache(tmp_path)
     with pytest.raises(TaggerCrash):
         tagger.tag_batch([["w"] * 2, ["w"] * 6])
+    # Every sentence is checked before the first lookup or decode.
+    assert cache.hits == cache.misses == 0
 
 
 def test_untrained_batch_raises():

@@ -61,30 +61,6 @@ def test_unfrozen_tag_matches_reference():
         [tagger.tag_reference(s) for s in sentences]
 
 
-def test_wide_beam_is_exact():
-    rng = random.Random(5)
-    tagger = HmmPosTagger()
-    tagger.train(_random_training(rng, 100))
-    sentences = _random_test_sentences(rng, 40)
-    reference = [tagger.tag_reference(s) for s in sentences]
-    tagger.freeze(beam_width=10_000)
-    assert [tagger.tag(s) for s in sentences] == reference
-
-
-def test_narrow_beam_stays_valid():
-    """Beam search may pick different tags but must stay well-formed
-    and deterministic."""
-    rng = random.Random(6)
-    tagger = HmmPosTagger()
-    tagger.train(_random_training(rng, 100))
-    tagger.freeze(beam_width=2)
-    for sentence in _random_test_sentences(rng, 30):
-        tags = tagger.tag(sentence)
-        assert len(tags) == len(sentence)
-        assert all(tag in tagger.tags for tag in tags)
-        assert tagger.tag(sentence) == tags
-
-
 def test_crash_parity_on_long_sentences(medline_generator):
     tagger = HmmPosTagger()
     tagger.train(medline_generator.document(0).tagged_sentences())
