@@ -336,7 +336,7 @@ def _build_store_from_crawl(ctx, result, store_dir,
 def cmd_crawl(args) -> int:
     import os
 
-    from repro.crawler.checkpoint import ResumableCrawl
+    from repro.crawler.checkpoint import CheckpointError, ResumableCrawl
     from repro.crawler.crawl import CrawlConfig, FocusedCrawler
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
@@ -381,30 +381,34 @@ def cmd_crawl(args) -> int:
             sys.stdout.flush()
             os._exit(9)
 
-    if args.recrawl_rounds > 1:
-        from repro.crawler.recrawl import (
-            IncrementalCrawl, PageMemory, RecrawlScheduler,
-        )
+    try:
+        if args.recrawl_rounds > 1:
+            from repro.crawler.recrawl import (
+                IncrementalCrawl, PageMemory, RecrawlScheduler,
+            )
 
-        crawler.memory = PageMemory()
-        crawler.scheduler = RecrawlScheduler(seed=args.seed)
-        driver = IncrementalCrawl(
-            crawler, rounds=args.recrawl_rounds,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every)
-        result = driver.run(list(seeds), resume=args.resume,
-                            page_callback=page_callback)
-        _print_round_reports(driver.round_reports)
-    elif args.checkpoint:
-        resumable = ResumableCrawl(crawler, args.checkpoint)
-        if args.resume and not resumable.checkpoint_path.exists():
-            print(f"no checkpoint at {args.checkpoint}; starting fresh")
-        result = resumable.run(seeds,
-                               checkpoint_every=args.checkpoint_every,
-                               resume=args.resume,
-                               page_callback=page_callback)
-    else:
-        result = crawler.crawl(seeds, page_callback=page_callback)
+            crawler.memory = PageMemory()
+            crawler.scheduler = RecrawlScheduler(seed=args.seed)
+            driver = IncrementalCrawl(
+                crawler, rounds=args.recrawl_rounds,
+                checkpoint_path=args.checkpoint,
+                checkpoint_every=args.checkpoint_every)
+            result = driver.run(list(seeds), resume=args.resume,
+                                page_callback=page_callback)
+            _print_round_reports(driver.round_reports)
+        elif args.checkpoint:
+            resumable = ResumableCrawl(crawler, args.checkpoint)
+            if args.resume and not resumable.checkpoint_path.exists():
+                print(f"no checkpoint at {args.checkpoint}; starting fresh")
+            result = resumable.run(seeds,
+                                   checkpoint_every=args.checkpoint_every,
+                                   resume=args.resume,
+                                   page_callback=page_callback)
+        else:
+            result = crawler.crawl(seeds, page_callback=page_callback)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     mode = (f"{args.workers} workers" if args.workers > 1
             else "sequential")
     _print_crawl_report(result, mode)
@@ -422,6 +426,7 @@ def cmd_crawl(args) -> int:
 def _cmd_crawl_sharded(args) -> int:
     import os
 
+    from repro.crawler.checkpoint import CheckpointError
     from repro.crawler.crawl import CrawlConfig
     from repro.crawler.shard import ShardCrawler, ShardedCrawl
     from repro.obs.metrics import MetricsRegistry
@@ -486,8 +491,12 @@ def _cmd_crawl_sharded(args) -> int:
 
     seeds = ctx.seed_batch("second").urls
     resume = args.resume and args.checkpoint is not None
-    result = driver.run(list(seeds), resume=resume,
-                        barrier_callback=barrier_callback)
+    try:
+        result = driver.run(list(seeds), resume=resume,
+                            barrier_callback=barrier_callback)
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"sharded crawl: {args.shards} shards, "
           f"{driver.supersteps} supersteps")
     _print_round_reports(driver.round_reports)
@@ -599,9 +608,9 @@ def cmd_flow(args) -> int:
               f"relation / {n_entities} entity records | "
               f"{snapshot.n_entities} entities -> {path}")
     if args.report:
-        from pathlib import Path
+        from repro.persist import write_file
 
-        Path(args.report).write_text(report.to_json())
+        write_file(args.report, report.to_json())
         print(f"wrote report: {args.report}")
     if metrics is not None:
         # Flow timings are the point here, so include the volatile
@@ -715,8 +724,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from pathlib import Path
-
+    from repro.persist import write_file
     from repro.serve.quotas import parse_quota_spec
     from repro.serve.server import ExtractionServer, ServeConfig
     from repro.serve.session import ExtractionSession
@@ -765,7 +773,7 @@ def cmd_serve(args) -> int:
               f"{args.store} (query op enabled)")
     sys.stdout.flush()
     if args.port_file:
-        Path(args.port_file).write_text(f"{port}\n", encoding="utf-8")
+        write_file(args.port_file, f"{port}\n")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -785,6 +793,7 @@ def cmd_loadgen(args) -> int:
     import json
     from pathlib import Path
 
+    from repro.persist import write_file
     from repro.serve.loadgen import (
         LoadGenerator, ServeClient, generate_workload,
     )
@@ -820,9 +829,8 @@ def cmd_loadgen(args) -> int:
           f"{stats['quota_rejected']}")
     print(f"digest {summary['digest']}")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_file(args.json,
+                   json.dumps(summary, indent=2, sort_keys=True) + "\n")
         print(f"wrote summary: {args.json}")
     if args.expect_multi_batch and not stats["multi_request_batches"]:
         print("error: no multi-request batch was coalesced",

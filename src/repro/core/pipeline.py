@@ -221,38 +221,3 @@ class TextAnalyticsPipeline:
         for chunk in volume_chunks(documents):
             yield from self.analyze_batch(chunk, methods, entity_types,
                                           with_pos)
-
-    def _pos_tag_documents(self, documents: list[Document]) -> None:
-        """POS-tag every sentence of every document in one batched
-        decode, with :meth:`analyze`'s per-sentence crash accounting
-        (over-limit sentences count into ``meta["pos_crashes"]`` and
-        keep their untagged tokens)."""
-        from repro.nlp.pos_hmm import TaggerCrash
-
-        limit = self.pos_tagger.crash_token_limit
-        jobs: list[tuple[Document, object]] = []
-        for document in documents:
-            for sentence in document.sentences:
-                if limit is not None and len(sentence.tokens) > limit:
-                    document.meta["pos_crashes"] = (
-                        document.meta.get("pos_crashes", 0) + 1)
-                else:
-                    jobs.append((document, sentence))
-        if not jobs:
-            return
-        try:
-            tagged = self.pos_tagger.tag_tokens_batch(
-                [sentence.tokens for _doc, sentence in jobs])
-        except TaggerCrash:
-            # Pathological model states (e.g. empty tagset) crash per
-            # sentence in analyze(); mirror that accounting here.
-            for document, sentence in jobs:
-                try:
-                    sentence.tokens = self.pos_tagger.tag_tokens(
-                        sentence.tokens)
-                except TaggerCrash:
-                    document.meta["pos_crashes"] = (
-                        document.meta.get("pos_crashes", 0) + 1)
-            return
-        for (document, sentence), tokens in zip(jobs, tagged):
-            sentence.tokens = tokens

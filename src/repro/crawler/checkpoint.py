@@ -8,28 +8,24 @@ corpora, the link graph, the counters, and the crawler's runtime state
 — as JSON, and restores a
 :class:`~repro.crawler.crawl.FocusedCrawler` run from it.
 
-Checkpoints are written *atomically* (tmp file + ``os.replace`` after
-an fsync), so a crash mid-write can never leave a corrupt file behind:
-either the old checkpoint survives intact or the new one is complete.
-Truncated or otherwise unparsable payloads are rejected with
-:class:`CheckpointError`.  Checkpoints are only taken at batch
-boundaries, which is what makes a killed crawl resume to *byte
-identical* final results: at a batch boundary there are no in-flight
-fetches, and every fetch outcome is a deterministic function of state
-the checkpoint captures.
+Checkpoints are durable :mod:`repro.persist` formats ("On-disk
+formats" in ``docs/robustness.md``), only taken at batch boundaries,
+which is what makes a killed crawl resume to *byte identical* final
+results: at a batch boundary there are no in-flight fetches, and every
+fetch outcome is a deterministic function of state the checkpoint
+captures.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.annotations import Document
 from repro.crawler.crawl import CrawlResult, FocusedCrawler
 from repro.crawler.frontier import CrawlDb, FrontierEntry
 from repro.crawler.linkdb import LinkDb
+from repro.persist import FileFormat
 from repro.web.robots import RobotsPolicy
 
 #: Version 2 adds failure_reasons / retries / hosts_quarantined /
@@ -53,6 +49,14 @@ FORMAT_VERSION = 4
 
 class CheckpointError(ValueError):
     """A checkpoint file is missing, truncated, or malformed."""
+
+
+_CHECKPOINT = FileFormat("checkpoint", FORMAT_VERSION,
+                         sections=("frontier", "result", "clock_now"),
+                         error=CheckpointError)
+_SHARDED = replace(
+    _CHECKPOINT, what="sharded checkpoint", kind="sharded",
+    sections=("n_shards", "superstep", "inbound", "shards"))
 
 
 def frontier_to_dict(frontier: CrawlDb) -> dict:
@@ -233,27 +237,11 @@ class CheckpointState:
     crawler_state: dict | None = None
 
 
-def _atomic_write_json(path: str | Path, payload: dict) -> Path:
-    """Stage ``payload`` to a sibling tmp file, fsync, and move it into
-    place with ``os.replace`` — a crash at any point leaves either the
-    previous file or the new one, never a torn write."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    return path
-
-
 def save_checkpoint(path: str | Path, frontier: CrawlDb,
                     result: CrawlResult, clock_now: float,
                     crawler_state: dict | None = None) -> Path:
     """Persist mid-crawl state to one JSON file, atomically."""
-    return _atomic_write_json(path, {
-        "version": FORMAT_VERSION,
+    return _CHECKPOINT.save(path, {
         "clock_now": clock_now,
         "frontier": frontier_to_dict(frontier),
         "result": result_to_dict(result),
@@ -264,52 +252,20 @@ def save_checkpoint(path: str | Path, frontier: CrawlDb,
 def load_checkpoint(path: str | Path) -> CheckpointState:
     """Restore crawl state from a checkpoint.
 
-    Raises :class:`CheckpointError` on unreadable, truncated, or
-    unsupported payloads — a caller should treat that as "no usable
-    checkpoint", not as a crawl bug.
+    Raises :class:`CheckpointError` on unreadable, truncated,
+    malformed, or unsupported payloads — a caller should treat that as
+    "no usable checkpoint", not as a crawl bug.
     """
-    path = Path(path)
+    payload = _CHECKPOINT.load(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
+        return CheckpointState(
+            frontier=frontier_from_dict(payload["frontier"]),
+            result=result_from_dict(payload["result"]),
+            clock_now=float(payload["clock_now"]),
+            crawler_state=payload.get("crawler"))
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
         raise CheckpointError(
-            f"cannot read checkpoint {path}: {error}") from error
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"corrupt checkpoint {path} (truncated write?): "
-            f"{error}") from error
-    _check_version(path, payload)
-    for section in ("frontier", "result", "clock_now"):
-        if section not in payload:
-            raise CheckpointError(
-                f"checkpoint {path} is missing its {section!r} section")
-    return CheckpointState(
-        frontier=frontier_from_dict(payload["frontier"]),
-        result=result_from_dict(payload["result"]),
-        clock_now=float(payload["clock_now"]),
-        crawler_state=payload.get("crawler"))
-
-
-def _check_version(path: Path, payload: dict) -> None:
-    """Reject unknown checkpoint versions with a *clear* error.
-
-    A payload written by a newer build is distinguished from a
-    malformed one: refusing to downgrade is a deliberate decision (the
-    newer format may carry state this build would silently drop), not
-    a parse failure.
-    """
-    version = payload.get("version")
-    if not isinstance(version, int) or version < 1:
-        raise CheckpointError(
-            f"unsupported checkpoint version: {version!r}")
-    if version > FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {version}, but this "
-            f"build supports at most version {FORMAT_VERSION}; "
-            "refusing to load a checkpoint from a newer build "
-            "(downgrade detected)")
+            f"checkpoint {path} is malformed: {error!r}") from error
 
 
 def save_sharded_checkpoint(path: str | Path, *, n_shards: int,
@@ -329,9 +285,7 @@ def save_sharded_checkpoint(path: str | Path, *, n_shards: int,
     barrier of a round (a resume continues with the *next* round) and
     carries the driver-level ``stop_reason``.
     """
-    return _atomic_write_json(path, {
-        "version": FORMAT_VERSION,
-        "kind": "sharded",
+    return _SHARDED.save(path, {
         "n_shards": n_shards,
         "superstep": superstep,
         "round": round_,
@@ -351,33 +305,12 @@ def load_sharded_checkpoint(path: str | Path) -> dict:
     :class:`CheckpointError` on unreadable, truncated, or
     wrong-kind payloads.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
+    payload = _SHARDED.load(path)
+    shards = payload["shards"]
+    if not isinstance(shards, list) or len(shards) != payload["n_shards"]:
         raise CheckpointError(
-            f"cannot read checkpoint {path}: {error}") from error
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"corrupt checkpoint {path} (truncated write?): "
-            f"{error}") from error
-    if payload.get("kind") != "sharded":
-        raise CheckpointError(
-            f"{path} is not a sharded checkpoint "
-            f"(kind={payload.get('kind')!r})")
-    _check_version(path, payload)
-    for section in ("n_shards", "superstep", "inbound", "shards"):
-        if section not in payload:
-            raise CheckpointError(
-                f"sharded checkpoint {path} is missing its "
-                f"{section!r} section")
-    if len(payload["shards"]) != payload["n_shards"]:
-        raise CheckpointError(
-            f"sharded checkpoint {path} carries "
-            f"{len(payload['shards'])} shard sections for "
-            f"n_shards={payload['n_shards']}")
+            f"sharded checkpoint {path} does not carry one shard section "
+            f"for each of n_shards={payload['n_shards']!r}")
     return payload
 
 

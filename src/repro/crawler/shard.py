@@ -60,6 +60,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import multiprocessing
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
@@ -346,23 +347,85 @@ def merge_shard_payloads(finals: list[dict], stop_reason: str,
     return merged, metrics
 
 
-# -- forked shard children -----------------------------------------------------
+# -- shard handles -------------------------------------------------------------
+
+def _build_shard(factory: Callable[[int], ShardCrawler], shard_id: int,
+                 restore_payload: dict | None) -> ShardCrawler:
+    """Build and vet one shard's crawler, restored from its checkpoint
+    section when there is one."""
+    crawler = factory(shard_id)
+    if not isinstance(crawler, ShardCrawler):
+        raise TypeError("the sharded crawl factory must build "
+                        "ShardCrawler instances")
+    if crawler.tracer is not None:
+        raise ValueError("tracing is not supported in sharded "
+                         "mode (span trees are per-process); "
+                         "use metrics, which merge")
+    if crawler.config.online_learning:
+        raise ValueError(
+            "online_learning updates the classifier between "
+            "pages, which a sharded crawl cannot replay "
+            "deterministically; run with --shards 1 and "
+            "parallel_workers=1")
+    if restore_payload is not None:
+        crawler.restore_state(restore_payload)
+        crawler.resume_round()
+    return crawler
+
+
+def _answer(crawler: ShardCrawler, message: tuple):
+    """One shard's reply to one driver command.
+
+    Protocol (driver -> shard): ``("apply", links)``, ``("step",
+    host_quota)``, ``("round", rnd)``, ``("summary", rnd)``,
+    ``("snapshot",)``, ``("final",)``; a forked shard also takes
+    ``("stop",)``.  Every command gets exactly one reply.
+    """
+    command = message[0]
+    if command == "apply":
+        crawler.apply_inbound(message[1])
+        return (crawler.result.pages_visited, crawler.frontier.is_empty())
+    if command == "step":
+        return (crawler.run_superstep(message[1]),
+                crawler.result.pages_visited)
+    if command == "round":
+        crawler.begin_round(message[1])
+        return True
+    if command == "summary":
+        return crawler.round_report(message[1])
+    if command == "snapshot":
+        return crawler.state_to_dict()
+    if command == "final":
+        return crawler.final_payload()
+    raise ValueError(f"unknown shard command: {command!r}")
+
+
+class _InlineShard:
+    """In-process shard behind :class:`_ForkedShard`'s interface: a
+    command runs when it is sent and its reply waits for ``recv``."""
+
+    def __init__(self, factory, shard_id: int,
+                 restore_payload: dict | None) -> None:
+        self.shard_id = shard_id
+        self.crawler = _build_shard(factory, shard_id, restore_payload)
+        self._reply = None
+
+    def send(self, message: tuple) -> None:
+        self._reply = _answer(self.crawler, message)
+
+    def recv(self):
+        return self._reply
+
+    def stop(self) -> None:
+        self.crawler.close()
+
 
 def _shard_child_main(factory: Callable[[int], ShardCrawler],
                       shard_id: int, conn,
                       restore_payload: dict | None) -> None:
-    """Command loop of one forked shard process.
-
-    Protocol (parent -> child): ``("apply", links)``, ``("step",
-    host_quota)``, ``("round", rnd)``, ``("summary", rnd)``,
-    ``("snapshot",)``, ``("final",)``, ``("stop",)``.  Every command
-    gets exactly one reply.  The child exits on "stop" or when the
-    parent's pipe closes.
-    """
-    crawler = factory(shard_id)
-    if restore_payload is not None:
-        crawler.restore_state(restore_payload)
-        crawler.resume_round()
+    """Command loop of one forked shard process; exits on "stop" or
+    when the parent's pipe closes."""
+    crawler = _build_shard(factory, shard_id, restore_payload)
     # Same GC discipline as the worker pool: the base state built by
     # the factory is immortal for this crawl; cycles from parsed pages
     # are collected explicitly at superstep boundaries.
@@ -375,28 +438,12 @@ def _shard_child_main(factory: Callable[[int], ShardCrawler],
                 message = conn.recv()
             except EOFError:
                 break
-            command = message[0]
-            if command == "apply":
-                crawler.apply_inbound(message[1])
-                conn.send((crawler.result.pages_visited,
-                           crawler.frontier.is_empty()))
-            elif command == "step":
-                links = crawler.run_superstep(message[1])
-                gc.collect()
-                conn.send((links, crawler.result.pages_visited))
-            elif command == "round":
-                crawler.begin_round(message[1])
-                conn.send(True)
-            elif command == "summary":
-                conn.send(crawler.round_report(message[1]))
-            elif command == "snapshot":
-                conn.send(crawler.state_to_dict())
-            elif command == "final":
-                conn.send(crawler.final_payload())
-            elif command == "stop":
+            if message[0] == "stop":
                 break
-            else:
-                raise ValueError(f"unknown shard command: {command!r}")
+            reply = _answer(crawler, message)
+            if message[0] == "step":
+                gc.collect()
+            conn.send(reply)
     finally:
         crawler.close()
         conn.close()
@@ -549,166 +596,83 @@ class ShardedCrawl:
             # Single-round crawls never call begin_round (bit-compat
             # with the pre-recrawl schedule); seeds route up front.
             inbound = self._seed_inbound(seeds)
-        if self.processes:
-            return self._run_forked(superstep, start_round, need_begin,
-                                    seeds, inbound, restore_payloads,
-                                    barrier_callback)
-        return self._run_inline(superstep, start_round, need_begin,
-                                seeds, inbound, restore_payloads,
-                                barrier_callback)
+        handle = _ForkedShard if self.processes else _InlineShard
+        with self._shards(handle, restore_payloads) as shards:
+            if self.processes:
+                self.child_pids = [shard.pid for shard in shards]
+            return self._drive(shards, superstep, start_round,
+                               need_begin, seeds, inbound,
+                               self._restored_pages(restore_payloads),
+                               barrier_callback)
 
-    # -- in-process mode -----------------------------------------------------
-
-    def _run_inline(self, superstep, start_round, need_begin, seeds,
-                    inbound, restore_payloads,
-                    barrier_callback) -> CrawlResult:
-        shards = [self.factory(shard_id)
-                  for shard_id in range(self.n_shards)]
-        self._check_shards(shards)
-        for crawler, payload in zip(shards, restore_payloads):
-            if payload is not None:
-                crawler.restore_state(payload)
-                crawler.resume_round()
-        pages_at_last_save = self._restored_pages(restore_payloads)
-
-        def snapshot() -> list[dict]:
-            return [crawler.state_to_dict() for crawler in shards]
-
+    @contextmanager
+    def _shards(self, handle, restore_payloads):
+        """One ``handle`` per shard, all stopped on the way out — also
+        when the factory fails for a later shard."""
+        shards = []
         try:
-            for rnd in range(start_round, self.rounds):
-                if need_begin:
-                    for crawler in shards:
-                        crawler.begin_round(rnd)
-                    inbound = self._seed_inbound(seeds)
-                    pages_at_last_save = 0
-                need_begin = True
-                while True:
-                    for crawler in shards:
-                        crawler.apply_inbound(inbound[crawler.shard_id])
-                    inbound = {shard: []
-                               for shard in range(self.n_shards)}
-                    total = sum(crawler.result.pages_visited
-                                for crawler in shards)
-                    stop_reason = self._stop_reason(
-                        total, all(crawler.frontier.is_empty()
-                                   for crawler in shards))
-                    if stop_reason:
-                        break
-                    emitted: list[LinkRecord] = []
-                    for crawler in shards:
-                        emitted.extend(
-                            crawler.run_superstep(self.host_quota))
-                    superstep += 1
-                    self._route(emitted, inbound)
-                    total = sum(crawler.result.pages_visited
-                                for crawler in shards)
-                    pages_at_last_save = self._maybe_checkpoint(
-                        rnd, superstep, inbound, total,
-                        pages_at_last_save, snapshot)
-                    if barrier_callback is not None:
-                        barrier_callback(total)
-                if self.rounds > 1:
-                    self.round_reports.append(self._merge_round_reports(
-                        rnd, [crawler.round_report(rnd)
-                              for crawler in shards]))
-                if rnd < self.rounds - 1:
-                    self._round_checkpoint(rnd, superstep, stop_reason,
-                                           snapshot)
-            self.supersteps = superstep
-            finals = [crawler.final_payload() for crawler in shards]
-        finally:
-            for crawler in shards:
-                crawler.close()
-        return self._finish(finals, stop_reason, self.rounds - 1,
-                            superstep, inbound, snapshot)
-
-    # -- forked mode ---------------------------------------------------------
-
-    def _run_forked(self, superstep, start_round, need_begin, seeds,
-                    inbound, restore_payloads,
-                    barrier_callback) -> CrawlResult:
-        shards = [_ForkedShard(self.factory, shard_id,
-                               restore_payloads[shard_id])
-                  for shard_id in range(self.n_shards)]
-        self.child_pids = [shard.pid for shard in shards]
-        pages_at_last_save = self._restored_pages(restore_payloads)
-
-        def snapshot() -> list[dict]:
-            for shard in shards:
-                shard.send(("snapshot",))
-            return [shard.recv() for shard in shards]
-
-        try:
-            for rnd in range(start_round, self.rounds):
-                if need_begin:
-                    for shard in shards:
-                        shard.send(("round", rnd))
-                    for shard in shards:
-                        shard.recv()
-                    inbound = self._seed_inbound(seeds)
-                    pages_at_last_save = 0
-                need_begin = True
-                while True:
-                    for shard in shards:
-                        shard.send(("apply", inbound[shard.shard_id]))
-                    inbound = {shard_id: []
-                               for shard_id in range(self.n_shards)}
-                    replies = [shard.recv() for shard in shards]
-                    total = sum(pages for pages, _empty in replies)
-                    stop_reason = self._stop_reason(
-                        total, all(empty for _pages, empty in replies))
-                    if stop_reason:
-                        break
-                    for shard in shards:
-                        shard.send(("step", self.host_quota))
-                    emitted: list[LinkRecord] = []
-                    total = 0
-                    for shard in shards:
-                        links, pages = shard.recv()
-                        emitted.extend(links)
-                        total += pages
-                    superstep += 1
-                    self._route(emitted, inbound)
-                    pages_at_last_save = self._maybe_checkpoint(
-                        rnd, superstep, inbound, total,
-                        pages_at_last_save, snapshot)
-                    if barrier_callback is not None:
-                        barrier_callback(total)
-                if self.rounds > 1:
-                    for shard in shards:
-                        shard.send(("summary", rnd))
-                    self.round_reports.append(self._merge_round_reports(
-                        rnd, [shard.recv() for shard in shards]))
-                if rnd < self.rounds - 1:
-                    self._round_checkpoint(rnd, superstep, stop_reason,
-                                           snapshot)
-            self.supersteps = superstep
-            for shard in shards:
-                shard.send(("final",))
-            finals = [shard.recv() for shard in shards]
-            return self._finish(finals, stop_reason, self.rounds - 1,
-                                superstep, inbound, snapshot)
+            for shard_id, payload in enumerate(restore_payloads):
+                shards.append(handle(self.factory, shard_id, payload))
+            yield shards
         finally:
             for shard in shards:
                 shard.stop()
 
-    # -- shared plumbing -----------------------------------------------------
+    def _drive(self, shards, superstep, start_round, need_begin, seeds,
+               inbound, pages_at_last_save,
+               barrier_callback) -> CrawlResult:
+        """The superstep / round / checkpoint loop, the same for both
+        modes: every command goes to all shards before any reply is
+        read, so forked shards work in parallel."""
 
-    def _check_shards(self, shards: list[ShardCrawler]) -> None:
-        for crawler in shards:
-            if not isinstance(crawler, ShardCrawler):
-                raise TypeError("the sharded crawl factory must build "
-                                "ShardCrawler instances")
-            if crawler.tracer is not None:
-                raise ValueError("tracing is not supported in sharded "
-                                 "mode (span trees are per-process); "
-                                 "use metrics, which merge")
-            if crawler.config.online_learning:
-                raise ValueError(
-                    "online_learning updates the classifier between "
-                    "pages, which a sharded crawl cannot replay "
-                    "deterministically; run with --shards 1 and "
-                    "parallel_workers=1")
+        def ask(*message) -> list:
+            for shard in shards:
+                shard.send(message)
+            return [shard.recv() for shard in shards]
+
+        def snapshot() -> list[dict]:
+            return ask("snapshot")
+
+        for rnd in range(start_round, self.rounds):
+            if need_begin:
+                ask("round", rnd)
+                inbound = self._seed_inbound(seeds)
+                pages_at_last_save = 0
+            need_begin = True
+            while True:
+                for shard in shards:
+                    shard.send(("apply", inbound[shard.shard_id]))
+                inbound = {shard_id: []
+                           for shard_id in range(self.n_shards)}
+                replies = [shard.recv() for shard in shards]
+                total = sum(pages for pages, _empty in replies)
+                stop_reason = self._stop_reason(
+                    total, all(empty for _pages, empty in replies))
+                if stop_reason:
+                    break
+                emitted: list[LinkRecord] = []
+                total = 0
+                for links, pages in ask("step", self.host_quota):
+                    emitted.extend(links)
+                    total += pages
+                superstep += 1
+                self._route(emitted, inbound)
+                pages_at_last_save = self._maybe_checkpoint(
+                    rnd, superstep, inbound, total,
+                    pages_at_last_save, snapshot)
+                if barrier_callback is not None:
+                    barrier_callback(total)
+            if self.rounds > 1:
+                self.round_reports.append(self._merge_round_reports(
+                    rnd, ask("summary", rnd)))
+            if rnd < self.rounds - 1:
+                self._round_checkpoint(rnd, superstep, stop_reason,
+                                       snapshot)
+        self.supersteps = superstep
+        return self._finish(ask("final"), stop_reason, self.rounds - 1,
+                            superstep, inbound, snapshot)
+
+    # -- shared plumbing -----------------------------------------------------
 
     def _stop_reason(self, total_pages: int, all_empty: bool) -> str:
         if total_pages >= self.max_pages:
@@ -771,17 +735,8 @@ class ShardedCrawl:
         """The checkpoint says the final round already completed:
         rebuild the merged result from the per-shard snapshots without
         re-running anything (resume of a finished crawl)."""
-        shards = [self.factory(shard_id)
-                  for shard_id in range(self.n_shards)]
-        self._check_shards(shards)
-        try:
-            for crawler, payload in zip(shards, restore_payloads):
-                if payload is not None:
-                    crawler.restore_state(payload)
-            finals = [crawler.final_payload() for crawler in shards]
-        finally:
-            for crawler in shards:
-                crawler.close()
+        with self._shards(_InlineShard, restore_payloads) as shards:
+            finals = [shard.crawler.final_payload() for shard in shards]
         self.supersteps = superstep
         merged, metrics = merge_shard_payloads(finals, stop_reason,
                                                superstep)

@@ -9,6 +9,7 @@ frequencies, relations) in machine-readable form.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -17,6 +18,7 @@ from typing import Iterable, Iterator
 from repro.annotations import (
     Document, EntityMention, LinguisticMention, Sentence, Token,
 )
+from repro.persist import read_jsonl, write_file, write_lines
 
 
 def document_to_dict(document: Document, include_raw: bool = False) -> dict:
@@ -81,26 +83,16 @@ def document_from_dict(payload: dict) -> Document:
 def write_documents(path: str | Path, documents: Iterable[Document],
                     include_raw: bool = False) -> int:
     """Write documents as JSONL; returns the count written."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for document in documents:
-            handle.write(json.dumps(
-                document_to_dict(document, include_raw=include_raw),
-                ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
+    lines = [json.dumps(document_to_dict(document, include_raw=include_raw),
+                        ensure_ascii=False)
+             for document in documents]
+    write_lines(path, lines)
+    return len(lines)
 
 
 def read_documents(path: str | Path) -> Iterator[Document]:
     """Stream documents back from a JSONL file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield document_from_dict(json.loads(line))
+    return map(document_from_dict, read_jsonl(path))
 
 
 class FactDatabase:
@@ -143,23 +135,17 @@ class FactDatabase:
     def export(self, directory: str | Path) -> dict[str, Path]:
         """Write all artifacts; returns {artifact: path}."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        paths: dict[str, Path] = {}
-        entities_path = directory / "entities.jsonl"
-        with entities_path.open("w", encoding="utf-8") as handle:
-            for record in self.entity_records:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        paths["entities"] = entities_path
-        relations_path = directory / "relations.jsonl"
-        with relations_path.open("w", encoding="utf-8") as handle:
-            for record in self.relation_records:
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        paths["relations"] = relations_path
-        frequencies_path = directory / "name_frequencies.csv"
-        with frequencies_path.open("w", encoding="utf-8",
-                                   newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["entity_type", "method", "name", "frequency"])
-            writer.writerows(self.name_frequency_rows())
-        paths["name_frequencies"] = frequencies_path
+        paths = {
+            artifact: write_lines(
+                directory / f"{artifact}.jsonl",
+                (json.dumps(record, ensure_ascii=False)
+                 for record in records))
+            for artifact, records in (("entities", self.entity_records),
+                                      ("relations", self.relation_records))}
+        table = io.StringIO(newline="")
+        writer = csv.writer(table)
+        writer.writerow(["entity_type", "method", "name", "frequency"])
+        writer.writerows(self.name_frequency_rows())
+        paths["name_frequencies"] = write_file(
+            directory / "name_frequencies.csv", table.getvalue())
         return paths

@@ -15,8 +15,7 @@ primitives (one int-keyed transition dict, int lists, str list), so a
 warm load skips trie construction and the failure-link BFS entirely
 and deserializes at C speed — marshal beats pickle roughly 2× here.
 Marshal's format is Python-version-specific, which is fine for a
-local build cache; the payload embeds the interpreter version and is
-treated as a miss on any mismatch.
+local build cache.
 
 The cache is two-tier: a per-instance in-memory memo serves repeat
 requests in the same process for free (automata are immutable once
@@ -25,26 +24,26 @@ half of the paper's fix), and the disk layer serves fresh processes.
 
 The cache directory resolves, in order, to the explicit constructor
 argument, ``$REPRO_AUTOMATON_CACHE``, or ``~/.cache/repro/automata``.
-Stores are atomic (write-temp-then-rename), so concurrent workers
-racing on the same key at worst both build, never read a torn file.
+Entries are a regenerable :mod:`repro.persist` format ("On-disk
+formats" in ``docs/robustness.md``): concurrent workers racing on the
+same key at worst both build, never read a torn file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import marshal
 import os
-import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.ner.automaton import AhoCorasickAutomaton
+from repro.persist import FileFormat, Miss
 
 #: Bump to invalidate every cached automaton on on-disk format change.
 CACHE_FORMAT_VERSION = 2
 
-#: Marshal payloads are interpreter-specific; key them by version too.
-_PYTHON_TAG = f"{sys.version_info[0]}.{sys.version_info[1]}"
+_ENTRY = FileFormat("automaton cache entry", CACHE_FORMAT_VERSION,
+                    durable=False)
 
 CACHE_DIR_ENV_VAR = "REPRO_AUTOMATON_CACHE"
 DEFAULT_CACHE_DIR = "~/.cache/repro/automata"
@@ -103,34 +102,19 @@ class AutomatonCache:
         memo = self._memory.get(key)
         if memo is not None:
             return memo
-        path = self.path_for(key)
         try:
-            payload = marshal.loads(path.read_bytes())
-        except (OSError, EOFError, ValueError, TypeError):
-            return None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != CACHE_FORMAT_VERSION
-                or payload.get("python") != _PYTHON_TAG
-                or payload.get("key") != key):
-            return None
-        try:
+            payload = _ENTRY.load(self.path_for(key), key=key)
             automaton = AhoCorasickAutomaton.from_state(payload["state"])
-        except (KeyError, TypeError):
+        except (Miss, KeyError, TypeError):
             return None
         self._memory[key] = automaton
         return automaton
 
     def store(self, key: str, automaton: AhoCorasickAutomaton) -> Path:
         """Persist a built automaton under ``key`` (atomic replace)."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        payload = {"version": CACHE_FORMAT_VERSION, "python": _PYTHON_TAG,
-                   "key": key, "state": automaton.to_state()}
-        temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        temp.write_bytes(marshal.dumps(payload))
-        temp.replace(path)
         self._memory[key] = automaton
-        return path
+        return _ENTRY.save(self.path_for(key),
+                           {"key": key, "state": automaton.to_state()})
 
     def get_or_build(self, patterns: Sequence[str], salt: str = "",
                      payloads: Sequence[Any] | None = None,

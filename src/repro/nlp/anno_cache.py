@@ -27,11 +27,11 @@ dict serves repeat lookups in the same process, and marshal-serialized
 shard files serve fresh processes.  Entries are grouped into
 ``anno-<model>-<shard>.bin`` files (sharded by sentence hash) so disk
 I/O amortizes over many sentences instead of paying one file per
-sentence.  Shard writes are atomic (write-temp-then-rename) and
+sentence.  Shards are a regenerable :mod:`repro.persist` format
+("On-disk formats" in ``docs/robustness.md``) and shard writes are
 *merging*: a flush unions its entries with whatever is on disk under
 an advisory file lock, so two processes flushing the same shard union
-their work instead of last-writer-wins.  Marshal payloads embed the
-interpreter version and are treated as a miss on any mismatch.
+their work instead of last-writer-wins.
 
 The cache directory resolves, in order, to the explicit constructor
 argument, ``$REPRO_ANNOTATION_CACHE``, or ``~/.cache/repro/annotations``.
@@ -42,13 +42,13 @@ be shared by every operator of a ``fused-threads`` execution.
 from __future__ import annotations
 
 import hashlib
-import marshal
 import os
-import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
+
+from repro.persist import FileFormat, Miss
 
 try:
     import fcntl
@@ -58,8 +58,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 #: Bump to invalidate every cached annotation on on-disk format change.
 CACHE_FORMAT_VERSION = 1
 
-#: Marshal payloads are interpreter-specific; key them by version too.
-_PYTHON_TAG = f"{sys.version_info[0]}.{sys.version_info[1]}"
+_SHARD = FileFormat("annotation cache shard", CACHE_FORMAT_VERSION,
+                    durable=False)
 
 CACHE_DIR_ENV_VAR = "REPRO_ANNOTATION_CACHE"
 DEFAULT_CACHE_DIR = "~/.cache/repro/annotations"
@@ -165,18 +165,13 @@ class AnnotationCache:
 
     def _load_shard(self, model_fingerprint: str,
                     shard: int) -> dict[str, tuple]:
-        path = self.path_for(model_fingerprint, shard)
         try:
-            payload = marshal.loads(path.read_bytes())
-        except (OSError, EOFError, ValueError, TypeError):
+            payload = _SHARD.load(self.path_for(model_fingerprint, shard),
+                                  model=model_fingerprint)
+        except Miss:
             return {}
-        if (not isinstance(payload, dict)
-                or payload.get("version") != CACHE_FORMAT_VERSION
-                or payload.get("python") != _PYTHON_TAG
-                or payload.get("model") != model_fingerprint
-                or not isinstance(payload.get("entries"), dict)):
-            return {}
-        return payload["entries"]
+        entries = payload.get("entries")
+        return entries if isinstance(entries, dict) else {}
 
     # -- persistence ---------------------------------------------------------
 
@@ -209,13 +204,8 @@ class AnnotationCache:
                     merged.update(entries)
                 else:
                     merged = entries
-                payload = {"version": CACHE_FORMAT_VERSION,
-                           "python": _PYTHON_TAG,
-                           "model": model_fingerprint,
-                           "entries": merged}
-                temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-                temp.write_bytes(marshal.dumps(payload))
-                temp.replace(path)
+                _SHARD.save(path, {"model": model_fingerprint,
+                                   "entries": merged})
             if len(merged) > len(entries):
                 with self._lock:
                     resident = self._shards.get((model_fingerprint,

@@ -526,14 +526,6 @@ class HmmPosTagger:
                 cache.store(fingerprint, sentences[i], tags)
         return results
 
-    def tag_tokens_batch(self, token_lists: Sequence[Sequence]) -> list[list]:
-        """Batch :meth:`tag_tokens`: returns per-sentence lists of
-        Token copies with ``pos`` filled."""
-        tag_lists = self.tag_batch(
-            [[t.text for t in tokens] for tokens in token_lists])
-        return [[tok.with_pos(tag) for tok, tag in zip(tokens, tags)]
-                for tokens, tags in zip(token_lists, tag_lists)]
-
     def tag_reference(self, words: Sequence[str]) -> list[str]:
         """The original dict-of-tuples Viterbi, bypassing both the
         frozen kernel and the annotation cache (equivalence tests

@@ -35,7 +35,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
+
+from repro import persist
 
 #: Default histogram bucket upper bounds (seconds-oriented, log-ish
 #: spacing).  An implicit +inf overflow bucket always follows the last
@@ -319,21 +321,11 @@ class MetricsRegistry:
 
     def write_jsonl(self, path: str | Path,
                     include_volatile: bool = False) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = self.export_lines(include_volatile)
-        path.write_text("\n".join(lines) + ("\n" if lines else ""),
-                        encoding="utf-8")
-        return path
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "MetricsRegistry":
-        registry = cls()
-        entries = [json.loads(line) for line in lines if line.strip()]
-        registry.load_dict({"metrics": entries})
-        return registry
+        return persist.write_lines(path,
+                                   self.export_lines(include_volatile))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "MetricsRegistry":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls.from_lines(text.splitlines())
+        registry = cls()
+        registry.load_dict({"metrics": list(persist.read_jsonl(path))})
+        return registry

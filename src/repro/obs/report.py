@@ -10,12 +10,12 @@ drift apart.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.obs.metrics import MetricsRegistry
+from repro.persist import read_jsonl
 
 #: Pipeline stages in execution order (used for stable stage tables).
 CRAWL_STAGES = ("fetch", "filters", "repair", "parse", "boilerplate",
@@ -227,15 +227,12 @@ def render_metrics(registry: MetricsRegistry,
     return lines
 
 
-def render_trace_summary(lines: Iterable[str]) -> list[str]:
-    """Aggregate a trace JSONL export: span counts and total duration
-    per span name, in first-seen order."""
+def render_trace_summary(spans: Iterable[Mapping]) -> list[str]:
+    """Aggregate the spans of a trace export: span counts and total
+    duration per span name, in first-seen order."""
     totals: dict[str, list[float]] = defaultdict(lambda: [0, 0.0])
     order: list[str] = []
-    for line in lines:
-        if not line.strip():
-            continue
-        span = json.loads(line)
+    for span in spans:
         name = span["name"]
         if name not in totals:
             order.append(name)
@@ -263,10 +260,8 @@ def render_report(metrics_path: str | Path,
         lines.append("")
     lines += render_metrics(registry)
     if trace_path is not None:
-        trace_lines = Path(trace_path).read_text(
-            encoding="utf-8").splitlines()
         lines.append("")
-        lines += render_trace_summary(trace_lines)
+        lines += render_trace_summary(read_jsonl(trace_path))
     return lines
 
 

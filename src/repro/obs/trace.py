@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
+from repro.persist import write_lines
+
 
 class TickClock:
     """A deterministic clock: every read returns the next integer."""
@@ -134,12 +136,7 @@ class Tracer:
                 for span in self.finished]
 
     def write_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = self.export_lines()
-        path.write_text("\n".join(lines) + ("\n" if lines else ""),
-                        encoding="utf-8")
-        return path
+        return write_lines(path, self.export_lines())
 
     # -- checkpoint support ---------------------------------------------------
 

@@ -153,9 +153,8 @@ class ExtractionSession:
         """Sentence/token/POS annotation over a batch of texts."""
         documents = [Document(doc_id="serve", text=text)
                      for text in texts]
-        for document in documents:
-            self.pipeline.preprocess(document)
-        self.pipeline._pos_tag_documents(documents)
+        self.pipeline.one_pass_annotator(
+            methods=(), with_pos=True).annotate_batch(documents)
         outputs = []
         for document in documents:
             sentences = []

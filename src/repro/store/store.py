@@ -20,23 +20,20 @@ group), which is what makes store contents byte-identical across any
 permutation of input documents, any worker or shard count, and
 kill+resume.
 
-Persistence follows the checkpoint discipline
-(:mod:`repro.crawler.checkpoint`): atomic tmp-file + fsync +
-``os.replace`` writes, a versioned format, and typed errors that
-refuse to downgrade from a newer build instead of surfacing a stray
-``KeyError``.
+``store.json`` is a durable :mod:`repro.persist` format ("On-disk
+formats" in ``docs/robustness.md``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.annotations import Document
+from repro.persist import FileFormat, write_lines
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.corpora.vocabulary import BiomedicalVocabulary
@@ -67,6 +64,16 @@ class StoreNotFoundError(StoreError):
 
 class StoreVersionError(StoreError):
     """The store was written by a newer build; refusing to downgrade."""
+
+
+#: Sorted content + sorted keys: two stores with equal observation
+#: sets write byte-identical files.
+_STORE = FileFormat("entity store", FORMAT_VERSION, kind="entity-store",
+                    sections=("mentions", "assertions", "links"),
+                    sort_keys=True, error=StoreError,
+                    not_found=StoreNotFoundError,
+                    too_new=StoreVersionError,
+                    hint="; build one with --store")
 
 
 def alias_key(surface: str) -> str:
@@ -461,26 +468,15 @@ class EntityStore:
         """Canonical payload: sorted observation lists, versioned."""
         return {
             "version": FORMAT_VERSION,
-            "kind": "entity-store",
+            "kind": _STORE.kind,
             "mentions": [m.to_dict() for m in sorted(self._mentions)],
             "assertions": [a.to_dict() for a in sorted(self._assertions)],
             "links": [list(link) for link in sorted(self._links)],
         }
 
     def save(self, path: str | Path) -> Path:
-        """Atomically persist to ``path`` (a directory or file).
-
-        Sorted content + sorted keys: two stores with equal
-        observation sets write byte-identical files."""
-        target = self._store_file(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(self.to_dict(), sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-        return target
+        """Atomically persist to ``path`` (a directory or file)."""
+        return _STORE.save(self._store_file(path), self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path,
@@ -489,24 +485,7 @@ class EntityStore:
         """Restore a store; raises :class:`StoreError` subclasses on
         missing, truncated, malformed, or newer-versioned payloads."""
         target = cls._store_file(path)
-        try:
-            text = target.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise StoreNotFoundError(
-                f"no entity store at {path} (expected {target}); "
-                f"build one with --store") from None
-        except OSError as exc:
-            raise StoreError(f"cannot read entity store {target}: "
-                             f"{exc}") from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise StoreError(f"entity store {target} is truncated or "
-                             f"not JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise StoreError(f"entity store {target} is not a JSON "
-                             "object")
-        cls._check_version(target, payload)
+        payload = _STORE.load(target)
         store = cls(vocabulary=vocabulary)
         try:
             for entry in payload["mentions"]:
@@ -528,19 +507,6 @@ class EntityStore:
             return path
         return path / STORE_FILENAME
 
-    @staticmethod
-    def _check_version(target: Path, payload: dict) -> None:
-        version = payload.get("version")
-        if not isinstance(version, int) or version < 1:
-            raise StoreError(
-                f"unsupported entity-store version: {version!r}")
-        if version > FORMAT_VERSION:
-            raise StoreVersionError(
-                f"entity store {target} has format version {version}, "
-                f"but this build supports at most version "
-                f"{FORMAT_VERSION}; refusing to load a store from a "
-                f"newer build (downgrade detected)")
-
     # -- export / observability ----------------------------------------------
 
     def export_lines(self) -> dict[str, list[str]]:
@@ -557,15 +523,9 @@ class EntityStore:
     def export(self, directory: str | Path) -> dict[str, Path]:
         """Write ``entities.jsonl`` + ``facts.jsonl`` under
         ``directory``; returns artifact -> path."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        paths: dict[str, Path] = {}
-        for artifact, lines in self.export_lines().items():
-            path = directory / f"{artifact}.jsonl"
-            path.write_text("\n".join(lines) + ("\n" if lines else ""),
-                            encoding="utf-8")
-            paths[artifact] = path
-        return paths
+        return {artifact: write_lines(
+                    Path(directory) / f"{artifact}.jsonl", lines)
+                for artifact, lines in self.export_lines().items()}
 
     def digest(self) -> str:
         """SHA-256 over the canonical export — the store-equality

@@ -131,15 +131,3 @@ def test_batch_and_per_sentence_share_cache_entries(tmp_path):
     misses = tagger.annotation_cache.misses
     assert [tagger.tag(s) for s in batch] == batched
     assert tagger.annotation_cache.misses == misses
-
-
-def test_tag_tokens_batch_matches_tag_tokens():
-    from repro.nlp.tokenize import tokenize
-
-    tagger = _trained(12)
-    texts = ["The patient showed response.",
-             "Large doses of TNF in studies."]
-    token_lists = [tokenize(text) for text in texts]
-    batched = tagger.tag_tokens_batch(token_lists)
-    assert batched == [tagger.tag_tokens(tokens)
-                       for tokens in token_lists]

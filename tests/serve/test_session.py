@@ -63,6 +63,28 @@ class TestRunBatch:
             isinstance(text, str) and isinstance(pos, str)
             for text, pos in tokens)
 
+    def test_annotate_over_limit_sentence_counts_a_crash(
+            self, session, pipeline, monkeypatch):
+        """A sentence above the tagger's operational limit keeps its
+        untagged tokens and is counted; its neighbours are tagged —
+        the reference path's accounting, through the one-pass engine."""
+        from repro.annotations import Document
+
+        monkeypatch.setattr(pipeline.pos_tagger, "crash_token_limit", 6)
+        text = "Aspirin helps. " + TEXTS[1]
+        result = session.run_batch([("annotate", text)])[0]
+        assert result["pos_crashes"] == 1
+        short, long_ = result["sentences"]
+        assert all(pos for _text, pos in short["tokens"])
+        assert len(long_["tokens"]) > 6
+        assert not any(pos for _text, pos in long_["tokens"])
+        reference = pipeline.analyze(Document("serve", text), methods=(),
+                                     with_pos=True)
+        assert reference.meta["pos_crashes"] == 1
+        assert [[[t.text, t.pos] for t in s.tokens]
+                for s in reference.sentences] == [
+            s["tokens"] for s in result["sentences"]]
+
     def test_classify_matches_classifier(self, session, pipeline):
         result = session.run_batch([("classify", TEXTS[0])])[0]
         assert result["relevant"] == pipeline.classifier.predict(
