@@ -765,7 +765,7 @@ def cmd_serve(args) -> int:
                               query_engine=query_engine).start()
     host, port = server.address
     print(f"serving on {host}:{port} | workers {config.workers} | "
-          f"batch <= {config.policy().max_requests} | "
+          f"batch <= {config.policy().count_target} | "
           f"queue limit {config.queue_limit}")
     if query_engine is not None:
         print(f"store: {query_engine.snapshot.n_facts} facts / "

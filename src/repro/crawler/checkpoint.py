@@ -342,18 +342,15 @@ class ResumableCrawl:
             page_callback=None) -> CrawlResult:
         """Crawl to completion with periodic atomic checkpoints."""
         frontier = result = None
-        if resume and self.checkpoint_path.exists():
-            state = load_checkpoint(self.checkpoint_path)
+        state = self.restore() if resume else None
+        if state is not None:
             frontier, result = state.frontier, state.result
-            self.crawler.clock.now = state.clock_now
-            if state.crawler_state is not None:
-                restore_crawler_state(self.crawler, state.crawler_state)
         elif seeds is None:
             raise ValueError("a fresh crawl requires seeds")
-        saver = _PeriodicSaver(self, checkpoint_every,
-                               result.pages_visited if result else 0)
         return self.crawler.crawl(seeds, frontier=frontier, result=result,
-                                  checkpoint=saver, page_callback=page_callback)
+                                  checkpoint=self.saver(checkpoint_every,
+                                                        result),
+                                  page_callback=page_callback)
 
     # -- legged interface ---------------------------------------------------
 
@@ -366,12 +363,9 @@ class ResumableCrawl:
         """
         crawler = self.crawler
         config = crawler.config
-        if self.checkpoint_path.exists():
-            state = load_checkpoint(self.checkpoint_path)
+        state = self.restore()
+        if state is not None:
             frontier, result = state.frontier, state.result
-            crawler.clock.now = state.clock_now
-            if state.crawler_state is not None:
-                restore_crawler_state(crawler, state.crawler_state)
         else:
             if seeds is None:
                 raise ValueError("first leg requires seeds")
@@ -393,7 +387,28 @@ class ResumableCrawl:
         self._save(frontier, result)
         return result
 
-    # -- internals ----------------------------------------------------------
+    # -- the two halves ------------------------------------------------------
+
+    def restore(self) -> CheckpointState | None:
+        """Load the checkpoint, if there is one, and put the crawler
+        back where it was (clock, politeness/robots/breaker state);
+        the returned state's frontier and result are the caller's to
+        continue from.  None when no checkpoint exists."""
+        if not self.checkpoint_path.exists():
+            return None
+        state = load_checkpoint(self.checkpoint_path)
+        self.crawler.clock.now = state.clock_now
+        if state.crawler_state is not None:
+            restore_crawler_state(self.crawler, state.crawler_state)
+        return state
+
+    def saver(self, every: int,
+              result: CrawlResult | None) -> "_PeriodicSaver":
+        """The ``checkpoint=`` callback for :meth:`FocusedCrawler.crawl`:
+        saves every ``every`` visited pages, counted from ``result``
+        (the restored one, when resuming), and at the end."""
+        return _PeriodicSaver(
+            self, every, result.pages_visited if result is not None else 0)
 
     def _save(self, frontier: CrawlDb, result: CrawlResult) -> None:
         save_checkpoint(self.checkpoint_path, frontier, result,

@@ -33,7 +33,6 @@ or any crawl output.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,13 +52,13 @@ from repro.crawler.recrawl import (
 from repro.crawler.robust import (
     HOST_FAILURES, BreakerConfig, HostHealth, RetryPolicy,
 )
-from repro.dataflow.fusion import fork_start_available
 from repro.html.boilerplate import BoilerplateDetector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, maybe_span
 from repro.web.robots import RobotsPolicy, parse_robots
 from repro.web.server import FetchResult, SimulatedClock, SimulatedWeb
 from repro.web.urls import host_of
+from repro.workers import can_fork
 
 #: Bucket layout for simulated-time fetch/backoff histograms.  Fixed
 #: here (not per-call) so exports always merge exactly.
@@ -355,13 +354,8 @@ class FocusedCrawler:
                 "online_learning updates the classifier between pages, "
                 "which a parallel document stage cannot replay "
                 "deterministically; run with parallel_workers=1")
-        if not fork_start_available():
-            warnings.warn(
-                "the parallel crawl document stage needs the 'fork' "
-                "multiprocessing start method, which this platform/"
-                "configuration does not provide; falling back to the "
-                "sequential document stage",
-                RuntimeWarning, stacklevel=3)
+        if not can_fork("the parallel crawl document stage",
+                        "the sequential document stage"):
             return None
         # Build lazy scoring tables *before* forking so workers inherit
         # them by copy-on-write instead of each rebuilding.

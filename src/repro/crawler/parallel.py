@@ -37,14 +37,14 @@ actually pays:
   actually consumes: in particular, the extracted net text of a page
   the text filters rejected is never shipped back, because the merge
   never reads it.
-* **GC discipline** — workers call :func:`gc.freeze` right after the
-  fork, so the inherited model tables never get traversed by their
-  cycle collector (and never get copy-on-write-faulted by it); the
-  coordinator freezes its own long-lived base state for the same
-  reason before forking.
+* **GC discipline** — the package-wide one (:mod:`repro.workers`;
+  docs/performance.md, "Worker processes"): the coordinator holds
+  ``frozen_heap()`` for the life of the pool, each worker enters
+  ``child_gc_regime()`` right after the fork, and both collect
+  explicitly at chunk boundaries.
 
 Chunk sizing is *adaptive*: instead of a fixed pages-per-chunk
-constant, :class:`ChunkPlanner` sizes chunks from the page count and
+constant, :func:`page_rule` sizes chunks from the page count and
 payload bytes of the batch at hand.  The decision is a pure function
 of deterministic inputs (body sizes, worker count, configured batch
 size), so the chunking — and with it every volatile pool-attribution
@@ -57,9 +57,9 @@ from __future__ import annotations
 
 import gc
 import marshal
-import multiprocessing
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.crawler.filters import FilterChain
@@ -71,6 +71,7 @@ from repro.html.boilerplate import (
 )
 from repro.html.repair import repair_document
 from repro.obs.metrics import MetricsRegistry
+from repro.workers import ChunkRule, child_gc_regime, fork_pool, frozen_heap
 
 #: One task per successfully fetched page: (batch index, url, body,
 #: declared content type).
@@ -193,27 +194,6 @@ def outcome_from_wire(wire: tuple) -> DocumentOutcome:
         relevant=relevant, stage_seconds=stage_seconds)
 
 
-def _worker_init() -> None:
-    """Runs in each pool worker right after the fork.
-
-    ``gc.freeze`` moves the entire inherited heap — classifier tables,
-    dictionaries, detector state — into the permanent generation, so
-    the worker's cycle collector never traverses it (and never dirties
-    those copy-on-write pages).  Automatic collection is then switched
-    off entirely: threshold-triggered collections fire mid-chunk at
-    allocation-dependent moments and cost far more than one explicit
-    sweep at a chunk boundary.  :func:`_worker_chunk` collects after
-    every chunk instead.  The document stage itself builds no
-    reference cycles (it allocates no DOM, and a reparse-hazard page's
-    tree has no back-pointers), but with automatic collection off this
-    sweep is all that would ever free one (say, a traceback's).  It
-    only traverses that chunk's survivors — the frozen base is exempt —
-    so it costs next to nothing.
-    """
-    gc.freeze()
-    gc.disable()
-
-
 def _worker_chunk(payload: bytes) -> bytes:
     """Process one marshal'd chunk of page tasks; returns marshal'd
     ``[(index, outcome_wire), ...]`` in task order."""
@@ -225,83 +205,36 @@ def _worker_chunk(payload: bytes) -> bytes:
         results.append((index, outcome_to_wire(outcome)))
     payload = marshal.dumps(results)
     # The only collection this worker runs (automatic collection is
-    # off; see _worker_init).
+    # off; the document stage builds no cycles, so the sweep only
+    # frees the odd traceback's).
     gc.collect()
     return payload
 
 
 # -- adaptive chunk sizing -----------------------------------------------------
 
-class ChunkPlanner:
-    """Sizes work chunks from deterministic inputs only.
-
-    A chunk closes when it reaches ``page_target`` tasks or
-    ``byte_target`` payload bytes, whichever comes first.  The page
-    target splits the configured frontier batch across
-    ``workers * PIPELINE_DEPTH`` chunks (so every worker sees several
-    chunks per batch and the tail of a skewed batch still balances),
-    bounded to [``MIN_PAGES``, ``MAX_PAGES``]; the byte cap keeps a run
-    of oversized pages from serializing into one worker.  Both inputs
-    — task counts and body sizes — are deterministic crawl state, so
-    two runs of the same crawl at the same worker count always chunk
-    identically.  (``byte_target`` is calibrated from the measured
-    per-page document cost of the throughput benchmark: ~25-35 pages
-    of average body size.)
-    """
-
-    #: Submitted chunks a worker should see per frontier batch.
-    PIPELINE_DEPTH = 2
-    MIN_PAGES = 8
-    MAX_PAGES = 64
-    BYTE_TARGET = 192_000
-
-    def __init__(self, workers: int, batch_hint: int | None = None,
-                 byte_target: int | None = None) -> None:
-        if workers < 1:
-            raise ValueError("ChunkPlanner needs at least 1 worker")
-        hint = batch_hint if batch_hint and batch_hint > 0 else \
-            self.MAX_PAGES * workers
-        target = -(-hint // (workers * self.PIPELINE_DEPTH))
-        self.page_target = max(self.MIN_PAGES,
-                               min(self.MAX_PAGES, target))
-        self.byte_target = byte_target or self.BYTE_TARGET
-        self._pages = 0
-        self._bytes = 0
-
-    def add(self, payload_bytes: int) -> bool:
-        """Account one task; True means "close the chunk now"."""
-        self._pages += 1
-        self._bytes += payload_bytes
-        if (self._pages >= self.page_target
-                or self._bytes >= self.byte_target):
-            self.reset()
-            return True
-        return False
-
-    def reset(self) -> None:
-        self._pages = 0
-        self._bytes = 0
+#: A chunk's page target is bounded to this band ...
+MIN_PAGES = 8
+MAX_PAGES = 64
+#: ... and a chunk closes early at this many payload bytes, so a run
+#: of oversized pages cannot serialize into one worker (calibrated
+#: from the measured per-page document cost of the throughput
+#: benchmark: ~25-35 pages of average body size).
+BYTE_TARGET = 192_000
 
 
-def adaptive_chunks(sizes: list[int], workers: int,
-                    batch_hint: int | None = None) -> list[tuple[int, int]]:
-    """Partition tasks with byte sizes ``sizes`` into contiguous chunks.
-
-    Returns ``[(start, end), ...]`` half-open index ranges that are
-    contiguous, order-preserving, and exactly cover ``range(len(sizes))``
-    — the same boundaries the streaming :class:`ChunkPlanner` produces
-    when fed the sizes one at a time (property-tested).
-    """
-    planner = ChunkPlanner(workers, batch_hint)
-    bounds: list[tuple[int, int]] = []
-    start = 0
-    for index, size in enumerate(sizes):
-        if planner.add(size):
-            bounds.append((start, index + 1))
-            start = index + 1
-    if start < len(sizes):
-        bounds.append((start, len(sizes)))
-    return bounds
+def page_rule(workers: int, batch_hint: int | None = None) -> ChunkRule:
+    """The crawl pool's chunk rule: the page target splits the
+    configured frontier batch (``batch_hint``) across the workers, so
+    every worker sees several chunks per batch.  Task counts and body
+    sizes are deterministic crawl state, so two runs of the same crawl
+    at the same worker count always chunk identically."""
+    if workers < 1:
+        raise ValueError("the crawl pool needs at least 1 worker")
+    hint = batch_hint if batch_hint and batch_hint > 0 else \
+        MAX_PAGES * workers
+    return ChunkRule(ChunkRule.share(hint, workers, MIN_PAGES, MAX_PAGES),
+                     BYTE_TARGET)
 
 
 class CrawlWorkerPool:
@@ -336,16 +269,9 @@ class CrawlWorkerPool:
         #: the totals stay correct no matter how chunks complete
         #: out of order inside the pool.
         self.metrics = metrics
-        self.planner = ChunkPlanner(workers, batch_hint)
+        self.planner = page_rule(workers, batch_hint)
         self._pending: list[PageTask] = []
         self._inflight: list = []
-        # Freeze the coordinator's long-lived base (models, web graph,
-        # caches) before forking: neither the coordinator's nor —
-        # via `_worker_init` — the workers' cycle collector needs to
-        # traverse it again, and the fork snapshot stays clean of
-        # GC-driven copy-on-write faults.
-        gc.collect()
-        gc.freeze()
         _WORKER_CONTEXT = context
         self._context = context
         self._done: dict[int, DocumentOutcome] = {}
@@ -365,17 +291,19 @@ class CrawlWorkerPool:
         #   beats the sequential loop's automatic GC.
         cores = os.cpu_count() or 1
         self.processes = 0 if cores < 2 else max(2, min(workers, cores))
+        # Freeze the coordinator's long-lived base (models, web graph,
+        # caches) before forking, and give the coordinator the
+        # workers' GC regime while the pool lives: the allocation-heavy
+        # work happens out of process (or per-chunk inline) and builds
+        # no cycles, so automatic collections here only steal CPU.
+        # New coordinator garbage is collected at dispatch/drain
+        # barriers, against the frozen base.  close() restores both.
+        self._heap = ExitStack()
+        self._heap.enter_context(frozen_heap())
         self._pool = None
         if self.processes:
-            self._pool = multiprocessing.get_context("fork").Pool(
-                processes=self.processes, initializer=_worker_init)
-        # The coordinator gets the same GC regime as the workers while
-        # the pool lives: the allocation-heavy work happens out of
-        # process (or per-chunk inline) and builds no cycles, so
-        # automatic collections here only steal CPU.  New coordinator
-        # garbage is collected at dispatch/drain barriers, against the
-        # frozen base.
-        self._gc_was_enabled = gc.isenabled()
+            self._pool = fork_pool(self.processes,
+                                   initializer=child_gc_regime)
         gc.disable()
         if metrics is not None:
             metrics.gauge("crawl.pool_workers", volatile=True).set(
@@ -458,6 +386,4 @@ class CrawlWorkerPool:
             self._pool.close()
             self._pool.join()
         _WORKER_CONTEXT = None
-        gc.unfreeze()
-        if self._gc_was_enabled:
-            gc.enable()
+        self._heap.close()

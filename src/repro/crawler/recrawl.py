@@ -356,24 +356,16 @@ class IncrementalCrawl:
     def run(self, seeds: list[str], resume: bool = False,
             page_callback: Callable[["CrawlResult"], None] | None = None,
             ) -> "CrawlResult":
-        from pathlib import Path
-
-        from repro.crawler.checkpoint import (
-            ResumableCrawl, _PeriodicSaver, load_checkpoint,
-            restore_crawler_state,
-        )
+        from repro.crawler.checkpoint import ResumableCrawl
 
         crawler = self.crawler
         resumable = (ResumableCrawl(crawler, self.checkpoint_path)
                      if self.checkpoint_path is not None else None)
         start_round = 0
         frontier = result = None
-        if resume and self.checkpoint_path is not None \
-                and Path(self.checkpoint_path).exists():
-            state = load_checkpoint(self.checkpoint_path)
-            crawler.clock.now = state.clock_now
-            if state.crawler_state is not None:
-                restore_crawler_state(crawler, state.crawler_state)
+        state = (resumable.restore()
+                 if resume and resumable is not None else None)
+        if state is not None:
             start_round = crawler.round
             if state.result.stop_reason:
                 # The checkpointed round completed; its result is the
@@ -390,11 +382,8 @@ class IncrementalCrawl:
         for rnd in range(start_round, self.rounds):
             if frontier is None:
                 crawler.begin_round(rnd)
-            saver = None
-            if resumable is not None:
-                saver = _PeriodicSaver(
-                    resumable, self.checkpoint_every,
-                    result.pages_visited if result is not None else 0)
+            saver = (resumable.saver(self.checkpoint_every, result)
+                     if resumable is not None else None)
             final = crawler.crawl(
                 seeds if frontier is None else None,
                 frontier=frontier, result=result,

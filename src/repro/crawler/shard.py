@@ -52,16 +52,18 @@ tests; zero IPC) or as forked child processes exchanging link buffers
 over pipes (``processes=True`` — the mode that buys wall-clock, since
 each shard fetches, parses, and classifies its partition locally and
 only host-routed links plus one final result payload ever cross a
-process boundary).
+process boundary).  Either way a shard is a :mod:`repro.workers`
+worker answering :func:`_answer` commands (docs/performance.md,
+"Worker processes"); what this client adds is the BSP schedule.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import multiprocessing
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -75,6 +77,7 @@ from repro.crawler.frontier import CrawlDb
 from repro.obs.metrics import MetricsRegistry
 from repro.web.server import SimulatedClock
 from repro.web.urls import host_of, normalize
+from repro.workers import ForkedWorker, InlineWorker, WorkerDied, can_fork
 
 #: Effectively-unbounded page budget used to neutralize the per-batch
 #: budget check inside a superstep (the driver enforces the real budget
@@ -347,12 +350,13 @@ def merge_shard_payloads(finals: list[dict], stop_reason: str,
     return merged, metrics
 
 
-# -- shard handles -------------------------------------------------------------
+# -- shard workers -------------------------------------------------------------
 
-def _build_shard(factory: Callable[[int], ShardCrawler], shard_id: int,
-                 restore_payload: dict | None) -> ShardCrawler:
-    """Build and vet one shard's crawler, restored from its checkpoint
-    section when there is one."""
+def _shard_handler(factory: Callable[[int], ShardCrawler], shard_id: int,
+                   restore_payload: dict | None, built: list):
+    """Build and vet one shard's crawler — restored from its checkpoint
+    section when there is one, noted in ``built`` — and return the
+    handler its :mod:`repro.workers` worker runs."""
     crawler = factory(shard_id)
     if not isinstance(crawler, ShardCrawler):
         raise TypeError("the sharded crawl factory must build "
@@ -370,7 +374,8 @@ def _build_shard(factory: Callable[[int], ShardCrawler], shard_id: int,
     if restore_payload is not None:
         crawler.restore_state(restore_payload)
         crawler.resume_round()
-    return crawler
+    built.append(crawler)
+    return partial(_answer, crawler)
 
 
 def _answer(crawler: ShardCrawler, message: tuple):
@@ -378,16 +383,21 @@ def _answer(crawler: ShardCrawler, message: tuple):
 
     Protocol (driver -> shard): ``("apply", links)``, ``("step",
     host_quota)``, ``("round", rnd)``, ``("summary", rnd)``,
-    ``("snapshot",)``, ``("final",)``; a forked shard also takes
-    ``("stop",)``.  Every command gets exactly one reply.
+    ``("snapshot",)``, ``("final",)``.  Every command gets exactly one
+    reply, and both are plain data — what the JSON checkpoint stores.
     """
     command = message[0]
     if command == "apply":
         crawler.apply_inbound(message[1])
         return (crawler.result.pages_visited, crawler.frontier.is_empty())
     if command == "step":
-        return (crawler.run_superstep(message[1]),
-                crawler.result.pages_visited)
+        reply = (crawler.run_superstep(message[1]),
+                 crawler.result.pages_visited)
+        if not gc.isenabled():
+            # A forked shard: automatic gc is off, so cycles from
+            # parsed pages are collected here, at the superstep boundary.
+            gc.collect()
+        return reply
     if command == "round":
         crawler.begin_round(message[1])
         return True
@@ -400,101 +410,12 @@ def _answer(crawler: ShardCrawler, message: tuple):
     raise ValueError(f"unknown shard command: {command!r}")
 
 
-class _InlineShard:
-    """In-process shard behind :class:`_ForkedShard`'s interface: a
-    command runs when it is sent and its reply waits for ``recv``."""
-
-    def __init__(self, factory, shard_id: int,
-                 restore_payload: dict | None) -> None:
-        self.shard_id = shard_id
-        self.crawler = _build_shard(factory, shard_id, restore_payload)
-        self._reply = None
-
-    def send(self, message: tuple) -> None:
-        self._reply = _answer(self.crawler, message)
-
-    def recv(self):
-        return self._reply
-
-    def stop(self) -> None:
-        self.crawler.close()
-
-
-def _shard_child_main(factory: Callable[[int], ShardCrawler],
-                      shard_id: int, conn,
-                      restore_payload: dict | None) -> None:
-    """Command loop of one forked shard process; exits on "stop" or
-    when the parent's pipe closes."""
-    crawler = _build_shard(factory, shard_id, restore_payload)
-    # Same GC discipline as the worker pool: the base state built by
-    # the factory is immortal for this crawl; cycles from parsed pages
-    # are collected explicitly at superstep boundaries.
-    gc.collect()
-    gc.freeze()
-    gc.disable()
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            if message[0] == "stop":
-                break
-            reply = _answer(crawler, message)
-            if message[0] == "step":
-                gc.collect()
-            conn.send(reply)
-    finally:
-        crawler.close()
-        conn.close()
-
-
-class _ForkedShard:
-    """Parent-side handle for one shard child process."""
-
-    def __init__(self, factory, shard_id: int,
-                 restore_payload: dict | None) -> None:
-        context = multiprocessing.get_context("fork")
-        self.conn, child_conn = context.Pipe()
-        self.process = context.Process(
-            target=_shard_child_main,
-            args=(factory, shard_id, child_conn, restore_payload),
-            daemon=True)
-        self.shard_id = shard_id
-        self.process.start()
-        child_conn.close()
-
-    @property
-    def pid(self) -> int:
-        return self.process.pid
-
-    def send(self, message: tuple) -> None:
-        try:
-            self.conn.send(message)
-        except (BrokenPipeError, OSError) as error:
-            raise ShardCrashed(
-                f"shard {self.shard_id} (pid {self.process.pid}) is "
-                f"gone: {error}") from error
-
-    def recv(self):
-        try:
-            return self.conn.recv()
-        except (EOFError, ConnectionResetError, OSError) as error:
-            raise ShardCrashed(
-                f"shard {self.shard_id} (pid {self.process.pid}) died "
-                "mid-superstep; resume from the last collective "
-                "checkpoint") from error
-
-    def stop(self) -> None:
-        try:
-            self.conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=10)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=10)
-        self.conn.close()
+def _ask(shards, *message) -> list:
+    """Send one command to every shard before reading any reply, so
+    forked shards work in parallel."""
+    for shard in shards:
+        shard.send(message)
+    return [shard.recv() for shard in shards]
 
 
 class ShardedCrawl:
@@ -596,42 +517,51 @@ class ShardedCrawl:
             # Single-round crawls never call begin_round (bit-compat
             # with the pre-recrawl schedule); seeds route up front.
             inbound = self._seed_inbound(seeds)
-        handle = _ForkedShard if self.processes else _InlineShard
-        with self._shards(handle, restore_payloads) as shards:
-            if self.processes:
+        forked = self.processes and can_fork(
+            "a sharded crawl in processes", "in-process shards")
+        with self._shards(forked, restore_payloads) as shards:
+            if forked:
                 self.child_pids = [shard.pid for shard in shards]
-            return self._drive(shards, superstep, start_round,
-                               need_begin, seeds, inbound,
-                               self._restored_pages(restore_payloads),
-                               barrier_callback)
+            try:
+                return self._drive(shards, superstep, start_round,
+                                   need_begin, seeds, inbound,
+                                   self._restored_pages(restore_payloads),
+                                   barrier_callback)
+            except WorkerDied as died:
+                raise ShardCrashed(
+                    f"{died}; resume from the last collective "
+                    "checkpoint") from died
 
     @contextmanager
-    def _shards(self, handle, restore_payloads):
-        """One ``handle`` per shard, all stopped on the way out — also
-        when the factory fails for a later shard."""
+    def _shards(self, forked: bool, restore_payloads):
+        """One worker per shard, answering :func:`_answer` commands —
+        all stopped on the way out, also when the factory fails for a
+        later shard."""
         shards = []
+        crawlers = []  # the ones built in this process
         try:
             for shard_id, payload in enumerate(restore_payloads):
-                shards.append(handle(self.factory, shard_id, payload))
+                make_handler = partial(_shard_handler, self.factory,
+                                       shard_id, payload, crawlers)
+                shards.append(
+                    ForkedWorker(make_handler, f"repro-shard-{shard_id}")
+                    if forked else InlineWorker(make_handler))
             yield shards
         finally:
             for shard in shards:
                 shard.stop()
+            # A forked shard's crawler dies with its process, inner
+            # pool included; an inline one is ours to close.
+            for crawler in crawlers:
+                crawler.close()
 
     def _drive(self, shards, superstep, start_round, need_begin, seeds,
                inbound, pages_at_last_save,
                barrier_callback) -> CrawlResult:
         """The superstep / round / checkpoint loop, the same for both
-        modes: every command goes to all shards before any reply is
-        read, so forked shards work in parallel."""
-
-        def ask(*message) -> list:
-            for shard in shards:
-                shard.send(message)
-            return [shard.recv() for shard in shards]
-
-        def snapshot() -> list[dict]:
-            return ask("snapshot")
+        modes."""
+        ask = partial(_ask, shards)
+        snapshot = partial(ask, "snapshot")
 
         for rnd in range(start_round, self.rounds):
             if need_begin:
@@ -640,8 +570,8 @@ class ShardedCrawl:
                 pages_at_last_save = 0
             need_begin = True
             while True:
-                for shard in shards:
-                    shard.send(("apply", inbound[shard.shard_id]))
+                for shard_id, shard in enumerate(shards):
+                    shard.send(("apply", inbound[shard_id]))
                 inbound = {shard_id: []
                            for shard_id in range(self.n_shards)}
                 replies = [shard.recv() for shard in shards]
@@ -735,8 +665,8 @@ class ShardedCrawl:
         """The checkpoint says the final round already completed:
         rebuild the merged result from the per-shard snapshots without
         re-running anything (resume of a finished crawl)."""
-        with self._shards(_InlineShard, restore_payloads) as shards:
-            finals = [shard.crawler.final_payload() for shard in shards]
+        with self._shards(False, restore_payloads) as shards:
+            finals = _ask(shards, "final")
         self.supersteps = superstep
         merged, metrics = merge_shard_payloads(finals, stop_reason,
                                                superstep)

@@ -25,20 +25,19 @@ stages (POS HMM, CRF, dictionary tagging).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import sys
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Sequence
 
-from repro.dataflow.fusion import FusedStage, fork_start_available, fuse_plan
+from repro.dataflow.fusion import FusedStage, fuse_plan
 from repro.dataflow.operators import Operator
 from repro.dataflow.plan import LogicalPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, maybe_span
+from repro.workers import can_fork, fork_pool
 
 #: Physical execution modes (docs/dataflow.md, "Physical execution").
 EXECUTION_MODES = ("sequential", "threads", "fused", "fused-threads",
@@ -298,13 +297,7 @@ class Executor:
         if dop < 1:
             raise ValueError("dop must be >= 1")
         if mode == "fused-processes" and dop > 1 \
-                and not fork_start_available():
-            # Without fork, degrade to threads rather than fail.
-            warnings.warn(
-                "fused-processes needs the 'fork' multiprocessing start "
-                "method, which this platform/configuration does not "
-                "provide; falling back to fused-threads",
-                RuntimeWarning, stacklevel=2)
+                and not can_fork("fused-processes", "fused-threads"):
             mode = "fused-threads"
         self.mode = mode
         self.dop = dop if mode.endswith(("threads", "processes")) else 1
@@ -328,8 +321,7 @@ class Executor:
         try:
             if self.dop > 1 and self.mode == "fused-processes":
                 _WORKER_STAGES = [stage.operators for stage in staged.stages]
-                process_pool = multiprocessing.get_context("fork").Pool(
-                    processes=self.dop)
+                process_pool = fork_pool(self.dop)
             elif self.dop > 1:
                 thread_pool = ThreadPoolExecutor(max_workers=self.dop)
             with maybe_span(self.tracer, "dataflow.execute",

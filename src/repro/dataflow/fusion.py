@@ -15,28 +15,10 @@ stage, so every edge materializes.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 from repro.dataflow.operators import Operator
 from repro.dataflow.plan import LogicalPlan, PlanNode
-
-
-def fork_start_available() -> bool:
-    """Whether fork-based process pools can be used here.
-
-    Forked workers inherit the (closure-carrying, hence unpicklable)
-    operator chains; spawn-only platforms (Windows, and any interpreter
-    whose start method has been pinned to spawn/forkserver) cannot run
-    the process mode and must degrade to threads.
-    """
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    # A globally pinned non-fork start method signals fork is unsafe
-    # or unwanted on this platform; ``allow_none`` avoids fixing the
-    # default as a side effect of asking.
-    method = multiprocessing.get_start_method(allow_none=True)
-    return method is None or method == "fork"
 
 
 @dataclass

@@ -12,8 +12,8 @@ that flow through the batch kernels (``HmmPosTagger.tag_batch``,
 Layering (each module usable on its own):
 
 * :mod:`repro.serve.protocol` — newline-delimited JSON wire format;
-* :mod:`repro.serve.coalescer` — deterministic batch-closing policy
-  and the thread-safe request queue that applies it;
+* :mod:`repro.serve.coalescer` — the thread-safe request queue that
+  cuts batches with the deterministic chunk rule;
 * :mod:`repro.serve.quotas` — per-tenant token buckets;
 * :mod:`repro.serve.session` — reusable extraction session wrapping a
   trained pipeline with batch entry points per operation;
@@ -23,14 +23,13 @@ Layering (each module usable on its own):
   CI smoke job and ``benchmarks/bench_serve.py``.
 """
 
-from repro.serve.coalescer import BatchPolicy, RequestCoalescer
+from repro.serve.coalescer import RequestCoalescer
 from repro.serve.quotas import QuotaManager
 from repro.serve.server import BatchEngine, ExtractionServer, ServeConfig
 from repro.serve.session import ExtractionSession
 
 __all__ = [
     "BatchEngine",
-    "BatchPolicy",
     "ExtractionServer",
     "ExtractionSession",
     "QuotaManager",

@@ -5,117 +5,26 @@ feed the batch kernels (``tag_batch`` / ``predict_words``) as a unit,
 so per-request call overhead — kernel entry, worker IPC round-trip,
 thread wakeups — amortizes across the batch.
 
-Two parts, separable for testing:
-
-* :class:`BatchPolicy` — the deterministic cutting rule, mirroring the
-  crawl executor's ``ChunkPlanner``: a batch is cut when it reaches a
-  request target or a token target, whichever comes first, both
-  computed from configuration only (never from timing).  The
-  size/token boundaries a queued request stream produces are
-  therefore a pure function of the stream (property-tested:
-  contiguous, exact-cover, identical streaming vs. offline).
-* :class:`RequestCoalescer` — the thread-safe queue applying the
-  policy, work-conserving: a dispatcher that asks for a batch gets
-  what is queued *now*, cut by the policy's targets.  There is no
-  timer — the only timing input is when a dispatcher frees up, so
-  batches grow exactly when workers are busy and an idle server adds
-  no wait.  Multiple dispatchers may pull concurrently; each batch is
-  a contiguous slice of the arrival order.
+:class:`RequestCoalescer` is the thread-safe queue; the cutting rule
+is a :class:`repro.workers.ChunkRule` over request and token counts
+(:meth:`~repro.serve.server.ServeConfig.policy` derives its targets
+from configuration only, never from timing), so the boundaries a
+queued request stream produces are a pure function of the stream.  The
+queue is work-conserving: a dispatcher that asks for a batch gets what
+is queued *now*, cut by the rule.  There is no timer — the only timing
+input is when a dispatcher frees up, so batches grow exactly when
+workers are busy and an idle server adds no wait.  Multiple
+dispatchers may pull concurrently; each batch is a contiguous slice of
+the arrival order.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
-
-class BatchPolicy:
-    """Deterministic batch-cutting rule (size/token targets).
-
-    The request target splits the admission queue across
-    ``workers * PIPELINE_DEPTH`` batches — each worker sees a couple
-    of batches' worth of queue even at full depth, so one giant batch
-    never serializes a drained queue behind a single decode — bounded
-    to [``MIN_REQUESTS``, ``MAX_REQUESTS``].  The token target keeps a
-    run of oversized requests from ballooning one batch's latency.
-    Both inputs are configuration, so the same request stream always
-    partitions identically (the ChunkPlanner rule, applied to
-    requests).
-    """
-
-    #: Batches a dispatcher should see per full admission queue.
-    PIPELINE_DEPTH = 2
-    MIN_REQUESTS = 1
-    MAX_REQUESTS = 64
-    TOKEN_TARGET = 4096
-
-    def __init__(self, max_requests: int = 32,
-                 token_target: int | None = None) -> None:
-        if max_requests < 1:
-            raise ValueError("BatchPolicy needs max_requests >= 1")
-        self.max_requests = max_requests
-        self.token_target = token_target or self.TOKEN_TARGET
-        self._requests = 0
-        self._tokens = 0
-
-    @classmethod
-    def for_config(cls, workers: int, queue_limit: int,
-                   token_target: int | None = None) -> "BatchPolicy":
-        """Derive the request target from serve configuration, the way
-        ``ChunkPlanner`` derives its page target from the crawl's."""
-        dispatchers = max(1, workers)
-        target = -(-queue_limit // (dispatchers * cls.PIPELINE_DEPTH))
-        target = max(cls.MIN_REQUESTS, min(cls.MAX_REQUESTS, target))
-        return cls(max_requests=target, token_target=token_target)
-
-    def add(self, tokens: int) -> bool:
-        """Account one request; True means "close the batch now"."""
-        self._requests += 1
-        self._tokens += tokens
-        if (self._requests >= self.max_requests
-                or self._tokens >= self.token_target):
-            self.reset()
-            return True
-        return False
-
-    def reset(self) -> None:
-        self._requests = 0
-        self._tokens = 0
-
-    def plan(self, token_counts: Sequence[int]) -> list[tuple[int, int]]:
-        """Offline partition of a request stream by token counts.
-
-        Returns ``[(start, end), ...]`` half-open ranges that are
-        contiguous, order-preserving, and exactly cover
-        ``range(len(token_counts))`` — the same boundaries the
-        streaming :meth:`add` produces fed one request at a time
-        (property-tested, like ``adaptive_chunks``).
-        """
-        self.reset()
-        bounds: list[tuple[int, int]] = []
-        start = 0
-        for index, tokens in enumerate(token_counts):
-            if self.add(tokens):
-                bounds.append((start, index + 1))
-                start = index + 1
-        if start < len(token_counts):
-            bounds.append((start, len(token_counts)))
-        self.reset()
-        return bounds
-
-    def cut(self, token_counts: Iterable[int]) -> int:
-        """Length of the first batch of a queued stream: up to and
-        including the request that reaches a target, else all of it
-        (``plan(counts)[0][1]`` without planning the rest)."""
-        self.reset()
-        count = 0
-        for tokens in token_counts:
-            count += 1
-            if self.add(tokens):
-                break
-        self.reset()
-        return count
+from repro.workers import ChunkRule
 
 
 class PendingRequest:
@@ -170,12 +79,12 @@ class RequestCoalescer:
     at ``limit``, refuses it — one critical section, so concurrent
     submitters cannot overshoot the bound.  ``take`` blocks only while
     the queue is empty; otherwise it returns at once with what is
-    queued, cut by the :class:`BatchPolicy`.  After :meth:`close`,
+    queued, cut by the policy.  After :meth:`close`,
     ``take`` drains what's queued and then returns None to each
     caller.
     """
 
-    def __init__(self, policy: BatchPolicy,
+    def __init__(self, policy: ChunkRule,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.policy = policy
         self._clock = clock
@@ -223,7 +132,7 @@ class RequestCoalescer:
                 if self._closed or not block:
                     return None
                 self._cond.wait()
-            count = self.policy.cut(
+            count = self.policy.first(
                 pending.tokens for pending in self._queue)
             batch = self._queue[:count]
             del self._queue[:count]

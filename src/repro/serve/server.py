@@ -19,13 +19,14 @@ Two layers, separable for testing:
   response syscalls too, and requests pipelined on one connection
   complete out of order and in parallel.
 
-Fork layout (the PR-6 crawl-pool discipline): the parent builds and
+Workers are :class:`repro.workers.ForkedWorker`\\ s (docs/performance.md,
+"Worker processes"): the parent builds and
 :meth:`~repro.serve.session.ExtractionSession.warm`\\ s the session,
-then ``gc.collect(); gc.freeze()`` pins the model heap into the
-permanent generation before ``fork`` so reference-count updates in
-children don't unshare pages; each child disables automatic gc and
-collects explicitly every few batches.  Worker IPC is marshal over a
-pipe — plain tuples in, plain dicts out, nothing pickles model state.
+holds ``frozen_heap()`` from ``start`` to ``stop``, and forks; batches
+cross as plain tuples in, plain dicts out — nothing pickles model
+state.  What this client adds is the handler (:meth:`BatchEngine._handler`:
+a failed batch is answered, not fatal; the child collects every
+:data:`_WORKER_GC_EVERY` batches) and the scheduling around it.
 
 Metrics keep the obs registry's deterministic/volatile split: request
 counts per op are deterministic (a fixed workload exports
@@ -36,21 +37,21 @@ latencies, batch sizes, queue depth, shed/quota counts are volatile.
 from __future__ import annotations
 
 import gc
-import marshal
-import multiprocessing
 import os
 import socket
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
-from repro.serve.coalescer import (
-    BatchPolicy, PendingRequest, RequestCoalescer,
-)
+from repro.serve.coalescer import PendingRequest, RequestCoalescer
 from repro.serve.quotas import QuotaManager, count_tokens
 from repro.serve.session import ExtractionSession
+from repro.workers import (
+    ChunkRule, ForkedWorker, InlineWorker, can_fork, frozen_heap,
+)
 
 #: Latency histogram buckets (seconds): finer than DEFAULT_BUCKETS in
 #: the sub-100ms range where serve latencies live.
@@ -63,6 +64,14 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 #: Child workers run a full gc this often (batches); automatic gc is
 #: disabled post-fork to keep the COW heap stable.
 _WORKER_GC_EVERY = 64
+
+#: A batch's request target is bounded to this band (and capped by
+#: ``max_batch``) ...
+MIN_REQUESTS = 1
+MAX_REQUESTS = 64
+#: ... and a batch closes early at this many tokens, so a run of
+#: oversized requests cannot balloon one batch's latency.
+TOKEN_TARGET = 4096
 
 
 @dataclass
@@ -82,105 +91,17 @@ class ServeConfig:
     max_batch: int = 32
     max_delay_ms: float = 10.0
     queue_limit: int = 256
-    token_target: int | None = None
     quotas: dict[str, tuple[float, float]] = field(default_factory=dict)
     default_quota: tuple[float, float] | None = None
     metrics_out: str | None = None
 
-    def policy(self) -> BatchPolicy:
-        policy = BatchPolicy.for_config(
-            workers=self.workers, queue_limit=self.queue_limit,
-            token_target=self.token_target)
-        policy.max_requests = min(policy.max_requests, self.max_batch)
-        return policy
-
-
-class _ForkedWorker:
-    """Parent-side handle of one forked extraction worker.
-
-    ``send`` ships a batch and returns; ``recv`` blocks for the oldest
-    shipped batch's results.  The pipe buffers, so a batch sent while
-    the child still computes the previous one starts the moment the
-    child is free.
-    """
-
-    def __init__(self, session: ExtractionSession, index: int) -> None:
-        context = multiprocessing.get_context("fork")
-        self.index = index
-        parent_conn, child_conn = context.Pipe()
-        self.conn = parent_conn
-        self.process = context.Process(
-            target=_worker_main, args=(child_conn, session),
-            name=f"repro-serve-worker-{index}", daemon=True)
-        self.process.start()
-        child_conn.close()
-
-    def send(self, requests: list[tuple[str, str]]) -> None:
-        self.conn.send_bytes(marshal.dumps(requests))
-
-    def recv(self) -> list[dict]:
-        return marshal.loads(self.conn.recv_bytes())
-
-    def stop(self, timeout: float = 10.0) -> None:
-        try:
-            self.conn.send_bytes(b"")
-        except (OSError, ValueError):
-            pass
-        self.process.join(timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout)
-        self.conn.close()
-
-
-class _InlineWorker:
-    """``workers=0``: the forked worker's interface with the batch run
-    on the dispatcher thread.  ``send`` only parks the batch and
-    ``recv`` runs it, so the dispatch loop is the same loop minus the
-    overlap — the previous batch's responses go out before the parked
-    batch starts."""
-
-    def __init__(self, session: ExtractionSession) -> None:
-        self.session = session
-        self._parked: list[tuple[str, str]] = []
-
-    def send(self, requests: list[tuple[str, str]]) -> None:
-        self._parked = requests
-
-    def recv(self) -> list[dict]:
-        return self.session.run_batch(self._parked)
-
-
-def _worker_main(conn, session: ExtractionSession) -> None:
-    """Child loop: marshal batches in, marshal result lists out.
-
-    Inherits the warmed session read-only through fork; the parent
-    froze the heap pre-fork, so the child only disables automatic gc
-    (its own allocations are collected explicitly every few batches).
-    """
-    gc.disable()
-    batches = 0
-    while True:
-        try:
-            payload = conn.recv_bytes()
-        except (EOFError, OSError):
-            break
-        if not payload:
-            break
-        requests = marshal.loads(payload)
-        try:
-            results = session.run_batch(requests)
-        except Exception as exc:  # noqa: BLE001 - keep the worker up
-            message = f"{type(exc).__name__}: {exc}"
-            results = [{"_error": message}] * len(requests)
-        try:
-            conn.send_bytes(marshal.dumps(results))
-        except (OSError, ValueError):
-            break
-        batches += 1
-        if batches % _WORKER_GC_EVERY == 0:
-            gc.collect()
-    conn.close()
+    def policy(self) -> ChunkRule:
+        """The batch-cutting rule: the request target splits a full
+        admission queue across the dispatchers, so one giant batch
+        never serializes a drained queue behind a single decode."""
+        target = ChunkRule.share(self.queue_limit, max(1, self.workers),
+                                 MIN_REQUESTS, MAX_REQUESTS)
+        return ChunkRule(min(target, self.max_batch), TOKEN_TARGET)
 
 
 class BatchEngine:
@@ -204,7 +125,8 @@ class BatchEngine:
                                    default=config.default_quota,
                                    clock=clock)
         self.coalescer = RequestCoalescer(config.policy(), clock=clock)
-        self._workers: list[_ForkedWorker] = []
+        self._workers: list[ForkedWorker] = []
+        self._heap = ExitStack()
         self._dispatchers: list[threading.Thread] = []
         self._started = False
         self._stopped = False
@@ -221,17 +143,21 @@ class BatchEngine:
             raise RuntimeError("engine already started")
         self._started = True
         self.session.warm()
-        if self.config.workers >= 1:
-            gc.collect()
-            gc.freeze()
-            self._workers = [_ForkedWorker(self.session, index)
-                             for index in range(self.config.workers)]
+        if self.config.workers >= 1 and can_fork(
+                "serving from worker processes", "the inline worker"):
+            self._heap.enter_context(frozen_heap())
+            self._workers = [
+                ForkedWorker(self._handler, f"repro-serve-worker-{index}")
+                for index in range(self.config.workers)]
+        # Inline there is no child to keep up and no gc regime: the
+        # session runs bare, and its crash is the batch's worker_failed.
+        lanes = self._workers or [
+            InlineWorker(lambda: self.session.run_batch)]
         self._dispatchers = [
             threading.Thread(target=self._dispatch_loop, args=(worker,),
                              name=f"repro-serve-dispatch-{index}",
                              daemon=True)
-            for index, worker in enumerate(
-                self._workers or [_InlineWorker(self.session)])]
+            for index, worker in enumerate(lanes)]
         for thread in self._dispatchers:
             thread.start()
 
@@ -245,8 +171,29 @@ class BatchEngine:
             thread.join(timeout=30)
         for worker in self._workers:
             worker.stop()
-        if self._workers:
-            gc.unfreeze()
+        self._heap.close()
+
+    def _handler(self):
+        """A forked worker's batch handler, built in the child.  A
+        batch the session fails on is answered per request instead of
+        taking the worker down, and the child — automatic gc off —
+        collects its own allocations every few batches."""
+        run_batch = self.session.run_batch
+        batches = 0
+
+        def handle(requests: list[tuple[str, str]]) -> list[dict]:
+            nonlocal batches
+            try:
+                results = run_batch(requests)
+            except Exception as exc:  # noqa: BLE001 - keep the worker up
+                message = f"{type(exc).__name__}: {exc}"
+                results = [{"_error": message}] * len(requests)
+            batches += 1
+            if batches % _WORKER_GC_EVERY == 0:
+                gc.collect()
+            return results
+
+        return handle
 
     # -- admission -----------------------------------------------------------
 

@@ -1,14 +1,12 @@
-"""Property tests for the adaptive chunk planner and shard hashing.
+"""The crawl pool's chunk-target derivation, and shard hashing.
 
-Hypothesis drives arbitrary body-size sequences and worker counts
-through :func:`repro.crawler.parallel.adaptive_chunks` and checks the
-invariants the crawl executor depends on: the partition is contiguous,
-order-preserving, and covers every task exactly once; the streaming
-:class:`ChunkPlanner` (what the pipelined pool actually runs) produces
-the same boundaries as the batch function; chunk sizes respect the
-planner's caps.  :func:`repro.crawler.shard.shard_of` must be a
-stable, total assignment — the property that pins every host's state
-to one shard at any topology.
+The chunk rule itself — contiguous exact cover, targets respected,
+streaming ≡ offline, deterministic — is property-tested once, on
+:class:`repro.workers.ChunkRule` (``tests/test_workers.py``); what is
+left here is how the crawl pool derives its page target from the
+configured frontier batch.  :func:`repro.crawler.shard.shard_of` must
+be a stable, total assignment — the property that pins every host's
+state to one shard at any topology.
 """
 
 from __future__ import annotations
@@ -17,78 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crawler.parallel import ChunkPlanner, adaptive_chunks
+from repro.crawler.parallel import (
+    BYTE_TARGET, MAX_PAGES, MIN_PAGES, page_rule,
+)
 from repro.crawler.shard import shard_of
-
-sizes_strategy = st.lists(st.integers(min_value=0, max_value=400_000),
-                          max_size=300)
-workers_strategy = st.integers(min_value=1, max_value=12)
-hint_strategy = st.one_of(st.none(),
-                          st.integers(min_value=1, max_value=2_000))
 
 
 class TestAdaptiveChunkPartition:
-    @given(sizes=sizes_strategy, workers=workers_strategy,
-           hint=hint_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_contiguous_order_preserving_exact_cover(
-            self, sizes, workers, hint):
-        bounds = adaptive_chunks(sizes, workers, hint)
-        if not sizes:
-            assert bounds == []
-            return
-        # Exact cover, in order, no gaps, no overlaps, no empty chunks.
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == len(sizes)
-        for start, end in bounds:
-            assert start < end
-        for (_, prev_end), (start, _) in zip(bounds, bounds[1:]):
-            assert start == prev_end
-
-    @given(sizes=sizes_strategy, workers=workers_strategy,
-           hint=hint_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_chunks_respect_page_and_byte_caps(self, sizes, workers,
-                                               hint):
-        planner = ChunkPlanner(workers, hint)
-        for start, end in adaptive_chunks(sizes, workers, hint):
-            pages = end - start
-            assert pages <= planner.page_target
-            # A chunk may only exceed the byte target by its final
-            # (closing) task; every proper prefix stays under it.
-            assert sum(sizes[start:end - 1]) < planner.byte_target
-
-    @given(sizes=sizes_strategy, workers=workers_strategy,
-           hint=hint_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_streaming_planner_matches_batch_function(
-            self, sizes, workers, hint):
-        planner = ChunkPlanner(workers, hint)
-        bounds, start = [], 0
-        for index, size in enumerate(sizes):
-            if planner.add(size):
-                bounds.append((start, index + 1))
-                start = index + 1
-        if start < len(sizes):
-            bounds.append((start, len(sizes)))
-        assert bounds == adaptive_chunks(sizes, workers, hint)
-
-    @given(sizes=sizes_strategy, workers=workers_strategy,
-           hint=hint_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_planner_is_deterministic(self, sizes, workers, hint):
-        assert adaptive_chunks(sizes, workers, hint) == \
-            adaptive_chunks(list(sizes), workers, hint)
-
     def test_page_target_bounds(self):
-        assert ChunkPlanner(2, 40).page_target == 10
-        assert ChunkPlanner(1, 4).page_target == ChunkPlanner.MIN_PAGES
-        assert ChunkPlanner(1, 10_000).page_target == \
-            ChunkPlanner.MAX_PAGES
+        assert page_rule(2, 40).count_target == 10
+        assert page_rule(1, 4).count_target == MIN_PAGES
+        assert page_rule(1, 10_000).count_target == MAX_PAGES
+        # No hint: as if the batch held MAX_PAGES per worker.
+        assert page_rule(3).count_target == MAX_PAGES // 2
+        assert page_rule(2, 40).volume_target == BYTE_TARGET
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            ChunkPlanner(0)
+            page_rule(0)
 
 
 class TestShardAssignment:

@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-import repro.crawler.crawl as crawl_module
+import repro.workers as workers_module
 from repro.crawler.checkpoint import (
     ResumableCrawl, crawler_state_to_dict, frontier_to_dict,
     result_to_dict,
@@ -225,7 +225,7 @@ class TestObservabilityDeterminism:
 class TestParallelModeGuards:
     def test_spawn_only_platform_falls_back_to_sequential(
             self, context, webgraph, monkeypatch):
-        monkeypatch.setattr(crawl_module, "fork_start_available",
+        monkeypatch.setattr(workers_module, "fork_start_available",
                             lambda: False)
         crawler = _make_crawler(context, webgraph, 6, None, workers=4)
         with pytest.warns(RuntimeWarning, match="fork"):

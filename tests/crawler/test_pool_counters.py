@@ -12,14 +12,16 @@ deterministic export (docs/observability.md).
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from repro.crawler.crawl import fork_start_available
 from repro.crawler.parallel import (
-    CrawlWorkerPool, ProcessingContext, adaptive_chunks,
+    CrawlWorkerPool, ProcessingContext, page_rule,
 )
 from repro.html.boilerplate import BoilerplateDetector
 from repro.obs.metrics import MetricsRegistry
+from repro.workers import fork_start_available, frozen_heap
 
 pytestmark = pytest.mark.skipif(not fork_start_available(),
                                 reason="needs fork start method")
@@ -55,8 +57,8 @@ class TestPoolAttributionCounters:
         finally:
             pool.close()
         assert len(outcomes) == len(tasks)
-        expected_chunks = len(adaptive_chunks(
-            [len(task[2]) for task in tasks], 2, 25))
+        expected_chunks = len(page_rule(2, 25).bounds(
+            [len(task[2]) for task in tasks]))
         assert metrics.value_of("crawl.pool_pages") == len(tasks)
         assert metrics.value_of("crawl.pool_chunks") == expected_chunks
         assert metrics.value_of("crawl.pool_dispatches") == \
@@ -91,3 +93,22 @@ class TestPoolAttributionCounters:
         volatile = metrics.to_dict(include_volatile=True)
         assert any(entry["name"] == "crawl.pool_pages"
                    for entry in volatile["metrics"])
+
+
+class TestPoolGcDiscipline:
+    def test_close_leaves_an_enclosing_freeze_alone(self, context):
+        """A pool inside a shard child, or beside a serve engine: its
+        close() must not thaw a heap another holder still has frozen,
+        and puts automatic gc back the way it found it."""
+        was_enabled = gc.isenabled()
+        with frozen_heap():
+            pool = _pool(context, workers=2, metrics=MetricsRegistry())
+            try:
+                assert not gc.isenabled()
+                assert len(pool.process_batch(_tasks(9))) == 9
+            finally:
+                pool.close()
+            assert gc.get_freeze_count() > 0
+            assert gc.isenabled() == was_enabled
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == was_enabled

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import repro.workers as workers_module
 from repro.crawler.checkpoint import result_to_dict
 from repro.crawler.crawl import CrawlConfig
 from repro.crawler.shard import (
@@ -98,6 +99,20 @@ class TestShardCountInvariance:
                              workers=1)
         _, pooled = _run(context, webgraph, 2, 21, "default", workers=2)
         assert _state(pooled) == _state(sequential)
+
+
+    def test_without_fork_processes_degrade_to_inline_shards(
+            self, context, webgraph, monkeypatch):
+        _, forked = _run(context, webgraph, 2, 21, "default",
+                         processes=True)
+        monkeypatch.setattr(workers_module, "fork_start_available",
+                            lambda: False)
+        with pytest.warns(RuntimeWarning, match="fork") as caught:
+            driver, degraded = _run(context, webgraph, 2, 21, "default",
+                                    processes=True)
+        assert len(caught) == 1
+        assert driver.child_pids == []
+        assert _state(degraded) == _state(forked)
 
 
 class TestShardMetricsInvariance:

@@ -269,9 +269,9 @@ class TestSpawnFallback:
     def test_spawn_only_platform_degrades_to_threads(self, monkeypatch):
         """Windows-style platforms (no fork) must get fused-threads
         plus a warning, not a pickling crash."""
-        import repro.dataflow.fusion as fusion_module
+        import repro.workers as workers_module
 
-        monkeypatch.setattr(fusion_module.multiprocessing,
+        monkeypatch.setattr(workers_module.multiprocessing,
                             "get_all_start_methods", lambda: ["spawn"])
         with pytest.warns(RuntimeWarning, match="fork"):
             executor = Executor("fused-processes", dop=2)
@@ -284,9 +284,9 @@ class TestSpawnFallback:
     def test_pinned_spawn_method_degrades_to_threads(self, monkeypatch):
         """fork available on the platform, but the interpreter pinned
         spawn globally — still fall back."""
-        import repro.dataflow.fusion as fusion_module
+        import repro.workers as workers_module
 
-        monkeypatch.setattr(fusion_module.multiprocessing,
+        monkeypatch.setattr(workers_module.multiprocessing,
                             "get_start_method",
                             lambda allow_none=False: "spawn")
         with pytest.warns(RuntimeWarning, match="falling back"):
@@ -294,7 +294,7 @@ class TestSpawnFallback:
         assert executor.mode == "fused-threads"
 
     def test_fork_platform_keeps_processes(self):
-        from repro.dataflow.fusion import fork_start_available
+        from repro.workers import fork_start_available
 
         if not fork_start_available():  # pragma: no cover
             pytest.skip("no fork on this platform")
@@ -306,7 +306,7 @@ class TestSpawnFallback:
         a side effect of asking."""
         import multiprocessing
 
-        from repro.dataflow.fusion import fork_start_available
+        from repro.workers import fork_start_available
 
         before = multiprocessing.get_start_method(allow_none=True)
         fork_start_available()

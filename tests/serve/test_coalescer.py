@@ -1,12 +1,13 @@
-"""Property tests for the serve-layer batching policy and coalescer.
+"""The serve layer's batch-target derivation, and the coalescer.
 
-The coalescer is the serve layer's ChunkPlanner: the boundaries the
-policy cuts into a queued request stream must be a pure function of
-the stream, so the same invariants are asserted — contiguous,
-order-preserving, exact-cover partitions, and identical boundaries
-whether the policy runs streaming or offline.  The queue itself is
-work-conserving: ``take`` never waits on a clock, only on an empty
-queue.
+The cutting rule — contiguous exact cover, targets respected,
+streaming ≡ offline, deterministic — is property-tested once, on
+:class:`repro.workers.ChunkRule` (``tests/test_workers.py``).  Here:
+how :meth:`ServeConfig.policy` derives the request target from
+``queue_limit`` / ``max_batch``, and that the queue applies the rule —
+the boundaries it cuts into a queued request stream are the rule's
+offline ones.  The queue itself is work-conserving: ``take`` never
+waits on a clock, only on an empty queue.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.coalescer import (
-    BatchPolicy, PendingRequest, RequestCoalescer,
+from repro.serve.coalescer import PendingRequest, RequestCoalescer
+from repro.serve.server import (
+    MAX_REQUESTS, MIN_REQUESTS, TOKEN_TARGET, ServeConfig,
 )
+from repro.workers import ChunkRule
 
 tokens_strategy = st.lists(st.integers(min_value=0, max_value=5_000),
                            max_size=300)
@@ -40,87 +43,33 @@ def _pending(tokens: int, index: int = 0) -> PendingRequest:
                           text="x", tokens=tokens)
 
 
-class TestBatchPolicyPartition:
-    @given(tokens=tokens_strategy, max_requests=max_requests_strategy,
-           token_target=token_target_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_contiguous_order_preserving_exact_cover(
-            self, tokens, max_requests, token_target):
-        policy = BatchPolicy(max_requests=max_requests,
-                             token_target=token_target)
-        bounds = policy.plan(tokens)
-        if not tokens:
-            assert bounds == []
-            return
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == len(tokens)
-        for start, end in bounds:
-            assert start < end
-        for (_, prev_end), (start, _) in zip(bounds, bounds[1:]):
-            assert start == prev_end
-
-    @given(tokens=tokens_strategy, max_requests=max_requests_strategy,
-           token_target=token_target_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_batches_respect_request_and_token_caps(
-            self, tokens, max_requests, token_target):
-        policy = BatchPolicy(max_requests=max_requests,
-                             token_target=token_target)
-        for start, end in policy.plan(tokens):
-            assert end - start <= max_requests
-            # A batch may only exceed the token target by its final
-            # (closing) request; every proper prefix stays under it.
-            assert sum(tokens[start:end - 1]) < token_target
-
-    @given(tokens=tokens_strategy, max_requests=max_requests_strategy,
-           token_target=token_target_strategy)
-    @settings(max_examples=200, deadline=None)
-    def test_streaming_add_matches_offline_plan(
-            self, tokens, max_requests, token_target):
-        policy = BatchPolicy(max_requests=max_requests,
-                             token_target=token_target)
-        bounds = policy.plan(tokens)
-        streaming: list[tuple[int, int]] = []
-        start = 0
-        for index, count in enumerate(tokens):
-            if policy.add(count):
-                streaming.append((start, index + 1))
-                start = index + 1
-        if start < len(tokens):
-            streaming.append((start, len(tokens)))
-        policy.reset()
-        assert streaming == bounds
-
-    @given(tokens=tokens_strategy, max_requests=max_requests_strategy,
-           token_target=token_target_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_plan_is_deterministic(self, tokens, max_requests,
-                                   token_target):
-        policy = BatchPolicy(max_requests=max_requests,
-                             token_target=token_target)
-        assert policy.plan(tokens) == policy.plan(tokens)
+def _target(**config) -> int:
+    return ServeConfig(max_batch=1_000, **config).policy().count_target
 
 
 class TestBatchPolicyConfig:
+    """``ServeConfig.policy()`` (the class name predates it)."""
+
     def test_for_config_mirrors_chunk_planner_rule(self):
-        policy = BatchPolicy.for_config(workers=2, queue_limit=256)
         # ceil(256 / (2 * PIPELINE_DEPTH)) = 64, clamped to MAX.
-        assert policy.max_requests == BatchPolicy.MAX_REQUESTS
+        assert _target(workers=2, queue_limit=256) == MAX_REQUESTS
+        assert _target(workers=2, queue_limit=100) == 25
+        assert ServeConfig().policy().volume_target == TOKEN_TARGET
 
     def test_for_config_clamps_to_bounds(self):
-        tiny = BatchPolicy.for_config(workers=8, queue_limit=1)
-        assert tiny.max_requests == BatchPolicy.MIN_REQUESTS
-        huge = BatchPolicy.for_config(workers=1, queue_limit=10_000)
-        assert huge.max_requests == BatchPolicy.MAX_REQUESTS
+        assert _target(workers=8, queue_limit=1) == MIN_REQUESTS
+        assert _target(workers=1, queue_limit=10_000) == MAX_REQUESTS
+        # --max-batch caps whatever the queue would allow.
+        assert ServeConfig(workers=1, queue_limit=10_000,
+                           max_batch=8).policy().count_target == 8
 
     def test_for_config_workers_zero_counts_one_dispatcher(self):
-        inline = BatchPolicy.for_config(workers=0, queue_limit=64)
-        assert inline.max_requests == \
-            BatchPolicy.for_config(workers=1, queue_limit=64).max_requests
+        assert _target(workers=0, queue_limit=64) == \
+            _target(workers=1, queue_limit=64)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BatchPolicy(max_requests=0)
+            ServeConfig(max_batch=0).policy()
 
 
 def _ids(batch) -> list[str]:
@@ -129,7 +78,7 @@ def _ids(batch) -> list[str]:
 
 class TestRequestCoalescer:
     def test_take_closes_on_size(self):
-        coalescer = RequestCoalescer(BatchPolicy(max_requests=3),
+        coalescer = RequestCoalescer(ChunkRule(3, TOKEN_TARGET),
                                      clock=FakeClock())
         for index in range(7):
             coalescer.submit(_pending(1, index))
@@ -141,14 +90,14 @@ class TestRequestCoalescer:
         # Work-conserving: with a clock that never advances, a lone
         # request on an idle coalescer comes straight out — nothing
         # waits for company or for time to pass.
-        coalescer = RequestCoalescer(BatchPolicy(max_requests=100),
+        coalescer = RequestCoalescer(ChunkRule(100, TOKEN_TARGET),
                                      clock=FakeClock())
         coalescer.submit(_pending(1, 0))
         assert _ids(coalescer.take()) == ["r0"]
         assert coalescer.take(block=False) is None
 
     def test_take_on_empty_queue_blocks_until_submit(self):
-        coalescer = RequestCoalescer(BatchPolicy(max_requests=100),
+        coalescer = RequestCoalescer(ChunkRule(100, TOKEN_TARGET),
                                      clock=FakeClock())
         result: list = []
         thread = threading.Thread(
@@ -167,25 +116,23 @@ class TestRequestCoalescer:
     def test_backlog_is_cut_exactly_as_the_offline_plan(
             self, tokens, max_requests, token_target):
         """Requests that queue while the dispatcher is busy come out
-        as the batches ``BatchPolicy.plan`` cuts from the same
+        as the batches ``ChunkRule.bounds`` cuts from the same
         stream."""
-        policy = BatchPolicy(max_requests=max_requests,
-                             token_target=token_target)
-        coalescer = RequestCoalescer(policy, clock=FakeClock())
+        coalescer = RequestCoalescer(
+            ChunkRule(max_requests, token_target), clock=FakeClock())
         for index, count in enumerate(tokens):
             coalescer.submit(_pending(count, index))
         taken = []
         while (batch := coalescer.take(block=False)) is not None:
             taken.append(_ids(batch))
         expected = [[f"r{index}" for index in range(start, end)]
-                    for start, end in BatchPolicy(
-                        max_requests=max_requests,
-                        token_target=token_target).plan(tokens)]
+                    for start, end in ChunkRule(
+                        max_requests, token_target).bounds(tokens)]
         assert taken == expected
 
     def test_token_target_closes_batch(self):
         coalescer = RequestCoalescer(
-            BatchPolicy(max_requests=100, token_target=10),
+            ChunkRule(100, 10),
             clock=FakeClock())
         coalescer.submit(_pending(6, 0))
         coalescer.submit(_pending(6, 1))
@@ -193,7 +140,7 @@ class TestRequestCoalescer:
         assert _ids(coalescer.take()) == ["r0", "r1"]
 
     def test_close_drains_then_returns_none(self):
-        coalescer = RequestCoalescer(BatchPolicy(max_requests=100),
+        coalescer = RequestCoalescer(ChunkRule(100, TOKEN_TARGET),
                                      clock=FakeClock())
         coalescer.submit(_pending(1, 0))
         coalescer.close()
@@ -203,7 +150,7 @@ class TestRequestCoalescer:
             coalescer.submit(_pending(1, 1))
 
     def test_submit_refuses_at_limit(self):
-        coalescer = RequestCoalescer(BatchPolicy(max_requests=100))
+        coalescer = RequestCoalescer(ChunkRule(100, TOKEN_TARGET))
         assert coalescer.submit(_pending(1, 0), limit=2)
         assert coalescer.submit(_pending(1, 1), limit=2)
         assert not coalescer.submit(_pending(1, 2), limit=2)
@@ -212,7 +159,7 @@ class TestRequestCoalescer:
         assert coalescer.submit(_pending(1, 3), limit=2)
 
     def test_concurrent_takers_partition_the_stream(self):
-        coalescer = RequestCoalescer(BatchPolicy(max_requests=5))
+        coalescer = RequestCoalescer(ChunkRule(5, TOKEN_TARGET))
         taken: list[list[str]] = []
         lock = threading.Lock()
 

@@ -6,15 +6,18 @@ isolation."""
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import sys
 import threading
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.workers as workers_module
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import server as server_module
 from repro.serve.server import BatchEngine, ServeConfig
@@ -355,8 +358,8 @@ class TestPipelinedDispatch:
             self, monkeypatch):
         log: list = []
         worker = RecordingWorker(log)
-        monkeypatch.setattr(server_module, "_InlineWorker",
-                            lambda session: worker)
+        monkeypatch.setattr(server_module, "InlineWorker",
+                            lambda make_handler: worker)
         engine = make_engine(max_batch=2)
 
         def submit(index: int):
@@ -444,6 +447,38 @@ class TestWorkerDeath:
             assert responses[0]["error"]["code"] == "worker_failed"
             assert responses[0]["error"]["retryable"] is True
         assert engine.metrics.value_of("serve.worker_failures") == 2
+
+
+class TestForkDiscipline:
+    @staticmethod
+    def responses(engine: BatchEngine) -> list[dict]:
+        try:
+            return [engine.submit("classify", f"text {index}",
+                                  request_id=str(index)).wait(timeout=30)
+                    for index in range(5)]
+        finally:
+            engine.stop()
+
+    def test_without_fork_workers_degrade_to_the_inline_worker(
+            self, monkeypatch):
+        forked = make_engine(workers=1)
+        assert forked.stats()["workers"] == 1
+        expected = self.responses(forked)
+        monkeypatch.setattr(workers_module, "fork_start_available",
+                            lambda: False)
+        with pytest.warns(RuntimeWarning, match="fork") as caught:
+            degraded = make_engine(workers=2)
+        assert len(caught) == 1
+        assert degraded.stats()["workers"] == 0
+        assert self.responses(degraded) == expected
+
+    def test_stop_leaves_an_enclosing_freeze_alone(self):
+        """An engine and a crawl in one process: the engine's stop()
+        must not thaw a heap another holder still has frozen."""
+        with workers_module.frozen_heap():
+            self.responses(make_engine(workers=1))
+            assert gc.get_freeze_count() > 0
+        assert gc.get_freeze_count() == 0
 
 
 class TestStats:
