@@ -581,8 +581,11 @@ def cmd_flow(args) -> int:
     print(f"mode {report.mode} (dop {report.dop}) | "
           f"{len(documents)} documents in {report.total_seconds:.2f} s "
           f"({report.total_records_per_second:.1f} docs/s)")
+    training_seconds = sum(tagger.crf.training_report.seconds
+                           for tagger in ctx.pipeline.ml_taggers.values())
     print(f"dictionary build {dictionary_seconds:.2f} s "
-          f"({cache_hits}/{len(ctx.pipeline.dictionary_taggers)} cached)")
+          f"({cache_hits}/{len(ctx.pipeline.dictionary_taggers)} cached) | "
+          f"CRF training {training_seconds:.2f} s")
     if ctx.pipeline.annotation_cache is not None:
         anno = ctx.pipeline.annotation_cache
         print(f"annotation cache: {anno.hits} hits / {anno.misses} misses "

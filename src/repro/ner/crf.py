@@ -6,9 +6,15 @@ L-BFGS training (scipy), and Viterbi decoding.  This is the Mallet
 analog under all three ML entity taggers (BANNER, ChemSpot, and the
 authors' disease tagger all build on Mallet CRFs).
 
+Training is one batched kernel: a :class:`TrainingSet` lays the
+sentences out longest-first and time-major, and every L-BFGS objective
+call is one emission product, one forward and one backward sweep over
+all sentences at once (``tests/ner/crf_oracle.py`` keeps the
+per-sentence objective it replaced as the test oracle).
+
 Decoding has three kernels over one trellis.
 :meth:`LinearChainCrf.predict_reference` is the original per-position
-implementation, kept as the ground truth for the equivalence suite.
+Viterbi, kept as the ground truth for the equivalence suite.
 :meth:`LinearChainCrf.predict` / :meth:`LinearChainCrf.predict_batch`
 take feature strings and run over the frozen model — ``fit()`` ends by
 calling :meth:`LinearChainCrf.freeze`, which caches transposed
@@ -29,10 +35,12 @@ call and dropped after it.
 
 Contract: all three kernels return the labels of
 ``predict_reference``.  Emission *floats* are not part of it — the
-reference sums a position's weights pairwise
-(``weights[:, active].sum(axis=1)``), the feature kernel sequentially
-(``reduceat``), the type table adds three per-group partial sums in a
-fixed association — only the decoded path is.  The model fingerprint
+feature kernel (which the reference shares) sums a position's weights
+sequentially (``reduceat``), the type table adds three per-group
+partial sums in a fixed association — only the decoded path is; the
+per-position emission loop of ``tests/ner/crf_oracle.py`` shares no
+code with either and ``tests/ner/test_crf_training.py`` holds the
+feature kernel to it.  The model fingerprint
 hashes weights, transitions and feature names, none of which the
 table touches, so persisted annotation-cache entries stay valid.
 """
@@ -41,12 +49,16 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
+import warnings
+from collections import Counter
 from collections.abc import Sequence
 from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.sparse import csr_array
 
 from repro.ner.features import (
     next_features, previous_features, self_features,
@@ -66,12 +78,74 @@ TYPE_TABLE_ROWS = 1 << 16
 _LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 
 
-@dataclass
-class _EncodedSentence:
-    """Feature ids per position plus gold label ids."""
+@dataclass(frozen=True)
+class TrainingReport:
+    """How the last :meth:`LinearChainCrf.fit` went (``status`` and
+    ``message`` are L-BFGS-B's: 0 converged, 1 iteration limit)."""
 
-    features: list[list[int]]
-    labels: list[int]
+    iterations: int
+    objective_calls: int
+    final_loss: float
+    seconds: float
+    status: int
+    message: str
+
+
+@dataclass(frozen=True)
+class TrainingSet:
+    """The feature side of a training set, encoded once for every CRF
+    trained on it (:meth:`LinearChainCrf.fit_encoded`).
+
+    Sentences are ordered longest-first and their positions laid out
+    time-major — every first token, then every second token, … — so
+    the sentences still running at step ``t`` are the leading rows of
+    step ``t``'s slice and the recurrences need neither padding nor
+    masks.  Empty sentences have no rows.
+    """
+
+    feature_index: dict[str, int]
+    #: ``(rows, F)`` 0/1 matrix of each row's known features, in CSR —
+    #: the flat-ids-plus-offsets layout decode gathers from — so
+    #: emissions are ``incidence @ weights.T`` and expected feature
+    #: counts ``incidence.T @ marginals``.
+    incidence: csr_array
+    #: ``(T + 1,)`` first row of each step.
+    starts: np.ndarray
+    #: Sentence lengths, longest first (row ``starts[t] + r`` is
+    #: position ``t`` of the ``r``-th longest sentence).
+    lengths: np.ndarray
+    #: Row of each position in the caller's sentence order.
+    rows: np.ndarray
+
+    @classmethod
+    def encode(cls, sentences: Sequence[Sequence[Sequence[str]]],
+               feature_cutoff: int = 1) -> "TrainingSet":
+        """Index the feature strings seen at least ``feature_cutoff``
+        times and lay the sentences' positions out."""
+        counts: Counter = Counter()
+        for features in sentences:
+            for position in features:
+                counts.update(position)
+        index = {feature: i for i, feature in enumerate(sorted(
+            f for f, count in counts.items() if count >= feature_cutoff))}
+        sizes = [len(features) for features in sentences]
+        order = sorted((i for i, size in enumerate(sizes) if size),
+                       key=lambda i: -sizes[i])
+        lengths = np.asarray([sizes[i] for i in order], dtype=np.intp)
+        # Step t holds one row per sentence longer than t.
+        running = np.bincount(lengths)[::-1].cumsum()[::-1][1:]
+        starts = np.concatenate(([0], np.cumsum(running)))
+        flat_ids, boundaries = _flatten(
+            (sentences[i][t] for t, count in enumerate(running)
+             for i in order[:count]), index.get)
+        rank = {i: r for r, i in enumerate(order)}
+        rows = [starts[:sizes[i]] + rank[i] for i in sorted(order)]
+        incidence = csr_array(
+            (np.ones(len(flat_ids)), np.asarray(flat_ids, dtype=np.intp),
+             np.asarray(boundaries, dtype=np.intp)),
+            shape=(len(boundaries) - 1, len(index)))
+        return cls(index, incidence, starts, lengths,
+                   np.concatenate(rows) if rows else starts[:0])
 
 
 @dataclass
@@ -116,6 +190,9 @@ class LinearChainCrf:
         self.state_weights: np.ndarray | None = None  # (L, F)
         self.transitions: np.ndarray | None = None    # (L, L)
         self._frozen: _FrozenCrf | None = None
+        #: Set by ``fit``; ``None`` for a model whose weights were set
+        #: by hand.
+        self.training_report: TrainingReport | None = None
 
     @property
     def n_labels(self) -> int:
@@ -134,132 +211,35 @@ class LinearChainCrf:
     def fit(self, sentences: Sequence[tuple[Sequence[Sequence[str]],
                                             Sequence[str]]]) -> "LinearChainCrf":
         """Train on (features_per_position, bio_labels) pairs."""
-        self._build_feature_index(sentences)
-        encoded = [self._encode(features, labels)
-                   for features, labels in sentences]
-        encoded = [e for e in encoded if e.labels]
+        return self.fit_encoded(
+            TrainingSet.encode([features for features, _labels in sentences],
+                               self.feature_cutoff),
+            [labels for _features, labels in sentences])
+
+    def fit_encoded(self, training: TrainingSet,
+                    labels: Sequence[Sequence[str]]) -> "LinearChainCrf":
+        """Train on an encoded training set and this model's own BIO
+        labels, one sequence per sentence ``training`` was encoded
+        from (taggers that share templates share one encoding)."""
+        started = time.perf_counter()
+        objective = _training_objective(training, labels, self.l2)
+        self.feature_index = dict(training.feature_index)
         n_labels, n_features = self.n_labels, self.n_features
-        n_params = n_labels * n_features + n_labels * n_labels
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            weights = theta[:n_labels * n_features].reshape(
-                n_labels, n_features)
-            transitions = theta[n_labels * n_features:].reshape(
-                n_labels, n_labels)
-            loss = 0.0
-            grad_w = np.zeros_like(weights)
-            grad_t = np.zeros_like(transitions)
-            for sentence in encoded:
-                loss += self._accumulate(sentence, weights, transitions,
-                                         grad_w, grad_t)
-            loss += 0.5 * self.l2 * float(theta @ theta)
-            gradient = np.concatenate([grad_w.ravel(), grad_t.ravel()])
-            gradient += self.l2 * theta
-            return loss, gradient
-
-        result = minimize(objective, np.zeros(n_params), jac=True,
-                          method="L-BFGS-B",
+        split = n_labels * n_features
+        result = minimize(objective, np.zeros(split + n_labels * n_labels),
+                          jac=True, method="L-BFGS-B",
                           options={"maxiter": self.max_iterations})
-        theta = result.x
-        self.state_weights = theta[:n_labels * n_features].reshape(
-            n_labels, n_features)
-        self.transitions = theta[n_labels * n_features:].reshape(
-            n_labels, n_labels)
+        self.state_weights = result.x[:split].reshape(n_labels, n_features)
+        self.transitions = result.x[split:].reshape(n_labels, n_labels)
+        self.training_report = TrainingReport(
+            int(result.nit), int(result.nfev), float(result.fun),
+            time.perf_counter() - started, int(result.status),
+            str(result.message))
+        if result.status not in (0, 1):
+            warnings.warn(f"CRF training stopped early: {result.message}",
+                          RuntimeWarning, stacklevel=2)
         self.freeze()
         return self
-
-    def _build_feature_index(self, sentences) -> None:
-        from collections import Counter
-
-        counts: Counter = Counter()
-        for features, _labels in sentences:
-            for position_features in features:
-                counts.update(position_features)
-        self.feature_index = {
-            feature: index for index, (feature, count) in enumerate(
-                sorted(counts.items()))
-            if count >= self.feature_cutoff
-        }
-        # Re-number densely after the cutoff filter.
-        self.feature_index = {f: i for i, f in
-                              enumerate(sorted(self.feature_index))}
-
-    def _encode(self, features: Sequence[Sequence[str]],
-                labels: Sequence[str] | None) -> _EncodedSentence:
-        # Deduplicate per position (binary features): quadratic-context
-        # templates can emit the same string several times.
-        encoded_features = [
-            sorted({self.feature_index[f] for f in position
-                    if f in self.feature_index})
-            for position in features
-        ]
-        encoded_labels = ([_LABEL_INDEX[label] for label in labels]
-                          if labels is not None else [])
-        return _EncodedSentence(encoded_features, encoded_labels)
-
-    # -- inference core ---------------------------------------------------------
-
-    def _emissions(self, sentence: _EncodedSentence,
-                   weights: np.ndarray) -> np.ndarray:
-        n = len(sentence.features)
-        emissions = np.zeros((n, self.n_labels))
-        for t, active in enumerate(sentence.features):
-            if active:
-                emissions[t] = weights[:, active].sum(axis=1)
-        return emissions
-
-    def _accumulate(self, sentence: _EncodedSentence, weights: np.ndarray,
-                    transitions: np.ndarray, grad_w: np.ndarray,
-                    grad_t: np.ndarray) -> float:
-        """Add one sentence's negative log-likelihood and gradients."""
-        emissions = self._emissions(sentence, weights)
-        n = emissions.shape[0]
-        alpha, log_z = self._forward(emissions, transitions)
-        beta = self._backward(emissions, transitions)
-        # State marginals P(y_t = l | x).
-        state_marginals = np.exp(alpha + beta - log_z)
-        # Empirical counts.
-        gold_score = 0.0
-        previous = None
-        for t, label in enumerate(sentence.labels):
-            gold_score += emissions[t, label]
-            active = sentence.features[t]
-            if active:
-                grad_w[label, active] -= 1.0
-            if previous is not None:
-                gold_score += transitions[previous, label]
-                grad_t[previous, label] -= 1.0
-            previous = label
-        # Expected state-feature counts (feature ids are unique within
-        # a position, so fancy-index accumulation is exact).
-        for t, active in enumerate(sentence.features):
-            if active:
-                grad_w[:, active] += state_marginals[t][:, None]
-        # Expected transition counts.
-        for t in range(1, n):
-            pairwise = (alpha[t - 1][:, None] + transitions
-                        + emissions[t][None, :] + beta[t][None, :] - log_z)
-            grad_t += np.exp(pairwise)
-        return log_z - gold_score
-
-    def _forward(self, emissions: np.ndarray,
-                 transitions: np.ndarray) -> tuple[np.ndarray, float]:
-        n = emissions.shape[0]
-        alpha = np.empty_like(emissions)
-        alpha[0] = emissions[0]
-        for t in range(1, n):
-            scores = alpha[t - 1][:, None] + transitions
-            alpha[t] = _logsumexp_axis0(scores) + emissions[t]
-        return alpha, float(_logsumexp(alpha[-1]))
-
-    def _backward(self, emissions: np.ndarray,
-                  transitions: np.ndarray) -> np.ndarray:
-        n = emissions.shape[0]
-        beta = np.zeros_like(emissions)
-        for t in range(n - 2, -1, -1):
-            scores = transitions + (emissions[t + 1] + beta[t + 1])[None, :]
-            beta[t] = _logsumexp_axis1(scores)
-        return beta
 
     # -- freezing -----------------------------------------------------------------
 
@@ -454,13 +434,7 @@ class LinearChainCrf:
         """One emission row per feature-string collection in
         ``positions``: its known feature ids, deduplicated and sorted,
         summed by a single :meth:`_emissions_from_flat` call."""
-        flat_ids: list[int] = []
-        boundaries: list[int] = [0]
-        for position in positions:
-            ids = set(map(index_get, position))
-            ids.discard(None)
-            flat_ids.extend(sorted(ids))
-            boundaries.append(len(flat_ids))
+        flat_ids, boundaries = _flatten(positions, index_get)
         return cls._emissions_from_flat(flat_ids, boundaries, weights_t)
 
     @staticmethod
@@ -470,7 +444,7 @@ class LinearChainCrf:
 
         ``boundaries`` holds the prefix offsets of each position's ids
         within ``flat_ids``; positions with no known features get a
-        zero row (exactly like the reference ``_emissions``).
+        zero row.
         """
         n_positions = len(boundaries) - 1
         emissions = np.zeros((n_positions, weights_t.shape[1]))
@@ -582,8 +556,8 @@ class LinearChainCrf:
             raise RuntimeError("CRF has not been trained")
         if not features:
             return []
-        sentence = self._encode(features, None)
-        emissions = self._emissions(sentence, self.state_weights)
+        emissions = self._emissions_of(features, self.feature_index.get,
+                                       self.state_weights.T)
         transitions = self.transitions
         n = emissions.shape[0]
         scores = emissions[0].copy()
@@ -605,17 +579,16 @@ class LinearChainCrf:
         """log P(labels | features) under the trained model."""
         if not self.trained:
             raise RuntimeError("CRF has not been trained")
-        sentence = self._encode(features, labels)
-        emissions = self._emissions(sentence, self.state_weights)
-        _alpha, log_z = self._forward(emissions, self.transitions)
-        score = 0.0
-        previous = None
-        for t, label in enumerate(sentence.labels):
-            score += emissions[t, label]
-            if previous is not None:
-                score += self.transitions[previous, label]
-            previous = label
-        return score - log_z
+        emissions = self._emissions_of(features, self.feature_index.get,
+                                       self.state_weights.T)
+        gold = np.asarray([_LABEL_INDEX[label] for label in labels],
+                          dtype=np.intp)
+        # The training kernel over a batch of one sentence.
+        alpha = _forward_sweep(emissions, self.transitions,
+                               np.arange(len(gold) + 1))
+        score = (emissions[np.arange(len(gold)), gold].sum()
+                 + self.transitions[gold[:-1], gold[1:]].sum())
+        return float(score - _logsumexp(alpha[-1:], axis=1)[0])
 
 
 def bio_to_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
@@ -652,16 +625,112 @@ def spans_to_bio(n_tokens: int,
     return labels
 
 
-def _logsumexp(values: np.ndarray) -> np.ndarray:
-    peak = values.max()
-    return peak + np.log(np.exp(values - peak).sum())
+def _training_objective(training: TrainingSet,
+                        labels: Sequence[Sequence[str]], l2: float):
+    """``theta -> (loss, gradient)``: the L2-regularised negative
+    log-likelihood of ``labels`` over the whole training set.
+
+    Each call is one emission product over all rows, one forward and
+    one backward sweep of ``T_max`` vectorised steps, and the
+    marginals and gradient as whole-array expressions.  ``theta`` is
+    the ``(L, F)`` state weights then the ``(L, L)`` transitions,
+    raveled.
+    """
+    label_ids = [_LABEL_INDEX[label] for label in
+                 chain.from_iterable(labels)]
+    if len(label_ids) != len(training.rows):
+        raise ValueError(f"{len(label_ids)} labels for "
+                         f"{len(training.rows)} encoded positions")
+    gold = np.empty(len(label_ids), dtype=np.intp)
+    gold[training.rows] = label_ids
+    n_labels, n_features = len(LABELS), len(training.feature_index)
+    split = n_labels * n_features
+    incidence, starts = training.incidence, training.starts
+    running = np.diff(starts)
+    n_rows = len(gold)
+    # Sentence (by length rank) of each row; each sentence's last row;
+    # for the rows past step 0 (``first`` on), the same sentence's row
+    # one step earlier.
+    sentence = np.arange(n_rows) - np.repeat(starts[:-1], running)
+    last = starts[training.lengths - 1] + np.arange(len(training.lengths))
+    first = int(running[0]) if n_rows else 0
+    before = np.arange(first, n_rows) - np.repeat(running[:-1], running[1:])
+    # Empirical counts never change: computed once, out here.
+    one_hot = np.zeros((n_rows, n_labels))
+    one_hot[np.arange(n_rows), gold] = 1.0
+    empirical = np.concatenate([
+        (incidence.T @ one_hot).T.ravel(),
+        np.bincount(gold[before] * n_labels + gold[first:],
+                    minlength=n_labels * n_labels)])
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        weights = theta[:split].reshape(n_labels, n_features)
+        transitions = theta[split:].reshape(n_labels, n_labels)
+        emissions = incidence @ weights.T
+        alpha = _forward_sweep(emissions, transitions, starts)
+        beta = _backward_sweep(emissions, transitions, starts)
+        log_z = _logsumexp(alpha[last], axis=1)
+        # P(y_t = l | x) per row, and P(y_t-1 = k, y_t = l | x) summed
+        # over rows.
+        shift = log_z[sentence, None]
+        state = np.exp(alpha + beta - shift)
+        pairwise = np.exp(
+            alpha[before][:, :, None] + transitions
+            + (emissions + beta - shift)[first:, None, :]).sum(axis=0)
+        gradient = np.concatenate([(incidence.T @ state).T.ravel(),
+                                   pairwise.ravel()])
+        gradient += l2 * theta - empirical
+        # np.sum, not ``@``: past 10,000 elements BLAS threads a dot
+        # product, and the hand-off costs milliseconds a call.
+        loss = (float(log_z.sum()) - float(np.sum(theta * empirical))
+                + 0.5 * l2 * float(np.sum(theta * theta)))
+        return loss, gradient
+
+    return objective
 
 
-def _logsumexp_axis0(matrix: np.ndarray) -> np.ndarray:
-    peak = matrix.max(axis=0)
-    return peak + np.log(np.exp(matrix - peak[None, :]).sum(axis=0))
+def _flatten(positions, index_get) -> tuple[list[int], list[int]]:
+    """Known feature ids of each feature-string collection in
+    ``positions``, deduplicated and sorted, concatenated; plus each
+    collection's offset (one more offset than collections)."""
+    flat_ids: list[int] = []
+    boundaries: list[int] = [0]
+    for position in positions:
+        ids = set(map(index_get, position))
+        ids.discard(None)
+        flat_ids.extend(sorted(ids))
+        boundaries.append(len(flat_ids))
+    return flat_ids, boundaries
 
 
-def _logsumexp_axis1(matrix: np.ndarray) -> np.ndarray:
-    peak = matrix.max(axis=1)
-    return peak + np.log(np.exp(matrix - peak[:, None]).sum(axis=1))
+def _forward_sweep(emissions: np.ndarray, transitions: np.ndarray,
+                   starts: np.ndarray) -> np.ndarray:
+    """Log forward scores of time-major rows, one vectorised
+    ``(B, L, L)`` step per position index."""
+    alpha = emissions.copy()
+    for t in range(1, len(starts) - 1):
+        low, high = starts[t], starts[t + 1]
+        previous = alpha[starts[t - 1]:starts[t - 1] + high - low]
+        alpha[low:high] += _logsumexp(previous[:, :, None] + transitions,
+                                      axis=1)
+    return alpha
+
+
+def _backward_sweep(emissions: np.ndarray, transitions: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+    """Log backward scores of time-major rows; a sentence's last row
+    stays 0 because the shorter sentences sit past each step's
+    successor rows."""
+    beta = np.zeros_like(emissions)
+    for t in range(len(starts) - 3, -1, -1):
+        low, high = starts[t + 1], starts[t + 2]
+        beta[starts[t]:starts[t] + high - low] = _logsumexp(
+            transitions + (emissions[low:high] + beta[low:high])[:, None, :],
+            axis=2)
+    return beta
+
+
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    peak = values.max(axis=axis, keepdims=True)
+    return (peak + np.log(np.exp(values - peak).sum(
+        axis=axis, keepdims=True))).squeeze(axis)

@@ -16,14 +16,13 @@ in this project employ models trained on Medline abstracts").
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 
 from repro.annotations import Document, EntityMention, Sentence
 from repro.corpora.textgen import GoldDocument
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.ner.cache import AutomatonCache
-from repro.ner.crf import LinearChainCrf, bio_to_spans
+from repro.ner.crf import LinearChainCrf, TrainingSet, bio_to_spans
 from repro.ner.dictionary import DictionaryTagger, EntityDictionary
 from repro.ner.features import sentence_features
 from repro.nlp.sentence import split_sentences
@@ -61,18 +60,8 @@ class MlEntityTagger:
               max_iterations: int = 60) -> "MlEntityTagger":
         """Train a tagger on gold documents (Medline-profile in the
         paper's setup)."""
-        training = []
-        for gold in gold_documents:
-            for sentence in gold.sentences:
-                words = [t.text for t in sentence.tokens]
-                if not words:
-                    continue
-                labels = _bio_labels(sentence, gold, entity_type)
-                features = sentence_features(words, quadratic_context)
-                training.append((features, labels))
-        crf = LinearChainCrf(l2=l2, max_iterations=max_iterations)
-        crf.fit(training)
-        return cls(entity_type, crf, quadratic_context)
+        return train_taggers(gold_documents, {entity_type: quadratic_context},
+                             l2, max_iterations)[entity_type]
 
     # -- annotation -----------------------------------------------------------
 
@@ -229,24 +218,48 @@ def build_dictionary_taggers(
     return taggers
 
 
+def train_taggers(gold_documents: Sequence[GoldDocument],
+                  quadratic_context: dict[str, bool], l2: float = 0.2,
+                  max_iterations: int = 60) -> dict[str, MlEntityTagger]:
+    """One tagger per entity type in ``quadratic_context`` (type ->
+    its template set), all on the same gold sentences.
+
+    Feature strings, the feature index and the position encoding
+    depend on the words and the template set only, so they are built
+    once per distinct template set; each CRF adds its own labels.
+    """
+    sentences = [(sentence, gold, words)
+                 for gold in gold_documents for sentence in gold.sentences
+                 if (words := [t.text for t in sentence.tokens])]
+    encoded: dict[bool, TrainingSet] = {}
+    taggers: dict[str, MlEntityTagger] = {}
+    for entity_type, quadratic in quadratic_context.items():
+        if quadratic not in encoded:
+            encoded[quadratic] = TrainingSet.encode(
+                [sentence_features(words, quadratic)
+                 for _sentence, _gold, words in sentences])
+        crf = LinearChainCrf(l2=l2, max_iterations=max_iterations)
+        crf.fit_encoded(encoded[quadratic],
+                        [_bio_labels(sentence, gold, entity_type)
+                         for sentence, gold, _words in sentences])
+        taggers[entity_type] = MlEntityTagger(entity_type, crf, quadratic)
+    return taggers
+
+
 def build_ml_taggers(training_documents: Sequence[GoldDocument],
                      max_iterations: int = 60,
-                     gene_quadratic_context: bool = True,
+                     gene_quadratic_context: bool = False,
                      ) -> dict[str, MlEntityTagger]:
     """Train the three ML taggers on (Medline-profile) gold documents.
 
-    The gene tagger gets the quadratic-context feature set (BANNER's
-    heavier machinery); drug and disease use the linear templates.
-    Returns a dict with per-tagger training wall-clock in
-    ``tagger.train_seconds``.
+    All three use the linear context-window templates, which decode
+    through the CRF's word-type table; ``gene_quadratic_context=True``
+    gives the gene tagger the quadratic-context feature set (BANNER's
+    heavier machinery — slow, used by the runtime benchmarks).  Each
+    tagger's ``crf.training_report`` says how its training went.
     """
-    taggers: dict[str, MlEntityTagger] = {}
-    for entity_type in ENTITY_TYPES:
-        quadratic = entity_type == "gene" and gene_quadratic_context
-        started = time.perf_counter()
-        tagger = MlEntityTagger.train(
-            entity_type, training_documents,
-            quadratic_context=quadratic, max_iterations=max_iterations)
-        tagger.train_seconds = time.perf_counter() - started
-        taggers[entity_type] = tagger
-    return taggers
+    return train_taggers(
+        training_documents,
+        {entity_type: entity_type == "gene" and gene_quadratic_context
+         for entity_type in ENTITY_TYPES},
+        max_iterations=max_iterations)

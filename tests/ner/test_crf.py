@@ -7,6 +7,7 @@ import math
 import pytest
 import numpy as np
 
+import crf_oracle
 from repro.ner.crf import (
     LABELS, LinearChainCrf, bio_to_spans, spans_to_bio,
 )
@@ -91,8 +92,7 @@ class TestTraining:
 
 class TestPartitionFunction:
     def _brute_force_log_z(self, crf, features):
-        sentence = crf._encode(features, None)
-        emissions = crf._emissions(sentence, crf.state_weights)
+        emissions = crf_oracle.model_emissions(crf, features)
         n = emissions.shape[0]
         total = -math.inf
         for labels in itertools.product(range(len(LABELS)), repeat=n):
@@ -106,13 +106,23 @@ class TestPartitionFunction:
             total = np.logaddexp(total, score)
         return float(total)
 
+    def _gold_score(self, crf, features, labels):
+        emissions = crf_oracle.model_emissions(crf, features)
+        ids = [LABELS.index(label) for label in labels]
+        return (sum(emissions[t, label] for t, label in enumerate(ids))
+                + sum(crf.transitions[a, b] for a, b in zip(ids, ids[1:])))
+
     def test_forward_matches_brute_force(self, toy_crf):
+        """log Z read off the public API (gold score - log-likelihood)
+        equals enumeration, and the oracle's forward pass agrees."""
         features = [["cap", "bias"], ["lower", "bias"], ["w=the", "bias"]]
-        sentence = toy_crf._encode(features, None)
-        emissions = toy_crf._emissions(sentence, toy_crf.state_weights)
-        _alpha, log_z = toy_crf._forward(emissions, toy_crf.transitions)
-        assert log_z == pytest.approx(
-            self._brute_force_log_z(toy_crf, features), abs=1e-8)
+        labels = ["B", "O", "O"]
+        brute = self._brute_force_log_z(toy_crf, features)
+        log_z = (self._gold_score(toy_crf, features, labels)
+                 - toy_crf.log_likelihood(features, labels))
+        assert log_z == pytest.approx(brute, abs=1e-8)
+        assert crf_oracle.log_partition(toy_crf, features) == pytest.approx(
+            brute, abs=1e-8)
 
     def test_log_likelihood_is_normalized(self, toy_crf):
         """Sum of P(y|x) over all label sequences must be 1."""
