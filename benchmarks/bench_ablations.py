@@ -137,13 +137,19 @@ def test_ablation_optimizer(ctx, benchmark):
 def test_ablation_fuzzy_dictionary(ctx, benchmark):
     """Fuzzy term expansion vs exact matching: fuzzy recovers surface
     variants at a modest automaton-size cost."""
-    from repro.ner.dictionary import EntityDictionary
+    from repro.ner.dictionary import (
+        DictionaryTagger, EntityDictionary, MultiTypeDictionary,
+    )
 
     entries = ctx.vocabulary.diseases
-    fuzzy = benchmark.pedantic(
-        lambda: EntityDictionary("disease", entries, fuzzy=True),
-        rounds=1, iterations=1)
-    exact = EntityDictionary("disease", entries, fuzzy=False)
+
+    def compile_disease(fuzzy: bool) -> MultiTypeDictionary:
+        return MultiTypeDictionary(
+            [EntityDictionary("disease", entries, fuzzy=fuzzy)])
+
+    fuzzy = benchmark.pedantic(lambda: compile_disease(True),
+                               rounds=1, iterations=1)
+    exact = compile_disease(False)
     gold_docs = [g for g in ctx.corpora()["relevant"][:15]]
     found = {"fuzzy": 0, "exact": 0}
     total = 0
@@ -153,8 +159,8 @@ def test_ablation_fuzzy_dictionary(ctx, benchmark):
         total += len(spans)
         for label, dictionary in (("fuzzy", fuzzy), ("exact", exact)):
             document = gold.document.copy_shallow()
-            hits = {(m.start, m.end)
-                    for m in dictionary.annotate(document)}
+            tagger = DictionaryTagger(dictionary, "disease")
+            hits = {(m.start, m.end) for m in tagger.annotate(document)}
             found[label] += len(spans & hits)
     lines = [
         f"dictionary entries: {len(entries)}",

@@ -30,6 +30,7 @@ from reporting import format_table, write_report
 
 from repro.annotations import Document
 from repro.core.flows import build_entity_flow, run_flow
+from repro.dataflow.executor import Executor
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_DOCS = 6 if SMOKE else 24
@@ -56,8 +57,11 @@ def test_flow_throughput(ctx):
         documents = [Document(f"doc-{index}", text)
                      for index, text in enumerate(texts)]
         started = time.perf_counter()
-        outputs, _report = run_flow(plan, documents, mode="sequential",
-                                    fuse_annotators=fuse)
+        if fuse:
+            outputs, _report = run_flow(plan, documents, mode="sequential")
+        else:  # the plan as built: the elementary reference chain
+            outputs, _report = Executor("sequential").execute(plan,
+                                                              documents)
         seconds = time.perf_counter() - started
         return seconds, _digest(outputs), len(outputs["entities"])
 

@@ -128,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the flow N times through one reusable "
                            "FlowSession (plan/executor built once; "
                            "warm runs measure execution, not setup)")
-    flow.add_argument("--reference-annotators", action="store_true",
-                      help="run the elementary annotate operator chain "
-                           "instead of substituting the fused one-pass "
-                           "annotation stage (outputs are identical; "
-                           "this exposes the reference path for "
-                           "comparison)")
     flow.add_argument("--store", default=None, metavar="DIR",
                       help="ingest the entities/relations sinks into an "
                            "entity/fact store persisted under DIR")
@@ -542,12 +536,7 @@ def cmd_flow(args) -> int:
     ctx = _context(args, corpus_docs=max(8, args.docs),
                    dictionary_cache_dir=args.dict_cache,
                    annotation_cache_dir=args.anno_cache)
-    dictionary_seconds = sum(
-        tagger.dictionary.build_seconds
-        for tagger in ctx.pipeline.dictionary_taggers.values())
-    cache_hits = sum(
-        1 for tagger in ctx.pipeline.dictionary_taggers.values()
-        if getattr(tagger.dictionary, "cache_hit", False))
+    automaton = ctx.pipeline.dictionary_taggers["gene"].shared
     renderer = PageRenderer(seed=args.seed)
     documents = []
     for index, document in enumerate(
@@ -567,8 +556,7 @@ def cmd_flow(args) -> int:
 
         tracer = Tracer()
     session = FlowSession(ctx.pipeline, mode=args.mode, dop=dop,
-                          metrics=metrics, tracer=tracer,
-                          fuse_annotators=not args.reference_annotators)
+                          metrics=metrics, tracer=tracer)
     if session.fused_stages:
         print(f"fused {session.fused_stages} one-pass annotation "
               f"stage(s) into the plan")
@@ -583,8 +571,8 @@ def cmd_flow(args) -> int:
           f"({report.total_records_per_second:.1f} docs/s)")
     training_seconds = sum(tagger.crf.training_report.seconds
                            for tagger in ctx.pipeline.ml_taggers.values())
-    print(f"dictionary build {dictionary_seconds:.2f} s "
-          f"({cache_hits}/{len(ctx.pipeline.dictionary_taggers)} cached) | "
+    print(f"dictionary build {automaton.build_seconds:.2f} s "
+          f"(1 automaton, {'cached' if automaton.cache_hit else 'built'}) | "
           f"CRF training {training_seconds:.2f} s")
     if ctx.pipeline.annotation_cache is not None:
         anno = ctx.pipeline.annotation_cache

@@ -179,25 +179,24 @@ def run_flow(plan: LogicalPlan, records: Sequence[Any],
              mode: str = "fused", dop: int = 1,
              metrics: MetricsRegistry | None = None,
              tracer: Tracer | None = None,
-             fuse_annotators: bool = True,
              ) -> tuple[dict[str, list[Any]], ExecutionReport]:
     """Execute any flow plan with the chosen physical mode (one of
     :data:`EXECUTION_MODES`; all produce byte-identical sink outputs).
 
-    ``fuse_annotators`` (default on) substitutes one-pass fused
-    annotation stages for elementary annotate sub-chains
-    (:func:`~repro.dataflow.optimizer.fuse_annotation_stage`) on a
-    structural copy, leaving the caller's plan untouched; outputs are
-    byte-identical either way.  Annotation caches attached to the
-    plan's operators are flushed to disk after the run, so the next
-    (cold) process starts warm.  When a ``metrics`` registry is
-    attached, per-stage stats and the cache flush are mirrored onto it.
+    One-pass fused annotation stages replace elementary annotate
+    sub-chains (:func:`~repro.dataflow.optimizer.fuse_annotation_stage`)
+    on a structural copy, leaving the caller's plan untouched; outputs
+    are byte-identical to executing the plan as given, which is how
+    the equivalence tests get the unfused reference.  Annotation
+    caches attached to the plan's operators are flushed to disk after
+    the run, so the next (cold) process starts warm.  When a
+    ``metrics`` registry is attached, per-stage stats and the cache
+    flush are mirrored onto it.
     """
-    if fuse_annotators:
-        from repro.dataflow.optimizer import fuse_annotation_stage
+    from repro.dataflow.optimizer import fuse_annotation_stage
 
-        plan = plan.copy_structure()
-        fuse_annotation_stage(plan)
+    plan = plan.copy_structure()
+    fuse_annotation_stage(plan)
     result = Executor(mode, dop=dop, metrics=metrics,
                       tracer=tracer).execute(plan, records)
     flush_annotation_caches(plan, metrics=metrics)
@@ -221,15 +220,12 @@ class FlowSession:
                  mode: str = "fused", dop: int = 1,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 build=build_fig2_flow,
-                 fuse_annotators: bool = True) -> None:
+                 build=build_fig2_flow) -> None:
+        from repro.dataflow.optimizer import fuse_annotation_stage
+
         self.pipeline = pipeline
         self.plan = build(pipeline)
-        self.fused_stages = 0
-        if fuse_annotators:
-            from repro.dataflow.optimizer import fuse_annotation_stage
-
-            self.fused_stages = len(fuse_annotation_stage(self.plan))
+        self.fused_stages = len(fuse_annotation_stage(self.plan))
         self.executor = Executor(mode, dop=dop, metrics=metrics,
                                  tracer=tracer)
         self.metrics = metrics

@@ -4,7 +4,8 @@ One object holding every trained tool the flows need — the Python
 equivalent of the paper's "wrapped best-of-breed tools".  Building a
 pipeline trains the HMM POS tagger and the three CRF entity taggers on
 Medline-profile gold (the only training data available, as in the
-paper) and constructs the three fuzzy dictionaries.
+paper) and compiles the three fuzzy dictionaries into the one
+automaton every dictionary scan in the process uses.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class TextAnalyticsPipeline:
     linguistics: LinguisticAnalyzer = field(default_factory=LinguisticAnalyzer)
     #: Shared per-sentence POS/NER result cache (None = disabled).
     annotation_cache: AnnotationCache | None = None
-    #: One-pass engines per (methods, entity_types, with_pos) — built
-    #: lazily; the merged dictionary automaton inside is shared.
-    _one_pass_memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, vocabulary: BiomedicalVocabulary | None = None,
@@ -65,8 +63,9 @@ class TextAnalyticsPipeline:
         ``gene_quadratic_context=True`` enables the BANNER-style heavy
         feature set (slow; used by the runtime benchmarks).
         ``dictionary_cache`` (an AutomatonCache or a directory path)
-        re-loads persisted dictionary automata instead of rebuilding
-        them — the paper's fix for the per-worker 20-minute load.
+        re-loads the persisted dictionary automaton instead of
+        rebuilding it — the paper's fix for the per-worker 20-minute
+        load.
         ``annotation_cache`` (an AnnotationCache or a directory path)
         memoizes per-sentence POS/NER results across documents and
         runs.
@@ -165,23 +164,19 @@ class TextAnalyticsPipeline:
                            methods: tuple[str, ...] = ("dictionary", "ml"),
                            entity_types: tuple[str, ...] = ENTITY_TYPES,
                            with_pos: bool = False) -> OnePassAnnotator:
-        """The (memoized) one-pass engine matching :meth:`analyze`'s
-        step order for the given configuration: per entity type,
-        dictionary then ML."""
-        key = (tuple(methods), tuple(entity_types), bool(with_pos))
-        engine = self._one_pass_memo.get(key)
-        if engine is None:
-            steps = []
-            for entity_type in entity_types:
-                if "dictionary" in methods:
-                    steps.append(self.dictionary_taggers[entity_type])
-                if "ml" in methods:
-                    steps.append(self.ml_taggers[entity_type])
-            engine = OnePassAnnotator(
-                steps, splitter=self.splitter, split="missing",
-                pos_tagger=self.pos_tagger if with_pos else None)
-            self._one_pass_memo[key] = engine
-        return engine
+        """The one-pass engine matching :meth:`analyze`'s step order
+        for the given configuration: per entity type, dictionary then
+        ML.  Cheap — it only arranges the pipeline's own tools (the
+        dictionary steps share the pipeline's one automaton)."""
+        steps = []
+        for entity_type in entity_types:
+            if "dictionary" in methods:
+                steps.append(self.dictionary_taggers[entity_type])
+            if "ml" in methods:
+                steps.append(self.ml_taggers[entity_type])
+        return OnePassAnnotator(
+            steps, splitter=self.splitter, split="missing",
+            pos_tagger=self.pos_tagger if with_pos else None)
 
     def analyze_batch(self, documents: list[Document],
                       methods: tuple[str, ...] = ("dictionary", "ml"),

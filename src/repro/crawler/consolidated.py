@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.annotations import Document
 from repro.classify.naive_bayes import NaiveBayesClassifier
-from repro.ner.dictionary import DictionaryTagger
+from repro.ner.dictionary import DictionaryTagger, shared_dictionary
 
 
 @dataclass
@@ -56,19 +56,21 @@ class EntityAwareClassifier:
                  decision_threshold: float | None = None) -> None:
         self.base = base
         self.taggers = taggers
+        self.dictionary = shared_dictionary(taggers.values())
         self.entity_weight = entity_weight
         self.decision_threshold = (decision_threshold
                                    if decision_threshold is not None
                                    else base.decision_threshold)
 
     def evidence(self, text: str) -> EntityEvidence:
-        """Dictionary-NER densities for a text."""
+        """Dictionary-NER densities for a text: every word-aligned
+        match per type (before overlap resolution), from one pass over
+        the shared automaton."""
         n_words = max(1, len(text.split()))
-        densities = {}
-        for entity_type, tagger in self.taggers.items():
-            mentions = tagger.dictionary.match(text)
-            densities[entity_type] = 100.0 * len(mentions) / n_words
-        return EntityEvidence(mentions_per_100_words=densities)
+        matches = self.dictionary.matches(text)
+        return EntityEvidence(mentions_per_100_words={
+            entity_type: 100.0 * len(matches[entity_type]) / n_words
+            for entity_type in self.taggers})
 
     def log_odds(self, text: str) -> float:
         base_odds = self.base.log_odds(text)

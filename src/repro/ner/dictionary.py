@@ -4,17 +4,20 @@ Each dictionary term is expanded into a small set of surface variants
 — the equivalent of the paper's "transform each dictionary term into a
 regular expression" step (which "almost only affects very short word
 suffixes"): case folding, hyphen/space alternation, and an optional
-plural *s*.  All variants go into one Aho-Corasick automaton, so
-matching stays linear in the text length regardless of dictionary
-size, at the price of automaton build time and memory.
+plural *s*.  The variants of *every* entity type go into one
+Aho-Corasick automaton (:class:`MultiTypeDictionary`), built once per
+pipeline and held by every tagger, engine and classifier that scans
+for dictionary entities, so matching stays one linear pass over the
+text regardless of dictionary size or type count, and a process holds
+each pattern once — the automaton's build time and memory are the
+paper's dictionary-load pitfall (Section 4.2).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-from weakref import WeakValueDictionary
+from typing import Iterable
 
 from repro.annotations import Document, EntityMention
 from repro.ner.automaton import AhoCorasickAutomaton, Match
@@ -22,6 +25,20 @@ from repro.ner.cache import AutomatonCache
 from repro.corpora.vocabulary import TermEntry
 
 _BOUNDARY_CHARS = frozenset(" \t\n\r.,;:!?()[]{}<>\"'`/\\|")
+
+
+def fold_case(text: str) -> str:
+    """``text.lower()``, one character for each character of ``text``.
+
+    Match offsets in the folded text index the original, so the fold
+    must not change length.  U+0130 (İ) is the only code point whose
+    lower case is two characters ("i" plus a combining dot); it folds
+    to a plain "i".
+    """
+    lowered = text.lower()
+    if len(lowered) != len(text):
+        lowered = text.replace("İ", "i").lower()
+    return lowered
 
 
 def _default_stopwords() -> frozenset[str]:
@@ -50,8 +67,8 @@ DEFAULT_STOPWORDS = _default_stopwords()
 
 
 def expand_term(term: str) -> set[str]:
-    """Surface variants of one dictionary term (all lower-cased)."""
-    lowered = term.lower()
+    """Surface variants of one dictionary term (all case-folded)."""
+    lowered = fold_case(term)
     variants = {lowered}
     if "-" in lowered:
         variants.add(lowered.replace("-", " "))
@@ -64,121 +81,64 @@ def expand_term(term: str) -> set[str]:
     return variants
 
 
-@dataclass
+@dataclass(slots=True)
 class _PatternInfo:
     term_id: str
     canonical: str
 
 
 class EntityDictionary:
-    """A built automaton over the expanded terms of one entity type.
+    """The expanded surface patterns of one entity type.
 
-    Passing an :class:`~repro.ner.cache.AutomatonCache` skips the
-    automaton build whenever an identical pattern set was built before
-    (by an earlier run or another worker) — the analogue of the
-    paper's serialize-once fix for the 20-minute dictionary load.
+    Holds no automaton: :class:`MultiTypeDictionary` compiles every
+    type's patterns into the one automaton a pipeline scans with, then
+    books that build's time, cache outcome and footprint back onto
+    each type in proportion to its pattern count
+    (``build_seconds``, ``cache_hit``, :meth:`approx_memory_bytes`),
+    so per-type readers see shares that sum to the real build.
     Surface variants are added in sorted order per name so the pattern
-    list (and therefore the cache key) is deterministic across
-    processes regardless of set-iteration order.
+    list (and therefore the automaton's cache key) is deterministic
+    across processes regardless of set-iteration order.
     """
 
     def __init__(self, entity_type: str, entries: list[TermEntry],
                  fuzzy: bool = True,
                  stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-                 min_pattern_length: int = 3,
-                 cache: "AutomatonCache | None" = None) -> None:
+                 min_pattern_length: int = 3) -> None:
         self.entity_type = entity_type
         self.fuzzy = fuzzy
-        self.cache = cache
         self.n_entries = len(entries)
-        surfaces: list[str] = []
-        self._info: list[_PatternInfo] = []
+        #: Ordered surface list, parallel to :attr:`info`.
+        self.patterns: list[str] = []
+        #: Per-pattern term resolution, parallel to :attr:`patterns`.
+        self.info: list[_PatternInfo] = []
         seen: set[str] = set()
         for entry in entries:
             for name in entry.all_names():
-                variants = expand_term(name) if fuzzy else {name.lower()}
+                variants = expand_term(name) if fuzzy else {fold_case(name)}
                 for surface in sorted(variants):
                     if surface in seen or len(surface) < min_pattern_length:
                         continue
                     if surface in stopwords:
                         continue
                     seen.add(surface)
-                    surfaces.append(surface)
-                    self._info.append(_PatternInfo(entry.term_id,
-                                                   entry.canonical))
-        started = time.perf_counter()
-        if cache is not None:
-            self._automaton, self.cache_hit = cache.get_or_build(surfaces)
-        else:
-            self._automaton = AhoCorasickAutomaton()
-            self._automaton.add_all(surfaces)
-            self._automaton.build()
-            self.cache_hit = False
-        #: Wall-clock automaton construction (or cache-load) time — the
-        #: "dictionary load" cost that lower-bounds task runtime in
+                    self.patterns.append(surface)
+                    self.info.append(_PatternInfo(entry.term_id,
+                                                  entry.canonical))
+        #: This type's share of the automaton build (or cache load) —
+        #: the "dictionary load" cost that lower-bounds task runtime in
         #: Section 4.2.
-        self.build_seconds = time.perf_counter() - started
+        self.build_seconds = 0.0
+        self.cache_hit = False
+        self._memory_bytes = 0
 
     @property
     def n_patterns(self) -> int:
-        return len(self._automaton)
-
-    @property
-    def patterns(self) -> list[str]:
-        """Ordered surface list (parallel to :attr:`info`)."""
-        return self._automaton.patterns
-
-    @property
-    def info(self) -> list[_PatternInfo]:
-        """Per-pattern term resolution, parallel to :attr:`patterns`."""
-        return self._info
+        return len(self.patterns)
 
     def approx_memory_bytes(self) -> int:
-        return self._automaton.approx_memory_bytes()
-
-    def match(self, text: str) -> list[Match]:
-        """All boundary-aligned matches in ``text`` (case-folded)."""
-        lowered = text.lower()
-        matches = []
-        for match in self._automaton.iter_matches(lowered):
-            if _is_word_aligned(lowered, match.start, match.end):
-                matches.append(match)
-        return matches
-
-    def annotate(self, document: Document) -> list[EntityMention]:
-        """Tag a document; extends ``document.entities`` in place."""
-        mentions = []
-        for match in _longest_non_overlapping(self.match(document.text)):
-            info = self._info[match.pattern_id]
-            mentions.append(EntityMention(
-                text=document.text[match.start:match.end],
-                start=match.start, end=match.end,
-                entity_type=self.entity_type, method="dictionary",
-                term_id=info.term_id))
-        document.entities.extend(mentions)
-        return mentions
-
-
-class DictionaryTagger:
-    """Thin tagger facade over :class:`EntityDictionary` (one type)."""
-
-    method = "dictionary"
-
-    def __init__(self, dictionary: EntityDictionary) -> None:
-        self.dictionary = dictionary
-        self.entity_type = dictionary.entity_type
-
-    def annotate(self, document: Document) -> list[EntityMention]:
-        return self.dictionary.annotate(document)
-
-    def startup_seconds(self) -> float:
-        return self.dictionary.build_seconds
-
-
-def _is_word_aligned(text: str, start: int, end: int) -> bool:
-    before_ok = start == 0 or text[start - 1] in _BOUNDARY_CHARS
-    after_ok = end >= len(text) or text[end] in _BOUNDARY_CHARS
-    return before_ok and after_ok
+        """This type's share of the automaton's footprint."""
+        return self._memory_bytes
 
 
 def _longest_non_overlapping(matches: list[Match]) -> list[Match]:
@@ -202,16 +162,19 @@ class MultiTypeDictionary:
     :class:`EntityDictionary` instances into one Aho-Corasick automaton
     whose per-pattern payloads carry ``(entity_type, term_id,
     canonical)``, so each document is scanned once instead of once per
-    type.  Overlap resolution stays *per type* — each type's mentions
-    are exactly what its own dictionary would have produced, because
-    the types tag independently in the reference path.
+    type.  Overlap resolution stays *per type*: the types tag
+    independently, so a type's mentions do not depend on which other
+    types share the automaton.
 
-    The merged pattern list is canonical (entity types in sorted
-    order; each type's surfaces in its dictionary's deterministic
-    order), so every builder of the same type set shares one
-    :class:`~repro.ner.cache.AutomatonCache` entry.  Duplicate
-    surfaces across types are retained — each keeps its own pattern
-    id, so one hit position fires once per owning type.
+    A pipeline builds exactly one
+    (:func:`~repro.ner.taggers.build_dictionary_taggers`), and its
+    dictionary taggers, one-pass engines and entity-aware classifier
+    all hold it.  The merged pattern list is canonical
+    (entity types in sorted order; each type's surfaces in its
+    dictionary's deterministic order), so every construction over the
+    same type set shares one :class:`~repro.ner.cache.AutomatonCache`
+    entry.  Duplicate surfaces across types are retained — each keeps
+    its own pattern id, so one hit position fires once per owning type.
     """
 
     def __init__(self, dictionaries: Iterable[EntityDictionary],
@@ -232,9 +195,6 @@ class MultiTypeDictionary:
                 patterns.append(surface)
                 payloads.append((etype, info.term_id, info.canonical))
         started = time.perf_counter()
-        if cache is None:
-            cache = next((d.cache for d in ordered if d.cache is not None),
-                         None)
         if cache is not None:
             self._automaton, self.cache_hit = cache.get_or_build(
                 patterns, payloads=payloads)
@@ -245,6 +205,19 @@ class MultiTypeDictionary:
             self._automaton.build()
             self.cache_hit = False
         self.build_seconds = time.perf_counter() - started
+        # Book the build onto the types by pattern count; the integer
+        # footprint shares are cut at cumulative boundaries so they sum
+        # to the whole exactly.
+        total = max(1, len(patterns))
+        memory = self._automaton.approx_memory_bytes()
+        counted = 0
+        for dictionary in ordered:
+            before = memory * counted // total
+            counted += dictionary.n_patterns
+            dictionary._memory_bytes = memory * counted // total - before
+            dictionary.build_seconds = (self.build_seconds
+                                        * dictionary.n_patterns / total)
+            dictionary.cache_hit = self.cache_hit
 
     @property
     def n_patterns(self) -> int:
@@ -253,60 +226,65 @@ class MultiTypeDictionary:
     def approx_memory_bytes(self) -> int:
         return self._automaton.approx_memory_bytes()
 
-    def scan(self, text: str) -> dict[str, list[EntityMention]]:
-        """One pass over ``text``; per-type mention lists.
-
-        Byte-identical to running each component dictionary's
-        ``annotate`` on the text: matches are partitioned by owning
-        type, then each type resolves overlaps independently.  (Within
-        one type, two distinct patterns can never share a span — the
-        per-type surface dedup guarantees it — so the greedy resolution
-        has no order-dependent ties.)
-        """
-        lowered = text.lower()
+    def matches(self, text: str) -> dict[str, list[Match]]:
+        """One pass over ``text``: every word-aligned match, per type,
+        before overlap resolution (in end-position order)."""
         payloads = self._automaton.payloads
         per_type: dict[str, list[Match]] = {
             etype: [] for etype in self.entity_types}
-        for match in self._automaton.find_aligned(lowered,
+        for match in self._automaton.find_aligned(fold_case(text),
                                                   _BOUNDARY_CHARS):
             per_type[payloads[match.pattern_id][0]].append(match)
+        return per_type
+
+    def scan(self, text: str) -> dict[str, list[EntityMention]]:
+        """One pass over ``text``; per-type mention lists.
+
+        :meth:`matches`, then each type resolves its own overlaps,
+        longest match first.  (Within one type, two distinct patterns
+        can never share a span — the per-type surface dedup guarantees
+        it — so the greedy resolution has no order-dependent ties.)
+        """
+        payloads = self._automaton.payloads
         mentions: dict[str, list[EntityMention]] = {}
-        for etype in self.entity_types:
-            resolved: list[EntityMention] = []
-            for match in _longest_non_overlapping(per_type[etype]):
-                _, term_id, _canonical = payloads[match.pattern_id]
-                resolved.append(EntityMention(
-                    text=text[match.start:match.end],
-                    start=match.start, end=match.end, entity_type=etype,
-                    method="dictionary", term_id=term_id))
-            mentions[etype] = resolved
+        for etype, matches in self.matches(text).items():
+            mentions[etype] = [
+                EntityMention(text=text[match.start:match.end],
+                              start=match.start, end=match.end,
+                              entity_type=etype, method="dictionary",
+                              term_id=payloads[match.pattern_id][1])
+                for match in _longest_non_overlapping(matches)]
         return mentions
 
 
-#: Merged automata are expensive; share one per live component set.
-#: Keys are component object ids — stable while the merged dictionary
-#: (which holds strong references to its components) is alive, and the
-#: weak value lets the whole group be collected together.
-_MERGED_MEMO: "WeakValueDictionary[tuple[int, ...], MultiTypeDictionary]" = (
-    WeakValueDictionary())
+class DictionaryTagger:
+    """One entity type's tagger over the shared automaton."""
+
+    method = "dictionary"
+
+    def __init__(self, shared: MultiTypeDictionary,
+                 entity_type: str) -> None:
+        self.shared = shared
+        self.entity_type = entity_type
+        self.dictionary = shared.dictionaries[entity_type]
+
+    def annotate(self, document: Document) -> list[EntityMention]:
+        """Tag a document; extends ``document.entities`` in place."""
+        mentions = self.shared.scan(document.text)[self.entity_type]
+        document.entities.extend(mentions)
+        return mentions
+
+    def startup_seconds(self) -> float:
+        return self.dictionary.build_seconds
 
 
-def merged_dictionary_for(dictionaries: Sequence[EntityDictionary],
-                          cache: "AutomatonCache | None" = None,
-                          ) -> MultiTypeDictionary:
-    """The (memoized) merged dictionary over ``dictionaries``."""
-    key = tuple(sorted(id(d) for d in dictionaries))
-    merged = _MERGED_MEMO.get(key)
-    if merged is None:
-        merged = MultiTypeDictionary(dictionaries, cache=cache)
-        _MERGED_MEMO[key] = merged
-        # Pin the memo entry to the components' lifetime: consumers
-        # (fused plan stages, one-pass annotators) are short-lived, so
-        # without a back-reference the weak value dies between runs
-        # and every run rebuilds the automaton.  The resulting cycle
-        # (component -> merged -> component) is collectable, and the
-        # id-tuple key can only be reused after the components — and
-        # with them the pinned value — are gone.
-        for component in merged.dictionaries.values():
-            component._merged_pin = merged
-    return merged
+def shared_dictionary(taggers: Iterable[DictionaryTagger],
+                      ) -> MultiTypeDictionary | None:
+    """The one automaton every tagger in ``taggers`` holds (None for no
+    taggers); taggers holding different automata raise ``ValueError``."""
+    shared = {id(tagger.shared): tagger.shared for tagger in taggers}
+    if len(shared) > 1:
+        raise ValueError(
+            f"dictionary taggers hold {len(shared)} different automata; "
+            f"build them together with build_dictionary_taggers")
+    return next(iter(shared.values()), None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from repro.annotations import Document, EntityMention
 from repro.corpora.vocabulary import BiomedicalVocabulary, TermEntry
-from repro.ner.dictionary import expand_term
+from repro.ner.dictionary import expand_term, fold_case
 
 
 @dataclass
@@ -45,11 +45,11 @@ class EntityNormalizer:
 
     def resolve(self, entity_type: str, surface: str) -> TermEntry | None:
         """The dictionary entry for a surface form, if any."""
-        key = (entity_type, surface.lower())
-        entry = self._index.get(key)
+        folded = fold_case(surface)
+        entry = self._index.get((entity_type, folded))
         if entry is not None:
             return entry
-        collapsed = surface.lower().replace("-", " ")
+        collapsed = folded.replace("-", " ")
         return self._index.get((entity_type, collapsed))
 
     def normalize(self, document: Document) -> NormalizationStats:

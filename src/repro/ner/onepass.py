@@ -1,16 +1,17 @@
 """One-pass annotation engine.
 
 The reference entity-annotation chain scans each document many times:
-the three dictionary taggers each lower-case the text and run their
-own automaton over it, the POS tagger and each CRF tagger rebuild the
-word list per sentence.  :class:`OnePassAnnotator` runs the same
-logical steps over shared state instead:
+the three dictionary taggers each scan the text and keep their own
+type's mentions, the POS tagger and each CRF tagger rebuild the word
+list per sentence.  :class:`OnePassAnnotator` runs the same logical
+steps over shared state instead:
 
 * sentences are split and tokenized once into an
   :class:`~repro.nlp.arena.AnnotatedText` arena;
-* all dictionary types are matched in a single pass over the text via
-  a merged :class:`~repro.ner.dictionary.MultiTypeDictionary`
-  automaton (overlap resolution stays per type);
+* all dictionary types are matched in a single pass over the text by
+  the pipeline's one :class:`~repro.ner.dictionary.MultiTypeDictionary`
+  automaton, the one the dictionary taggers hold (overlap resolution
+  stays per type);
 * the POS decode is one cross-sentence ``tag_batch`` call with the
   reference path's per-sentence crash accounting;
 * CRF taggers consume the arena's word lists directly and score them
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from repro.annotations import Document
-from repro.ner.dictionary import MultiTypeDictionary, merged_dictionary_for
+from repro.ner.dictionary import MultiTypeDictionary, shared_dictionary
 from repro.nlp.arena import AnnotatedText, SentenceSlot
 from repro.nlp.pos_hmm import TaggerCrash
 from repro.nlp.sentence import SentenceSplitter
@@ -83,25 +84,23 @@ class OnePassAnnotator:
     ``steps`` is the ordered tagger list — dictionary taggers
     (``method == "dictionary"``) and ML taggers (``method == "ml"``)
     interleaved exactly as the reference chain would run them; each
-    document's ``entities`` list is extended in that order.
+    document's ``entities`` list is extended in that order.  The
+    dictionary steps must all hold one automaton (``ValueError``
+    otherwise); building an engine builds nothing.
     """
 
     def __init__(self, steps: Sequence, *,
                  splitter: SentenceSplitter | None = None,
                  split: str = "never", retokenize: bool = False,
-                 pos_tagger=None, skip_pos_crashes: bool = True,
-                 automaton_cache=None) -> None:
+                 pos_tagger=None, skip_pos_crashes: bool = True) -> None:
         self.steps = list(steps)
         self.splitter = splitter
         self.split = split
         self.retokenize = retokenize
         self.pos_tagger = pos_tagger
         self.skip_pos_crashes = skip_pos_crashes
-        dictionaries = [step.dictionary for step in self.steps
-                        if step.method == "dictionary"]
-        self.merged: MultiTypeDictionary | None = (
-            merged_dictionary_for(dictionaries, cache=automaton_cache)
-            if dictionaries else None)
+        self.merged: MultiTypeDictionary | None = shared_dictionary(
+            step for step in self.steps if step.method == "dictionary")
 
     @property
     def annotation_cache(self):

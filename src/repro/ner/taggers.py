@@ -23,7 +23,9 @@ from repro.corpora.textgen import GoldDocument
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.ner.cache import AutomatonCache
 from repro.ner.crf import LinearChainCrf, TrainingSet, bio_to_spans
-from repro.ner.dictionary import DictionaryTagger, EntityDictionary
+from repro.ner.dictionary import (
+    DictionaryTagger, EntityDictionary, MultiTypeDictionary,
+)
 from repro.ner.features import sentence_features
 from repro.nlp.sentence import split_sentences
 from repro.nlp.tokenize import tokenize
@@ -203,19 +205,20 @@ def build_dictionary_taggers(
         vocabulary: BiomedicalVocabulary, fuzzy: bool = True,
         cache: "AutomatonCache | None" = None,
         ) -> dict[str, DictionaryTagger]:
-    """One dictionary tagger per entity type from the vocabulary.
+    """One dictionary tagger per entity type from the vocabulary, all
+    over one :class:`~repro.ner.dictionary.MultiTypeDictionary` — the
+    only automaton a pipeline builds.
 
     ``cache`` (an :class:`~repro.ner.cache.AutomatonCache`) re-loads
-    previously built automata instead of rebuilding them, so repeated
+    a previously built automaton instead of rebuilding it, so repeated
     pipeline constructions pay the dictionary build once per content.
     """
-    taggers = {}
-    for entity_type in ENTITY_TYPES:
-        dictionary = EntityDictionary(entity_type,
-                                      vocabulary.entries(entity_type),
-                                      fuzzy=fuzzy, cache=cache)
-        taggers[entity_type] = DictionaryTagger(dictionary)
-    return taggers
+    shared = MultiTypeDictionary(
+        [EntityDictionary(entity_type, vocabulary.entries(entity_type),
+                          fuzzy=fuzzy)
+         for entity_type in ENTITY_TYPES], cache=cache)
+    return {entity_type: DictionaryTagger(shared, entity_type)
+            for entity_type in ENTITY_TYPES}
 
 
 def train_taggers(gold_documents: Sequence[GoldDocument],

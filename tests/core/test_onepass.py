@@ -10,6 +10,14 @@ the serve layer's digest parity against the reference chain.
 import pytest
 
 from repro.annotations import Document
+from repro.core.flows import build_fig2_flow
+from repro.core.pipeline import TextAnalyticsPipeline
+from repro.corpora.vocabulary import BiomedicalVocabulary
+from repro.crawler.consolidated import EntityAwareClassifier
+from repro.dataflow.optimizer import fuse_annotation_stage
+from repro.ner.automaton import AhoCorasickAutomaton
+from repro.ner.onepass import OnePassAnnotator
+from repro.ner.taggers import build_dictionary_taggers
 from repro.nlp.anno_cache import AnnotationCache
 from repro.serve.session import ExtractionSession
 
@@ -100,19 +108,84 @@ class TestServeDigestParity:
 
 
 class TestEngineConstruction:
-    def test_one_pass_annotator_memoized(self, pipeline):
-        first = pipeline.one_pass_annotator()
-        again = pipeline.one_pass_annotator()
-        assert first is again
-        with_pos = pipeline.one_pass_annotator(with_pos=True)
-        assert with_pos is not first
-        assert with_pos.pos_tagger is pipeline.pos_tagger
-        assert first.pos_tagger is None
-
     def test_engines_share_one_merged_automaton(self, pipeline):
         plain = pipeline.one_pass_annotator()
         with_pos = pipeline.one_pass_annotator(with_pos=True)
         assert plain.merged is with_pos.merged
+        assert with_pos.pos_tagger is pipeline.pos_tagger
+        assert plain.pos_tagger is None
+
+    def test_every_holder_has_the_one_automaton(self, pipeline,
+                                                monkeypatch):
+        """The three taggers, the one-pass engines, the fused flow
+        operator, the serve session and the entity-aware classifier
+        all hold the pipeline's single automaton."""
+        taggers = pipeline.dictionary_taggers.values()
+        shared = pipeline.dictionary_taggers["gene"].shared
+        assert all(tagger.shared is shared for tagger in taggers)
+        assert pipeline.one_pass_annotator().merged is shared
+        assert pipeline.one_pass_annotator(with_pos=True).merged is shared
+        plan = build_fig2_flow(pipeline)
+        (node,) = fuse_annotation_stage(plan)
+        assert node.operator.fused_annotator.merged is shared
+        held = []
+        annotate_batch = OnePassAnnotator.annotate_batch
+
+        def recording(engine, documents):
+            held.append(engine.merged)
+            return annotate_batch(engine, documents)
+        monkeypatch.setattr(OnePassAnnotator, "annotate_batch", recording)
+        ExtractionSession(pipeline).extract_batch(["BRCA1 binds TP53."])
+        assert held and all(merged is shared for merged in held)
+        assert EntityAwareClassifier(pipeline.classifier,
+                                     pipeline.dictionary_taggers
+                                     ).dictionary is shared
+
+    def test_pipeline_build_compiles_one_automaton(self, monkeypatch,
+                                                   tmp_path):
+        """One ``AhoCorasickAutomaton.build`` per pipeline, none per
+        engine, flow or session; a warm cache builds none and the
+        cache directory holds one entry."""
+        builds = []
+        build = AhoCorasickAutomaton.build
+
+        def counting(automaton):
+            builds.append(len(automaton))
+            return build(automaton)
+        monkeypatch.setattr(AhoCorasickAutomaton, "build", counting)
+        vocabulary = BiomedicalVocabulary(seed=7, n_genes=40,
+                                          n_diseases=20, n_drugs=20)
+        options = dict(vocabulary=vocabulary, n_training_docs=6,
+                       n_classifier_docs=20, crf_iterations=2)
+        built = TextAnalyticsPipeline.build(dictionary_cache=tmp_path,
+                                            **options)
+        assert len(builds) == 1
+        assert len(list(tmp_path.glob("aho-*.bin"))) == 1
+        for methods in (("dictionary", "ml"), ("dictionary",), ("ml",)):
+            for with_pos in (False, True):
+                built.analyze_batch([Document("d", "BRCA1 and TP53.")],
+                                    methods=methods, with_pos=with_pos)
+        fuse_annotation_stage(build_fig2_flow(built))
+        ExtractionSession(built).run_batch([("extract", "BRCA1."),
+                                            ("annotate", "TP53.")])
+        EntityAwareClassifier(built.classifier,
+                              built.dictionary_taggers).evidence("BRCA1")
+        assert len(builds) == 1
+        warm = TextAnalyticsPipeline.build(dictionary_cache=tmp_path,
+                                           **options)
+        assert len(builds) == 1
+        assert warm.dictionary_taggers["gene"].shared.cache_hit
+
+    def test_mixed_automata_rejected(self, vocabulary):
+        first = build_dictionary_taggers(vocabulary)
+        second = build_dictionary_taggers(vocabulary)
+        with pytest.raises(ValueError):
+            OnePassAnnotator([first["gene"], second["drug"]])
+        with pytest.raises(ValueError):
+            EntityAwareClassifier(None, {"gene": first["gene"],
+                                         "drug": second["drug"]})
+        assert OnePassAnnotator([first["gene"], first["drug"]]).merged \
+            is first["gene"].shared
 
     def test_dictionary_only_engine(self, pipeline, texts):
         engine = pipeline.one_pass_annotator(methods=("dictionary",))

@@ -23,6 +23,34 @@ class TestEntityAwareClassifier:
         assert evidence.total > 0
         assert evidence.mentions_per_100_words["drug"] > 0
 
+    #: ``evidence`` on the shared context's corpus documents, recorded
+    #: when each type still scanned the page with its own automaton;
+    #: the one-pass count must give the same numbers.
+    PINNED_EVIDENCE = {
+        ("medline", 0): {"disease": 1.1049723756906078, "drug": 0.0,
+                         "gene": 1.1049723756906078},
+        ("medline", 1): {"disease": 0.0, "drug": 0.9803921568627451,
+                         "gene": 5.882352941176471},
+        ("medline", 2): {"disease": 0.9950248756218906,
+                         "drug": 0.4975124378109453,
+                         "gene": 3.9800995024875623},
+        ("relevant", 0): {"disease": 0.48859934853420195, "drug": 0.0,
+                          "gene": 0.0},
+        ("relevant", 1): {"disease": 0.2934272300469484,
+                          "drug": 0.2347417840375587,
+                          "gene": 0.6455399061032864},
+        ("relevant", 2): {"disease": 0.9174311926605505,
+                          "drug": 0.22935779816513763,
+                          "gene": 0.3440366972477064},
+        ("irrelevant", 0): {"disease": 0.0, "drug": 0.0, "gene": 0.0},
+    }
+
+    def test_evidence_values_pinned(self, entity_aware, context):
+        for (corpus, index), expected in self.PINNED_EVIDENCE.items():
+            text = context.corpus_documents(corpus)[index].text
+            got = entity_aware.evidence(text).mentions_per_100_words
+            assert got == expected, (corpus, index)
+
     def test_entity_evidence_raises_relevance(self, entity_aware,
                                               pipeline):
         fringe = ("The new big market improves each cheap game with "

@@ -13,6 +13,7 @@ from repro.core.flows import (
     EXECUTION_MODES, FlowSession, build_entity_flow, build_fig2_flow,
     run_flow,
 )
+from repro.dataflow.executor import Executor
 from repro.dataflow.optimizer import fuse_annotation_stage
 from repro.dataflow.packages import make_operator
 from repro.dataflow.plan import LogicalPlan
@@ -138,8 +139,8 @@ class TestSubstitution:
         plan.mark_sink("entities", tail)
         fused = fuse_annotation_stage(plan)
         assert len(fused) == 2
-        outputs, _ = run_flow(plan, _documents(texts),
-                              mode="sequential", fuse_annotators=False)
+        outputs, _ = Executor("sequential").execute(plan,
+                                                    _documents(texts))
         assert set(outputs) == {"tagged", "entities"}
         assert outputs["entities"]
 
@@ -151,9 +152,15 @@ class TestSubstitution:
 
 class TestFlowEquivalence:
     def _run(self, pipeline, texts, mode, fuse, dop=1):
+        """``run_flow`` fuses; executing the plan as built is the
+        elementary reference chain."""
         plan = build_entity_flow(pipeline, web_input=False)
-        outputs, _ = run_flow(plan, _documents(texts), mode=mode,
-                              dop=dop, fuse_annotators=fuse)
+        if fuse:
+            outputs, _ = run_flow(plan, _documents(texts), mode=mode,
+                                  dop=dop)
+        else:
+            outputs, _ = Executor(mode, dop=dop).execute(
+                plan, _documents(texts))
         return outputs
 
     def test_all_modes_match_unfused_reference(self, pipeline, texts):
@@ -168,12 +175,11 @@ class TestFlowEquivalence:
         for document in documents:
             document.meta["content_type"] = "text/html"
             document.raw = f"<html><body>{document.text}</body></html>"
-        reference, _ = run_flow(build_fig2_flow(pipeline),
-                                [d.copy_shallow() for d in documents],
-                                mode="sequential", fuse_annotators=False)
+        reference, _ = Executor("sequential").execute(
+            build_fig2_flow(pipeline), [d.copy_shallow() for d in documents])
         fused, _ = run_flow(build_fig2_flow(pipeline),
                             [d.copy_shallow() for d in documents],
-                            mode="sequential", fuse_annotators=True)
+                            mode="sequential")
         assert fused == reference
         assert reference["entities"]
 
@@ -193,11 +199,6 @@ class TestFlowEquivalence:
             assert "annotate_entities_fused" in _names(session.plan)
             outputs, _ = session.run(_documents(texts))
             assert outputs == reference
-        plain = FlowSession(pipeline, mode="sequential",
-                            build=lambda p: build_entity_flow(
-                                p, web_input=False),
-                            fuse_annotators=False)
-        assert plain.fused_stages == 0
 
 
 class TestCategoryAnnotators:

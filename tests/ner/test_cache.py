@@ -4,7 +4,9 @@ import pytest
 
 from repro.ner.automaton import AhoCorasickAutomaton
 from repro.ner.cache import AutomatonCache, content_key
-from repro.ner.dictionary import EntityDictionary
+from repro.ner.dictionary import (
+    DictionaryTagger, EntityDictionary, MultiTypeDictionary,
+)
 from repro.corpora.vocabulary import TermEntry
 
 PATTERNS = ["brca1", "brca2", "tp53", "tumor necrosis factor", "tnf"]
@@ -107,23 +109,26 @@ class TestDictionaryIntegration:
         return [TermEntry(canonical=name, term_id=f"G{i}")
                 for i, name in enumerate(["BRCA1", "TP53", "TNF-alpha"])]
 
+    def _merged(self, cache=None):
+        return MultiTypeDictionary(
+            [EntityDictionary("gene", self._entries())], cache=cache)
+
     def test_cached_dictionary_identical_matches(self, tmp_path):
-        cache = AutomatonCache(tmp_path)
-        cold = EntityDictionary("gene", self._entries(), cache=cache)
-        warm = EntityDictionary("gene", self._entries(),
-                                cache=AutomatonCache(tmp_path))
+        cold = self._merged(AutomatonCache(tmp_path))
+        warm = self._merged(AutomatonCache(tmp_path))
         assert not cold.cache_hit
         assert warm.cache_hit
+        assert warm.dictionaries["gene"].cache_hit
         from repro.annotations import Document
 
         for text in ("brca1 binds tp53", "tnf alpha or TNF-alpha levels"):
             doc_a = Document(doc_id="a", text=text)
             doc_b = Document(doc_id="a", text=text)
-            cold_mentions = cold.annotate(doc_a)
-            warm_mentions = warm.annotate(doc_b)
+            cold_mentions = DictionaryTagger(cold, "gene").annotate(doc_a)
+            warm_mentions = DictionaryTagger(warm, "gene").annotate(doc_b)
             assert cold_mentions == warm_mentions
 
     def test_uncached_dictionary_still_works(self):
-        dictionary = EntityDictionary("gene", self._entries())
+        dictionary = self._merged().dictionaries["gene"]
         assert not dictionary.cache_hit
         assert dictionary.build_seconds >= 0

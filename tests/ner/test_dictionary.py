@@ -5,12 +5,14 @@ import pytest
 from repro.annotations import Document
 from repro.corpora.vocabulary import TermEntry
 from repro.ner.dictionary import (
-    DictionaryTagger, EntityDictionary, expand_term,
+    DictionaryTagger, EntityDictionary, MultiTypeDictionary, expand_term,
 )
 
 
-def _dictionary(*entries, fuzzy=True):
-    return EntityDictionary("drug", list(entries), fuzzy=fuzzy)
+def _tagger(*entries, entity_type="drug", fuzzy=True):
+    """A tagger over an automaton compiled from one type's entries."""
+    dictionary = EntityDictionary(entity_type, list(entries), fuzzy=fuzzy)
+    return DictionaryTagger(MultiTypeDictionary([dictionary]), entity_type)
 
 
 ASPIRIN = TermEntry("Aspirin", ("Aspirin hydrochloride",), "DRUG:000001")
@@ -36,7 +38,7 @@ class TestExpandTerm:
 class TestMatching:
     def test_exact_match(self):
         document = Document("d", "We prescribed Aspirin daily.")
-        mentions = _dictionary(ASPIRIN).annotate(document)
+        mentions = _tagger(ASPIRIN).annotate(document)
         assert len(mentions) == 1
         assert mentions[0].text == "Aspirin"
         assert mentions[0].term_id == "DRUG:000001"
@@ -44,59 +46,74 @@ class TestMatching:
 
     def test_case_variant_match(self):
         document = Document("d", "take ASPIRIN now")
-        assert _dictionary(ASPIRIN).annotate(document)
+        assert _tagger(ASPIRIN).annotate(document)
 
     def test_plural_variant_match(self):
         document = Document("d", "two aspirins later")
-        assert _dictionary(ASPIRIN).annotate(document)
+        assert _tagger(ASPIRIN).annotate(document)
 
     def test_hyphen_variant_match(self):
         document = Document("d", "levels of GAD 67 rose")
-        dictionary = EntityDictionary("gene", [GAD])
-        assert dictionary.annotate(document)
+        assert _tagger(GAD, entity_type="gene").annotate(document)
 
     def test_word_boundary_respected(self):
         document = Document("d", "superaspirinx is not a drug")
-        assert not _dictionary(ASPIRIN).annotate(document)
+        assert not _tagger(ASPIRIN).annotate(document)
 
     def test_longest_match_wins(self):
         entries = [TermEntry("chronic pain", (), "DIS:1"),
                    TermEntry("pain", (), "DIS:2")]
-        dictionary = EntityDictionary("disease", entries)
         document = Document("d", "suffering from chronic pain daily")
-        mentions = dictionary.annotate(document)
+        mentions = _tagger(*entries, entity_type="disease").annotate(
+            document)
         assert len(mentions) == 1
         assert mentions[0].text == "chronic pain"
 
     def test_non_fuzzy_misses_variants(self):
         document = Document("d", "two aspirins later")
-        assert not _dictionary(ASPIRIN, fuzzy=False).annotate(document)
+        assert not _tagger(ASPIRIN, fuzzy=False).annotate(document)
 
     def test_mentions_appended_to_document(self):
         document = Document("d", "Aspirin and Aspirin.")
-        _dictionary(ASPIRIN).annotate(document)
+        _tagger(ASPIRIN).annotate(document)
         assert len(document.entities) == 2
 
     def test_annotate_offsets_exact(self):
         text = "He took Aspirin (hydrochloride form)."
         document = Document("d", text)
-        for mention in _dictionary(ASPIRIN).annotate(document):
+        for mention in _tagger(ASPIRIN).annotate(document):
             assert text[mention.start:mention.end] == mention.text
+
+    def test_dotted_capital_i_keeps_offsets(self):
+        """U+0130 (İ) lower-cases to two characters; a mention after
+        it must still cover the matched word, not a shifted slice."""
+        text = "İstanbul patients took aspirin daily."
+        mentions = _tagger(ASPIRIN).annotate(Document("d", text))
+        assert [(m.text, m.start, m.end) for m in mentions] == [
+            ("aspirin", 23, 30)]
+
+    def test_dotted_capital_i_folds_to_i(self):
+        entry = TermEntry("Imatinib", (), "DRUG:000003")
+        mentions = _tagger(entry).annotate(
+            Document("d", "IMATİNİB and İmatinib."))
+        assert [(m.text, m.start) for m in mentions] == [
+            ("IMATİNİB", 0), ("İmatinib", 13)]
 
 
 class TestOperationalProperties:
     def test_build_time_recorded(self):
-        dictionary = _dictionary(ASPIRIN, GAD)
+        dictionary = _tagger(ASPIRIN, GAD).dictionary
         assert dictionary.build_seconds > 0
 
     def test_startup_seconds_from_tagger(self):
-        tagger = DictionaryTagger(_dictionary(ASPIRIN))
+        tagger = _tagger(ASPIRIN)
         assert tagger.startup_seconds() == tagger.dictionary.build_seconds
 
     def test_memory_grows_with_entries(self, vocabulary):
-        small = EntityDictionary("gene", vocabulary.genes[:10])
-        large = EntityDictionary("gene", vocabulary.genes)
-        assert large.approx_memory_bytes() > small.approx_memory_bytes()
+        small = _tagger(*vocabulary.genes[:10], entity_type="gene")
+        large = _tagger(*vocabulary.genes, entity_type="gene")
+        assert large.dictionary.approx_memory_bytes() > \
+            small.dictionary.approx_memory_bytes()
 
     def test_pattern_count_exceeds_entry_count(self, vocabulary):
         """Fuzzy expansion inflates the automaton — the memory cost the
@@ -105,13 +122,13 @@ class TestOperationalProperties:
         assert dictionary.n_patterns > 50
 
     def test_recall_on_gold(self, vocabulary, relevant_generator):
-        dictionary = EntityDictionary("gene", vocabulary.genes)
+        tagger = _tagger(*vocabulary.genes, entity_type="gene")
         found = total = 0
         for i in range(10):
             gold = relevant_generator.document(i)
             document = gold.document.copy_shallow()
             mentions = {(m.start, m.end)
-                        for m in dictionary.annotate(document)}
+                        for m in tagger.annotate(document)}
             for entity in gold.entities:
                 if entity.mention.entity_type != "gene":
                     continue

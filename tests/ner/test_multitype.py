@@ -1,22 +1,24 @@
 """Merged multi-type dictionary: one scan, per-type-identical output.
 
 The load-bearing property is union equivalence: for every text, the
-merged automaton's per-type mention lists must equal — spans, types,
-term ids, and order included — what each single-type
-:class:`EntityDictionary` produces on its own.  The frozen flat-edge
-form and the :class:`AutomatonCache` key must both cover the payload
-table, so a cache hit can never silently drop type resolution.
+merged automaton's per-type mention lists — and each
+:class:`DictionaryTagger` over it — must equal, spans, types, term ids
+and order included, what each type's own automaton produces
+(``dictionary_oracle``).  The frozen flat-edge form and the
+:class:`AutomatonCache` key must both cover the payload table, so a
+cache hit can never silently drop type resolution.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dictionary_oracle import OracleDictionary, per_type_scan
 from repro.annotations import Document
 from repro.corpora.vocabulary import TermEntry
 from repro.ner.automaton import AhoCorasickAutomaton
 from repro.ner.cache import AutomatonCache, content_key, payload_salt
 from repro.ner.dictionary import (
-    EntityDictionary, MultiTypeDictionary, merged_dictionary_for,
+    DictionaryTagger, EntityDictionary, MultiTypeDictionary, fold_case,
 )
 
 #: Term pools with deliberate cross-type surface collisions ("malexia"
@@ -31,24 +33,12 @@ _FILLER = ["alpha", "beta", "the", "dose", "of", "regulates"]
 _SURFACES = [w for pool in _POOLS.values() for w in pool]
 
 
-def _dictionaries(chosen: dict[str, list[str]],
-                  cache: AutomatonCache | None = None,
-                  ) -> list[EntityDictionary]:
+def _dictionaries(chosen: dict[str, list[str]]) -> list[EntityDictionary]:
     return [
         EntityDictionary(etype,
                          [TermEntry(term, (), f"{etype[0].upper()}:{i}")
-                          for i, term in enumerate(terms)],
-                         cache=cache)
+                          for i, term in enumerate(terms)])
         for etype, terms in chosen.items() if terms]
-
-
-def _reference(dictionaries, text):
-    """Per-type reference: each dictionary tags the text on its own."""
-    expected = {}
-    for dictionary in dictionaries:
-        document = Document("ref", text)
-        expected[dictionary.entity_type] = dictionary.annotate(document)
-    return expected
 
 
 class TestScanEquivalence:
@@ -59,7 +49,7 @@ class TestScanEquivalence:
         dictionaries = _dictionaries(_POOLS)
         merged = MultiTypeDictionary(dictionaries)
         scan = merged.scan(self.TEXT)
-        assert scan == _reference(dictionaries, self.TEXT)
+        assert scan == per_type_scan(dictionaries, self.TEXT)
 
     def test_shared_surface_fires_once_per_type(self):
         """A surface in two dictionaries keeps one pattern id per
@@ -79,14 +69,14 @@ class TestScanEquivalence:
                                       "drug": ["corvex-9"]})
         merged = MultiTypeDictionary(dictionaries)
         scan = merged.scan("corvex-9 binds corvex.")
-        assert scan == _reference(dictionaries, "corvex-9 binds corvex.")
+        assert scan == per_type_scan(dictionaries, "corvex-9 binds corvex.")
         assert [m.text for m in scan["drug"]] == ["corvex-9"]
 
     def test_single_type_merge_matches_component(self):
         dictionaries = _dictionaries({"gene": _POOLS["gene"]})
         merged = MultiTypeDictionary(dictionaries)
-        assert merged.scan(self.TEXT) == _reference(dictionaries,
-                                                    self.TEXT)
+        assert merged.scan(self.TEXT) == per_type_scan(dictionaries,
+                                                       self.TEXT)
 
 
 class TestConstruction:
@@ -104,13 +94,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MultiTypeDictionary([])
 
-    def test_merged_dictionary_for_memoizes(self):
+    def test_build_is_booked_onto_the_types_by_pattern_count(self):
         dictionaries = _dictionaries(_POOLS)
-        first = merged_dictionary_for(dictionaries)
-        again = merged_dictionary_for(list(reversed(dictionaries)))
-        assert first is again
-        other = merged_dictionary_for(_dictionaries(_POOLS))
-        assert other is not first
+        merged = MultiTypeDictionary(dictionaries)
+        assert sum(d.approx_memory_bytes() for d in dictionaries) == \
+            merged.approx_memory_bytes()
+        assert sum(d.build_seconds for d in dictionaries) == \
+            pytest.approx(merged.build_seconds)
+        for dictionary in dictionaries:
+            assert dictionary.build_seconds == pytest.approx(
+                merged.build_seconds * dictionary.n_patterns
+                / merged.n_patterns)
+            assert dictionary.cache_hit is merged.cache_hit
 
 
 class TestPayloadCache:
@@ -176,14 +171,15 @@ class TestPayloadCache:
         assert restored.payloads is None
 
     def test_merged_dictionary_warm_from_component_cache(self, tmp_path):
-        """The merged automaton inherits a component's cache and is
-        byte-equivalent after a cold reload."""
-        cold = MultiTypeDictionary(
-            _dictionaries(_POOLS, cache=AutomatonCache(tmp_path)))
+        """The merged automaton is byte-equivalent after a cold reload
+        through its cache, and the hit is booked onto every type."""
+        cold = MultiTypeDictionary(_dictionaries(_POOLS),
+                                   cache=AutomatonCache(tmp_path))
         assert not cold.cache_hit
-        warm = MultiTypeDictionary(
-            _dictionaries(_POOLS, cache=AutomatonCache(tmp_path)))
+        warm = MultiTypeDictionary(_dictionaries(_POOLS),
+                                   cache=AutomatonCache(tmp_path))
         assert warm.cache_hit
+        assert all(d.cache_hit for d in warm.dictionaries.values())
         text = TestScanEquivalence.TEXT
         assert warm.scan(text) == cold.scan(text)
 
@@ -194,6 +190,16 @@ class TestPayloadCache:
         assert plain != salted
 
 
+#: Case, hyphen/space and plural variants of the pool surfaces, and
+#: words carrying U+0130 (İ), whose ``str.lower()`` is two characters.
+_VARIANTS = ["Malexia", "corvex 9", "ABRAXOL", "brca1s", "nf kb", "nfkb",
+             "fibrosis 2s", "TP53s", "İ", "İstanbul", "malexİa",
+             "ABRAXOLİ"]
+#: Word separators: boundaries, and non-boundaries ("-", "İ") that
+#: glue neighbours into one word.
+_SEPARATORS = [" ", " ", ", ", "-", "/", "İ"]
+
+
 @st.composite
 def _scenarios(draw):
     chosen = {etype: draw(st.lists(st.sampled_from(pool), unique=True,
@@ -201,11 +207,13 @@ def _scenarios(draw):
               for etype, pool in _POOLS.items()}
     if not any(chosen.values()):
         chosen["gene"] = ["brca1"]
-    words = draw(st.lists(
-        st.sampled_from(_SURFACES + _FILLER +
-                        ["Malexia", "corvex 9", "ABRAXOL", "brca1s"]),
-        min_size=1, max_size=25))
-    return chosen, " ".join(words) + "."
+    words = draw(st.lists(st.sampled_from(_SURFACES + _FILLER + _VARIANTS),
+                          min_size=1, max_size=25))
+    separators = draw(st.lists(st.sampled_from(_SEPARATORS),
+                               min_size=len(words), max_size=len(words)))
+    text = "".join(word + separator
+                   for word, separator in zip(words, separators))
+    return chosen, text + "."
 
 
 class TestPropertyUnionEquivalence:
@@ -216,10 +224,43 @@ class TestPropertyUnionEquivalence:
         dictionaries = _dictionaries(chosen)
         merged = MultiTypeDictionary(dictionaries)
         scan = merged.scan(text)
-        expected = _reference(dictionaries, text)
+        expected = per_type_scan(dictionaries, text)
         # Full equality: spans, surfaces, types, term ids, order.
         assert scan == expected
         assert set(scan) == {d.entity_type for d in dictionaries}
+
+    @given(_scenarios())
+    @settings(max_examples=120, deadline=None)
+    def test_property_taggers_equal_oracle(self, scenario):
+        chosen, text = scenario
+        dictionaries = _dictionaries(chosen)
+        merged = MultiTypeDictionary(dictionaries)
+        for dictionary in dictionaries:
+            etype = dictionary.entity_type
+            document = Document("d", text)
+            got = DictionaryTagger(merged, etype).annotate(document)
+            expected = OracleDictionary(dictionary).annotate(
+                Document("d", text))
+            assert got == expected
+            assert document.entities == expected
+            # Offsets land on the matched characters, İ or not.
+            surfaces = set(dictionary.patterns)
+            assert all(fold_case(m.text) in surfaces for m in got)
+
+    @given(_scenarios())
+    @settings(max_examples=120, deadline=None)
+    def test_property_matches_equal_oracle_before_resolution(
+            self, scenario):
+        """``matches`` (what the entity-aware classifier counts) is
+        every word-aligned hit of each type, overlaps included."""
+        chosen, text = scenario
+        dictionaries = _dictionaries(chosen)
+        matches = MultiTypeDictionary(dictionaries).matches(text)
+        for dictionary in dictionaries:
+            expected = OracleDictionary(dictionary).match(text)
+            assert sorted((m.start, m.end)
+                          for m in matches[dictionary.entity_type]) == \
+                sorted((m.start, m.end) for m in expected)
 
     @given(_scenarios())
     @settings(max_examples=60, deadline=None)

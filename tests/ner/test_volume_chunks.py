@@ -152,8 +152,13 @@ PAGE_LENGTHS = ([3_000] * 25 + [20_000, CHUNK_CHARS - 20_000]
 class TestEngineNeverSeesMoreThanTheBudget:
     def test_store_ingest(self, pipeline, vocabulary):
         engine = RecordingAnnotator()
-        stubbed = dataclasses.replace(pipeline, _one_pass_memo={
-            (("dictionary", "ml"), ENTITY_TYPES, False): engine})
+        stubbed = dataclasses.replace(pipeline)
+
+        def one_pass_annotator(methods, entity_types, with_pos):
+            assert (tuple(methods), tuple(entity_types), with_pos) == (
+                ("dictionary", "ml"), ENTITY_TYPES, False)
+            return engine
+        stubbed.one_pass_annotator = one_pass_annotator
         pages = _documents(PAGE_LENGTHS)
 
         def harvest():
