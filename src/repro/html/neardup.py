@@ -5,6 +5,13 @@ variants); exact content hashing (the DC package's ``dedup_content``)
 misses near-copies.  This module implements the standard w-shingling /
 MinHash estimator of Jaccard similarity and a corpus-level
 near-duplicate filter.
+
+Signatures are computed by one NumPy kernel: ``(a·x + b) mod (2^61 − 1)``
+for every hash function and shingle at once.  A 61-bit × 61-bit
+product overflows ``uint64``, so the multiplication is split into
+32-bit limbs whose partial products fit, and reduced with the Mersenne
+identities 2^61 ≡ 1 and 2^64 ≡ 8.  The result is bit-identical to the
+exact integer arithmetic, so stored signatures keep their meaning.
 """
 
 from __future__ import annotations
@@ -13,9 +20,19 @@ import hashlib
 import struct
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.annotations import Document
 
 _PRIME = (1 << 61) - 1
+_P = np.uint64(_PRIME)
+_LOW32 = np.uint64((1 << 32) - 1)
+_LOW29 = np.uint64((1 << 29) - 1)
+_S3, _S29, _S32, _S61 = (np.uint64(shift) for shift in (3, 29, 32, 61))
+_U64_LIMIT = 1 << 64
+#: Shingles per kernel pass; bounds the ``(n_hashes, block)``
+#: temporaries on long pages.
+_BLOCK = 4096
 
 
 def shingles(text: str, width: int = 4) -> set[int]:
@@ -42,16 +59,58 @@ class MinHasher:
         from repro.util import seeded_rng
 
         rng = seeded_rng("minhash", seed)
-        self._coefficients = [(rng.randrange(1, _PRIME),
-                               rng.randrange(0, _PRIME))
-                              for _ in range(n_hashes)]
+        pairs = [(rng.randrange(1, _PRIME), rng.randrange(0, _PRIME))
+                 for _ in range(n_hashes)]
+        #: ``(n_hashes, 1)`` columns of the hash family ``a·x + b``.
+        self._a = np.array([a for a, _ in pairs],
+                           dtype=np.uint64).reshape(-1, 1)
+        self._b = np.array([b for _, b in pairs],
+                           dtype=np.uint64).reshape(-1, 1)
 
     def signature(self, shingle_set: set[int]) -> tuple[int, ...]:
+        """Per hash function, the minimum of ``(a·x + b) mod (2^61 − 1)``
+        over the shingle hashes ``x``.
+
+        Shingle hashes are Python ints in ``[0, 2^64)``; anything else
+        raises :class:`ValueError` naming the value.
+        """
         if not shingle_set:
             return tuple([_PRIME] * self.n_hashes)
-        return tuple(
-            min((a * shingle + b) % _PRIME for shingle in shingle_set)
-            for a, b in self._coefficients)
+        try:
+            x = np.fromiter(shingle_set, dtype=np.uint64,
+                            count=len(shingle_set))
+        except OverflowError:
+            bad = next(value for value in shingle_set
+                       if not 0 <= value < _U64_LIMIT)
+            raise ValueError(f"shingle hash {bad} is not an unsigned "
+                             "64-bit integer") from None
+        x %= _P
+        a_hi, a_lo = self._a >> _S32, self._a & _LOW32
+        a_hi8 = a_hi << _S3
+        best = None
+        for start in range(0, len(x), _BLOCK):
+            block = x[start:start + _BLOCK]
+            x_hi, x_lo = block >> _S32, block & _LOW32
+            # a·x = hh·2^64 + mid·2^32 + ll, every limb product below
+            # 2^64; fold with 2^64 ≡ 8 and 2^61 ≡ 1 (mod p).
+            mid = a_hi * x_lo
+            mid += a_lo * x_hi                       # mid < 2^62
+            ll = a_lo * x_lo                         # ll < 2^64
+            total = a_hi8 * x_hi                     # 8·hh < 2^61
+            total += mid >> _S29
+            mid &= _LOW29
+            mid <<= _S32
+            total += mid
+            total += ll >> _S61
+            ll &= _P
+            total += ll
+            total += self._b                         # total < 2^64
+            carry = total >> _S61
+            total &= _P
+            total += carry                           # total <= p + 7
+            lowest = np.minimum(total, total - _P).min(axis=1)
+            best = lowest if best is None else np.minimum(best, lowest)
+        return tuple(best.tolist())
 
     @staticmethod
     def estimated_jaccard(signature_a: tuple[int, ...],

@@ -1,9 +1,14 @@
 """Tests for simulated search engines and seed generation."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
+from repro.corpora.vocabulary import GENERAL_BIOMED_TERMS
 from repro.crawler.search import (
-    QueryQuotaExceeded, SimulatedSearchEngine, build_search_engines,
+    QueryQuotaExceeded, SimulatedSearchEngine, TermIndex,
+    build_search_engines,
 )
 from repro.crawler.seeds import PAPER_TERM_COUNTS, SeedGenerator
 
@@ -60,6 +65,69 @@ class TestSearchEngine:
         assert len(engines) == 5
         assert {e.name for e in engines} == {
             "bing", "google", "arxiv", "nature", "nature-blogs"}
+
+
+class TestSharedIndex:
+    """The five engines read one :class:`TermIndex`; each must answer
+    exactly as an engine with a private index of its own slice."""
+
+    def test_views_answer_like_private_indexes(self, webgraph):
+        shared = build_search_engines(webgraph, result_limit=15)
+        private = [SimulatedSearchEngine(e.name, webgraph, e.host_filter,
+                                         e.result_limit)
+                   for e in shared]
+        batch = SeedGenerator(shared, webgraph.vocabulary).second_round(
+            scale=20)
+        terms = [term for category in batch.terms_by_category.values()
+                 for term in category]
+        terms += list(GENERAL_BIOMED_TERMS)
+        terms += ["cancer therapy", "patients treatment", "zzzz cancer",
+                  "health article", "", "--"]
+        answered = 0
+        for view, own in zip(shared, private):
+            for term in terms:
+                results = view.query(term)
+                assert results == own.query(term), (view.name, term)
+                answered += bool(results)
+        assert answered
+
+    def test_each_page_tokenized_once(self, webgraph, monkeypatch):
+        calls = Counter()
+        page_terms = TermIndex._page_terms
+
+        def counting(self, url, page, host):
+            calls[url] += 1
+            return page_terms(self, url, page, host)
+
+        monkeypatch.setattr(TermIndex, "_page_terms", counting)
+        engines = build_search_engines(webgraph)
+        for engine in engines:
+            engine.query("cancer")
+            engine.query("treatment")
+        indexable = {url for url, page in webgraph.pages.items()
+                     if not page.content_type.startswith("application/")}
+        assert set(calls) == indexable
+        assert set(calls.values()) == {1}
+
+    def test_quotas_are_per_engine(self, webgraph):
+        engines = build_search_engines(webgraph, query_quota=2)
+        engines[0].query("cancer")
+        engines[0].query("therapy")
+        with pytest.raises(QueryQuotaExceeded):
+            engines[0].query("treatment")
+        for engine in engines[1:]:
+            engine.query("cancer")
+            assert engine.queries_issued == 1
+
+    def test_seed_list_unchanged(self, webgraph):
+        # Seed URLs of the test web before the engines shared an index.
+        generator = SeedGenerator(build_search_engines(webgraph),
+                                  webgraph.vocabulary)
+        batch = generator.second_round(scale=20)
+        assert (batch.queries_issued, batch.n_seeds) == (4000, 195)
+        assert hashlib.sha256("\n".join(batch.urls).encode()).hexdigest() \
+            == ("9addee6a9930c8216b69a5c531870d10"
+                "a0263873e60092249065e7d92aabd4ce")
 
 
 class TestSeedGeneration:
