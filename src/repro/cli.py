@@ -558,8 +558,8 @@ def cmd_flow(args) -> int:
     session = FlowSession(ctx.pipeline, mode=args.mode, dop=dop,
                           metrics=metrics, tracer=tracer)
     if session.fused_stages:
-        print(f"fused {session.fused_stages} one-pass annotation "
-              f"stage(s) into the plan")
+        print(f"fused {session.fused_stages} physical stage(s) "
+              f"into the plan")
     for run_index in range(args.repeat):
         outputs, report = session.run(documents)
         if args.repeat > 1:

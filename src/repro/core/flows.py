@@ -183,20 +183,21 @@ def run_flow(plan: LogicalPlan, records: Sequence[Any],
     """Execute any flow plan with the chosen physical mode (one of
     :data:`EXECUTION_MODES`; all produce byte-identical sink outputs).
 
-    One-pass fused annotation stages replace elementary annotate
-    sub-chains (:func:`~repro.dataflow.optimizer.fuse_annotation_stage`)
-    on a structural copy, leaving the caller's plan untouched; outputs
-    are byte-identical to executing the plan as given, which is how
-    the equivalence tests get the unfused reference.  Annotation
+    Physical fusion (:func:`~repro.dataflow.optimizer.fuse_physical_stages`:
+    one page scan for the web-treatment run, one pass for the annotate
+    run) is applied to a structural copy, leaving the caller's plan
+    untouched; outputs are byte-identical to executing the plan as
+    given, which is how the equivalence tests get the unfused
+    reference.  Annotation
     caches attached to the plan's operators are flushed to disk after
     the run, so the next (cold) process starts warm.  When a
     ``metrics`` registry is attached, per-stage stats and the cache
     flush are mirrored onto it.
     """
-    from repro.dataflow.optimizer import fuse_annotation_stage
+    from repro.dataflow.optimizer import fuse_physical_stages
 
     plan = plan.copy_structure()
-    fuse_annotation_stage(plan)
+    fuse_physical_stages(plan)
     result = Executor(mode, dop=dop, metrics=metrics,
                       tracer=tracer).execute(plan, records)
     flush_annotation_caches(plan, metrics=metrics)
@@ -221,11 +222,11 @@ class FlowSession:
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
                  build=build_fig2_flow) -> None:
-        from repro.dataflow.optimizer import fuse_annotation_stage
+        from repro.dataflow.optimizer import fuse_physical_stages
 
         self.pipeline = pipeline
         self.plan = build(pipeline)
-        self.fused_stages = len(fuse_annotation_stage(self.plan))
+        self.fused_stages = len(fuse_physical_stages(self.plan))
         self.executor = Executor(mode, dop=dop, metrics=metrics,
                                  tracer=tracer)
         self.metrics = metrics

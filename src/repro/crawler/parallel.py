@@ -63,13 +63,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.crawler.filters import FilterChain
-from repro.crawler.parser import (
-    anchor_hrefs, extract_title_from_tree, resolve_hrefs,
-)
-from repro.html.boilerplate import (
-    BoilerplateDetector, extract_blocks_from_tree, scan_blocks,
-)
-from repro.html.repair import repair_document
+from repro.crawler.parser import resolve_hrefs
+from repro.html.boilerplate import BoilerplateDetector, scan_page
 from repro.obs.metrics import MetricsRegistry
 from repro.workers import ChunkRule, child_gc_regime, fork_pool, frozen_heap
 
@@ -130,17 +125,11 @@ def process_document(url: str, body: str, content_type: str,
     if not mime_ok:
         return DocumentOutcome(mime_ok=False, stage_seconds=timings)
 
-    # One tokenizer pass, shared everywhere: scan_blocks() streams the
-    # repaired page into block segmentation while collecting the anchor
-    # hrefs and the title, so the crawl path allocates no DOM.
+    # One page scan, shared with the dataflow's fused web operator:
+    # block segmentation, anchor hrefs and the title in one tokenizer
+    # pass over the repaired page, with no DOM.
     started = time.perf_counter()
-    scanned = scan_blocks(body)
-    if scanned is None:
-        # Reparse hazard: the literal two-pass repair and tree extractors.
-        tree, report = repair_document(body)
-        scanned = (extract_blocks_from_tree(tree), anchor_hrefs(tree),
-                   extract_title_from_tree(tree), report.transcodable)
-    blocks, hrefs, title, transcodable = scanned
+    blocks, hrefs, title, transcodable = scan_page(body)
     timings["repair"] = time.perf_counter() - started
     if not transcodable:
         return DocumentOutcome(mime_ok=True, stage_seconds=timings)

@@ -11,7 +11,9 @@ half of link extraction it still needs.
 
 from __future__ import annotations
 
-from repro.html.dom import HtmlNode, parse_html
+from repro.html.dom import (
+    anchor_hrefs, extract_title_from_tree, HtmlNode, parse_html,
+)
 from repro.web.urls import normalize, resolve
 
 
@@ -27,11 +29,6 @@ def extract_links(html: str, base_url: str) -> list[str]:
 def extract_links_from_tree(tree: HtmlNode, base_url: str) -> list[str]:
     """Outlinks of an already-parsed page (see :func:`extract_links`)."""
     return resolve_hrefs(anchor_hrefs(tree), base_url)
-
-
-def anchor_hrefs(tree: HtmlNode) -> list[str]:
-    """The raw ``href`` of every anchor in document order ('' if absent)."""
-    return [anchor.attrs.get("href", "") for anchor in tree.find_all("a")]
 
 
 def resolve_hrefs(hrefs: list[str], base_url: str) -> list[str]:
@@ -60,11 +57,3 @@ def resolve_hrefs(hrefs: list[str], base_url: str) -> list[str]:
 def extract_title(html: str) -> str:
     """The page title ('' if absent)."""
     return extract_title_from_tree(parse_html(html))
-
-
-def extract_title_from_tree(tree: HtmlNode) -> str:
-    """Title of an already-parsed page ('' if absent)."""
-    title = tree.find_first("title")
-    if title is None:
-        return ""
-    return title.get_text().strip()

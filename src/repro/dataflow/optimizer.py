@@ -14,8 +14,9 @@ equivalent to the original by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from repro.dataflow.operators import Operator
+from repro.dataflow.operators import FlatMapOperator, Operator
 from repro.dataflow.plan import LogicalPlan, PlanNode
 
 
@@ -87,6 +88,20 @@ class SofaOptimizer:
         return ops
 
 
+def _run_annotations(operators: list[Operator]) -> dict:
+    """Optimizer annotations of a fused operator replacing ``operators``:
+    cost and startup are the run's sums, memory its maximum, and the
+    read/write sets the unions, so downstream cost modeling and SOFA
+    see an equivalent stage."""
+    return {
+        "cost": sum(op.cost_per_record for op in operators),
+        "memory_mb": max(op.memory_mb for op in operators),
+        "startup": sum(op.startup_seconds for op in operators),
+        "reads": frozenset().union(*(op.reads for op in operators)),
+        "writes": frozenset().union(*(op.writes for op in operators)),
+    }
+
+
 # -- annotation-stage fusion ------------------------------------------------
 
 #: Structural stage of each fusable elementary operator.  A run is
@@ -122,9 +137,8 @@ def fuse_annotation_stage(plan: LogicalPlan) -> list[PlanNode]:
     shorter than two operators, runs without a POS or entity stage,
     and runs crossing interior sinks are left alone.  The substituted
     operator's outputs are byte-identical to the replaced chain's (the
-    engine's contract); its cost/startup annotations are the run's
-    sums and its memory annotation the run's maximum, so downstream
-    cost modeling sees an equivalent stage.
+    engine's contract); its annotations aggregate the run's
+    (:func:`_run_annotations`).
 
     Returns the list of substituted nodes (empty when nothing fused).
     """
@@ -182,15 +196,110 @@ def fuse_annotation_stage(plan: LogicalPlan) -> list[PlanNode]:
                 skip_pos_crashes=next(
                     (node.operator.skip_crashes for node in best
                      if node.operator.name == "annotate_pos"), True))
-            operators = [node.operator for node in best]
             fused = make_operator(
                 "annotate_entities_fused", annotator=annotator,
-                cost=sum(op.cost_per_record for op in operators),
-                memory_mb=max(op.memory_mb for op in operators),
-                startup=sum(op.startup_seconds for op in operators),
-                reads=frozenset().union(*(op.reads for op in operators)),
-                writes=frozenset().union(*(op.writes for op in operators)))
+                **_run_annotations([node.operator for node in best]))
             fused_nodes.append(plan.replace_run(best, fused))
             changed = True
             break  # segments are stale after surgery; recompute
     return fused_nodes
+
+
+# -- web-treatment fusion ---------------------------------------------------
+
+#: Operators a fusable web run may hold between ``repair_markup`` and
+#: ``remove_boilerplate``: each reads the repaired page (or only the url).
+_WEB_MIDDLE = frozenset({"extract_title", "extract_links", "annotate_host"})
+
+
+def _web_runs(segment: list[PlanNode]) -> Iterator[list[PlanNode]]:
+    """Every ``[detect_markup_errors]? repair_markup (extract_title |
+    extract_links | annotate_host)* remove_boilerplate`` run of a
+    linear segment."""
+    names = [node.operator.name for node in segment]
+    for start, name in enumerate(names):
+        if name != "repair_markup":
+            continue
+        end = start + 1
+        while end < len(names) and names[end] in _WEB_MIDDLE:
+            end += 1
+        if (end < len(names) and names[end] == "remove_boilerplate"
+                and getattr(segment[end].operator, "detector", None)
+                is not None):
+            if start and names[start - 1] == "detect_markup_errors":
+                start -= 1
+            yield segment[start:end + 1]
+
+
+def _raw_observable(plan: LogicalPlan, run: list[PlanNode]) -> bool:
+    """Whether anything downstream of ``run`` could see that the fused
+    operator leaves ``raw`` unrepaired: an operator reading ``raw``, or
+    a sink reached before a :class:`FlatMapOperator` has turned the
+    documents into records.  Without marked sinks every leaf is one."""
+    consumers = plan.consumers()
+    sink_ids = ({node.node_id for node in plan.sinks.values()}
+                or {node.node_id for node in plan.nodes
+                    if node.node_id not in consumers})
+    if any(node.node_id in sink_ids for node in run):
+        return True
+    documents = [run[-1]]  # nodes whose output is still documents
+    seen: set[int] = set()
+    while documents:
+        for child in consumers.get(documents.pop().node_id, ()):
+            if child.node_id in seen:
+                continue
+            seen.add(child.node_id)
+            if "raw" in child.operator.reads:
+                return True
+            if isinstance(child.operator, FlatMapOperator):
+                continue
+            if child.node_id in sink_ids:
+                return True
+            documents.append(child)
+    return False
+
+
+def fuse_web_stage(plan: LogicalPlan) -> list[PlanNode]:
+    """Substitute one-scan web operators into ``plan`` in place.
+
+    Finds every run ``[detect_markup_errors]? repair_markup
+    (extract_title | extract_links | annotate_host)* remove_boilerplate``
+    inside the plan's linear segments and replaces it with a single
+    ``treat_web_documents_fused`` operator, which computes every meta
+    key and the ``text`` the run wrote from one
+    :func:`~repro.html.boilerplate.scan_page` call per page instead of
+    a repair plus three parses.  The fused operator leaves ``raw``
+    unrepaired, so a run is left alone when anything downstream could
+    observe ``raw`` (:func:`_raw_observable`).  Its annotations
+    aggregate the run's (:func:`_run_annotations`).
+
+    Returns the list of substituted nodes (empty when nothing fused).
+    """
+    from repro.dataflow.packages import make_operator
+
+    fused_nodes: list[PlanNode] = []
+    changed = True
+    while changed:
+        changed = False
+        for segment in plan.linear_segments():
+            run = next((run for run in _web_runs(segment)
+                        if not _raw_observable(plan, run)), None)
+            if run is None:
+                continue
+            operators = [node.operator for node in run]
+            fused = make_operator(
+                "treat_web_documents_fused",
+                detector=run[-1].operator.detector,
+                steps=tuple(op.name for op in operators),
+                **_run_annotations(operators))
+            fused_nodes.append(plan.replace_run(run, fused))
+            changed = True
+            break  # segments are stale after surgery; recompute
+    return fused_nodes
+
+
+def fuse_physical_stages(plan: LogicalPlan) -> list[PlanNode]:
+    """Every physical fusion pass, in place: the web-treatment run
+    (:func:`fuse_web_stage`), then the annotation run
+    (:func:`fuse_annotation_stage`).  Returns the substituted nodes."""
+    return fuse_web_stage(plan) + fuse_annotation_stage(plan)

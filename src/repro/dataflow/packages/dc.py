@@ -62,7 +62,8 @@ def _drop_empty_documents(min_chars: int = 1, **ann) -> Operator:
     ann.setdefault("selectivity", 0.98)
     return FilterOperator(
         "drop_empty_documents",
-        lambda document: len(document.text.strip()) >= min_chars, **ann)
+        lambda document: len(document.text.strip()) >= min_chars,
+        reads=frozenset({"text"}), **ann)
 
 
 @register("validate_offsets", "dc",

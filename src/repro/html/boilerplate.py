@@ -16,11 +16,13 @@ recall on crawled pages).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.html.dom import (
-    BLOCK_ELEMENTS, HtmlNode, parse_html, RAW_TEXT_ELEMENTS,
+    anchor_hrefs, BLOCK_ELEMENTS, extract_title_from_tree, HtmlNode,
+    RAW_TEXT_ELEMENTS,
 )
-from repro.html.repair import _ReparseHazard, repair_html, scan_document
+from repro.html.repair import _ReparseHazard, repair_document, scan_document
 
 #: Characters per visual line, used for text density (Boilerpipe uses
 #: a virtual 80-column wrap).
@@ -129,30 +131,6 @@ class _Segmenter:
                     stack.extend([(child, False)
                                   for child in reversed(node.children)])
 
-    def walk_reference(self, node: HtmlNode) -> None:
-        """The pre-optimisation recursive walk, kept as the correctness
-        (and pre-optimisation benchmark) oracle for :meth:`walk`."""
-        if node.is_text:
-            words = node.text.split()
-            self._words.extend(words)
-            if self._anchor_depth > 0:
-                self._anchor_words += len(words)
-            return
-        is_block = node.tag in BLOCK_ELEMENTS
-        if is_block:
-            self.flush()
-            self._push_block(node.tag)
-        if node.tag == "a":
-            self._anchor_depth += 1
-        if node.tag not in ("script", "style"):
-            for child in node.children:
-                self.walk_reference(child)
-        if node.tag == "a":
-            self._anchor_depth -= 1
-        if is_block:
-            self.flush()
-            self._pop_block()
-
     def flush(self) -> None:
         if not self._words:
             self._anchor_words = 0
@@ -169,54 +147,58 @@ class _Segmenter:
         self._anchor_words = 0
 
 
-def extract_blocks(html: str, repaired: bool = False) -> list[TextBlock]:
-    """Segment a page into text blocks (repairing markup first unless
-    the caller already did)."""
-    if not repaired:
-        html, _report = repair_html(html)
-    return extract_blocks_from_tree(parse_html(html))
+class ScannedPage(NamedTuple):
+    """What every consumer of a web page reads off its repaired form:
+    text blocks, raw anchor hrefs, title and the transcodable flag."""
+
+    blocks: list[TextBlock]
+    hrefs: list[str]
+    title: str
+    transcodable: bool
 
 
-def extract_blocks_reference(html: str) -> list[TextBlock]:
-    """Pre-optimisation block segmentation: always re-repairs and uses
-    the recursive walk.  Oracle for :func:`extract_blocks` and the
-    baseline path of the crawl-throughput benchmark."""
-    html, _report = repair_html(html)
-    segmenter = _Segmenter()
-    segmenter.walk_reference(parse_html(html))
-    segmenter.flush()
-    return segmenter.blocks
-
-
-def extract_blocks_from_tree(tree: HtmlNode) -> list[TextBlock]:
-    """Segment an already-parsed DOM into text blocks.
-
-    The parse-once entry point: callers that also need outlinks or the
-    title can parse the repaired page a single time and feed the same
-    tree to this, :func:`~repro.crawler.parser.extract_links_from_tree`
-    and :func:`~repro.crawler.parser.extract_title_from_tree`.
-    """
-    segmenter = _Segmenter()
-    segmenter.walk(tree)
-    segmenter.flush()
-    return segmenter.blocks
-
-
-def scan_blocks(html: str) -> tuple[list[TextBlock], list[str], str,
-                                    bool] | None:
-    """Blocks, raw anchor hrefs, title and transcodable flag of an
-    *unrepaired* page in one tokenizer pass and no DOM: what the tree
-    extractors yield over ``repair_document(html)``.  ``None`` on the
-    rare page only the two-pass repair normalises soundly."""
+def scan_blocks(html: str) -> ScannedPage | None:
+    """:func:`scan_page` in one tokenizer pass and no DOM; ``None`` on
+    the rare page only the two-pass repair normalises soundly."""
     segmenter = _Segmenter()
     try:
         hrefs, title, transcodable = scan_document(html, segmenter)
     except _ReparseHazard:
         return None
     if not transcodable:  # repaired to the empty document
-        return [], hrefs, title, False
+        return ScannedPage([], [], "", False)
     segmenter.flush()
-    return segmenter.blocks, hrefs, title, True
+    return ScannedPage(segmenter.blocks, hrefs, title, True)
+
+
+def scan_page(html: str) -> ScannedPage:
+    """Treat one *unrepaired* web page: exactly what the tree
+    extractors read off ``repair_document(html)``.
+
+    The one implementation of "treat a web page" — the crawler's
+    document stage and the dataflow's fused web operator both call it.
+    Almost every page takes the one-pass :func:`scan_blocks`; the rare
+    reparse hazard falls back to the literal repair and tree walk.
+    """
+    scanned = scan_blocks(html)
+    if scanned is not None:
+        return scanned
+    tree, report = repair_document(html)
+    return ScannedPage(extract_blocks_from_tree(tree), anchor_hrefs(tree),
+                       extract_title_from_tree(tree), report.transcodable)
+
+
+def extract_blocks(html: str) -> list[TextBlock]:
+    """Segment a page into text blocks (of its repaired form)."""
+    return scan_page(html).blocks
+
+
+def extract_blocks_from_tree(tree: HtmlNode) -> list[TextBlock]:
+    """Segment an already-parsed (repaired) DOM into text blocks."""
+    segmenter = _Segmenter()
+    segmenter.walk(tree)
+    segmenter.flush()
+    return segmenter.blocks
 
 
 class BoilerplateDetector:
@@ -261,26 +243,13 @@ class BoilerplateDetector:
         return (curr.n_words > self.dense_curr_words
                 or next_nw > self.dense_next_words)
 
-    def extract(self, html: str, repaired: bool = False) -> str:
-        """Repair, segment, classify, and join the content blocks.
-
-        Pass ``repaired=True`` when the markup has already been run
-        through :func:`repair_html` — historically this method always
-        re-repaired, so callers on the crawl hot path paid HTML repair
-        twice per page.
-        """
-        blocks = self.classify(extract_blocks(html, repaired=repaired))
-        return self.join_content(blocks)
+    def extract(self, html: str) -> str:
+        """Repair, segment, classify, and join the content blocks."""
+        return self.join_content(self.classify(scan_page(html).blocks))
 
     def extract_from_tree(self, tree: HtmlNode) -> str:
         """Segment, classify, and join content blocks of a parsed DOM."""
         return self.join_content(self.classify(extract_blocks_from_tree(tree)))
-
-    def extract_reference(self, html: str) -> str:
-        """Pre-optimisation extraction (re-repair + recursive walk),
-        kept as the oracle for :meth:`extract` / :meth:`extract_from_tree`
-        and as the baseline path of the crawl-throughput benchmark."""
-        return self.join_content(self.classify(extract_blocks_reference(html)))
 
     @staticmethod
     def join_content(blocks: list[TextBlock]) -> str:

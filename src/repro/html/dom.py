@@ -219,6 +219,19 @@ def iter_text(root: HtmlNode) -> Iterator[str]:
                 yield stripped
 
 
+def anchor_hrefs(tree: HtmlNode) -> list[str]:
+    """The raw ``href`` of every anchor in document order ('' if absent)."""
+    return [anchor.attrs.get("href", "") for anchor in tree.find_all("a")]
+
+
+def extract_title_from_tree(tree: HtmlNode) -> str:
+    """Title of an already-parsed page ('' if absent)."""
+    title = tree.find_first("title")
+    if title is None:
+        return ""
+    return title.get_text().strip()
+
+
 def serialize(node: HtmlNode) -> str:
     """Serialize a tree back to well-formed HTML."""
     if node.is_text:

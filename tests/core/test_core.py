@@ -103,13 +103,24 @@ class TestFlows:
 
     def test_fig2_optimizer_runs_and_preserves_sinks(self, pipeline,
                                                      web_documents):
+        # All navigation: boilerplate removal leaves no net text, so
+        # drop_empty_documents must drop it after remove_boilerplate
+        # (its raw text is not empty, and its outlinks would show).
+        navigation = web_documents[0].copy_shallow()
+        navigation.doc_id = "navigation"
+        navigation.meta["url"] = "http://nav.example.org/"
+        navigation.raw = ("<html><body><ul>" + "".join(
+            f'<li><a href="/section{i}.html">Section {i}</a></li>'
+            for i in range(8)) + "</ul></body></html>")
+        documents = [*web_documents, navigation]
         plan = build_fig2_flow(pipeline)
         baseline, _ = Executor().execute(
-            plan, [d.copy_shallow() for d in web_documents])
+            plan, [d.copy_shallow() for d in documents])
         SofaOptimizer().optimize(plan)
         optimized, _ = Executor().execute(
-            plan, [d.copy_shallow() for d in web_documents])
-        assert len(optimized["entities"]) == len(baseline["entities"])
+            plan, [d.copy_shallow() for d in documents])
+        assert optimized == baseline
+        assert baseline["entities"]
 
     def test_linguistic_flow(self, pipeline, web_documents):
         plan = build_linguistic_flow(pipeline)

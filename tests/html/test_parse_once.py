@@ -1,10 +1,10 @@
 """The parse-once document path must match the parse-per-extractor one.
 
-``extract_blocks(..., repaired=True)``, ``extract_blocks_from_tree``,
-``extract_links_from_tree`` and ``extract_title_from_tree`` exist so
-the crawler can repair a page once, parse it once, and feed the same
-tree to every extractor.  Each shared-tree variant must produce
-exactly what its standalone (re-parsing) counterpart produces.
+``extract_blocks``, ``extract_blocks_from_tree``,
+``extract_links_from_tree`` and ``extract_title_from_tree`` exist so a
+caller can repair a page once and read everything off one scan or one
+tree.  Each must produce exactly what its standalone (re-parsing)
+counterpart produces over the repaired page.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class TestSharedTreeEquivalence:
     def test_blocks_links_title_from_one_tree(self, html):
         repaired, _report = repair_html(html)
         tree = parse_html(repaired)
-        assert (extract_blocks_from_tree(tree)
-                == extract_blocks(repaired, repaired=True))
+        assert extract_blocks_from_tree(tree) == extract_blocks(html)
         assert (extract_links_from_tree(tree, BASE)
                 == extract_links(repaired, BASE))
         assert extract_title_from_tree(tree) == extract_title(repaired)
@@ -64,17 +63,17 @@ class TestSharedTreeEquivalence:
         detector = BoilerplateDetector()
         repaired, _report = repair_html(html)
         assert (detector.extract_from_tree(parse_html(repaired))
-                == detector.extract(repaired, repaired=True))
+                == detector.extract(html))
 
-    def test_extract_repaired_flag_skips_second_repair(self):
-        """On already-repaired markup the repaired=True fast path and
-        the historical re-repairing path agree (repair is idempotent on
-        its own output for content text)."""
+    def test_extract_is_stable_under_repair(self):
+        """Net text of a page equals net text of its repaired form
+        (repair is idempotent on its own output for content text): the
+        elementary flow extracts from the repaired ``raw``, the crawler
+        and the fused web operator from the page as fetched."""
         detector = BoilerplateDetector()
-        for html in _rendered_pages():
+        for html in PAGES + _rendered_pages() + TRICKY + [HAZARD]:
             repaired, _report = repair_html(html)
-            assert (detector.extract(repaired, repaired=True)
-                    == detector.extract(repaired))
+            assert detector.extract(repaired) == detector.extract(html)
 
     def test_find_first_matches_find_all_head(self):
         tree = parse_html("<div><p>a</p><title>T1</title>"

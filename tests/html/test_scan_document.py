@@ -4,8 +4,9 @@
 would build into the block segmenter without building it.  For every
 page — well-formed, mutated, truncated — the blocks, title, raw anchor
 hrefs and transcodable flag it yields must be exactly what the tree
-extractors read off that tree, and the tree driver of the same three
-segmenter events must equal the recursive reference walk.
+extractors read off that tree — and so must ``scan_page``, which takes
+the tree path itself on a reparse hazard — and the tree driver of the
+same three segmenter events must equal the recursive reference walk.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crawler.parser import anchor_hrefs, extract_title_from_tree
 from repro.html.boilerplate import (
-    _Segmenter, extract_blocks_from_tree, scan_blocks,
+    _Segmenter, BoilerplateDetector, extract_blocks,
+    extract_blocks_from_tree, scan_blocks, scan_page,
 )
 from repro.html.dom import parse_html
 from repro.html.repair import _ReparseHazard, repair_html, scan_document
 
+from boilerplate_oracle import (
+    extract_blocks_reference, extract_reference, walk_reference,
+)
 from test_parse_once import HAZARD, PAGES, TRICKY, _rendered_pages
 
 #: Shapes the fixed lists of ``test_parse_once`` do not reach: title
@@ -54,9 +59,11 @@ def tree_path(html: str):
 
 
 def assert_scan_equals_tree(html: str) -> None:
+    expected = tree_path(html)
     scanned = scan_blocks(html)
-    if scanned is not None:  # None: caller takes the tree path itself
-        assert scanned == tree_path(html)
+    if scanned is not None:  # None: scan_page takes the tree path itself
+        assert scanned == expected
+    assert scan_page(html) == expected
 
 
 class _Events:
@@ -114,10 +121,12 @@ class TestFixedPages:
 
     def test_hazard_is_reported_not_guessed(self):
         assert scan_blocks(HAZARD) is None
+        assert scan_page(HAZARD) == tree_path(HAZARD)
 
     def test_untranscodable_yields_the_empty_document(self):
         assert scan_blocks("x" * 500) == ([], [], "", False)
-        assert scan_blocks("x" * 200)[3] is True
+        assert scan_page("x" * 500) == ([], [], "", False)
+        assert scan_blocks("x" * 200).transcodable is True
 
     @pytest.mark.parametrize("html", FIXED)
     def test_tree_driver_equals_reference_walk(self, html):
@@ -125,9 +134,15 @@ class TestFixedPages:
         driven, reference = _Segmenter(), _Segmenter()
         driven.walk(tree)
         driven.flush()
-        reference.walk_reference(tree)
+        walk_reference(reference, tree)
         reference.flush()
         assert driven.blocks == reference.blocks
+
+    @pytest.mark.parametrize("html", FIXED)
+    def test_extract_equals_reference(self, html):
+        detector = BoilerplateDetector()
+        assert extract_blocks(html) == extract_blocks_reference(html)
+        assert detector.extract(html) == extract_reference(detector, html)
 
 
 # -- mutated / truncated rendered pages ----------------------------------------
@@ -182,10 +197,23 @@ class TestMutatedPages:
         tree = parse_html(repair_html(html)[0])
         driven, reference = _Segmenter(), _Segmenter()
         driven.walk(tree)
-        reference.walk_reference(tree)
+        walk_reference(reference, tree)
         assert driven.blocks == reference.blocks
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(_SPLICES), max_size=25))
     def test_fragment_soup(self, fragments):
         assert_scan_equals_tree("".join(fragments))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(mutated_pages(),
+                     st.lists(st.sampled_from(_SPLICES),
+                              max_size=25).map("".join)))
+    def test_repair_is_idempotent_for_blocks(self, html):
+        """The elementary web chain's ``remove_boilerplate`` segments
+        the *repaired* ``raw``, so it repairs twice; the fused web
+        operator and the crawler segment the page as fetched.  (Title
+        and hrefs need no such property: the chain parses them off the
+        one repair, as ``scan_page`` does.)"""
+        assert (scan_page(repair_html(html)[0]).blocks
+                == scan_page(html).blocks)
