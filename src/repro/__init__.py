@@ -11,7 +11,7 @@ synthetic stand-in for) the open web:
   sniffing (:mod:`repro.html`);
 * statistical NLP: sentence/token detection, HMM POS tagging, language
   identification, linguistic regex analysis (:mod:`repro.nlp`);
-* named-entity recognition with fuzzy dictionaries (Aho-Corasick) and
+* named-entity recognition with fuzzy dictionaries (a word-unit trie) and
   linear-chain CRFs (:mod:`repro.ner`);
 * a Stratosphere-style dataflow system: operator packages, Meteor
   scripts, SOFA optimization, parallel execution, and a simulated

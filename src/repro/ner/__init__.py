@@ -2,18 +2,18 @@
 
 Two method families, as in the paper (Section 3.2):
 
-* **Dictionary matching** — an Aho-Corasick automaton over fuzzily
+* **Dictionary matching** — a trie over the word units of fuzzily
   expanded dictionary terms (LINNAEUS-style [11]): high precision,
   bounded recall (dictionaries are incomplete), essentially linear
-  runtime, but a large memory footprint and a noticeable automaton
-  build ("dictionary load") time.
+  runtime, but a large memory footprint and a noticeable build
+  ("dictionary load") time.
 * **ML tagging** — linear-chain Conditional Random Fields (the engine
   under BANNER, ChemSpot, and the authors' disease tagger): better
   recall including novel names, far slower, and prone to catastrophic
   false positives on out-of-domain text (the TLA pathology).
 """
 
-from repro.ner.automaton import AhoCorasickAutomaton, Match
+from repro.ner.automaton import Match
 from repro.ner.dictionary import EntityDictionary, DictionaryTagger
 from repro.ner.crf import LinearChainCrf
 from repro.ner.taggers import (
@@ -38,7 +38,6 @@ __all__ = [
     "compare_taggers",
     "evaluate_mentions",
     "evaluate_tagger",
-    "AhoCorasickAutomaton",
     "Match",
     "EntityDictionary",
     "DictionaryTagger",

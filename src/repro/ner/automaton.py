@@ -1,36 +1,48 @@
-"""Aho-Corasick multi-pattern string matching.
+"""Word-aligned multi-pattern matching over text units.
 
-The dictionary taggers' engine: matches hundreds of thousands of
-patterns against text in a single linear pass.  Construction builds a
-trie plus failure links (BFS) — this is the "dictionary load" phase
-whose cost the paper measures at ~20 minutes for the 700K-entry gene
-dictionary, and whose node fan-out drives the 6-20 GB per-worker
-memory footprints that capped the cluster's degree of parallelism.
+The dictionary taggers' engine: finds every word-aligned occurrence of
+hundreds of thousands of patterns in one pass over a text.  Building
+it is the "dictionary load" phase whose cost the paper measures at
+~20 minutes for the 700K-entry gene dictionary, and whose footprint
+drove the 6-20 GB per-worker memory that capped the cluster's degree
+of parallelism (Section 4.2).
 
-The trie is one flat ``{(node << 21) | ord(char): child}`` transition
-dict from the first :meth:`~AhoCorasickAutomaton.add` on, with tuple
-outputs per node (the empty tuple is an interned singleton) — smaller
-than a dict per node, orders of magnitude faster to serialize and
-re-load (the property the persistent build cache,
-:mod:`repro.ner.cache`, depends on), and with nothing to convert at
-:meth:`~AhoCorasickAutomaton.build` time, so construction never holds
-much more than the automaton retains (16 MB peak for 13 MB on the
-merged multi-type dictionary).
+A *unit* is a maximal run of non-boundary characters or a single
+boundary character (:data:`BOUNDARY_CHARS`).  A match is word-aligned
+when a boundary character or the text edge sits on each side of it,
+so it starts and ends on unit edges and its units are exactly the
+pattern's units.  The patterns therefore go into a trie keyed by
+unit, and a scan splits the text into units once and walks the trie
+forward from every unit that starts some pattern: the same matches a
+character-level Aho-Corasick automaton filtered for alignment would
+report, with no failure links, no breadth-first build and one dict
+probe per unit instead of one per character.
 
-``approx_memory_bytes`` exposes a footprint estimate so the simulated
-cluster can reason about worker memory the same way the real
-deployment had to.
+The trie is primitives only — a per-node child dict (``None`` for a
+leaf), a per-node tuple of pattern ids (the empty tuple is an interned
+singleton), the pattern list and an optional payload table — so
+``marshal`` serializes it at C speed for the persistent build cache
+(:mod:`repro.ner.cache`).  :meth:`WordTrie.approx_memory_bytes` sums
+the sizes of those containers, so the simulated cluster reasons about
+worker memory the way the real deployment had to.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Any, Sequence
 
-#: Bits reserved for the character codepoint in a flat transition key
-#: (max codepoint 0x10FFFF needs 21 bits).
-_CHAR_BITS = 21
-_CHAR_MASK = (1 << _CHAR_BITS) - 1
+#: Characters that end a word: a match must have one (or the text
+#: edge) on each side.  Units depend on this set, so changing it
+#: changes every trie: bump ``repro.ner.cache.CACHE_FORMAT_VERSION``.
+BOUNDARY_CHARS = frozenset(" \t\n\r.,;:!?()[]{}<>\"'`/\\|")
+
+_CLASS = "".join(re.escape(char) for char in sorted(BOUNDARY_CHARS))
+#: ``findall`` splits a text into its units, in order.
+_UNITS = re.compile(f"[^{_CLASS}]+|[{_CLASS}]")
 
 
 @dataclass(frozen=True)
@@ -42,73 +54,62 @@ class Match:
     pattern_id: int
 
 
-class AhoCorasickAutomaton:
-    """Classic Aho-Corasick automaton over unicode characters.
+class WordTrie:
+    """An immutable trie over the units of its patterns.
 
-    Patterns are added with :meth:`add` and the automaton is finalized
-    with :meth:`build` (adding after build raises).  Matching is
-    case-sensitive; callers wanting case-folding fold both sides.
+    Built in one call (:meth:`build`) or restored from a cache entry
+    (:meth:`from_state`).  Matching is case-sensitive; callers wanting
+    case-folding fold both sides.
     """
 
-    def __init__(self) -> None:
-        # Parallel arrays per node — fail link and output pattern ids
-        # — plus the flat transition dict, which add() grows directly.
-        self._fail: list[int] = [0]
-        self._outputs: list[tuple[int, ...]] = [()]
-        self._patterns: list[str] = []
-        self._payloads: list[Any] | None = None
-        self._edges: dict[int, int] = {}
-        self._built = False
+    def __init__(self, children: list[dict[str, int] | None],
+                 outputs: list[tuple[int, ...]], patterns: list[str],
+                 payloads: list[Any] | None = None) -> None:
+        self._children = children
+        self._outputs = outputs
+        self._patterns = patterns
+        self._payloads = payloads
+
+    @classmethod
+    def build(cls, patterns: Sequence[str],
+              payloads: Sequence[Any] | None = None) -> "WordTrie":
+        """A trie over ``patterns`` (pattern ids are positional), with
+        one payload per pattern attached when ``payloads`` is given."""
+        patterns = list(patterns)
+        if payloads is not None:
+            payloads = list(payloads)
+            if len(payloads) != len(patterns):
+                raise ValueError(f"{len(payloads)} payloads for "
+                                 f"{len(patterns)} patterns")
+        children: list[dict[str, int] | None] = [None]
+        outputs: list[tuple[int, ...]] = [()]
+        for pattern_id, pattern in enumerate(patterns):
+            if not pattern:
+                raise ValueError("empty pattern")
+            node = 0
+            for unit in _UNITS.findall(pattern):
+                table = children[node]
+                if table is None:
+                    table = children[node] = {}
+                child = table.get(unit)
+                if child is None:
+                    child = table[unit] = len(children)
+                    children.append(None)
+                    outputs.append(())
+                node = child
+            outputs[node] += (pattern_id,)
+        return cls(children, outputs, patterns, payloads)
 
     def __len__(self) -> int:
         return len(self._patterns)
 
     @property
     def n_nodes(self) -> int:
-        return len(self._fail)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self._edges)
-
-    def add(self, pattern: str) -> int:
-        """Add a pattern; returns its pattern id."""
-        if self._built:
-            raise RuntimeError("cannot add patterns after build()")
-        if not pattern:
-            raise ValueError("empty pattern")
-        edges = self._edges
-        node = 0
-        for char in pattern:
-            key = (node << _CHAR_BITS) | ord(char)
-            nxt = edges.get(key)
-            if nxt is None:
-                nxt = edges[key] = len(self._fail)
-                self._fail.append(0)
-                self._outputs.append(())
-            node = nxt
-        pattern_id = len(self._patterns)
-        self._patterns.append(pattern)
-        self._outputs[node] += (pattern_id,)
-        return pattern_id
-
-    def add_all(self, patterns: Iterable[str]) -> None:
-        for pattern in patterns:
-            self.add(pattern)
-
-    def pattern(self, pattern_id: int) -> str:
-        return self._patterns[pattern_id]
-
-    @property
-    def patterns(self) -> list[str]:
-        """The ordered pattern list (pattern ids are positional)."""
-        return self._patterns
-
-    # -- per-pattern payloads ------------------------------------------------
+        return len(self._children)
 
     @property
     def payloads(self) -> list[Any] | None:
-        """Optional per-pattern payload table (parallel to patterns).
+        """The per-pattern payload table (parallel to patterns), if any.
 
         Multi-type dictionary scans attach ``(entity_type, term_id,
         canonical)`` tuples here so one matching pass can resolve every
@@ -117,142 +118,85 @@ class AhoCorasickAutomaton:
         """
         return self._payloads
 
-    def set_payloads(self, payloads: Sequence[Any]) -> None:
-        """Attach one payload per pattern (any marshal-able value)."""
-        payloads = list(payloads)
-        if len(payloads) != len(self._patterns):
-            raise ValueError(
-                f"{len(payloads)} payloads for {len(self._patterns)} "
-                f"patterns")
-        self._payloads = payloads
+    def find_aligned(self, text: str) -> list[Match]:
+        """Every word-aligned occurrence of every pattern in ``text``.
 
-    def payload(self, pattern_id: int) -> Any:
-        if self._payloads is None:
-            raise RuntimeError("automaton has no payload table")
-        return self._payloads[pattern_id]
-
-    def build(self) -> None:
-        """Compute failure links and merge outputs, shallow nodes
-        first, then freeze.
-
-        A node's failure target is always shallower than the node, and
-        a child is always created after its parent, so one pass over
-        the edges in creation order yields every node's depth and a
-        stable sort by depth is a breadth-first order.
+        Ordered by end, then longest first, then by pattern id — the
+        order a character-level automaton emits them in.  A walk from
+        a boundary unit, or to one, can meet a word character beside
+        it, so each walk checks the character before its start and
+        each hit the character after its end.
         """
-        edges, fail, outputs = self._edges, self._fail, self._outputs
-        depth = [0] * len(fail)
-        for key, child in edges.items():
-            depth[child] = depth[key >> _CHAR_BITS] + 1
-        for key in sorted(edges, key=lambda key: depth[edges[key]]):
-            child = edges[key]
-            code = key & _CHAR_MASK
-            state = fail[key >> _CHAR_BITS]
-            while state and (state << _CHAR_BITS) | code not in edges:
-                state = fail[state]
-            target = edges.get((state << _CHAR_BITS) | code, 0)
-            if target != child:
-                fail[child] = target
-                if outputs[target]:
-                    outputs[child] += outputs[target]
-        self._built = True
-
-    def iter_matches(self, text: str) -> Iterator[Match]:
-        """Yield all pattern occurrences in ``text`` (including
-        overlapping ones), in end-position order."""
-        if not self._built:
-            raise RuntimeError("automaton not built; call build() first")
-        edges = self._edges
-        fail = self._fail
+        units = _UNITS.findall(text)
+        root = self._children[0]
+        if root is None:
+            return []
+        offsets = list(accumulate(map(len, units), initial=0))
+        children = self._children
         outputs = self._outputs
-        patterns = self._patterns
-        node = 0
-        for position, char in enumerate(text):
-            code = ord(char)
-            while node and (node << _CHAR_BITS) | code not in edges:
-                node = fail[node]
-            node = edges.get((node << _CHAR_BITS) | code, 0)
-            for pattern_id in outputs[node]:
-                length = len(patterns[pattern_id])
-                yield Match(position - length + 1, position + 1, pattern_id)
-
-    def find_all(self, text: str) -> list[Match]:
-        return list(self.iter_matches(text))
-
-    def find_aligned(self, text: str,
-                     boundary_chars: frozenset[str]) -> list[Match]:
-        """All matches whose span is word-aligned in ``text`` — no
-        word character adjacent on either side.
-
-        Same matches, in the same end-position order, as filtering
-        :meth:`iter_matches` through an alignment check; inlined into
-        one loop (no generator frames, the right-boundary test hoisted
-        per position) because this is the merged dictionary scan's
-        hot path.
-        """
-        if not self._built:
-            raise RuntimeError("automaton not built; call build() first")
-        edges = self._edges
-        fail = self._fail
-        outputs = self._outputs
-        patterns = self._patterns
+        boundary = BOUNDARY_CHARS
+        n_units = len(units)
         n = len(text)
-        node = 0
-        found: list[Match] = []
-        append = found.append
-        for position, char in enumerate(text):
-            code = ord(char)
-            while node and (node << _CHAR_BITS) | code not in edges:
-                node = fail[node]
-            node = edges.get((node << _CHAR_BITS) | code, 0)
-            out = outputs[node]
-            if out:
-                end = position + 1
-                if end >= n or text[end] in boundary_chars:
-                    for pattern_id in out:
-                        start = end - len(patterns[pattern_id])
-                        if start == 0 or text[start - 1] in boundary_chars:
-                            append(Match(start, end, pattern_id))
-        return found
+        hits: list[tuple[int, int, int]] = []
+        append = hits.append
+        for first in [index for index, unit in enumerate(units)
+                      if unit in root]:
+            start = offsets[first]
+            if start and text[start - 1] not in boundary:
+                continue
+            node = root[units[first]]
+            index = first + 1
+            while True:
+                out = outputs[node]
+                if out:
+                    end = offsets[index]
+                    if end == n or text[end] in boundary:
+                        for pattern_id in out:
+                            append((end, start, pattern_id))
+                table = children[node]
+                if table is None or index == n_units:
+                    break
+                node = table.get(units[index])
+                if node is None:
+                    break
+                index += 1
+        hits.sort()
+        return [Match(start, end, pattern_id)
+                for end, start, pattern_id in hits]
 
     def approx_memory_bytes(self) -> int:
-        """Rough resident-size estimate of the automaton: one flat
-        transition dict (~80 B/edge including its boxed int key), the
-        per-node fail link and output slot, and tuple outputs (the
-        empty tuple is an interned singleton shared by the great
-        majority of nodes) — ~115 B/node on trie-shaped data.
-        """
-        pattern_chars = sum(len(p) for p in self._patterns)
-        n_output_refs = sum(len(o) for o in self._outputs)
-        return (80 * len(self._edges) + 36 * self.n_nodes
-                + 16 * n_output_refs + 60 * pattern_chars)
+        """The bytes the trie's containers occupy: the two per-node
+        lists, every child dict and distinct unit key, every non-empty
+        output tuple, the pattern strings and the payload table."""
+        size = sys.getsizeof
+        tables = [table for table in self._children if table is not None]
+        units = {id(unit): unit for table in tables for unit in table}
+        total = (size(self._children) + sum(map(size, tables))
+                 + sum(map(size, units.values()))
+                 + size(self._outputs)
+                 + sum(size(out) for out in self._outputs if out)
+                 + size(self._patterns) + sum(map(size, self._patterns)))
+        if self._payloads is not None:
+            total += size(self._payloads) + sum(map(size, self._payloads))
+        return total
 
     # -- serialization (see repro.ner.cache) --------------------------------
 
     def to_state(self) -> dict[str, Any]:
-        """Snapshot of a *built* automaton for persistent caching.
+        """Snapshot for persistent caching: primitives only.
 
         The payload table (when attached) is part of the frozen form,
         so a warm cache load restores the full multi-type scan state
         without consulting the source dictionaries.
         """
-        if not self._built:
-            raise RuntimeError("automaton not built; call build() first")
-        state = {"edges": self._edges, "fail": self._fail,
-                 "outputs": self._outputs, "patterns": self._patterns}
+        state = {"children": self._children, "outputs": self._outputs,
+                 "patterns": self._patterns}
         if self._payloads is not None:
             state["payloads"] = self._payloads
         return state
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "AhoCorasickAutomaton":
-        """Rebuild an automaton from :meth:`to_state` output, skipping
-        trie construction and the failure-link BFS entirely."""
-        automaton = cls()
-        automaton._edges = state["edges"]
-        automaton._fail = state["fail"]
-        automaton._outputs = state["outputs"]
-        automaton._patterns = state["patterns"]
-        automaton._payloads = state.get("payloads")
-        automaton._built = True
-        return automaton
+    def from_state(cls, state: dict[str, Any]) -> "WordTrie":
+        """A trie from :meth:`to_state` output, without rebuilding."""
+        return cls(state["children"], state["outputs"], state["patterns"],
+                   state.get("payloads"))

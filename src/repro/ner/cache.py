@@ -1,4 +1,4 @@
-"""Persistent Aho-Corasick build cache.
+"""Persistent dictionary-trie build cache.
 
 The paper's sharpest operational number (Section 4.2): loading the
 700K-entry gene dictionary took "approximately 20 minutes (!)" — and
@@ -6,19 +6,18 @@ every worker paid it again at every task start, lower-bounding task
 runtime no matter how small the data chunk.  The deployed fix was to
 build the automaton once and re-load the serialized form everywhere.
 
-This module is that fix for the local engine: built automata are
-keyed by a content hash of their ordered pattern list (any dictionary
-change produces a new key, so stale entries can never be served) and
-stored as ``marshal``-serialized flat-state snapshots under a cache
-directory.  The automaton's frozen state is deliberately all
-primitives (one int-keyed transition dict, int lists, str list), so a
-warm load skips trie construction and the failure-link BFS entirely
-and deserializes at C speed — marshal beats pickle roughly 2× here.
-Marshal's format is Python-version-specific, which is fine for a
-local build cache.
+This module is that fix for the local engine: built
+:class:`~repro.ner.automaton.WordTrie` instances are keyed by a content
+hash of their ordered pattern list (any dictionary change produces a
+new key, so stale entries can never be served) and stored as
+``marshal``-serialized snapshots under a cache directory.  The trie's
+frozen state is deliberately all primitives (a list of str-keyed child
+dicts, a list of int tuples, str lists), so a warm load skips trie
+construction entirely and deserializes at C speed.  Marshal's format
+is Python-version-specific, which is fine for a local build cache.
 
 The cache is two-tier: a per-instance in-memory memo serves repeat
-requests in the same process for free (automata are immutable once
+requests in the same process for free (tries are immutable once
 built, so sharing the object is safe — this is the per-worker reuse
 half of the paper's fix), and the disk layer serves fresh processes.
 
@@ -36,11 +35,12 @@ import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from repro.ner.automaton import AhoCorasickAutomaton
+from repro.ner.automaton import WordTrie
 from repro.persist import FileFormat, Miss
 
-#: Bump to invalidate every cached automaton on on-disk format change.
-CACHE_FORMAT_VERSION = 2
+#: Bump to invalidate every cached trie on on-disk format change.
+#: 2 was the character-level automaton; 3 is the word-unit trie.
+CACHE_FORMAT_VERSION = 3
 
 _ENTRY = FileFormat("automaton cache entry", CACHE_FORMAT_VERSION,
                     durable=False)
@@ -66,7 +66,7 @@ def content_key(patterns: Iterable[str], salt: str = "") -> str:
 def payload_salt(payloads: Sequence[Sequence[str]]) -> str:
     """Cache-key component for a per-pattern payload table.
 
-    The merged multi-type automaton is keyed by patterns *and*
+    The merged multi-type trie is keyed by patterns *and*
     payloads: the same surface list annotated with different
     ``(entity_type, term_id, canonical)`` tuples (e.g. after a
     vocabulary re-identification) must never serve a stale table.
@@ -80,7 +80,7 @@ def payload_salt(payloads: Sequence[Sequence[str]]) -> str:
 
 
 class AutomatonCache:
-    """Disk cache of built automata, keyed by pattern-content hash."""
+    """Disk cache of built tries, keyed by pattern-content hash."""
 
     def __init__(self, cache_dir: str | Path | None = None) -> None:
         if cache_dir is None:
@@ -88,7 +88,7 @@ class AutomatonCache:
         self.cache_dir = Path(cache_dir).expanduser()
         self.hits = 0
         self.misses = 0
-        self._memory: dict[str, AhoCorasickAutomaton] = {}
+        self._memory: dict[str, WordTrie] = {}
 
     def __repr__(self) -> str:
         return (f"<AutomatonCache {str(self.cache_dir)!r} "
@@ -97,32 +97,32 @@ class AutomatonCache:
     def path_for(self, key: str) -> Path:
         return self.cache_dir / f"aho-{key[:40]}.bin"
 
-    def load(self, key: str) -> AhoCorasickAutomaton | None:
-        """The cached automaton for ``key``, or None (miss/corrupt)."""
+    def load(self, key: str) -> WordTrie | None:
+        """The cached trie for ``key``, or None (miss/corrupt)."""
         memo = self._memory.get(key)
         if memo is not None:
             return memo
         try:
             payload = _ENTRY.load(self.path_for(key), key=key)
-            automaton = AhoCorasickAutomaton.from_state(payload["state"])
+            trie = WordTrie.from_state(payload["state"])
         except (Miss, KeyError, TypeError):
             return None
-        self._memory[key] = automaton
-        return automaton
+        self._memory[key] = trie
+        return trie
 
-    def store(self, key: str, automaton: AhoCorasickAutomaton) -> Path:
-        """Persist a built automaton under ``key`` (atomic replace)."""
-        self._memory[key] = automaton
+    def store(self, key: str, trie: WordTrie) -> Path:
+        """Persist a built trie under ``key`` (atomic replace)."""
+        self._memory[key] = trie
         return _ENTRY.save(self.path_for(key),
-                           {"key": key, "state": automaton.to_state()})
+                           {"key": key, "state": trie.to_state()})
 
     def get_or_build(self, patterns: Sequence[str], salt: str = "",
                      payloads: Sequence[Any] | None = None,
-                     ) -> tuple[AhoCorasickAutomaton, bool]:
-        """(automaton, cache_hit) for an ordered pattern list.
+                     ) -> tuple[WordTrie, bool]:
+        """(trie, cache_hit) for an ordered pattern list.
 
-        On a miss the automaton is built, stored, and returned; on a
-        hit the deserialized build is returned without touching the
+        On a miss the trie is built, stored, and returned; on a hit
+        the deserialized build is returned without touching the
         trie-construction path at all.
 
         ``payloads`` (one per pattern) attaches a payload table that
@@ -140,13 +140,9 @@ class AutomatonCache:
             self.hits += 1
             return cached, True
         self.misses += 1
-        automaton = AhoCorasickAutomaton()
-        automaton.add_all(patterns)
-        if payloads is not None:
-            automaton.set_payloads(payloads)
-        automaton.build()
-        self.store(key, automaton)
-        return automaton, False
+        trie = WordTrie.build(patterns, payloads)
+        self.store(key, trie)
+        return trie, False
 
     def publish_metrics(self, registry) -> None:
         """Mirror build-cache traffic onto a

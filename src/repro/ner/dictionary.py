@@ -5,12 +5,13 @@ Each dictionary term is expanded into a small set of surface variants
 regular expression" step (which "almost only affects very short word
 suffixes"): case folding, hyphen/space alternation, and an optional
 plural *s*.  The variants of *every* entity type go into one
-Aho-Corasick automaton (:class:`MultiTypeDictionary`), built once per
-pipeline and held by every tagger, engine and classifier that scans
-for dictionary entities, so matching stays one linear pass over the
-text regardless of dictionary size or type count, and a process holds
-each pattern once — the automaton's build time and memory are the
-paper's dictionary-load pitfall (Section 4.2).
+:class:`~repro.ner.automaton.WordTrie` over word units
+(:class:`MultiTypeDictionary`), built once per pipeline and held by
+every tagger, engine and classifier that scans for dictionary
+entities, so matching stays one pass over the text's units regardless
+of dictionary size or type count, and a process holds each pattern
+once — the trie's build time and memory are the paper's
+dictionary-load pitfall (Section 4.2).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.annotations import Document, EntityMention
-from repro.ner.automaton import AhoCorasickAutomaton, Match
+from repro.ner.automaton import Match, WordTrie
 from repro.ner.cache import AutomatonCache
 from repro.corpora.vocabulary import TermEntry
-
-_BOUNDARY_CHARS = frozenset(" \t\n\r.,;:!?()[]{}<>\"'`/\\|")
 
 
 def fold_case(text: str) -> str:
@@ -90,15 +89,15 @@ class _PatternInfo:
 class EntityDictionary:
     """The expanded surface patterns of one entity type.
 
-    Holds no automaton: :class:`MultiTypeDictionary` compiles every
-    type's patterns into the one automaton a pipeline scans with, then
-    books that build's time, cache outcome and footprint back onto
-    each type in proportion to its pattern count
+    Holds no trie: :class:`MultiTypeDictionary` compiles every type's
+    patterns into the one trie a pipeline scans with, then books that
+    build's time, cache outcome and footprint back onto each type in
+    proportion to its pattern count
     (``build_seconds``, ``cache_hit``, :meth:`approx_memory_bytes`),
     so per-type readers see shares that sum to the real build.
     Surface variants are added in sorted order per name so the pattern
-    list (and therefore the automaton's cache key) is deterministic
-    across processes regardless of set-iteration order.
+    list (and therefore the trie's cache key) is deterministic across
+    processes regardless of set-iteration order.
     """
 
     def __init__(self, entity_type: str, entries: list[TermEntry],
@@ -125,8 +124,8 @@ class EntityDictionary:
                     self.patterns.append(surface)
                     self.info.append(_PatternInfo(entry.term_id,
                                                   entry.canonical))
-        #: This type's share of the automaton build (or cache load) —
-        #: the "dictionary load" cost that lower-bounds task runtime in
+        #: This type's share of the trie build (or cache load) — the
+        #: "dictionary load" cost that lower-bounds task runtime in
         #: Section 4.2.
         self.build_seconds = 0.0
         self.cache_hit = False
@@ -137,7 +136,7 @@ class EntityDictionary:
         return len(self.patterns)
 
     def approx_memory_bytes(self) -> int:
-        """This type's share of the automaton's footprint."""
+        """This type's share of the trie's footprint."""
         return self._memory_bytes
 
 
@@ -156,15 +155,15 @@ def _longest_non_overlapping(matches: list[Match]) -> list[Match]:
 
 
 class MultiTypeDictionary:
-    """All entity types compiled into one automaton: one scan per text.
+    """All entity types compiled into one trie: one scan per text.
 
     Merges the pattern lists of several single-type
-    :class:`EntityDictionary` instances into one Aho-Corasick automaton
-    whose per-pattern payloads carry ``(entity_type, term_id,
-    canonical)``, so each document is scanned once instead of once per
-    type.  Overlap resolution stays *per type*: the types tag
-    independently, so a type's mentions do not depend on which other
-    types share the automaton.
+    :class:`EntityDictionary` instances into one
+    :class:`~repro.ner.automaton.WordTrie` whose per-pattern payloads
+    carry ``(entity_type, term_id, canonical)``, so each document is
+    scanned once instead of once per type.  Overlap resolution stays
+    *per type*: the types tag independently, so a type's mentions do
+    not depend on which other types share the trie.
 
     A pipeline builds exactly one
     (:func:`~repro.ner.taggers.build_dictionary_taggers`), and its
@@ -196,20 +195,17 @@ class MultiTypeDictionary:
                 payloads.append((etype, info.term_id, info.canonical))
         started = time.perf_counter()
         if cache is not None:
-            self._automaton, self.cache_hit = cache.get_or_build(
+            self._trie, self.cache_hit = cache.get_or_build(
                 patterns, payloads=payloads)
         else:
-            self._automaton = AhoCorasickAutomaton()
-            self._automaton.add_all(patterns)
-            self._automaton.set_payloads(payloads)
-            self._automaton.build()
+            self._trie = WordTrie.build(patterns, payloads)
             self.cache_hit = False
         self.build_seconds = time.perf_counter() - started
         # Book the build onto the types by pattern count; the integer
         # footprint shares are cut at cumulative boundaries so they sum
         # to the whole exactly.
         total = max(1, len(patterns))
-        memory = self._automaton.approx_memory_bytes()
+        memory = self._memory_bytes = self._trie.approx_memory_bytes()
         counted = 0
         for dictionary in ordered:
             before = memory * counted // total
@@ -221,19 +217,18 @@ class MultiTypeDictionary:
 
     @property
     def n_patterns(self) -> int:
-        return len(self._automaton)
+        return len(self._trie)
 
     def approx_memory_bytes(self) -> int:
-        return self._automaton.approx_memory_bytes()
+        return self._memory_bytes
 
     def matches(self, text: str) -> dict[str, list[Match]]:
         """One pass over ``text``: every word-aligned match, per type,
         before overlap resolution (in end-position order)."""
-        payloads = self._automaton.payloads
+        payloads = self._trie.payloads
         per_type: dict[str, list[Match]] = {
             etype: [] for etype in self.entity_types}
-        for match in self._automaton.find_aligned(fold_case(text),
-                                                  _BOUNDARY_CHARS):
+        for match in self._trie.find_aligned(fold_case(text)):
             per_type[payloads[match.pattern_id][0]].append(match)
         return per_type
 
@@ -245,7 +240,7 @@ class MultiTypeDictionary:
         can never share a span — the per-type surface dedup guarantees
         it — so the greedy resolution has no order-dependent ties.)
         """
-        payloads = self._automaton.payloads
+        payloads = self._trie.payloads
         mentions: dict[str, list[EntityMention]] = {}
         for etype, matches in self.matches(text).items():
             mentions[etype] = [
@@ -258,7 +253,7 @@ class MultiTypeDictionary:
 
 
 class DictionaryTagger:
-    """One entity type's tagger over the shared automaton."""
+    """One entity type's tagger over the shared trie."""
 
     method = "dictionary"
 
@@ -280,11 +275,11 @@ class DictionaryTagger:
 
 def shared_dictionary(taggers: Iterable[DictionaryTagger],
                       ) -> MultiTypeDictionary | None:
-    """The one automaton every tagger in ``taggers`` holds (None for no
-    taggers); taggers holding different automata raise ``ValueError``."""
+    """The one dictionary every tagger in ``taggers`` holds (None for
+    no taggers); taggers holding different ones raise ``ValueError``."""
     shared = {id(tagger.shared): tagger.shared for tagger in taggers}
     if len(shared) > 1:
         raise ValueError(
-            f"dictionary taggers hold {len(shared)} different automata; "
+            f"dictionary taggers hold {len(shared)} different tries; "
             f"build them together with build_dictionary_taggers")
     return next(iter(shared.values()), None)

@@ -15,7 +15,7 @@ from repro.core.pipeline import TextAnalyticsPipeline
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.crawler.consolidated import EntityAwareClassifier
 from repro.dataflow.optimizer import fuse_annotation_stage
-from repro.ner.automaton import AhoCorasickAutomaton
+from repro.ner.automaton import WordTrie
 from repro.ner.onepass import OnePassAnnotator
 from repro.ner.taggers import build_dictionary_taggers
 from repro.nlp.anno_cache import AnnotationCache
@@ -143,16 +143,16 @@ class TestEngineConstruction:
 
     def test_pipeline_build_compiles_one_automaton(self, monkeypatch,
                                                    tmp_path):
-        """One ``AhoCorasickAutomaton.build`` per pipeline, none per
-        engine, flow or session; a warm cache builds none and the
-        cache directory holds one entry."""
+        """One ``WordTrie.build`` per pipeline, none per engine, flow
+        or session; a warm cache builds none and the cache directory
+        holds one entry."""
         builds = []
-        build = AhoCorasickAutomaton.build
+        build = WordTrie.build
 
-        def counting(automaton):
-            builds.append(len(automaton))
-            return build(automaton)
-        monkeypatch.setattr(AhoCorasickAutomaton, "build", counting)
+        def counting(patterns, payloads=None):
+            builds.append(len(patterns))
+            return build(patterns, payloads)
+        monkeypatch.setattr(WordTrie, "build", staticmethod(counting))
         vocabulary = BiomedicalVocabulary(seed=7, n_genes=40,
                                           n_diseases=20, n_drugs=20)
         options = dict(vocabulary=vocabulary, n_training_docs=6,

@@ -2,8 +2,9 @@
 
 Production compiles every entity type into one
 :class:`~repro.ner.dictionary.MultiTypeDictionary` and scans a text
-once for all of them.  This is the path that replaced: each type
-builds an Aho-Corasick automaton over its own
+once for all of them, over word units.  This is the path that
+replaced: each type builds a character-level Aho-Corasick automaton
+(``aho_corasick_oracle``) over its own
 :class:`~repro.ner.dictionary.EntityDictionary` patterns, folds the
 text, keeps every word-aligned occurrence and resolves overlaps among
 its own matches.  The equivalence suites hold the shared scan, the
@@ -12,19 +13,14 @@ taggers over it and the entity-aware classifier's evidence to it.
 
 from __future__ import annotations
 
+from aho_corasick_oracle import AhoCorasickAutomaton
 from repro.annotations import Document, EntityMention
-from repro.ner.automaton import AhoCorasickAutomaton, Match
+from repro.ner.automaton import Match
 from repro.ner.dictionary import (
     EntityDictionary, _longest_non_overlapping, fold_case,
 )
 
 BOUNDARY_CHARS = frozenset(" \t\n\r.,;:!?()[]{}<>\"'`/\\|")
-
-
-def _is_word_aligned(text: str, start: int, end: int) -> bool:
-    before_ok = start == 0 or text[start - 1] in BOUNDARY_CHARS
-    after_ok = end >= len(text) or text[end] in BOUNDARY_CHARS
-    return before_ok and after_ok
 
 
 class OracleDictionary:
@@ -39,9 +35,7 @@ class OracleDictionary:
 
     def match(self, text: str) -> list[Match]:
         """All word-aligned matches in ``text`` (case-folded)."""
-        folded = fold_case(text)
-        return [match for match in self._automaton.iter_matches(folded)
-                if _is_word_aligned(folded, match.start, match.end)]
+        return self._automaton.find_aligned(fold_case(text), BOUNDARY_CHARS)
 
     def annotate(self, document: Document) -> list[EntityMention]:
         """Tag a document; extends ``document.entities`` in place."""

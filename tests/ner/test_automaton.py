@@ -1,10 +1,12 @@
-"""Tests for the Aho-Corasick automaton, including an equivalence
-property against naive multi-pattern search."""
+"""Tests for the Aho-Corasick oracle, including an equivalence
+property against naive multi-pattern search, and for the footprint of
+the production trie (``test_word_trie.py`` holds the two equal)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ner.automaton import AhoCorasickAutomaton, Match
+from aho_corasick_oracle import AhoCorasickAutomaton
+from repro.ner.automaton import Match, WordTrie
 
 
 def _build(patterns):
@@ -78,24 +80,23 @@ class TestLifecycle:
         assert len(_build(["a", "b", "c"])) == 3
 
     def test_memory_estimate_grows_with_patterns(self):
-        small = _build(["ab"])
-        large = _build([f"pattern{i}" for i in range(500)])
+        small = WordTrie.build(["ab"])
+        large = WordTrie.build([f"pattern{i}" for i in range(500)])
         assert large.approx_memory_bytes() > 50 * small.approx_memory_bytes()
 
     def test_build_never_holds_a_second_copy_of_the_trie(self):
-        """The trie is flat from the first ``add``; ``build`` has
-        nothing to convert, so the construction high-water mark stays
-        near what the automaton retains."""
+        """The production trie is grown in place, unit by unit, so the
+        construction high-water mark stays near what it retains."""
         import tracemalloc
 
         patterns = [f"pattern {i:05d} suffix{i % 7}" for i in range(4000)]
         tracemalloc.start()
         try:
-            automaton = _build(patterns)
+            trie = WordTrie.build(patterns)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(automaton) == len(patterns)
+        assert len(trie) == len(patterns)
         assert peak < 1.5 * retained
 
     def test_node_count(self):

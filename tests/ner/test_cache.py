@@ -1,8 +1,8 @@
-"""Tests for the persistent Aho-Corasick build cache."""
+"""Tests for the persistent dictionary-trie build cache."""
 
-import pytest
+import marshal
 
-from repro.ner.automaton import AhoCorasickAutomaton
+from repro.ner.automaton import WordTrie
 from repro.ner.cache import AutomatonCache, content_key
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary,
@@ -13,10 +13,7 @@ PATTERNS = ["brca1", "brca2", "tp53", "tumor necrosis factor", "tnf"]
 
 
 def _build(patterns):
-    automaton = AhoCorasickAutomaton()
-    automaton.add_all(patterns)
-    automaton.build()
-    return automaton
+    return WordTrie.build(patterns)
 
 
 class TestContentKey:
@@ -37,17 +34,18 @@ class TestContentKey:
 class TestRoundTrip:
     def test_state_round_trip_preserves_matches(self):
         original = _build(PATTERNS)
-        restored = AhoCorasickAutomaton.from_state(original.to_state())
+        restored = WordTrie.from_state(original.to_state())
         text = "brca1 and tp53 regulate tumor necrosis factor (tnf)"
-        assert restored.find_all(text) == original.find_all(text)
+        assert restored.find_aligned(text) == original.find_aligned(text)
+        assert len(restored.find_aligned(text)) == 4
         assert len(restored) == len(original)
         assert restored.n_nodes == original.n_nodes
 
-    def test_to_state_requires_built(self):
-        automaton = AhoCorasickAutomaton()
-        automaton.add("abc")
-        with pytest.raises(RuntimeError):
-            automaton.to_state()
+    def test_state_is_marshal_primitives(self):
+        """A trie only exists built, and its state is what the cache
+        writes: marshal round-trips it to an equal trie."""
+        state = _build(PATTERNS).to_state()
+        assert marshal.loads(marshal.dumps(state)) == state
 
     def test_store_then_load(self, tmp_path):
         cache = AutomatonCache(tmp_path)
@@ -55,8 +53,8 @@ class TestRoundTrip:
         cache.store(key, _build(PATTERNS))
         loaded = AutomatonCache(tmp_path).load(key)
         assert loaded is not None
-        assert loaded.find_all("tp53 near brca2") == \
-            _build(PATTERNS).find_all("tp53 near brca2")
+        assert loaded.find_aligned("tp53 near brca2") == \
+            _build(PATTERNS).find_aligned("tp53 near brca2")
 
 
 class TestGetOrBuild:
@@ -67,7 +65,7 @@ class TestGetOrBuild:
         assert (hit1, hit2) == (False, True)
         assert (cache.misses, cache.hits) == (1, 1)
         text = "tnf alpha and brca1"
-        assert first.find_all(text) == second.find_all(text)
+        assert first.find_aligned(text) == second.find_aligned(text)
 
     def test_hit_across_cache_instances(self, tmp_path):
         AutomatonCache(tmp_path).get_or_build(PATTERNS)
@@ -91,8 +89,8 @@ class TestGetOrBuild:
         fresh = AutomatonCache(tmp_path)
         automaton, hit = fresh.get_or_build(PATTERNS)
         assert not hit
-        assert automaton.find_all("brca1") == _build(PATTERNS).find_all(
-            "brca1")
+        assert automaton.find_aligned("brca1") == \
+            _build(PATTERNS).find_aligned("brca1")
 
     def test_clear_removes_entries(self, tmp_path):
         cache = AutomatonCache(tmp_path)

@@ -1,10 +1,10 @@
 """Merged multi-type dictionary: one scan, per-type-identical output.
 
 The load-bearing property is union equivalence: for every text, the
-merged automaton's per-type mention lists — and each
+merged trie's per-type mention lists — and each
 :class:`DictionaryTagger` over it — must equal, spans, types, term ids
 and order included, what each type's own automaton produces
-(``dictionary_oracle``).  The frozen flat-edge form and the
+(``dictionary_oracle``).  The trie's frozen state and the
 :class:`AutomatonCache` key must both cover the payload table, so a
 cache hit can never silently drop type resolution.
 """
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dictionary_oracle import OracleDictionary, per_type_scan
 from repro.annotations import Document
 from repro.corpora.vocabulary import TermEntry
-from repro.ner.automaton import AhoCorasickAutomaton
+from repro.ner.automaton import WordTrie
 from repro.ner.cache import AutomatonCache, content_key, payload_salt
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary, fold_case,
@@ -131,12 +131,12 @@ class TestPayloadCache:
         loaded, hit2 = AutomatonCache(tmp_path).get_or_build(
             self.PATTERNS, payloads=self.PAYLOADS)
         assert hit2 and loaded.payloads == self.PAYLOADS
-        assert loaded.find_all("brca1 near malexia") == \
-            built.find_all("brca1 near malexia")
+        assert loaded.find_aligned("brca1 near malexia") == \
+            built.find_aligned("brca1 near malexia")
 
     def test_payload_key_separate_from_plain_key(self, tmp_path):
         """Same patterns with and without payloads must not share an
-        entry — a plain automaton has no type resolution to serve."""
+        entry — a plain trie has no type resolution to serve."""
         cache = AutomatonCache(tmp_path)
         cache.get_or_build(self.PATTERNS)
         with_payloads, hit = cache.get_or_build(self.PATTERNS,
@@ -153,25 +153,24 @@ class TestPayloadCache:
         assert other.payloads == changed
 
     def test_frozen_state_round_trips_payloads(self):
-        automaton = AhoCorasickAutomaton()
-        automaton.add_all(self.PATTERNS)
-        automaton.set_payloads(self.PAYLOADS)
-        automaton.build()
-        restored = AhoCorasickAutomaton.from_state(automaton.to_state())
+        trie = WordTrie.build(self.PATTERNS, self.PAYLOADS)
+        restored = WordTrie.from_state(trie.to_state())
         assert restored.payloads == self.PAYLOADS
-        assert restored.find_all("tp53 and brca1") == \
-            automaton.find_all("tp53 and brca1")
+        assert restored.find_aligned("tp53 and brca1") == \
+            trie.find_aligned("tp53 and brca1")
 
     def test_plain_state_has_no_payloads(self):
-        automaton = AhoCorasickAutomaton()
-        automaton.add_all(self.PATTERNS)
-        automaton.build()
-        assert "payloads" not in automaton.to_state()
-        restored = AhoCorasickAutomaton.from_state(automaton.to_state())
+        trie = WordTrie.build(self.PATTERNS)
+        assert "payloads" not in trie.to_state()
+        restored = WordTrie.from_state(trie.to_state())
         assert restored.payloads is None
 
+    def test_payload_count_must_match(self):
+        with pytest.raises(ValueError):
+            WordTrie.build(self.PATTERNS, self.PAYLOADS[:2])
+
     def test_merged_dictionary_warm_from_component_cache(self, tmp_path):
-        """The merged automaton is byte-equivalent after a cold reload
+        """The merged trie is byte-equivalent after a cold reload
         through its cache, and the hit is booked onto every type."""
         cold = MultiTypeDictionary(_dictionaries(_POOLS),
                                    cache=AutomatonCache(tmp_path))
@@ -252,24 +251,25 @@ class TestPropertyUnionEquivalence:
     def test_property_matches_equal_oracle_before_resolution(
             self, scenario):
         """``matches`` (what the entity-aware classifier counts) is
-        every word-aligned hit of each type, overlaps included."""
+        every word-aligned hit of each type, overlaps included, in the
+        oracle's order."""
         chosen, text = scenario
         dictionaries = _dictionaries(chosen)
         matches = MultiTypeDictionary(dictionaries).matches(text)
         for dictionary in dictionaries:
             expected = OracleDictionary(dictionary).match(text)
-            assert sorted((m.start, m.end)
-                          for m in matches[dictionary.entity_type]) == \
-                sorted((m.start, m.end) for m in expected)
+            assert [(m.start, m.end)
+                    for m in matches[dictionary.entity_type]] == \
+                [(m.start, m.end) for m in expected]
 
     @given(_scenarios())
     @settings(max_examples=60, deadline=None)
     def test_property_frozen_round_trip_preserves_scan(self, scenario):
         chosen, text = scenario
         merged = MultiTypeDictionary(_dictionaries(chosen))
-        state = merged._automaton.to_state()
-        restored = AhoCorasickAutomaton.from_state(state)
-        assert restored.payloads == merged._automaton.payloads
+        state = merged._trie.to_state()
+        restored = WordTrie.from_state(state)
+        assert restored.payloads == merged._trie.payloads
         lowered = text.lower()
-        assert restored.find_all(lowered) == \
-            merged._automaton.find_all(lowered)
+        assert restored.find_aligned(lowered) == \
+            merged._trie.find_aligned(lowered)

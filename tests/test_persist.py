@@ -27,7 +27,7 @@ from repro.crawler.checkpoint import (
 )
 from repro.crawler.crawl import CrawlResult
 from repro.crawler.frontier import CrawlDb
-from repro.ner.automaton import AhoCorasickAutomaton
+from repro.ner.automaton import WordTrie
 from repro.ner.cache import AutomatonCache, content_key
 from repro.nlp.anno_cache import AnnotationCache, sentence_key
 from repro.store import (
@@ -119,15 +119,13 @@ def _read_anno(directory: Path):
 
 
 def _write_automaton(directory: Path, variant: int) -> Path:
-    automaton = AhoCorasickAutomaton()
-    automaton.add_all(["brca1", "tp53", "tnf"][:2 + variant])
-    automaton.build()
-    return AutomatonCache(directory).store(AUTOMATON_KEY, automaton)
+    trie = WordTrie.build(["brca1", "tp53", "tnf"][:2 + variant])
+    return AutomatonCache(directory).store(AUTOMATON_KEY, trie)
 
 
 def _read_automaton(directory: Path):
-    automaton = AutomatonCache(directory).load(AUTOMATON_KEY)
-    return None if automaton is None else len(automaton)
+    trie = AutomatonCache(directory).load(AUTOMATON_KEY)
+    return None if trie is None else len(trie)
 
 
 @dataclass(frozen=True)
@@ -328,6 +326,29 @@ def test_cache_entry_of_another_identity_is_a_miss(name, field, tmp_path):
     assert field in payload
     target.write_bytes(fmt.encode({**payload, field: "other"}))
     assert fmt.read(tmp_path) is None
+
+
+@pytest.mark.parametrize("version", [2, 3])
+def test_character_automaton_entry_is_a_miss_and_rebuilds(version, tmp_path):
+    """A cache directory written before the word-unit trie holds
+    version-2 entries of the character automaton's state (a flat edge
+    dict and fail links).  The content key hashes the format version,
+    so such a file is normally never opened; found under the current
+    key anyway, with its old version number or relabelled as the
+    current one, it is a miss that rebuilds and replaces the file,
+    never an error."""
+    patterns = ["brca1", "tp53"]
+    cache = AutomatonCache(tmp_path)
+    key = content_key(patterns)
+    persist.write_file(cache.path_for(key), marshal.dumps({
+        "version": version, "python": persist.PYTHON_TAG, "key": key,
+        "state": {"edges": {ord("b"): 1}, "fail": [0, 0],
+                  "outputs": [(), ()], "patterns": patterns}}))
+    assert cache.load(key) is None
+    trie, hit = cache.get_or_build(patterns)
+    assert not hit and len(trie) == 2
+    _, hit = AutomatonCache(tmp_path).get_or_build(patterns)
+    assert hit
 
 
 @every_format
