@@ -37,8 +37,8 @@ def build_classifier_gold(
     irrelevant = DocumentGenerator(vocabulary, fringe_web, seed=seed + 1)
     pairs: list[tuple[str, bool]] = []
     for i in range(n_per_class):
-        pairs.append((relevant.document(i).text, True))
-        pairs.append((irrelevant.document(i).text, False))
+        pairs.append((relevant.text(i), True))
+        pairs.append((irrelevant.text(i), False))
     return pairs
 
 
@@ -61,12 +61,12 @@ def build_boilerplate_gold(n_pages: int, seed: int = 29,
     for i in range(n_pages):
         profile = profiles[i % len(profiles)]
         generator = DocumentGenerator(vocabulary, profile, seed=seed + 3)
-        gold = generator.document(i)
+        text = generator.text(i)
         html = renderer.render(
             url=f"http://gold.example.org/page{i}.html",
-            title=f"Gold page {i}", body_text=gold.text, outlinks=[],
+            title=f"Gold page {i}", body_text=text, outlinks=[],
             page_index=i)
-        pairs.append((html, gold.text))
+        pairs.append((html, text))
     return pairs
 
 

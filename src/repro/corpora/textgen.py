@@ -11,6 +11,19 @@ Generation is template-based: sentences are assembled from tagged
 clause patterns over fixed word inventories, then decorated with
 negation cues, pronouns, parenthesized asides, entity mentions, and
 bare acronyms at profile-controlled rates.
+
+One drafting loop (``_draft_document``) consumes a document's RNG and
+lays each sentence out with the one spacing rule (``_layout``); a
+draft is finished in one of two ways:
+
+* :meth:`DocumentGenerator.document` builds the gold layers — a
+  ``Token`` per word, ``Sentence`` objects and gold entity mentions;
+* :meth:`DocumentGenerator.text` returns only the joined string and
+  builds none of them.  It is for callers that read nothing but the
+  text (the simulated web's page bodies, classifier / language /
+  MIME training text) and is several times cheaper;
+  ``text(i) == document(i).text`` for every ``i``
+  (``tests/corpora/test_text_golden.py``).
 """
 
 from __future__ import annotations
@@ -174,6 +187,22 @@ class _SentenceDraft:
             self.items.append((word, "NNP"))
 
 
+@dataclass
+class _DocumentDraft:
+    """All of one document's RNG draws, laid out as text: the run-on
+    text of a pathological page, or each sentence's draft, text and
+    laid-out pieces (:func:`_layout`)."""
+
+    runon: str | None = None
+    sentences: list[tuple[_SentenceDraft, str, list[str]]] = field(
+        default_factory=list)
+
+    def text(self) -> str:
+        if self.runon is not None:
+            return self.runon
+        return " ".join(text for _draft, text, _pieces in self.sentences)
+
+
 class DocumentGenerator:
     """Deterministic generator of gold-annotated documents.
 
@@ -215,10 +244,44 @@ class DocumentGenerator:
 
     def document(self, index: int) -> GoldDocument:
         """Generate document number ``index`` of this corpus."""
+        draft = self._draft_document(index)
+        text = draft.text()
+        meta = {"corpus": self.profile.name,
+                "biomedical": self.profile.biomedical}
+        sentences: list[Sentence] = []
+        gold_entities: list[GoldEntity] = []
+        if draft.runon is not None:
+            meta["pathological"] = True
+            sentences.append(_runon_sentence(text))
+        offset = 0
+        for sentence_draft, sentence_text, pieces in draft.sentences:
+            tokens, mentions = _render(sentence_draft, sentence_text,
+                                       pieces, offset)
+            sentences.append(Sentence(
+                start=offset, end=offset + len(sentence_text),
+                text=sentence_text, tokens=tokens,
+                entities=[g.mention for g in mentions]))
+            gold_entities.extend(mentions)
+            offset += len(sentence_text) + 1  # separating space
+        document = Document(doc_id=f"{self.profile.name}-{index:08d}",
+                            text=text, meta=meta)
+        return GoldDocument(document=document, sentences=sentences,
+                            entities=gold_entities)
+
+    def text(self, index: int) -> str:
+        """``document(index).text`` without building the gold layers."""
+        return self._draft_document(index).text()
+
+    def documents(self, count: int, start: int = 0) -> list[GoldDocument]:
+        return [self.document(i) for i in range(start, start + count)]
+
+    # -- drafting ---------------------------------------------------------
+
+    def _draft_document(self, index: int) -> _DocumentDraft:
+        """Draw document ``index``: the one loop that consumes its RNG."""
         rng = seeded_rng(self.seed, self.profile.name, index)
-        doc_id = f"{self.profile.name}-{index:08d}"
         if rng.random() < self.pathological_fraction:
-            return self._pathological_document(rng, doc_id)
+            return _DocumentDraft(runon=self._runon_text(rng))
         target_chars = max(
             120, int(rng.lognormvariate(
                 math.log(self.profile.mean_doc_chars)
@@ -226,29 +289,15 @@ class DocumentGenerator:
                 self.profile.doc_chars_sigma)))
         purity = min(1.0, rng.betavariate(self.profile.topic_purity_alpha,
                                           self.profile.topic_purity_beta))
-        parts: list[str] = []
-        sentences: list[Sentence] = []
-        gold_entities: list[GoldEntity] = []
+        draft = _DocumentDraft()
         offset = 0
         while offset < target_chars:
-            draft = self._draft_sentence(rng, purity)
-            text, tokens, mentions = _render(draft, offset)
-            sentence = Sentence(start=offset, end=offset + len(text),
-                                text=text, tokens=tokens,
-                                entities=[g.mention for g in mentions])
-            sentences.append(sentence)
-            gold_entities.extend(mentions)
-            parts.append(text)
+            sentence = self._draft_sentence(rng, purity)
+            pieces = _layout(sentence.items)
+            text = "".join(pieces)
+            draft.sentences.append((sentence, text, pieces))
             offset += len(text) + 1  # separating space
-        full_text = " ".join(parts)
-        document = Document(doc_id=doc_id, text=full_text,
-                            meta={"corpus": self.profile.name,
-                                  "biomedical": self.profile.biomedical})
-        return GoldDocument(document=document, sentences=sentences,
-                            entities=gold_entities)
-
-    def documents(self, count: int, start: int = 0) -> list[GoldDocument]:
-        return [self.document(i) for i in range(start, start + count)]
+        return draft
 
     # -- sentence assembly ----------------------------------------------
 
@@ -409,63 +458,60 @@ class DocumentGenerator:
 
     # -- pathological pages ------------------------------------------------
 
-    def _pathological_document(self, rng: random.Random,
-                               doc_id: str) -> GoldDocument:
+    def _runon_text(self, rng: random.Random) -> str:
         """A run-on page: one giant comma list, no sentence punctuation."""
-        nouns = NOUNS_BIO if self.profile.biomedical else NOUNS_GENERAL
+        pool = (NOUNS_BIO if self.profile.biomedical
+                else NOUNS_GENERAL) + ADJECTIVES_GENERAL
         words: list[str] = []
         target = max(2200, self.profile.mean_doc_chars)
         length = 0
         while length < target:
-            word = rng.choice(nouns + ADJECTIVES_GENERAL)
+            word = rng.choice(pool)
             words.append(word)
             words.append(",")
             length += len(word) + 2
-        text = " ".join(words[:-1])
-        document = Document(doc_id=doc_id, text=text,
-                            meta={"corpus": self.profile.name,
-                                  "biomedical": self.profile.biomedical,
-                                  "pathological": True})
-        # Gold: the whole blob is one "sentence" of noun tokens.
-        tokens = []
-        offset = 0
-        for word in text.split(" "):
-            tokens.append(Token(word, offset, offset + len(word),
-                                "," if word == "," else "NN"))
-            offset += len(word) + 1
-        sentence = Sentence(start=0, end=len(text), text=text, tokens=tokens)
-        return GoldDocument(document=document, sentences=[sentence])
+        return " ".join(words[:-1])
 
 
 # ---------------------------------------------------------------------------
 # Rendering and helpers
 # ---------------------------------------------------------------------------
 
-def _render(draft: _SentenceDraft,
-            base_offset: int) -> tuple[str, list[Token], list[GoldEntity]]:
-    """Render a draft into text, offset tokens, and gold entities."""
+def _layout(items: list[tuple[str, str]]) -> list[str]:
+    """The spacing rule: one piece per word, the word with a space in
+    front where one belongs.  A sentence's text is their join."""
     pieces: list[str] = []
-    starts: list[int] = []
-    cursor = 0
-    prev = ""
-    for word, _tag in draft.items:
-        if pieces and word not in _NO_SPACE_BEFORE and prev not in _NO_SPACE_AFTER:
-            cursor += 1
-        starts.append(cursor)
-        pieces.append(word)
-        cursor += len(word)
+    prev = "("  # as after an opening bracket: no space before word one
+    for word, _tag in items:
+        if word in _NO_SPACE_BEFORE or prev in _NO_SPACE_AFTER:
+            pieces.append(word)
+        else:
+            pieces.append(" " + word)
         prev = word
-    text_parts: list[str] = []
-    last_end = 0
-    for word, start in zip(pieces, starts):
-        text_parts.append(" " * (start - last_end))
-        text_parts.append(word)
-        last_end = start + len(word)
-    text = "".join(text_parts)
-    tokens = [
-        Token(word, base_offset + start, base_offset + start + len(word), tag)
-        for (word, tag), start in zip(draft.items, starts)
-    ]
+    return pieces
+
+
+def _runon_sentence(text: str) -> Sentence:
+    """Gold for a run-on page: the whole blob is one "sentence" of noun
+    tokens."""
+    tokens = []
+    offset = 0
+    for word in text.split(" "):
+        tokens.append(Token(word, offset, offset + len(word),
+                            "," if word == "," else "NN"))
+        offset += len(word) + 1
+    return Sentence(start=0, end=len(text), text=text, tokens=tokens)
+
+
+def _render(draft: _SentenceDraft, text: str, pieces: list[str],
+            base_offset: int) -> tuple[list[Token], list[GoldEntity]]:
+    """Offset tokens and gold entities of a draft laid out as
+    ``pieces`` (from :func:`_layout`) whose join is ``text``."""
+    tokens = []
+    end = base_offset
+    for (word, tag), piece in zip(draft.items, pieces):
+        end += len(piece)
+        tokens.append(Token(word, end - len(word), end, tag))
     entities: list[GoldEntity] = []
     for tok_start, n_tokens, etype, name, entry, variant in draft.entity_slots:
         span_start = tokens[tok_start].start
@@ -477,7 +523,7 @@ def _render(draft: _SentenceDraft,
         entities.append(GoldEntity(mention=mention,
                                    in_dictionary=entry is not None,
                                    variant=variant))
-    return text, tokens, entities
+    return tokens, entities
 
 
 def _vary_surface(rng: random.Random, name: str) -> str:

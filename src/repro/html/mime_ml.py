@@ -141,7 +141,7 @@ def build_default_detector(seed: int = 47,
     for index in range(n_examples):
         profile = RELEVANT if index % 2 else IRRELEVANT
         generator = DocumentGenerator(vocabulary, profile, seed=seed + 1)
-        text = generator.document(index).text
+        text = generator.text(index)
         examples.append((text, True))
         examples.append((renderer.render(
             f"http://t{index}.example.org/", "t", text, []), True))

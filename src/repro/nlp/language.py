@@ -221,7 +221,7 @@ def default_identifier(seed: int = 3) -> LanguageIdentifier:
     english_parts = []
     for profile in (RELEVANT, IRRELEVANT):
         generator = DocumentGenerator(vocabulary, profile, seed=seed)
-        english_parts.extend(generator.document(i).text for i in range(8))
+        english_parts.extend(generator.text(i) for i in range(8))
     identifier.train("en", " ".join(english_parts))
     rng = random.Random(seed)
     for language in FOREIGN_WORDS:

@@ -17,7 +17,9 @@ Models the structural facts the paper's focused crawl depends on:
   filter attrition (MIME 9.5 %, language 14 %, length 17 %).
 
 Pages and their link structure are materialized eagerly; page *text*
-is generated lazily (and cached) from the corpus generators.
+is generated lazily (and cached per graph) from the corpus generators.
+``body_text`` renders text only (``DocumentGenerator.text``);
+``gold_document`` builds the gold layers of the same text.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
+from repro.annotations import Document
 from repro.corpora.foreign import FOREIGN_WORDS, generate_foreign_text
+from repro.corpora.pmc import concat_gold_documents
 from repro.corpora.profiles import IRRELEVANT, RELEVANT
 from repro.corpora.textgen import DocumentGenerator, GoldDocument
 from repro.corpora.vocabulary import BiomedicalVocabulary
@@ -54,6 +57,12 @@ _BIO_HOST_STEMS = ["genomeportal", "medinfo", "clinicnews", "pharmaguide",
 _GENERAL_HOST_STEMS = ["sportsnews", "travelblog", "recipebox", "carreview",
                        "musicdaily", "fashionfeed", "gamezone", "moneytalk",
                        "weatherlive", "cityguide"]
+
+#: A short page is its article cut to this many characters.
+_SHORT_PAGE_CHARS = 150
+#: A long page joins articles until their text reaches this length.
+_LONG_PAGE_CHARS = 25_000
+_LONG_PAGE_SEPARATOR = "\n\n"
 
 
 @dataclass
@@ -132,6 +141,7 @@ class WebGraph:
         self._irrelevant_gen = DocumentGenerator(
             self.vocabulary, IRRELEVANT, seed=self.config.seed + 2,
             pathological_fraction=0.02)
+        self._texts: dict[str, str] = {}
         self._build()
 
     # -- queries -----------------------------------------------------------
@@ -149,13 +159,17 @@ class WebGraph:
         spec = self.hosts.get(host)
         return spec.robots if spec else RobotsPolicy()
 
-    @lru_cache(maxsize=8192)
     def body_text(self, url: str) -> str:
-        """Net article text for a page (lazy, cached)."""
-        return self._gold_for(url).text
+        """Net article text for a page (rendered on first contact, then
+        cached on this graph)."""
+        text = self._texts.get(url)
+        if text is None:
+            text = self._texts[url] = self._text_for(url)
+        return text
 
     def gold_document(self, url: str) -> GoldDocument:
-        """Gold-annotated net text for evaluation purposes."""
+        """Gold-annotated net text for evaluation purposes; its text is
+        ``body_text(url)``."""
         return self._gold_for(url)
 
     def title_of(self, url: str) -> str:
@@ -285,29 +299,59 @@ class WebGraph:
 
     # -- text synthesis ------------------------------------------------------
 
+    def _generator_for(self, page: PageSpec) -> DocumentGenerator | None:
+        """The corpus generator that writes an English article; None
+        for front, trap and foreign pages."""
+        if page.kind != "article" or page.language != "en":
+            return None
+        return self._relevant_gen if page.biomedical else self._irrelevant_gen
+
+    def _plain_page(self, page: PageSpec) -> tuple[str, dict]:
+        """Text and meta flags of a page no corpus generator writes."""
+        if page.kind == "front":
+            host = self.hosts[page.host]
+            topic = "health topics" if host.biomedical else "daily stories"
+            return (f"Welcome to {host.name}. Browse our {topic}. "
+                    "Latest headlines, featured articles, and community "
+                    "picks."), {"front_page": True}
+        if page.kind == "trap":
+            return ("Calendar of events. Next page. Previous page.",
+                    {"trap": True})
+        rng = seeded_rng(self.config.seed, "text", page.url)
+        return (generate_foreign_text(page.language, 1500, rng),
+                {"language": page.language})
+
+    def _text_for(self, url: str) -> str:
+        page = self.pages[url]
+        generator = self._generator_for(page)
+        if generator is None:
+            return self._plain_page(page)[0]
+        text = generator.text(page.doc_index)
+        if page.length_class == "short":
+            return text[:_SHORT_PAGE_CHARS]
+        if page.length_class == "long":
+            return _LONG_PAGE_SEPARATOR.join(_long_page_parts(
+                generator.text, page.doc_index, text, len))
+        return text
+
     def _gold_for(self, url: str) -> GoldDocument:
         page = self.pages[url]
-        rng = seeded_rng(self.config.seed, "text", url)
-        if page.kind == "front":
-            return _front_page_gold(page, self.hosts[page.host])
-        if page.kind == "trap":
-            return _trap_page_gold(page)
-        if page.language != "en":
-            text = generate_foreign_text(page.language, 1500, rng)
-            from repro.annotations import Document
-
-            doc = Document(doc_id=f"web-{page.doc_index:08d}", text=text,
-                           meta={"url": url, "language": page.language})
-            return GoldDocument(document=doc)
-        generator = (self._relevant_gen if page.biomedical
-                     else self._irrelevant_gen)
+        generator = self._generator_for(page)
+        if generator is None:
+            text, flags = self._plain_page(page)
+            return GoldDocument(document=Document(
+                doc_id=f"web-{page.doc_index:08d}", text=text,
+                meta={"url": url, **flags}))
         gold = generator.document(page.doc_index)
         gold.document.meta["url"] = url
         if page.length_class == "short":
-            return _truncate_gold(gold, max_chars=150)
+            return _truncate_gold(gold, max_chars=_SHORT_PAGE_CHARS)
         if page.length_class == "long":
-            return _inflate_gold(gold, generator, page.doc_index,
-                                 target_chars=25_000)
+            return concat_gold_documents(
+                _long_page_parts(generator.document, page.doc_index, gold,
+                                 lambda part: len(part.text)),
+                doc_id=gold.doc_id, separator=_LONG_PAGE_SEPARATOR,
+                meta=gold.document.meta)
         return gold
 
 
@@ -328,29 +372,7 @@ def is_trap_url(url: str) -> bool:
     return "/calendar?page=" in url
 
 
-def _front_page_gold(page: PageSpec, host: HostSpec) -> GoldDocument:
-    from repro.annotations import Document
-
-    topic = "health topics" if host.biomedical else "daily stories"
-    text = (f"Welcome to {host.name}. Browse our {topic}. "
-            "Latest headlines, featured articles, and community picks.")
-    doc = Document(doc_id=f"web-{page.doc_index:08d}", text=text,
-                   meta={"url": page.url, "front_page": True})
-    return GoldDocument(document=doc)
-
-
-def _trap_page_gold(page: PageSpec) -> GoldDocument:
-    from repro.annotations import Document
-
-    text = "Calendar of events. Next page. Previous page."
-    doc = Document(doc_id=f"web-{page.doc_index:08d}", text=text,
-                   meta={"url": page.url, "trap": True})
-    return GoldDocument(document=doc)
-
-
 def _truncate_gold(gold: GoldDocument, max_chars: int) -> GoldDocument:
-    from repro.annotations import Document
-
     text = gold.text[:max_chars]
     doc = Document(doc_id=gold.doc_id, text=text, meta=dict(gold.document.meta))
     sentences = [s for s in gold.sentences if s.end <= max_chars]
@@ -358,21 +380,19 @@ def _truncate_gold(gold: GoldDocument, max_chars: int) -> GoldDocument:
     return GoldDocument(document=doc, sentences=sentences, entities=entities)
 
 
-def _inflate_gold(gold: GoldDocument, generator: DocumentGenerator,
-                  doc_index: int, target_chars: int) -> GoldDocument:
-    from repro.corpora.pmc import concat_gold_documents
-
-    parts = [gold]
-    total = len(gold.text)
+def _long_page_parts(render, doc_index: int, first, length) -> list:
+    """``first`` plus further documents ``render`` draws for a long
+    page, until their ``length`` sum reaches ``_LONG_PAGE_CHARS``.
+    ``render`` is a generator's ``text`` or ``document``."""
+    parts = [first]
+    total = length(first)
     k = 1
-    while total < target_chars:
-        extra = generator.document(doc_index * 131 + k + 1_000_000)
+    while total < _LONG_PAGE_CHARS:
+        extra = render(doc_index * 131 + k + 1_000_000)
         parts.append(extra)
-        total += len(extra.text)
+        total += length(extra)
         k += 1
-    merged = concat_gold_documents(parts, doc_id=gold.doc_id,
-                                   meta=gold.document.meta)
-    return merged
+    return parts
 
 
 def log_normal_int(rng: random.Random, mean: float, sigma: float) -> int:

@@ -1,5 +1,8 @@
 """Tests for the synthetic web graph."""
 
+import gc
+import weakref
+
 from repro.web.webgraph import (
     AUTHORITY_HOSTS_BIO, WebGraph, WebGraphConfig, is_trap_url,
     _next_trap_url,
@@ -54,7 +57,19 @@ class TestContent:
         url = next(u for u, p in webgraph.pages.items()
                    if p.kind == "article" and p.language == "en"
                    and not p.content_type.startswith("application/"))
-        assert webgraph.body_text(url) == webgraph.body_text(url)
+        first = webgraph.body_text(url)
+        assert webgraph.body_text(url) == first
+        assert webgraph.body_text(url) is first
+
+    def test_dropped_graph_is_collected(self):
+        """The text cache lives on the graph, so it keeps no graph
+        alive after its last reference goes."""
+        graph = WebGraph(WebGraphConfig(n_hosts=20, seed=8))
+        graph.body_text(next(iter(graph.pages)))
+        ref = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert ref() is None
 
     def test_foreign_pages_get_foreign_text(self, webgraph):
         page = next((p for p in webgraph.pages.values()
