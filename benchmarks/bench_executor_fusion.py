@@ -7,8 +7,8 @@ The physical-execution half of the Section 4.2 war story, measured:
   against building once and re-loading the serialized automaton.
   Criterion: cache-warm tagger construction >= 10x faster than cold.
 * **Execution modes** — the executor materializing every edge
-  against the same executor with chain fusion on (in-process / threads
-  / fork processes).  All modes must produce byte-identical sink
+  against the same executor with chain fusion on (in-process / fork
+  processes).  All modes must produce byte-identical sink
   outputs.
 * **End-to-end** — cold-build + naive execution vs warm-cache + best
   fused execution on the Fig. 2 flow.  Criterion: >= 1.5x.
@@ -112,7 +112,7 @@ def test_executor_fusion_and_dictionary_cache(ctx, benchmark, tmp_path):
 
     # -- Phase 3: end-to-end totals -------------------------------------
     naive_exec = mode_reports["sequential"].total_seconds
-    best_mode = min(("fused", "fused-threads", "fused-processes"),
+    best_mode = min(("fused", "fused-processes"),
                     key=lambda m: mode_reports[m].total_seconds)
     best_exec = mode_reports[best_mode].total_seconds
     naive_total = cold_build + naive_exec

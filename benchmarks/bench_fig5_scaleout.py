@@ -55,9 +55,10 @@ def test_fig5_scale_out(benchmark):
 
 
 def test_fig5_executor_parallel_speedup(ctx, benchmark):
-    """Sanity on the *real* executor: partitioned execution with
-    threads preserves results (speedups are GIL-bound, as startup
-    costs bound them on the paper's cluster)."""
+    """Sanity on the *real* executor: partitioned execution over a
+    fork pool preserves results (speedups are bounded by fork and
+    pickling costs, as startup costs bound them on the paper's
+    cluster)."""
     from repro.core.flows import build_linguistic_flow
     from repro.dataflow.executor import Executor
 
@@ -65,8 +66,8 @@ def test_fig5_executor_parallel_speedup(ctx, benchmark):
     plan = build_linguistic_flow(ctx.pipeline, web_input=False)
     sequential, _ = Executor().execute(
         plan, [d.copy_shallow() for d in documents])
-    threaded, _ = benchmark.pedantic(
-        lambda: Executor("threads", dop=4).execute(
+    pooled, _ = benchmark.pedantic(
+        lambda: Executor("fused-processes", dop=2).execute(
             plan, [d.copy_shallow() for d in documents]),
         rounds=1, iterations=1)
-    assert len(threaded["linguistics"]) == len(sequential["linguistics"])
+    assert len(pooled["linguistics"]) == len(sequential["linguistics"])

@@ -5,8 +5,7 @@ Subcommands cover the main workflows:
 * ``repro crawl``       — run a focused crawl on the synthetic web;
 * ``repro analyze``     — run the content analysis on the four corpora;
 * ``repro flow``        — run the Fig. 2 flow in a chosen execution
-  mode (sequential / threads / fused / fused-threads /
-  fused-processes);
+  mode (sequential / fused / fused-processes);
 * ``repro scalability`` — the simulated-cluster sweeps (Figs. 4-5);
 * ``repro seeds``       — seed generation statistics (Table 1);
 * ``repro facts``       — crawl, extract, and export a fact database;
@@ -120,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--dict-cache", default=None, metavar="DIR",
                       help="persistent dictionary-automaton cache directory"
                            " (skips automaton rebuilds across runs)")
-    flow.add_argument("--anno-cache", default=None, metavar="DIR",
-                      help="content-addressed per-sentence annotation cache"
-                           " directory (POS + CRF results persist across"
-                           " runs)")
     flow.add_argument("--repeat", type=int, default=1, metavar="N",
                       help="run the flow N times through one reusable "
                            "FlowSession (plan/executor built once; "
@@ -185,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " (repeatable; no tenant = default quota "
                             "for unlisted tenants)")
     serve.add_argument("--anno-cache", default=None, metavar="DIR",
-                       help="persistent annotation cache directory "
-                            "shared with the batch CLI")
+                       help="persistent per-sentence annotation cache "
+                            "directory (POS + CRF results persist across "
+                            "runs)")
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the deterministic metrics export on "
                             "shutdown")
@@ -534,8 +530,7 @@ def cmd_flow(args) -> int:
         return 2
 
     ctx = _context(args, corpus_docs=max(8, args.docs),
-                   dictionary_cache_dir=args.dict_cache,
-                   annotation_cache_dir=args.anno_cache)
+                   dictionary_cache_dir=args.dict_cache)
     automaton = ctx.pipeline.dictionary_taggers["gene"].shared
     renderer = PageRenderer(seed=args.seed)
     documents = []
@@ -565,7 +560,6 @@ def cmd_flow(args) -> int:
         if args.repeat > 1:
             print(f"run {run_index + 1}: {report.total_seconds:.2f} s "
                   f"({report.total_records_per_second:.1f} docs/s)")
-    flushed = session.close()
     print(f"mode {report.mode} (dop {report.dop}) | "
           f"{len(documents)} documents in {report.total_seconds:.2f} s "
           f"({report.total_records_per_second:.1f} docs/s)")
@@ -574,11 +568,6 @@ def cmd_flow(args) -> int:
     print(f"dictionary build {automaton.build_seconds:.2f} s "
           f"(1 automaton, {'cached' if automaton.cache_hit else 'built'}) | "
           f"CRF training {training_seconds:.2f} s")
-    if ctx.pipeline.annotation_cache is not None:
-        anno = ctx.pipeline.annotation_cache
-        print(f"annotation cache: {anno.hits} hits / {anno.misses} misses "
-              f"({report.annotation_cache_hits} attributed in-flow); "
-              f"flushed {flushed} shard files")
     for name in sorted(outputs):
         print(f"sink {name}: {len(outputs[name])} records")
     print(f"{'stage':<58} {'in':>6} {'out':>6} {'seconds':>8} {'rec/s':>9}")

@@ -46,9 +46,6 @@ class ContextConfig:
     #: Directory for the persistent dictionary-automaton cache
     #: (None disables caching; see repro.ner.cache).
     dictionary_cache_dir: str | None = None
-    #: Directory for the content-addressed per-sentence annotation
-    #: cache (None disables caching; see repro.nlp.anno_cache).
-    annotation_cache_dir: str | None = None
 
 
 class ReproductionContext:
@@ -80,8 +77,7 @@ class ReproductionContext:
                 self.vocabulary, seed=self.config.seed,
                 n_training_docs=self.config.n_training_docs,
                 crf_iterations=self.config.crf_iterations,
-                dictionary_cache=self.config.dictionary_cache_dir,
-                annotation_cache=self.config.annotation_cache_dir)
+                dictionary_cache=self.config.dictionary_cache_dir)
         return self._pipeline
 
     def corpora(self) -> dict[str, list[GoldDocument]]:

@@ -188,20 +188,15 @@ def run_flow(plan: LogicalPlan, records: Sequence[Any],
     run) is applied to a structural copy, leaving the caller's plan
     untouched; outputs are byte-identical to executing the plan as
     given, which is how the equivalence tests get the unfused
-    reference.  Annotation
-    caches attached to the plan's operators are flushed to disk after
-    the run, so the next (cold) process starts warm.  When a
-    ``metrics`` registry is attached, per-stage stats and the cache
-    flush are mirrored onto it.
+    reference.  When a ``metrics`` registry is attached, per-stage
+    stats are mirrored onto it.
     """
     from repro.dataflow.optimizer import fuse_physical_stages
 
     plan = plan.copy_structure()
     fuse_physical_stages(plan)
-    result = Executor(mode, dop=dop, metrics=metrics,
-                      tracer=tracer).execute(plan, records)
-    flush_annotation_caches(plan, metrics=metrics)
-    return result
+    return Executor(mode, dop=dop, metrics=metrics,
+                    tracer=tracer).execute(plan, records)
 
 
 class FlowSession:
@@ -213,8 +208,6 @@ class FlowSession:
     paid once, so repeated runs measure execution, not setup — and a
     long-lived process (``repro serve``, a notebook, a driver loop)
     reuses warm operators, caches, and frozen kernels across calls.
-    :meth:`close` flushes annotation caches once at the end instead of
-    after every run.
     """
 
     def __init__(self, pipeline: TextAnalyticsPipeline,
@@ -229,7 +222,6 @@ class FlowSession:
         self.fused_stages = len(fuse_physical_stages(self.plan))
         self.executor = Executor(mode, dop=dop, metrics=metrics,
                                  tracer=tracer)
-        self.metrics = metrics
         self.runs = 0
         self.last_report: ExecutionReport | None = None
 
@@ -239,32 +231,6 @@ class FlowSession:
         self.runs += 1
         self.last_report = report
         return outputs, report
-
-    def close(self) -> int:
-        """Flush annotation caches; returns dirty shard files written."""
-        return flush_annotation_caches(self.plan, metrics=self.metrics)
-
-    def __enter__(self) -> "FlowSession":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def flush_annotation_caches(plan: LogicalPlan,
-                            metrics: MetricsRegistry | None = None) -> int:
-    """Persist every annotation cache attached to the plan's operators;
-    returns the number of dirty shard files written."""
-    written = 0
-    seen: set[int] = set()
-    for node in plan.nodes:
-        cache = getattr(node.operator, "annotation_cache", None)
-        if cache is not None and id(cache) not in seen:
-            seen.add(id(cache))
-            written += cache.flush()
-            if metrics is not None:
-                cache.publish_metrics(metrics)
-    return written
 
 
 def _simple_prefix(plan: LogicalPlan, pipeline: TextAnalyticsPipeline,

@@ -21,7 +21,6 @@ from repro.corpora.profiles import MEDLINE
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.html.boilerplate import BoilerplateDetector
 from repro.ner.cache import AutomatonCache
-from repro.nlp.anno_cache import AnnotationCache
 from repro.ner.dictionary import DictionaryTagger
 from repro.ner.onepass import OnePassAnnotator, volume_chunks
 from repro.ner.taggers import (
@@ -47,8 +46,6 @@ class TextAnalyticsPipeline:
     ml_taggers: dict[str, MlEntityTagger]
     boilerplate: BoilerplateDetector = field(default_factory=BoilerplateDetector)
     linguistics: LinguisticAnalyzer = field(default_factory=LinguisticAnalyzer)
-    #: Shared per-sentence POS/NER result cache (None = disabled).
-    annotation_cache: AnnotationCache | None = None
 
     @classmethod
     def build(cls, vocabulary: BiomedicalVocabulary | None = None,
@@ -56,7 +53,6 @@ class TextAnalyticsPipeline:
               n_classifier_docs: int = 100, crf_iterations: int = 40,
               gene_quadratic_context: bool = False,
               dictionary_cache: "AutomatonCache | str | Path | None" = None,
-              annotation_cache: "AnnotationCache | str | Path | None" = None,
               ) -> "TextAnalyticsPipeline":
         """Train everything from synthetic gold.
 
@@ -66,18 +62,12 @@ class TextAnalyticsPipeline:
         re-loads the persisted dictionary automaton instead of
         rebuilding it — the paper's fix for the per-worker 20-minute
         load.
-        ``annotation_cache`` (an AnnotationCache or a directory path)
-        memoizes per-sentence POS/NER results across documents and
-        runs.
         """
         import dataclasses
 
         if dictionary_cache is not None and \
                 not isinstance(dictionary_cache, AutomatonCache):
             dictionary_cache = AutomatonCache(dictionary_cache)
-        if annotation_cache is not None and \
-                not isinstance(annotation_cache, AnnotationCache):
-            annotation_cache = AnnotationCache(annotation_cache)
 
         vocabulary = vocabulary or BiomedicalVocabulary(seed=seed)
         # NER gold corpora (BioCreative-style) are entity-dense
@@ -94,15 +84,12 @@ class TextAnalyticsPipeline:
         pos_tagger.train(sentence for gold in training
                          for sentence in gold.tagged_sentences())
         pos_tagger.freeze()
-        pos_tagger.annotation_cache = annotation_cache
         classifier = NaiveBayesClassifier(decision_threshold=0.9).fit(
             build_classifier_gold(vocabulary, n_classifier_docs,
                                   seed=seed + 2))
         ml_taggers = build_ml_taggers(
             training, max_iterations=crf_iterations,
             gene_quadratic_context=gene_quadratic_context)
-        for tagger in ml_taggers.values():
-            tagger.annotation_cache = annotation_cache
         return cls(
             vocabulary=vocabulary,
             classifier=classifier,
@@ -112,7 +99,6 @@ class TextAnalyticsPipeline:
             dictionary_taggers=build_dictionary_taggers(
                 vocabulary, cache=dictionary_cache),
             ml_taggers=ml_taggers,
-            annotation_cache=annotation_cache,
         )
 
     # -- direct (non-dataflow) document analysis ------------------------------

@@ -10,24 +10,22 @@ on); with fusion on, maximal linear chains stream through the
 operators' generators and only stage boundaries produce lists — the
 *potential* side of that story.
 
-The pooled modes fan contiguous record batches of a parallelizable
-stage out over one thread pool or one **fork** process pool per
-``execute()`` call and merge them back in order, so every mode
-produces byte-identical sink outputs, not merely set-equal ones.
-Forked workers inherit the already-built operator chains (taggers,
-automata, CRF weights) by copy-on-write instead of re-building or
-pickling them — the in-process analogue of fixing the paper's
-20-minute per-worker dictionary load.  Only record batches cross the
-process boundary, and the fork pool sidesteps the GIL for CPU-heavy
-stages (POS HMM, CRF, dictionary tagging).
+``fused-processes`` fans contiguous record batches of a parallelizable
+stage out over one **fork** process pool per ``execute()`` call and
+merges them back in order, so every mode produces byte-identical sink
+outputs, not merely set-equal ones.  Forked workers inherit the
+already-built operator chains (taggers, automata, CRF weights) by
+copy-on-write instead of re-building or pickling them — the
+in-process analogue of fixing the paper's 20-minute per-worker
+dictionary load.  Only record batches cross the process boundary, and
+the fork pool sidesteps the GIL for CPU-heavy stages (POS HMM, CRF,
+dictionary tagging).
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Sequence
@@ -40,12 +38,11 @@ from repro.obs.trace import Tracer, maybe_span
 from repro.workers import can_fork, fork_pool
 
 #: Physical execution modes (docs/dataflow.md, "Physical execution").
-EXECUTION_MODES = ("sequential", "threads", "fused", "fused-threads",
-                   "fused-processes")
+EXECUTION_MODES = ("sequential", "fused", "fused-processes")
 
-#: Records per work batch in the pooled modes (a stage is cut into at
-#: least ``dop`` batches, and more when it holds more than this many
-#: records per worker).
+#: Records per work batch under ``fused-processes`` (a stage is cut
+#: into at least ``dop`` batches, and more when it holds more than this
+#: many records per worker).
 BATCH_RECORDS = 32
 
 #: Operator chains of the plan currently executing, one per stage,
@@ -79,57 +76,6 @@ def contiguous_partitions(records: Sequence[Any],
     return parts
 
 
-def _value_bytes(value: Any, depth: int = 2) -> int:
-    size = sys.getsizeof(value)
-    if depth <= 0:
-        return size
-    if isinstance(value, dict):
-        size += sum(_value_bytes(k, 0) + _value_bytes(v, depth - 1)
-                    for k, v in value.items())
-    elif isinstance(value, (list, tuple, set, frozenset)):
-        size += sum(_value_bytes(item, depth - 1) for item in value)
-    elif hasattr(value, "__dict__"):
-        size += _value_bytes(vars(value), depth - 1)
-    return size
-
-
-def estimate_records_bytes(records: Sequence[Any], sample: int = 32) -> int:
-    """Sampled shallow-size estimate of a record batch (the "bytes on
-    the channel" a stage boundary would materialize)."""
-    if not records:
-        return 0
-    step = max(1, len(records) // sample)
-    sampled = records[::step][:sample]
-    per_record = sum(_value_bytes(r) for r in sampled) / len(sampled)
-    return int(per_record * len(records))
-
-
-def snapshot_annotation_caches(operators) -> list[tuple[Any, int, int]]:
-    """(cache, hits, misses) snapshots for the distinct annotation
-    caches attached to ``operators``.
-
-    Taken before a node/stage runs and diffed afterwards to attribute
-    cache traffic to that entry.  Exact under sequential execution;
-    under threads concurrent stages may bleed into each other's delta,
-    and forked process pools never propagate counters back (both noted
-    in docs/performance.md).
-    """
-    seen: dict[int, Any] = {}
-    for operator in operators:
-        cache = getattr(operator, "annotation_cache", None)
-        if cache is not None and id(cache) not in seen:
-            seen[id(cache)] = cache
-    return [(cache, cache.hits, cache.misses) for cache in seen.values()]
-
-
-def annotation_cache_deltas(
-        snapshots: list[tuple[Any, int, int]]) -> tuple[int, int]:
-    """(hits, misses) accumulated since the snapshots were taken."""
-    hits = sum(cache.hits - before for cache, before, _ in snapshots)
-    misses = sum(cache.misses - before for cache, _, before in snapshots)
-    return hits, misses
-
-
 @dataclass
 class OperatorStats:
     """Throughput accounting for one operator (or fused stage)."""
@@ -141,12 +87,6 @@ class OperatorStats:
     #: Names of the operators executed under this entry — a single
     #: name for plain node execution, the full chain for fused stages.
     operators: tuple[str, ...] = ()
-    #: Sampled estimate of the bytes this entry's output materializes.
-    est_output_bytes: int = 0
-    #: Annotation-cache hits/misses attributed to this entry (0 when
-    #: none of its operators carry an annotation cache).
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def records_per_second(self) -> float:
@@ -168,9 +108,6 @@ class OperatorStats:
             "records_out": self.records_out,
             "seconds": self.seconds,
             "records_per_second": self.records_per_second,
-            "est_output_bytes": self.est_output_bytes,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
         }
 
 
@@ -214,14 +151,6 @@ class ExecutionReport:
             return 0.0
         return self.operator_stats[0].records_in / self.total_seconds
 
-    @property
-    def annotation_cache_hits(self) -> int:
-        return sum(s.cache_hits for s in self.operator_stats)
-
-    @property
-    def annotation_cache_misses(self) -> int:
-        return sum(s.cache_misses for s in self.operator_stats)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "mode": self.mode,
@@ -230,8 +159,6 @@ class ExecutionReport:
             "total_records_per_second": self.total_records_per_second,
             "n_stages": len(self.operator_stats),
             "n_fused_stages": self.n_fused_stages,
-            "annotation_cache_hits": self.annotation_cache_hits,
-            "annotation_cache_misses": self.annotation_cache_misses,
             "stages": [stats.to_dict() for stats in self.operator_stats],
         }
 
@@ -243,8 +170,8 @@ class ExecutionReport:
         """Mirror this report's per-stage stats onto a
         :class:`~repro.obs.metrics.MetricsRegistry` — the unified
         observability model.  Record counts are deterministic metrics;
-        seconds and cache traffic are volatile (they depend on the
-        physical mode).  The report itself stays the public API."""
+        seconds are volatile (they depend on the physical mode).  The
+        report itself stays the public API."""
         from repro.obs.report import publish_report_metrics
 
         publish_report_metrics(self, registry)
@@ -273,16 +200,12 @@ class Executor:
     * ``sequential`` — every node its own stage, every edge a list;
     * ``fused`` — linear chains stream through generators,
       materializing only at stage boundaries;
-    * ``threads`` / ``fused-threads`` — the same two, with contiguous
-      record batches of parallelizable stages fanned out over one
-      shared thread pool of ``dop`` workers (I/O-bound operators
-      benefit; the GIL bounds CPU-bound ones, just as startup costs
-      bound them in the paper's deployment);
-    * ``fused-processes`` — batches fan out over one shared fork-based
-      process pool, escaping the GIL.  Falls back to ``fused-threads``
-      where ``fork`` is unavailable.
+    * ``fused-processes`` — ``fused``, with contiguous record batches
+      of parallelizable stages fanned out over one fork-based process
+      pool of ``dop`` workers, escaping the GIL.  Falls back to
+      ``fused`` in-process where ``fork`` is unavailable.
 
-    ``dop`` only matters to the pooled modes; at ``dop=1`` they run
+    ``dop`` only matters to ``fused-processes``; at ``dop=1`` it runs
     without a pool.  ``metrics`` and ``tracer`` attach the
     observability subsystem (docs/observability.md); execution results
     are unchanged either way.
@@ -297,10 +220,10 @@ class Executor:
         if dop < 1:
             raise ValueError("dop must be >= 1")
         if mode == "fused-processes" and dop > 1 \
-                and not can_fork("fused-processes", "fused-threads"):
-            mode = "fused-threads"
+                and not can_fork("fused-processes", "fused"):
+            mode = "fused"
         self.mode = mode
-        self.dop = dop if mode.endswith(("threads", "processes")) else 1
+        self.dop = dop if mode == "fused-processes" else 1
         self.metrics = metrics
         self.tracer = tracer
 
@@ -316,14 +239,11 @@ class Executor:
         report = ExecutionReport(dop=self.dop, mode=self.mode)
         started = time.perf_counter()
         outputs: dict[int, list[Any]] = {}
-        process_pool = None
-        thread_pool = None
+        pool = None
         try:
-            if self.dop > 1 and self.mode == "fused-processes":
+            if self.dop > 1:
                 _WORKER_STAGES = [stage.operators for stage in staged.stages]
-                process_pool = fork_pool(self.dop)
-            elif self.dop > 1:
-                thread_pool = ThreadPoolExecutor(max_workers=self.dop)
+                pool = fork_pool(self.dop)
             with maybe_span(self.tracer, "dataflow.execute",
                             mode=self.mode, dop=self.dop,
                             records=len(source_records)) as span:
@@ -332,31 +252,24 @@ class Executor:
                                else list(chain.from_iterable(
                                    outputs[parent.stage_id]
                                    for parent in stage.inputs)))
-                    snapshots = snapshot_annotation_caches(stage.operators)
                     with maybe_span(self.tracer, "dataflow.stage",
                                     stage=stage.name,
                                     records_in=len(records)) as stage_span:
                         stage_started = time.perf_counter()
-                        result = self._run_stage(stage, records,
-                                                 process_pool, thread_pool)
+                        result = self._run_stage(stage, records, pool)
                         elapsed = time.perf_counter() - stage_started
                         stage_span.set(records_out=len(result))
-                    hits, misses = annotation_cache_deltas(snapshots)
                     outputs[stage.stage_id] = result
                     report.operator_stats.append(OperatorStats(
                         name=stage.name, records_in=len(records),
                         records_out=len(result), seconds=elapsed,
-                        operators=stage.operator_names,
-                        est_output_bytes=estimate_records_bytes(result),
-                        cache_hits=hits, cache_misses=misses))
+                        operators=stage.operator_names))
                 span.set(stages=len(report.operator_stats))
         finally:
-            if process_pool is not None:
-                process_pool.close()
-                process_pool.join()
+            if pool is not None:
+                pool.close()
+                pool.join()
                 _WORKER_STAGES = None
-            if thread_pool is not None:
-                thread_pool.shutdown()
         report.total_seconds = time.perf_counter() - started
         if self.metrics is not None:
             report.publish_to(self.metrics)
@@ -364,20 +277,13 @@ class Executor:
                  for name, stage in staged.sinks.items()}, report)
 
     def _run_stage(self, stage: FusedStage, records: list[Any],
-                   process_pool, thread_pool) -> list[Any]:
-        pooled = process_pool is not None or thread_pool is not None
-        if not (pooled and stage.parallel and len(records) > 1):
+                   pool) -> list[Any]:
+        if not (pool is not None and stage.parallel and len(records) > 1):
             return _run_operator_chain(stage.operators, records)
         batches = contiguous_partitions(
             records, max(self.dop, -(-len(records) // BATCH_RECORDS)))
-        if process_pool is not None:
-            parts = process_pool.map(
-                _process_worker,
-                [(stage.stage_id, batch) for batch in batches])
-        else:
-            parts = list(thread_pool.map(
-                lambda batch: _run_operator_chain(stage.operators, batch),
-                batches))
-        # Batches are contiguous and both pools' map() preserve task
-        # order, so this concatenation restores the sequential order.
+        parts = pool.map(_process_worker,
+                         [(stage.stage_id, batch) for batch in batches])
+        # Batches are contiguous and map() preserves task order, so
+        # this concatenation restores the sequential order.
         return list(chain.from_iterable(parts))

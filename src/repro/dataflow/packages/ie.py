@@ -71,9 +71,6 @@ def _annotate_pos(tagger: HmmPosTagger, skip_crashes: bool = True,
     ann.setdefault("writes", frozenset({"pos"}))
     operator = MapOperator("annotate_pos", annotate, cost_per_record=6.0,
                            memory_mb=2048, **ann)
-    # Executors snapshot this cache's counters around the operator's
-    # run to attribute per-stage annotation-cache hits/misses.
-    operator.annotation_cache = getattr(tagger, "annotation_cache", None)
     # Harvested by fuse_annotation_stage.
     operator.tagger = tagger
     operator.skip_crashes = skip_crashes
@@ -143,7 +140,6 @@ def _entity_operator(name: str, tagger, cost: float, memory_mb: float,
     operator = MapOperator(name, annotate, cost_per_record=cost,
                            memory_mb=memory_mb, startup_seconds=startup,
                            **ann)
-    operator.annotation_cache = getattr(tagger, "annotation_cache", None)
     # Harvested by fuse_annotation_stage.
     operator.tagger = tagger
     return operator
@@ -184,8 +180,7 @@ class _FusedAnnotateOperator(MapOperator):
     (packed POS decode, whole-batch CRF prediction) engage inside
     flows too; per-record mapping would hand them one document at a
     time.  Outputs and order are identical to the per-record form;
-    chunk state is call-local, so concurrent partitions (thread mode)
-    are safe.
+    chunk state is call-local.
     """
 
     def _process(self, records):
@@ -214,7 +209,6 @@ def _annotate_entities_fused(annotator, cost: float = 1.0,
     operator = _FusedAnnotateOperator(
         "annotate_entities_fused", annotate, cost_per_record=cost,
         memory_mb=memory_mb, startup_seconds=startup, **ann)
-    operator.annotation_cache = annotator.annotation_cache
     operator.fused_annotator = annotator
     return operator
 

@@ -102,21 +102,6 @@ class OnePassAnnotator:
         self.merged: MultiTypeDictionary | None = shared_dictionary(
             step for step in self.steps if step.method == "dictionary")
 
-    @property
-    def annotation_cache(self):
-        """The per-sentence result cache the engine's kernels consult
-        (for executor cache-traffic attribution; the pipeline shares
-        one cache between POS and the ML taggers)."""
-        if self.pos_tagger is not None:
-            cache = getattr(self.pos_tagger, "annotation_cache", None)
-            if cache is not None:
-                return cache
-        for step in self.steps:
-            cache = getattr(step, "annotation_cache", None)
-            if cache is not None:
-                return cache
-        return None
-
     def startup_seconds(self) -> float:
         total = sum(step.startup_seconds() for step in self.steps)
         return total + (0.5 if self.pos_tagger is not None else 0.0)

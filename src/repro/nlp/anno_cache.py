@@ -35,8 +35,8 @@ their work instead of last-writer-wins.
 
 The cache directory resolves, in order, to the explicit constructor
 argument, ``$REPRO_ANNOTATION_CACHE``, or ``~/.cache/repro/annotations``.
-All public methods are thread-safe (one lock), so a cache instance can
-be shared by every operator of a ``fused-threads`` execution.
+All public methods are thread-safe (one lock), so ``repro serve``'s
+client and dispatcher threads can share one cache instance.
 """
 
 from __future__ import annotations

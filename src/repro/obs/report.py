@@ -282,8 +282,3 @@ def publish_report_metrics(report: Any,
             stats.records_out)
         registry.counter("dataflow.stage_seconds", stage=stage,
                          volatile=True).inc(stats.seconds)
-        if stats.cache_hits or stats.cache_misses:
-            registry.counter("anno_cache.stage_hits", stage=stage,
-                             volatile=True).inc(stats.cache_hits)
-            registry.counter("anno_cache.stage_misses", stage=stage,
-                             volatile=True).inc(stats.cache_misses)

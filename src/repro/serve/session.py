@@ -34,8 +34,8 @@ class ExtractionSession:
 
     ``annotation_cache`` (an AnnotationCache or directory path)
     optionally (re)wires the pipeline's POS/NER taggers to a cache for
-    the session's lifetime — the serve path wants the cache even when
-    the pipeline was built without one; :meth:`close` flushes it and
+    the session's lifetime — this and ``repro serve --anno-cache`` are
+    the ways to enable the cache; :meth:`close` flushes it and
     restores the prior wiring.
     """
 

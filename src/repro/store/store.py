@@ -483,7 +483,9 @@ class EntityStore:
              vocabulary: "BiomedicalVocabulary | None" = None,
              ) -> "EntityStore":
         """Restore a store; raises :class:`StoreError` subclasses on
-        missing, truncated, malformed, or newer-versioned payloads."""
+        missing, truncated, malformed, or newer-versioned payloads, and
+        on a link whose surface no mention or assertion carries (the
+        ingest path never writes one)."""
         target = cls._store_file(path)
         payload = _STORE.load(target)
         store = cls(vocabulary=vocabulary)
@@ -495,7 +497,13 @@ class EntityStore:
             for entry in payload["links"]:
                 entity_type, key, term_id = entry
                 store._links.add((entity_type, key, term_id))
-        except (KeyError, TypeError, ValueError) as exc:
+            surfaces = store._surface_nodes()
+            for entity_type, key, term_id in store._links:
+                if (entity_type, key) not in surfaces:
+                    raise ValueError(
+                        f"link {[entity_type, key, term_id]} names no "
+                        "observed surface")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StoreError(
                 f"entity store {target} is malformed: {exc}") from exc
         return store

@@ -192,13 +192,13 @@ class TestFlowEquivalence:
 
     def test_flow_session_fuses_in_place(self, pipeline, texts):
         reference = self._run(pipeline, texts, "sequential", fuse=False)
-        with FlowSession(pipeline, mode="sequential",
-                         build=lambda p: build_entity_flow(
-                             p, web_input=False)) as session:
-            assert session.fused_stages == 1
-            assert "annotate_entities_fused" in _names(session.plan)
-            outputs, _ = session.run(_documents(texts))
-            assert outputs == reference
+        session = FlowSession(pipeline, mode="sequential",
+                              build=lambda p: build_entity_flow(
+                                  p, web_input=False))
+        assert session.fused_stages == 1
+        assert "annotate_entities_fused" in _names(session.plan)
+        outputs, _ = session.run(_documents(texts))
+        assert outputs == reference
 
 
 class TestCategoryAnnotators:

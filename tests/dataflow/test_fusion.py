@@ -1,10 +1,10 @@
-"""Tests for chain fusion and the executor's five physical modes.
+"""Tests for chain fusion and the executor's three physical modes.
 
 The load-bearing property is *mode equivalence*: every physical
-execution mode (sequential, threads, fused, fused-threads,
-fused-processes) must produce byte-identical sink outputs, including
-record order — order-sensitive operators (prefix sums, sorts) make
-any partition/merge mistake visible immediately.
+execution mode (sequential, fused, fused-processes) must produce
+byte-identical sink outputs, including record order — order-sensitive
+operators (prefix sums, sorts) make any partition/merge mistake
+visible immediately.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.flows import EXECUTION_MODES, run_flow
 from repro.dataflow.executor import (
-    BATCH_RECORDS, Executor, contiguous_partitions, estimate_records_bytes,
+    BATCH_RECORDS, Executor, contiguous_partitions,
 )
 from repro.dataflow.fusion import FusedPlan, fuse_plan
 from repro.dataflow.operators import (
@@ -186,7 +186,7 @@ class TestModeEquivalence:
                 reference = outputs
             else:
                 assert outputs == reference, mode
-            assert report.mode in (mode, "fused-threads")
+            assert report.mode in (mode, "fused")
 
     def test_all_modes_identical_on_fan_in_fan_out(self):
         """Unmarked leaves are the sinks, named by their operators;
@@ -204,7 +204,7 @@ class TestModeEquivalence:
                 assert outputs == reference, mode
         assert reference["leaf_a"][:3] == [2, 12, 14]
 
-    @pytest.mark.parametrize("mode", ["sequential", "threads"])
+    @pytest.mark.parametrize("mode", ["sequential"])
     def test_unfused_modes_report_one_entry_per_node(self, mode):
         plan = _diamond_plan()
         _, report = Executor(mode, dop=3).execute(plan, list(range(70)))
@@ -214,14 +214,15 @@ class TestModeEquivalence:
             [(name,) for name in order]
         assert report.n_fused_stages == 0
         assert report.mode == mode
-        assert report.dop == (3 if mode == "threads" else 1)
+        assert report.dop == 1
 
     def test_threaded_local_executor_preserves_order(self):
+        """The process pool merges its batches back in record order."""
         plan = _linear_plan()
         sequential, _ = Executor().execute(plan, list(range(40)))
-        threaded, _ = Executor("threads", dop=4).execute(
+        pooled, _ = Executor("fused-processes", dop=2).execute(
             _linear_plan(), list(range(40)))
-        assert threaded["out"] == sequential["out"]
+        assert pooled["out"] == sequential["out"]
 
     def test_fused_processes_equivalence_with_closures(self):
         """Closure-carrying operators survive the fork boundary; past
@@ -232,54 +233,60 @@ class TestModeEquivalence:
         outputs, report = executor.execute(_linear_plan(), records)
         reference, _ = Executor().execute(_linear_plan(), records)
         assert outputs["out"] == reference["out"]
-        assert report.mode in ("fused-processes", "fused-threads")
+        assert report.mode in ("fused-processes", "fused")
+
+
+def _count_fork_pools(monkeypatch) -> list:
+    import repro.dataflow.executor as executor_module
+
+    created = []
+    real = executor_module.fork_pool
+
+    def counting(*args, **kwargs):
+        created.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor_module, "fork_pool", counting)
+    return created
 
 
 class TestExecutorPools:
     def test_one_thread_pool_per_execute(self, monkeypatch):
-        import repro.dataflow.executor as executor_module
+        """One fork pool per ``execute()``, however many stages the
+        plan has."""
+        from repro.workers import fork_start_available
 
-        created = []
-        real = executor_module.ThreadPoolExecutor
-
-        def counting(*args, **kwargs):
-            created.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(executor_module, "ThreadPoolExecutor", counting)
-        Executor("threads", dop=4).execute(_linear_plan(), list(range(30)))
+        if not fork_start_available():  # pragma: no cover
+            pytest.skip("no fork on this platform")
+        created = _count_fork_pools(monkeypatch)
+        Executor("fused-processes", dop=2).execute(_diamond_plan(),
+                                                   list(range(30)))
         assert len(created) == 1
 
     def test_sequential_local_executor_creates_no_pool(self, monkeypatch):
-        import repro.dataflow.executor as executor_module
-
-        created = []
-        real = executor_module.ThreadPoolExecutor
-
-        def counting(*args, **kwargs):
-            created.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(executor_module, "ThreadPoolExecutor", counting)
-        Executor().execute(_linear_plan(), list(range(10)))
+        """Only ``fused-processes`` past ``dop=1`` forks a pool."""
+        created = _count_fork_pools(monkeypatch)
+        for mode, dop in (("sequential", 4), ("fused", 4),
+                          ("fused-processes", 1)):
+            Executor(mode, dop=dop).execute(_linear_plan(), list(range(10)))
         assert created == []
 
 
 class TestSpawnFallback:
     def test_spawn_only_platform_degrades_to_threads(self, monkeypatch):
-        """Windows-style platforms (no fork) must get fused-threads
-        plus a warning, not a pickling crash."""
+        """Windows-style platforms (no fork) must get ``fused``
+        in-process plus a warning, not a pickling crash."""
         import repro.workers as workers_module
 
         monkeypatch.setattr(workers_module.multiprocessing,
                             "get_all_start_methods", lambda: ["spawn"])
         with pytest.warns(RuntimeWarning, match="fork"):
             executor = Executor("fused-processes", dop=2)
-        assert executor.mode == "fused-threads"
+        assert (executor.mode, executor.dop) == ("fused", 1)
         outputs, report = executor.execute(_linear_plan(), list(range(30)))
         reference, _ = Executor().execute(_linear_plan(), list(range(30)))
         assert outputs["out"] == reference["out"]
-        assert report.mode == "fused-threads"
+        assert report.mode == "fused"
 
     def test_pinned_spawn_method_degrades_to_threads(self, monkeypatch):
         """fork available on the platform, but the interpreter pinned
@@ -291,7 +298,7 @@ class TestSpawnFallback:
                             lambda allow_none=False: "spawn")
         with pytest.warns(RuntimeWarning, match="falling back"):
             executor = Executor("fused-processes", dop=2)
-        assert executor.mode == "fused-threads"
+        assert executor.mode == "fused"
 
     def test_fork_platform_keeps_processes(self):
         from repro.workers import fork_start_available
@@ -354,18 +361,16 @@ class TestReport:
         assert stats.operators == ("inc", "dup", "drop3")
         assert stats.records_in == 20
         assert stats.records_out == len(outputs["out"])
-        assert stats.est_output_bytes > 0
         assert stats.records_per_second >= 0
         payload = json.loads(report.to_json())
         assert payload["mode"] == "fused"
         assert payload["stages"][0]["operators"] == ["inc", "dup", "drop3"]
         assert payload["total_records_per_second"] >= 0
 
-    def test_estimate_records_bytes_scales(self):
-        small = estimate_records_bytes(["x" * 10] * 4)
-        large = estimate_records_bytes(["x" * 1000] * 4)
-        assert large > small > 0
-
     def test_executor_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="fused-processes"):
-            Executor("mapreduce")
+        for mode in ("mapreduce", "threads", "fused-threads"):
+            with pytest.raises(ValueError) as raised:
+                Executor(mode, dop=2)
+            assert str(raised.value) == (
+                f"unknown execution mode {mode!r}; expected one of "
+                "('sequential', 'fused', 'fused-processes')")

@@ -104,11 +104,13 @@ class TestExecutor:
         assert report.operator_stats[1].records_out == 5
 
     def test_threaded_execution_same_result(self):
+        """The process pool returns the sequential records in the
+        sequential order."""
         sequential, _ = Executor().execute(self._plan(), range(50))
-        threaded, report = Executor("threads", dop=4).execute(
+        pooled, report = Executor("fused-processes", dop=2).execute(
             self._plan(), range(50))
-        assert sorted(sequential["out"]) == sorted(threaded["out"])
-        assert report.dop == 4
+        assert pooled["out"] == sequential["out"]
+        assert report.dop == (2 if report.mode == "fused-processes" else 1)
 
     def test_branching_plan(self):
         plan = LogicalPlan()

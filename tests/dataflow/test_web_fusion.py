@@ -252,10 +252,10 @@ class TestEquivalence:
                                               edge_documents):
         reference, _ = Executor("sequential").execute(
             build_fig2_flow(pipeline), _copies(edge_documents))
-        with FlowSession(pipeline, mode="fused") as session:
-            assert session.fused_stages == 2
-            assert FUSED in _names(session.plan)
-            outputs, _ = session.run(_copies(edge_documents))
+        session = FlowSession(pipeline, mode="fused")
+        assert session.fused_stages == 2
+        assert FUSED in _names(session.plan)
+        outputs, _ = session.run(_copies(edge_documents))
         assert outputs == reference
 
 

@@ -194,52 +194,3 @@ class TestCrossProcessFlush:
         assert fresh.lookup(FP, first_words) == (first_words[0].upper(),)
         assert fresh.lookup(FP, second_words) == \
             (second_words[0].upper(),)
-
-
-class TestExecutorSurfacing:
-    def _plan_with_cached_operator(self, cache):
-        from repro.dataflow.operators import MapOperator
-        from repro.dataflow.plan import LogicalPlan
-
-        def annotate(record):
-            hit = cache.lookup(FP, [record])
-            if hit is None:
-                cache.store(FP, [record], (record.upper(),))
-                return record.upper()
-            return hit[0]
-
-        operator = MapOperator("cached_op", annotate)
-        operator.annotation_cache = cache
-        plan = LogicalPlan()
-        node = plan.add(operator)
-        plan.mark_sink("out", node)
-        return plan
-
-    def test_local_executor_reports_cache_traffic(self, cache):
-        from repro.dataflow.executor import Executor
-
-        plan = self._plan_with_cached_operator(cache)
-        _outputs, report = Executor().execute(
-            plan, ["a", "b", "a", "b", "c"])
-        stage = report.operator_stats[0]
-        assert (stage.cache_hits, stage.cache_misses) == (2, 3)
-        as_dict = report.to_dict()
-        assert as_dict["annotation_cache_hits"] == 2
-        assert as_dict["annotation_cache_misses"] == 3
-        assert as_dict["stages"][0]["cache_hits"] == 2
-
-    def test_streaming_executor_reports_cache_traffic(self, cache):
-        from repro.dataflow.executor import Executor
-
-        plan = self._plan_with_cached_operator(cache)
-        _outputs, report = Executor("fused").execute(
-            plan, ["a", "b", "a", "b", "c"])
-        assert report.annotation_cache_hits == 2
-        assert report.annotation_cache_misses == 3
-
-    def test_run_flow_flushes_caches(self, cache, tmp_path):
-        from repro.core.flows import run_flow
-
-        plan = self._plan_with_cached_operator(cache)
-        run_flow(plan, ["a", "b"], mode="sequential")
-        assert list(tmp_path.glob("anno-*.bin"))

@@ -314,6 +314,20 @@ def test_wrong_shapes_are_typed(fmt, damage, tmp_path):
         assert fmt.read(tmp_path) is None
 
 
+@pytest.mark.parametrize("link", [
+    ["drug", "ibuprofen", "D009"], ["disease", "aspirin", "D001"]],
+    ids=["unobserved-surface", "surface-of-another-type"])
+def test_store_link_without_an_observed_surface_is_typed(link, tmp_path):
+    """A link whose (type, alias) no mention or assertion carries is
+    refused at load, not left to crash ``snapshot()``."""
+    target = _write_store(tmp_path, 0)
+    payload = json.loads(target.read_bytes())
+    payload["links"].append(link)
+    target.write_text(json.dumps(payload))
+    with pytest.raises(StoreError, match="names no observed surface"):
+        EntityStore.load(tmp_path)
+
+
 @pytest.mark.parametrize("name, field", [
     ("anno_cache", "python"), ("anno_cache", "model"),
     ("automaton_cache", "python"), ("automaton_cache", "key")])
