@@ -1,19 +1,14 @@
 """Page parsing: outlink and title extraction (Nutch parser analog).
 
-Every extractor comes in two forms: a string-input convenience wrapper
-that parses the page itself, and a ``*_from_tree`` variant that walks
-an already-parsed DOM, so a caller holding a tree feeds it to
-boilerplate segmentation, link extraction, and title extraction
-instead of re-parsing for each.  The crawler holds no tree at all: its
-tokenizer pass collects the raw hrefs and :func:`resolve_hrefs` is the
-half of link extraction it still needs.
+Both extractors read the page's repaired form through
+:func:`repro.html.boilerplate.scan_page`, the one reader of a web page.
+The crawler's document stage calls ``scan_page`` itself and needs only
+:func:`resolve_hrefs`, the other half of link extraction.
 """
 
 from __future__ import annotations
 
-from repro.html.dom import (
-    anchor_hrefs, extract_title_from_tree, HtmlNode, parse_html,
-)
+from repro.html.boilerplate import scan_page
 from repro.web.urls import normalize, resolve
 
 
@@ -23,12 +18,7 @@ def extract_links(html: str, base_url: str) -> list[str]:
     Skips fragments-only, ``javascript:`` and ``mailto:`` links, and
     self-links.
     """
-    return extract_links_from_tree(parse_html(html), base_url)
-
-
-def extract_links_from_tree(tree: HtmlNode, base_url: str) -> list[str]:
-    """Outlinks of an already-parsed page (see :func:`extract_links`)."""
-    return resolve_hrefs(anchor_hrefs(tree), base_url)
+    return resolve_hrefs(scan_page(html).hrefs, base_url)
 
 
 def resolve_hrefs(hrefs: list[str], base_url: str) -> list[str]:
@@ -56,4 +46,4 @@ def resolve_hrefs(hrefs: list[str], base_url: str) -> list[str]:
 
 def extract_title(html: str) -> str:
     """The page title ('' if absent)."""
-    return extract_title_from_tree(parse_html(html))
+    return scan_page(html).title

@@ -3,11 +3,14 @@
 The web-analytics (WA) part of the pipeline.  Real-world pages violate
 the HTML standard ~95 % of the time (paper ref. [19]); the tolerant
 parser and repairer here cope with the defect classes injected by
-:mod:`repro.web.htmlgen`, and the boilerplate detector re-implements
-the shallow-text-feature approach of Boilerpipe (Kohlschütter et al.).
+:mod:`repro.web.htmlgen`.  Every reader of a page — title, links and
+the Boilerpipe-style text blocks (Kohlschütter et al.) — reads its
+repaired form through one tokenizer pass,
+:func:`repro.html.boilerplate.scan_page`; the DOM is built only where
+repair and markup removal need it.
 """
 
-from repro.html.dom import HtmlNode, parse_html, iter_text
+from repro.html.dom import HtmlNode, parse_html
 from repro.html.repair import repair_html, RepairReport
 from repro.html.boilerplate import (
     BoilerplateDetector, TextBlock, extract_blocks, extract_content,
@@ -24,7 +27,6 @@ __all__ = [
     "jaccard",
     "HtmlNode",
     "parse_html",
-    "iter_text",
     "repair_html",
     "RepairReport",
     "BoilerplateDetector",

@@ -18,11 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.html.dom import (
-    anchor_hrefs, BLOCK_ELEMENTS, extract_title_from_tree, HtmlNode,
-    RAW_TEXT_ELEMENTS,
-)
-from repro.html.repair import _ReparseHazard, repair_document, scan_document
+from repro.html.dom import BLOCK_ELEMENTS
+from repro.html.repair import _ReparseHazard, repair_html, scan_document
 
 #: Characters per visual line, used for text density (Boilerpipe uses
 #: a virtual 80-column wrap).
@@ -55,7 +52,8 @@ class TextBlock:
 
 
 class _Segmenter:
-    """Accumulates text into blocks while walking the DOM."""
+    """Accumulates text into blocks from the preorder events of a
+    repaired page."""
 
     #: Tags that put their contents "in a list" for block features.
     _LIST_TAGS = ("ul", "ol", "li", "table")
@@ -85,11 +83,10 @@ class _Segmenter:
         if tag in self._LIST_TAGS:
             self._list_depth -= 1
 
-    # The three segmentation events.  Whoever drives them — the
-    # streaming tokenizer pass (``repair.scan_document``) or
-    # :meth:`walk` over a parsed DOM — must emit the preorder of the
-    # normalised tree: ``enter``, the element's contents, ``exit``, and
-    # never the raw text of a script/style element.
+    # The three segmentation events.  Their driver, the streaming
+    # tokenizer pass (``repair.scan_document``), emits the preorder of
+    # the normalised tree: ``enter``, the element's contents, ``exit``,
+    # and never the raw text of a script/style element.
 
     def enter(self, tag: str) -> None:
         if tag in BLOCK_ELEMENTS:
@@ -110,26 +107,6 @@ class _Segmenter:
             self._pop_block()
         elif tag == "a":
             self._anchor_depth -= 1
-
-    def walk(self, node: HtmlNode) -> None:
-        # Iterative DFS with explicit enter/exit entries: same event
-        # order as the natural recursion (enter, children in order,
-        # exit) without a Python frame per node.
-        stack: list[tuple[HtmlNode, bool]] = [(node, False)]
-        pop = stack.pop
-        while stack:
-            node, exiting = pop()
-            tag = node.tag
-            if exiting:
-                self.exit(tag)
-            elif tag == "#text":
-                self.text(node.text)
-            else:
-                self.enter(tag)
-                stack.append((node, True))
-                if tag not in RAW_TEXT_ELEMENTS and node.children:
-                    stack.extend([(child, False)
-                                  for child in reversed(node.children)])
 
     def flush(self) -> None:
         if not self._words:
@@ -172,33 +149,25 @@ def scan_blocks(html: str) -> ScannedPage | None:
 
 
 def scan_page(html: str) -> ScannedPage:
-    """Treat one *unrepaired* web page: exactly what the tree
-    extractors read off ``repair_document(html)``.
+    """Treat one *unrepaired* web page: exactly what a walk of the
+    parsed ``repair_html(html)[0]`` would read.
 
-    The one implementation of "treat a web page" — the crawler's
-    document stage and the dataflow's fused web operator both call it.
-    Almost every page takes the one-pass :func:`scan_blocks`; the rare
-    reparse hazard falls back to the literal repair and tree walk.
+    The one reader of a web page — the crawler's document stage, the
+    dataflow's web operators and the boilerplate detector all call it.
+    Almost every page takes the one-pass :func:`scan_blocks`; on the
+    rare reparse hazard it scans the repaired string instead, whose
+    repair leaves its tree unchanged, so the scan reads the same tree.
     """
     scanned = scan_blocks(html)
     if scanned is not None:
         return scanned
-    tree, report = repair_document(html)
-    return ScannedPage(extract_blocks_from_tree(tree), anchor_hrefs(tree),
-                       extract_title_from_tree(tree), report.transcodable)
+    repaired, report = repair_html(html)
+    return scan_blocks(repaired)._replace(transcodable=report.transcodable)
 
 
 def extract_blocks(html: str) -> list[TextBlock]:
     """Segment a page into text blocks (of its repaired form)."""
     return scan_page(html).blocks
-
-
-def extract_blocks_from_tree(tree: HtmlNode) -> list[TextBlock]:
-    """Segment an already-parsed (repaired) DOM into text blocks."""
-    segmenter = _Segmenter()
-    segmenter.walk(tree)
-    segmenter.flush()
-    return segmenter.blocks
 
 
 class BoilerplateDetector:
@@ -246,10 +215,6 @@ class BoilerplateDetector:
     def extract(self, html: str) -> str:
         """Repair, segment, classify, and join the content blocks."""
         return self.join_content(self.classify(scan_page(html).blocks))
-
-    def extract_from_tree(self, tree: HtmlNode) -> str:
-        """Segment, classify, and join content blocks of a parsed DOM."""
-        return self.join_content(self.classify(extract_blocks_from_tree(tree)))
 
     @staticmethod
     def join_content(blocks: list[TextBlock]) -> str:

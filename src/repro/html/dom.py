@@ -4,7 +4,8 @@ A small, forgiving HTML parser: it never raises on malformed markup.
 Unclosed tags are auto-closed, stray closers are dropped, unquoted
 attribute values are accepted, and ``<script>``/``<style>`` content is
 treated as opaque raw text.  The tree is the substrate for markup
-repair and boilerplate detection.
+repair and markup removal; every other reader of a page streams the
+repaired tree through :func:`repro.html.repair.scan_document` instead.
 """
 
 from __future__ import annotations
@@ -30,14 +31,18 @@ BLOCK_ELEMENTS = frozenset({
     "tr", "ul",
 })
 
+# Serialization writes script/style text verbatim, so no markup it adds
+# may complete a comment or doctype that such text opened: a tag name
+# never ends in '-' (no ``-->`` in ``</x-->``), and a doctype holds no
+# '<' (it cannot reach the '>' of the closer after the text).
 _TAG_RE = re.compile(
-    r"<(?P<close>/)?(?P<name>[a-zA-Z][a-zA-Z0-9-]*)(?P<attrs>[^<>]*?)"
-    r"(?P<self>/)?>",
+    r"<(?P<close>/)?(?P<name>[a-zA-Z][a-zA-Z0-9]*(?:-+[a-zA-Z0-9]+)*)"
+    r"(?P<attrs>[^<>]*?)(?P<self>/)?>",
     re.DOTALL)
 _ATTR_RE = re.compile(
     r"""(?P<name>[a-zA-Z][a-zA-Z0-9_:.-]*)\s*(?:=\s*(?P<value>"[^"]*"|'[^']*'|[^\s"'>]+))?""")
 _COMMENT_RE = re.compile(r"<!--.*?-->", re.DOTALL)
-_DOCTYPE_RE = re.compile(r"<!DOCTYPE[^>]*>", re.IGNORECASE)
+_DOCTYPE_RE = re.compile(r"<!DOCTYPE[^<>]*>", re.IGNORECASE)
 
 
 @dataclass(slots=True)
@@ -60,20 +65,6 @@ class HtmlNode:
     def append(self, node: "HtmlNode") -> None:
         self.children.append(node)
 
-    def find_all(self, tag: str) -> list["HtmlNode"]:
-        found = []
-        for node in self.walk():
-            if node.tag == tag:
-                found.append(node)
-        return found
-
-    def find_first(self, tag: str) -> "HtmlNode | None":
-        """First matching element in document order (early exit)."""
-        for node in self.walk():
-            if node.tag == tag:
-                return node
-        return None
-
     def walk(self) -> Iterator["HtmlNode"]:
         # Iterative preorder (same order as the natural recursion, at a
         # fraction of the generator-frame overhead on deep trees).
@@ -89,9 +80,6 @@ class HtmlNode:
     def get_text(self, separator: str = " ") -> str:
         parts = [n.text for n in self.walk() if n.is_text and n.text.strip()]
         return separator.join(p.strip() for p in parts)
-
-    def class_names(self) -> list[str]:
-        return self.attrs.get("class", "").split()
 
 
 def parse_attrs(raw: str) -> dict[str, str]:
@@ -121,8 +109,7 @@ def parse_html(html: str) -> HtmlNode:
     unclosed elements are closed at end of input, and mis-nested
     closers close up to the nearest matching ancestor.
     """
-    html = _COMMENT_RE.sub("", html)
-    html = _DOCTYPE_RE.sub("", html)
+    html = strip_declarations(html)
     root = HtmlNode("#root")
     stack = [root]
     position = 0
@@ -185,6 +172,17 @@ def parse_html(html: str) -> HtmlNode:
     return root
 
 
+def strip_declarations(html: str) -> str:
+    """Remove comments and doctypes, again until a removal no longer
+    joins its neighbours into a new one (``<!<!-- x -->-->-->``): the
+    raw text left is serialized verbatim, so it must hold none."""
+    while True:
+        html, comments = _COMMENT_RE.subn("", html)
+        html, doctypes = _DOCTYPE_RE.subn("", html)
+        if not (comments or doctypes):
+            return html
+
+
 def _append_text(parent: HtmlNode, raw: str) -> None:
     text = unescape(raw) if "&" in raw else raw
     if text.strip():
@@ -210,33 +208,16 @@ _AUTO_CLOSE = {
 }
 
 
-def iter_text(root: HtmlNode) -> Iterator[str]:
-    """Yield stripped text-node contents in document order."""
-    for node in root.walk():
-        if node.is_text:
-            stripped = node.text.strip()
-            if stripped:
-                yield stripped
-
-
-def anchor_hrefs(tree: HtmlNode) -> list[str]:
-    """The raw ``href`` of every anchor in document order ('' if absent)."""
-    return [anchor.attrs.get("href", "") for anchor in tree.find_all("a")]
-
-
-def extract_title_from_tree(tree: HtmlNode) -> str:
-    """Title of an already-parsed page ('' if absent)."""
-    title = tree.find_first("title")
-    if title is None:
-        return ""
-    return title.get_text().strip()
-
-
 def serialize(node: HtmlNode) -> str:
     """Serialize a tree back to well-formed HTML."""
     if node.is_text:
         return _escape_text(node.text)
-    inner = "".join([serialize(child) for child in node.children])
+    if node.tag in RAW_TEXT_ELEMENTS:
+        # Raw text is never unescaped by the parse, so escaping it here
+        # would change it on every repair.
+        inner = "".join([child.text for child in node.children])
+    else:
+        inner = "".join([serialize(child) for child in node.children])
     if node.tag == "#root":
         return inner
     if node.attrs:

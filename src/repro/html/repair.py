@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from html import unescape
 
 from repro.html.dom import (
-    _AUTO_CLOSE, _COMMENT_RE, _DOCTYPE_RE, _escape_text, _TAG_RE,
-    HtmlNode, parse_attrs, parse_html, RAW_TEXT_ELEMENTS, serialize,
-    VOID_ELEMENTS,
+    _AUTO_CLOSE, _TAG_RE, parse_attrs, parse_html, RAW_TEXT_ELEMENTS,
+    serialize, strip_declarations, VOID_ELEMENTS,
 )
 
 _UNQUOTED_ATTR_RE = re.compile(
@@ -67,9 +66,11 @@ def repair_html(html: str) -> tuple[str, RepairReport]:
     "could not be transcoded" class) are flagged ``transcodable=False``
     and returned as an empty document.  The serialize / re-parse
     round-trip is load-bearing: re-serialization is what normalises
-    bogus markup (``< a href=...`` junk, stray ``<``), so downstream
-    extractors must parse the *repaired string*, never reuse the
-    repair's intermediate tree.
+    bogus markup (``< a href=...`` junk, stray ``<``), so readers see
+    the tree of the *repaired string* (:func:`scan_document` replays
+    that re-parse inline), never the repair's intermediate tree.
+    Raw text (script/style) is serialized verbatim, so a second repair
+    does not escape it again.
     """
     report = RepairReport(issues=detect_markup_issues(html))
     try:
@@ -110,22 +111,22 @@ def scan_document(html: str, sink) -> tuple[list[str], str, bool]:
     * Attribute values round-trip ``_escape_attr``/``unescape``
       unchanged, so ``parse_attrs`` output is used as-is.
     * Raw-text (script/style) content is never a ``text`` event (no
-      extractor renders it); inside ``<title>`` it joins the title the
-      way the re-parse leaves it: *escaped*, never unescaped.
+      extractor renders it); inside ``<title>`` it joins the title
+      verbatim, since serialize emits it unescaped and the re-parse
+      never unescapes it.
 
     Raises :class:`_ReparseHazard` for the one case re-serialization is
     not structure-preserving: an element whose tag implicitly closes
     its own parent (e.g. ``tr`` directly under ``tr``, which the first
     parse can build via a single-level implicit close but a re-parse
-    would hoist).  Callers fall back to the real round-trip there.
+    would hoist).  Callers scan the repaired string instead there.
 
     Returns the ``href`` of every ``<a>`` in open order ('' if absent),
     the text of the first ``<title>``, and :func:`repair_html`'s
     transcodability screen (some structure, or a short input).
     """
     transcodable = len(html) <= 200
-    html = _COMMENT_RE.sub("", html)
-    html = _DOCTYPE_RE.sub("", html)
+    html = strip_declarations(html)
     enter, emit, leave = sink.enter, sink.text, sink.exit
     stack = ["#root"]
     pending: list[str] = []  # text runs of the innermost open element
@@ -199,7 +200,7 @@ def scan_document(html: str, sink) -> tuple[list[str], str, bool]:
             if closer < 0:
                 closer = length
             if title_depth:
-                text = _escape_text(html[position:closer]).strip()
+                text = html[position:closer].strip()
                 if text:
                     title.append(text)
             end = find(">", closer)
@@ -217,16 +218,6 @@ def scan_document(html: str, sink) -> tuple[list[str], str, bool]:
     while len(stack) > 1:
         leave(stack.pop())
     return hrefs, " ".join(title), transcodable
-
-
-def repair_document(html: str) -> tuple[HtmlNode, RepairReport]:
-    """Repair markup and return the normalised DOM: the literal two-pass
-    ``parse_html(repair_html(html)[0])`` every shared-tree extractor
-    expects.  The crawl path streams the same tree through
-    :func:`scan_document` instead and only lands here on the rare
-    adjacency that pass cannot normalise soundly."""
-    repaired, report = repair_html(html)
-    return parse_html(repaired), report
 
 
 def strip_markup(html: str) -> str:

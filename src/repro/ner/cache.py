@@ -144,16 +144,6 @@ class AutomatonCache:
         self.store(key, trie)
         return trie, False
 
-    def publish_metrics(self, registry) -> None:
-        """Mirror build-cache traffic onto a
-        :class:`~repro.obs.metrics.MetricsRegistry`.  Volatile: hits
-        depend on what earlier processes left under the cache dir."""
-        registry.gauge("automaton_cache.hits", volatile=True).set(self.hits)
-        registry.gauge("automaton_cache.misses",
-                       volatile=True).set(self.misses)
-        registry.gauge("automaton_cache.memory_entries",
-                       volatile=True).set(len(self._memory))
-
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed."""
         self._memory.clear()

@@ -259,16 +259,3 @@ class AnnotationCache:
         return {"hits": self.hits, "misses": self.misses,
                 "entries": self.n_entries, "flushes": self.flushes,
                 "shards_written": self.shards_written}
-
-    def publish_metrics(self, registry) -> None:
-        """Mirror lifetime cache traffic onto a
-        :class:`~repro.obs.metrics.MetricsRegistry`.  All gauges are
-        volatile: hit/miss mixes depend on what previous processes left
-        on disk, not on the logical computation."""
-        registry.gauge("anno_cache.hits", volatile=True).set(self.hits)
-        registry.gauge("anno_cache.misses", volatile=True).set(self.misses)
-        registry.gauge("anno_cache.entries",
-                       volatile=True).set(self.n_entries)
-        registry.gauge("anno_cache.flushes", volatile=True).set(self.flushes)
-        registry.gauge("anno_cache.shards_written",
-                       volatile=True).set(self.shards_written)

@@ -5,7 +5,7 @@ array language kernel.  Every field the merge phase consumes — and the
 ``stage_seconds`` key set, which becomes ``CrawlResult.stage_pages``
 inside the crawl digest — must equal a reference composed here from
 the literal pieces: ``repair_html`` -> ``parse_html`` -> the tree
-extractors -> ``detect_reference`` + length -> the classifier.
+oracle's extractors -> ``detect_reference`` + length -> the classifier.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from repro.crawler.crawl import CrawlConfig, FocusedCrawler
 from repro.crawler.parallel import (
     DocumentOutcome, ProcessingContext, process_document,
 )
-from repro.crawler.parser import (
-    extract_links_from_tree, extract_title_from_tree,
-)
 from repro.html.boilerplate import BoilerplateDetector
 from repro.html.dom import parse_html
 from repro.html.repair import repair_html
 from repro.web.faults import FaultConfig
 from repro.web.server import SimulatedClock, SimulatedWeb
 from repro.web.webgraph import WebGraph, WebGraphConfig
+
+from tests.html.boilerplate_oracle import (
+    extract_from_tree, extract_links_from_tree, extract_title_from_tree,
+)
 
 
 def reference_document(url: str, body: str, content_type: str,
@@ -42,7 +43,7 @@ def reference_document(url: str, body: str, content_type: str,
         return DocumentOutcome(
             mime_ok=True, stage_seconds={"filters": 0.0, "repair": 0.0})
     tree = parse_html(repaired)
-    net_text = context.boilerplate.extract_from_tree(tree)
+    net_text = extract_from_tree(context.boilerplate, tree)
     # The paper's order: language before length.
     language = filters.language
     if language.identifier.detect_reference(net_text) != language.target:

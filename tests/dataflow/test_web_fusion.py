@@ -8,7 +8,7 @@ and where it must decline (anything downstream that could observe the
 unrepaired ``raw``); equivalence tests pin that every sink is
 byte-identical to the elementary chain's in every execution mode, and
 that the flow and the crawler read the same title, outlinks and net
-text off every page.
+text off every page as the tree oracle does.
 """
 
 import pytest
@@ -33,6 +33,10 @@ from repro.web.htmlgen import PageRenderer
 from repro.web.server import SimulatedWeb
 from repro.web.webgraph import WebGraph, WebGraphConfig
 
+from tests.html.boilerplate_oracle import (
+    extract_from_tree, extract_links_from_tree, extract_title_from_tree,
+    repair_document,
+)
 from tests.html.test_parse_once import HAZARD, TRICKY
 
 #: The longest fusable run, in Fig. 2's order.
@@ -292,7 +296,11 @@ def test_crawler_and_flow_read_the_same_page(context, fetched_pages):
         if not outcome.transcodable:
             continue
         meta = dict(row["meta"])
+        tree, _report = repair_document(page.body)
         assert (meta["title"], meta["outlinks"], row["text"]) == (
-            outcome.title, outcome.outlinks, outcome.net_text)
+            outcome.title, outcome.outlinks, outcome.net_text) == (
+            extract_title_from_tree(tree),
+            extract_links_from_tree(tree, page.url),
+            extract_from_tree(processing.boilerplate, tree))
         compared += 1
     assert compared > 100

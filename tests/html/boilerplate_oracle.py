@@ -1,19 +1,71 @@
-"""Recursive-walk boilerplate extraction — the test-only oracle.
+"""Tree-walking readers of a web page — the test-only oracle.
 
-This is block segmentation and net-text extraction as they were before
-the segmenter became an event sink shared by the tokenizer pass
-(``repair.scan_document``) and an iterative tree walk: always repair,
-parse the repaired string, and recurse over the DOM.  It is kept here,
-out of ``src/``, as the ground truth ``_Segmenter.walk``,
-``scan_page`` and ``BoilerplateDetector.extract`` are held to
-(``tests/html/test_scan_document.py``, ``tests/html/test_parse_once.py``).
+``src/`` reads a page only through ``scan_page``'s tokenizer pass.
+These are the readers it replaced, as they were before: repair, parse
+the repaired string, and walk the DOM (block segmentation by plain
+recursion).  They are kept here, out of ``src/``, as the ground truth
+``scan_page``, ``BoilerplateDetector.extract`` and the elementary
+``extract_links`` / ``extract_title`` are held to
+(``tests/html/test_scan_document.py``, ``tests/html/test_parse_once.py``,
+``tests/crawler/test_document_stage.py``,
+``tests/dataflow/test_web_fusion.py``).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
+from repro.crawler.parser import resolve_hrefs
 from repro.html.boilerplate import BoilerplateDetector, TextBlock, _Segmenter
 from repro.html.dom import BLOCK_ELEMENTS, HtmlNode, parse_html
-from repro.html.repair import repair_html
+from repro.html.repair import RepairReport, repair_html
+
+
+def find_all(node: HtmlNode, tag: str) -> list[HtmlNode]:
+    """Every ``tag`` element under ``node``, in document order."""
+    return [found for found in node.walk() if found.tag == tag]
+
+
+def find_first(node: HtmlNode, tag: str) -> HtmlNode | None:
+    """The first ``tag`` element under ``node`` (None if absent)."""
+    return next((found for found in node.walk() if found.tag == tag), None)
+
+
+def class_names(node: HtmlNode) -> list[str]:
+    return node.attrs.get("class", "").split()
+
+
+def iter_text(root: HtmlNode) -> Iterator[str]:
+    """Yield stripped text-node contents in document order."""
+    for node in root.walk():
+        if node.is_text:
+            stripped = node.text.strip()
+            if stripped:
+                yield stripped
+
+
+def repair_document(html: str) -> tuple[HtmlNode, RepairReport]:
+    """The literal two-pass ``parse_html(repair_html(html)[0])``."""
+    repaired, report = repair_html(html)
+    return parse_html(repaired), report
+
+
+def anchor_hrefs(tree: HtmlNode) -> list[str]:
+    """The raw ``href`` of every anchor in document order ('' if absent)."""
+    return [anchor.attrs.get("href", "") for anchor in find_all(tree, "a")]
+
+
+def extract_title_from_tree(tree: HtmlNode) -> str:
+    """Title of an already-parsed page ('' if absent)."""
+    title = find_first(tree, "title")
+    if title is None:
+        return ""
+    return title.get_text().strip()
+
+
+def extract_links_from_tree(tree: HtmlNode, base_url: str) -> list[str]:
+    """Resolved outlinks of an already-parsed page."""
+    return resolve_hrefs(anchor_hrefs(tree), base_url)
 
 
 def walk_reference(segmenter: _Segmenter, node: HtmlNode) -> None:
@@ -40,16 +92,25 @@ def walk_reference(segmenter: _Segmenter, node: HtmlNode) -> None:
         segmenter._pop_block()
 
 
-def extract_blocks_reference(html: str) -> list[TextBlock]:
-    """Repair, re-parse, and segment by the recursive walk."""
-    repaired, _report = repair_html(html)
+def extract_blocks_from_tree(tree: HtmlNode) -> list[TextBlock]:
+    """Segment an already-parsed (repaired) DOM into text blocks."""
     segmenter = _Segmenter()
-    walk_reference(segmenter, parse_html(repaired))
+    walk_reference(segmenter, tree)
     segmenter.flush()
     return segmenter.blocks
 
 
+def extract_from_tree(detector: BoilerplateDetector, tree: HtmlNode) -> str:
+    """Net text of an already-parsed (repaired) DOM."""
+    return detector.join_content(
+        detector.classify(extract_blocks_from_tree(tree)))
+
+
+def extract_blocks_reference(html: str) -> list[TextBlock]:
+    """Repair, re-parse, and segment by the recursive walk."""
+    return extract_blocks_from_tree(repair_document(html)[0])
+
+
 def extract_reference(detector: BoilerplateDetector, html: str) -> str:
     """Net text of ``html`` through the oracle segmentation."""
-    return detector.join_content(
-        detector.classify(extract_blocks_reference(html)))
+    return extract_from_tree(detector, repair_document(html)[0])

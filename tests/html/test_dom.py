@@ -2,39 +2,41 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.html.dom import HtmlNode, iter_text, parse_html, serialize
+from repro.html.dom import HtmlNode, parse_html, serialize
+
+from boilerplate_oracle import class_names, find_all, iter_text
 
 
 class TestBasicParsing:
     def test_simple_tree(self):
         tree = parse_html("<html><body><p>hello</p></body></html>")
-        paragraphs = tree.find_all("p")
+        paragraphs = find_all(tree, "p")
         assert len(paragraphs) == 1
         assert paragraphs[0].get_text() == "hello"
 
     def test_attributes(self):
         tree = parse_html('<a href="http://x" class="big">link</a>')
-        anchor = tree.find_all("a")[0]
+        anchor = find_all(tree, "a")[0]
         assert anchor.attrs["href"] == "http://x"
-        assert anchor.class_names() == ["big"]
+        assert class_names(anchor) == ["big"]
 
     def test_unquoted_attributes(self):
         tree = parse_html("<a href=http://x/y>link</a>")
-        assert tree.find_all("a")[0].attrs["href"] == "http://x/y"
+        assert find_all(tree, "a")[0].attrs["href"] == "http://x/y"
 
     def test_single_quoted_attributes(self):
         tree = parse_html("<a href='http://x'>l</a>")
-        assert tree.find_all("a")[0].attrs["href"] == "http://x"
+        assert find_all(tree, "a")[0].attrs["href"] == "http://x"
 
     def test_duplicate_attribute_first_wins(self):
         tree = parse_html('<div class="a" class="b">x</div>')
-        assert tree.find_all("div")[0].attrs["class"] == "a"
+        assert find_all(tree, "div")[0].attrs["class"] == "a"
 
     def test_void_elements_have_no_children(self):
         tree = parse_html("<p>a<br>b</p>")
-        paragraph = tree.find_all("p")[0]
+        paragraph = find_all(tree, "p")[0]
         assert paragraph.get_text() == "a b"
-        assert not tree.find_all("br")[0].children
+        assert not find_all(tree, "br")[0].children
 
     def test_comments_stripped(self):
         tree = parse_html("<p>a<!-- hidden -->b</p>")
@@ -42,7 +44,7 @@ class TestBasicParsing:
 
     def test_doctype_stripped(self):
         tree = parse_html("<!DOCTYPE html><html><p>x</p></html>")
-        assert tree.find_all("p")
+        assert find_all(tree, "p")
 
     def test_entities_unescaped(self):
         tree = parse_html("<p>a &amp; b &lt;c&gt;</p>")
@@ -52,15 +54,15 @@ class TestBasicParsing:
 class TestTolerance:
     def test_unclosed_tags_auto_closed(self):
         tree = parse_html("<div><p>one<p>two</div>")
-        assert [p.get_text() for p in tree.find_all("p")] == ["one", "two"]
+        assert [p.get_text() for p in find_all(tree, "p")] == ["one", "two"]
 
     def test_stray_closer_ignored(self):
         tree = parse_html("<p>a</div></p>")
-        assert tree.find_all("p")[0].get_text() == "a"
+        assert find_all(tree, "p")[0].get_text() == "a"
 
     def test_misnested_closers(self):
         tree = parse_html("<div><ul><li>x</div></ul>")
-        assert tree.find_all("li")[0].get_text() == "x"
+        assert find_all(tree, "li")[0].get_text() == "x"
 
     def test_truncated_document(self):
         tree = parse_html("<html><body><div><p>cut off in the midd")
@@ -75,16 +77,16 @@ class TestTolerance:
 
     def test_script_content_opaque(self):
         tree = parse_html('<script>if (a<b) { x("<p>"); }</script><p>t</p>')
-        assert len(tree.find_all("p")) == 1
-        assert tree.find_all("p")[0].get_text() == "t"
+        assert len(find_all(tree, "p")) == 1
+        assert find_all(tree, "p")[0].get_text() == "t"
 
     def test_style_content_opaque(self):
         tree = parse_html("<style>p > a { color: red }</style><p>x</p>")
-        assert tree.find_all("p")[0].get_text() == "x"
+        assert find_all(tree, "p")[0].get_text() == "x"
 
     def test_li_implicit_close(self):
         tree = parse_html("<ul><li>a<li>b<li>c</ul>")
-        texts = [li.get_text() for li in tree.find_all("li")]
+        texts = [li.get_text() for li in find_all(tree, "li")]
         assert texts == ["a", "b", "c"]
 
 

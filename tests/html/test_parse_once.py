@@ -1,26 +1,26 @@
-"""The parse-once document path must match the parse-per-extractor one.
+"""Every reader of a web page must match the tree it reads.
 
-``extract_blocks``, ``extract_blocks_from_tree``,
-``extract_links_from_tree`` and ``extract_title_from_tree`` exist so a
-caller can repair a page once and read everything off one scan or one
-tree.  Each must produce exactly what its standalone (re-parsing)
-counterpart produces over the repaired page.
+``extract_blocks``, ``extract_links``, ``extract_title`` and
+``BoilerplateDetector.extract`` read a page through one ``scan_page``
+pass over its repaired form.  Each must produce exactly what the tree
+oracle (``boilerplate_oracle``) reads off the repaired, re-parsed DOM.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.crawler.parser import (
-    extract_links, extract_links_from_tree, extract_title,
-    extract_title_from_tree,
-)
-from repro.html.boilerplate import (
-    BoilerplateDetector, extract_blocks, extract_blocks_from_tree,
-)
+from repro.crawler.parser import extract_links, extract_title
+from repro.html.boilerplate import BoilerplateDetector, extract_blocks
 from repro.html.dom import parse_html
-from repro.html.repair import repair_document, repair_html
+from repro.html.repair import repair_html
 from repro.web.htmlgen import PageRenderer
+
+# Imported by its package path: tests/dataflow imports this module too.
+from tests.html.boilerplate_oracle import (
+    extract_blocks_from_tree, extract_from_tree, extract_links_from_tree,
+    extract_title_from_tree, find_first, repair_document,
+)
 
 BASE = "http://host0.example.org/page.html"
 
@@ -55,14 +55,16 @@ class TestSharedTreeEquivalence:
         tree = parse_html(repaired)
         assert extract_blocks_from_tree(tree) == extract_blocks(html)
         assert (extract_links_from_tree(tree, BASE)
-                == extract_links(repaired, BASE))
-        assert extract_title_from_tree(tree) == extract_title(repaired)
+                == extract_links(repaired, BASE)
+                == extract_links(html, BASE))
+        assert (extract_title_from_tree(tree) == extract_title(repaired)
+                == extract_title(html))
 
     @pytest.mark.parametrize("html", PAGES + _rendered_pages())
     def test_detector_extract_from_tree(self, html):
         detector = BoilerplateDetector()
         repaired, _report = repair_html(html)
-        assert (detector.extract_from_tree(parse_html(repaired))
+        assert (extract_from_tree(detector, parse_html(repaired))
                 == detector.extract(html))
 
     def test_extract_is_stable_under_repair(self):
@@ -75,24 +77,18 @@ class TestSharedTreeEquivalence:
             repaired, _report = repair_html(html)
             assert detector.extract(repaired) == detector.extract(html)
 
-    def test_find_first_matches_find_all_head(self):
-        tree = parse_html("<div><p>a</p><title>T1</title>"
-                          "<title>T2</title></div>")
-        assert tree.find_first("title") is tree.find_all("title")[0]
-        assert tree.find_first("missing") is None
-
 
 # Inputs chosen to hit every normalisation the serialize / re-parse
 # round-trip performs: text-run merging across ignored closers and
-# stray '<', entity handling in text and attributes, raw-text
-# escaping, void elements, implicit closes, and the transcodability
+# stray '<', entity handling in text and attributes, verbatim raw
+# text, void elements, implicit closes, and the transcodability
 # screen for long structureless input.
 TRICKY = [
     "<p>a</nope>b</p>",                      # ignored closer: runs merge
     "a<b<c",                                  # stray '<' becomes text
     "<p>x &amp; y &lt;z&gt;</p>",             # entities in text
     '<p data-x="a &amp; b">t</p>',            # entities in attributes
-    "<script>if (a < b && c) { run(); }</script>",   # raw text, escaped
+    "<script>if (a < b && c) { run(); }</script>",   # raw text, verbatim
     "<style>  .a { color: red }  </style>",   # raw text keeps whitespace
     "<div>foo<span>x</span>bar</div>",        # separate runs stay separate
     "<ul><li>one<li>two</ul>",                # implicit closes
@@ -109,13 +105,14 @@ TRICKY = [
 
 #: The adjacency re-serialization does NOT preserve: tr-under-tr built
 #: via a single-level implicit close gets hoisted on re-parse, so
-#: repair_document must fall back to the literal round-trip.
+#: scan_page must fall back to scanning the repaired string.
 HAZARD = "<table><tr><td>x<tr><td>y</table>"
 
 
 class TestRepairDocument:
-    """``repair_document`` must equal the two-pass repair exactly:
-    same tree as ``parse_html(repair_html(html)[0])``, same report."""
+    """The oracle's ``repair_document`` must equal the two-pass repair
+    exactly: same tree as ``parse_html(repair_html(html)[0])``, same
+    report."""
 
     @pytest.mark.parametrize("html",
                              PAGES + _rendered_pages() + TRICKY + [HAZARD])
@@ -131,7 +128,7 @@ class TestRepairDocument:
         re-parse (and therefore repair_document) hoists it to a
         sibling."""
         tree, _report = repair_document(HAZARD)
-        table = tree.find_first("table")
+        table = find_first(tree, "table")
         assert [child.tag for child in table.children] == ["tr", "tr"]
 
     def test_untranscodable_long_junk(self):

@@ -69,6 +69,14 @@ class TestRepair:
         _repaired, report = repair_html("<p>tiny</p>")
         assert report.transcodable
 
+    def test_raw_text_survives_repeated_repair(self):
+        html = ("<p>x<script>if (a < b && c) { run(); }</script>"
+                "<style>p > a { content: '&amp;' }</style>")
+        repaired, _report = repair_html(html)
+        assert "<script>if (a < b && c) { run(); }</script>" in repaired
+        assert "<style>p > a { content: '&amp;' }</style>" in repaired
+        assert repair_html(repaired)[0] == repaired
+
 
 class TestStripMarkup:
     def test_strips_all_tags(self):
