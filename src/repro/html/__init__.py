@@ -3,14 +3,14 @@
 The web-analytics (WA) part of the pipeline.  Real-world pages violate
 the HTML standard ~95 % of the time (paper ref. [19]); the tolerant
 parser and repairer here cope with the defect classes injected by
-:mod:`repro.web.htmlgen`.  Every reader of a page — title, links and
-the Boilerpipe-style text blocks (Kohlschütter et al.) — reads its
-repaired form through one tokenizer pass,
-:func:`repro.html.boilerplate.scan_page`; the DOM is built only where
-repair and markup removal need it.
+:mod:`repro.web.htmlgen`.  There is one parse,
+:func:`repro.html.dom.parse_stream`, and it builds no tree: it streams
+preorder events into a sink.  Repair and markup removal are sinks, and
+so is every reader of a page — title, links and the Boilerpipe-style
+text blocks (Kohlschütter et al.) — which reads its repaired form
+through :func:`repro.html.boilerplate.scan_page`.
 """
 
-from repro.html.dom import HtmlNode, parse_html
 from repro.html.repair import repair_html, RepairReport
 from repro.html.boilerplate import (
     BoilerplateDetector, TextBlock, extract_blocks, extract_content,
@@ -25,8 +25,6 @@ __all__ = [
     "MinHasher",
     "NearDuplicateFilter",
     "jaccard",
-    "HtmlNode",
-    "parse_html",
     "repair_html",
     "RepairReport",
     "BoilerplateDetector",

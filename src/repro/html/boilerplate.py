@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.html.dom import BLOCK_ELEMENTS
-from repro.html.repair import _ReparseHazard, repair_html, scan_document
+from repro.html.dom import BLOCK_ELEMENTS, parse_attrs, parse_stream
+from repro.html.repair import is_transcodable, repair_html
 
 #: Characters per visual line, used for text density (Boilerpipe uses
 #: a virtual 80-column wrap).
@@ -52,8 +52,8 @@ class TextBlock:
 
 
 class _Segmenter:
-    """Accumulates text into blocks from the preorder events of a
-    repaired page."""
+    """The page reader: accumulates text into blocks from the preorder
+    parse events of a page, and collects its anchor hrefs and title."""
 
     #: Tags that put their contents "in a list" for block features.
     _LIST_TAGS = ("ul", "ol", "li", "table")
@@ -69,6 +69,12 @@ class _Segmenter:
         #: open ancestors are list-ish tags.
         self._path_strs: list[str] = [""]
         self._list_depth = 0
+        #: The raw ``href`` of every ``<a>`` in open order ('' if absent).
+        self.hrefs: list[str] = []
+        #: Text of the first ``<title>``; ``_open_titles`` counts the
+        #: ``<title>``s open inside it, and is -1 once it has closed.
+        self.title_parts: list[str] = []
+        self._open_titles = 0
 
     def _push_block(self, tag: str) -> None:
         self._path.append(tag)
@@ -83,23 +89,36 @@ class _Segmenter:
         if tag in self._LIST_TAGS:
             self._list_depth -= 1
 
-    # The three segmentation events.  Their driver, the streaming
-    # tokenizer pass (``repair.scan_document``), emits the preorder of
-    # the normalised tree: ``enter``, the element's contents, ``exit``,
-    # and never the raw text of a script/style element.
+    # The sink of ``dom.parse_stream``: the preorder of the parsed
+    # tree.  A text event's runs are adjacent text nodes, which a parse
+    # of the repaired string reads as one, so they are joined here.
 
-    def enter(self, tag: str) -> None:
+    def enter(self, tag: str, attrs: str) -> None:
         if tag in BLOCK_ELEMENTS:
             self.flush()
             self._push_block(tag)
         elif tag == "a":
             self._anchor_depth += 1
+            self.hrefs.append(parse_attrs(attrs).get("href", ""))
+        elif tag == "title" and self._open_titles >= 0:
+            self._open_titles += 1
 
-    def text(self, text: str) -> None:
+    def text(self, runs: list[str]) -> None:
+        text = "".join(runs)
         words = text.split()
         self._words.extend(words)
         if self._anchor_depth > 0:
             self._anchor_words += len(words)
+        if self._open_titles > 0:
+            self.title_parts.append(text.strip())
+
+    def raw(self, text: str) -> None:
+        # Script/style text is no block text; inside the title it is
+        # title text.
+        if self._open_titles > 0:
+            text = text.strip()
+            if text:
+                self.title_parts.append(text)
 
     def exit(self, tag: str) -> None:
         if tag in BLOCK_ELEMENTS:
@@ -107,6 +126,10 @@ class _Segmenter:
             self._pop_block()
         elif tag == "a":
             self._anchor_depth -= 1
+        elif tag == "title" and self._open_titles > 0:
+            self._open_titles -= 1
+            if not self._open_titles:
+                self._open_titles = -1
 
     def flush(self) -> None:
         if not self._words:
@@ -135,17 +158,17 @@ class ScannedPage(NamedTuple):
 
 
 def scan_blocks(html: str) -> ScannedPage | None:
-    """:func:`scan_page` in one tokenizer pass and no DOM; ``None`` on
-    the rare page only the two-pass repair normalises soundly."""
+    """:func:`scan_page` in one parse; ``None`` on the rare page whose
+    parse is not what a parse of its repaired string reads."""
     segmenter = _Segmenter()
-    try:
-        hrefs, title, transcodable = scan_document(html, segmenter)
-    except _ReparseHazard:
+    opened, sound = parse_stream(html, segmenter)
+    if not sound:
         return None
-    if not transcodable:  # repaired to the empty document
+    if not is_transcodable(html, opened):  # repaired to the empty document
         return ScannedPage([], [], "", False)
     segmenter.flush()
-    return ScannedPage(segmenter.blocks, hrefs, title, True)
+    return ScannedPage(segmenter.blocks, segmenter.hrefs,
+                       " ".join(segmenter.title_parts), True)
 
 
 def scan_page(html: str) -> ScannedPage:
@@ -155,8 +178,8 @@ def scan_page(html: str) -> ScannedPage:
     The one reader of a web page — the crawler's document stage, the
     dataflow's web operators and the boilerplate detector all call it.
     Almost every page takes the one-pass :func:`scan_blocks`; on the
-    rare reparse hazard it scans the repaired string instead, whose
-    repair leaves its tree unchanged, so the scan reads the same tree.
+    rare unsound parse it scans the repaired string instead, whose
+    parse is sound and is the tree the repair's reader sees.
     """
     scanned = scan_blocks(html)
     if scanned is not None:

@@ -19,7 +19,6 @@ from repro.crawler.parallel import (
     DocumentOutcome, ProcessingContext, process_document,
 )
 from repro.html.boilerplate import BoilerplateDetector
-from repro.html.dom import parse_html
 from repro.html.repair import repair_html
 from repro.web.faults import FaultConfig
 from repro.web.server import SimulatedClock, SimulatedWeb
@@ -28,6 +27,8 @@ from repro.web.webgraph import WebGraph, WebGraphConfig
 from tests.html.boilerplate_oracle import (
     extract_from_tree, extract_links_from_tree, extract_title_from_tree,
 )
+from tests.html.dom_oracle import parse_html
+from tests.html.test_repair import DEEP_DIVS, DEEP_HAZARD
 
 
 def reference_document(url: str, body: str, content_type: str,
@@ -109,6 +110,15 @@ def test_every_fetched_body_matches_the_reference(
     # The comparison saw what it claims to cover.
     assert bodies > 100 and rejected > 0
     assert (truncated > 0) == (preset == "heavy")
+
+
+@pytest.mark.parametrize("body", [DEEP_DIVS, DEEP_HAZARD],
+                         ids=["divs", "hazard"])
+def test_deeply_nested_page_is_processed(processing, body):
+    outcome = process_document("http://host0.example.org/deep.html", body,
+                               "text/html", processing)
+    assert isinstance(outcome, DocumentOutcome)
+    assert outcome.mime_ok and outcome.transcodable
 
 
 def _crawl(context, webgraph, document_stage):

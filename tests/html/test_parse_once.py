@@ -12,7 +12,6 @@ import pytest
 
 from repro.crawler.parser import extract_links, extract_title
 from repro.html.boilerplate import BoilerplateDetector, extract_blocks
-from repro.html.dom import parse_html
 from repro.html.repair import repair_html
 from repro.web.htmlgen import PageRenderer
 
@@ -21,6 +20,7 @@ from tests.html.boilerplate_oracle import (
     extract_blocks_from_tree, extract_from_tree, extract_links_from_tree,
     extract_title_from_tree, find_first, repair_document,
 )
+from tests.html.dom_oracle import parse_html
 
 BASE = "http://host0.example.org/page.html"
 

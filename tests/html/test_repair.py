@@ -1,5 +1,6 @@
 """Tests for markup detection and repair."""
 
+from repro.html.boilerplate import scan_page
 from repro.html.repair import detect_markup_issues, repair_html, strip_markup
 from repro.web.htmlgen import PageRenderer
 
@@ -84,7 +85,29 @@ class TestStripMarkup:
         assert "<" not in text
         assert "a" in text and "c" in text
 
-    def test_skips_script_bodies(self):
+    def test_keeps_raw_text(self):
         text = strip_markup("<script>var x = 1;</script><p>keep</p>")
-        assert "var x" in text or "keep" in text  # script text is a text node
-        assert "keep" in text
+        assert text == "var x = 1; keep"
+
+
+#: Nesting far past the interpreter's recursion limit, clean and with
+#: the implicit-close adjacency (``tr`` under ``tr``) whose page scan
+#: falls back to scanning the repaired string.
+DEEP_DIVS = "<div>" * 5000
+DEEP_HAZARD = "<table>" + "<tr><td>" * 3000 + "x"
+
+
+class TestDeepNesting:
+    def test_repair_writes_the_balanced_nesting(self):
+        assert repair_html(DEEP_DIVS)[0] == "<div>" * 5000 + "</div>" * 5000
+        assert repair_html(DEEP_HAZARD)[0] == (
+            "<table>" + "<tr><td></td>" * 2999 + "<tr><td>x</td>"
+            + "</tr>" * 3000 + "</table>")
+
+    def test_strip_markup_and_scan_page_return(self):
+        assert strip_markup(DEEP_DIVS) == ""
+        assert strip_markup(DEEP_HAZARD) == "x"
+        assert scan_page(DEEP_DIVS) == ([], [], "", True)
+        scanned = scan_page(DEEP_HAZARD)
+        assert [block.text for block in scanned.blocks] == ["x"]
+        assert scanned.transcodable

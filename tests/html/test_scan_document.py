@@ -1,11 +1,16 @@
-"""The streaming tokenizer pass must equal the two-pass repair + DOM.
+"""The one streaming parse and its three sinks must equal the DOM oracle.
 
-``scan_document`` streams the tree ``parse_html(repair_html(html)[0])``
-would build into the block segmenter without building it.  For every
-page — well-formed, mutated, truncated — the blocks, title, raw anchor
-hrefs and transcodable flag it yields must be exactly what the tree
-oracle reads off that tree — and so must ``scan_page``, which scans
-the repaired string itself on a reparse hazard.
+``parse_stream`` streams the tree the oracle ``parse_html`` builds
+(``tests/html/dom_oracle.py``) as preorder events, without building
+it, and reports whether that tree is sound (no element under a parent
+its tag implicitly closes).  For every page — well-formed, mutated,
+truncated — its events must be the oracle tree's preorder, and each
+sink must read what the oracle reads: ``repair_html`` writes
+``serialize(parse_html(html))``, ``strip_markup`` returns the tree's
+``get_text()``, and the blocks, title, raw anchor hrefs and
+transcodable flag of ``scan_blocks`` / ``scan_page`` are exactly what
+the tree oracle reads off ``parse_html(repair_html(html)[0])`` —
+``scan_page`` scans the repaired string itself on an unsound parse.
 """
 
 from __future__ import annotations
@@ -16,14 +21,15 @@ from hypothesis import given, settings, strategies as st
 from repro.html.boilerplate import (
     BoilerplateDetector, extract_blocks, scan_blocks, scan_page,
 )
-from repro.html.dom import parse_html
-from repro.html.repair import _ReparseHazard, repair_html, scan_document
+from repro.html.dom import _AUTO_CLOSE, parse_attrs, parse_stream
+from repro.html.repair import repair_html, strip_markup
 
 from boilerplate_oracle import (
     anchor_hrefs, extract_blocks_from_tree, extract_blocks_reference,
     extract_reference, extract_title_from_tree, repair_document,
 )
 from test_parse_once import HAZARD, PAGES, TRICKY, _rendered_pages
+from tests.html.dom_oracle import parse_html, serialize
 
 #: Shapes the fixed lists of ``test_parse_once`` do not reach: title
 #: and anchor bookkeeping across implicit and mis-nested closes.
@@ -66,11 +72,16 @@ def tree_path(html: str):
 
 
 def assert_repair_is_stable(html: str) -> None:
-    """Scanning the page, scanning its repaired form and walking the
+    """Repair writes the oracle tree and markup removal reads its text;
+    scanning the page, scanning its repaired form and walking the
     repaired tree read the same blocks, hrefs and title, and repair is
     a fixpoint of its own output — except that a hazard page's first
     repair still nests what the second hoists."""
-    repaired = repair_html(html)[0]
+    repaired, report = repair_html(html)
+    tree = parse_html(html)
+    if report.transcodable:
+        assert repaired == serialize(tree)
+    assert strip_markup(html) == tree.get_text()
     rescanned = scan_blocks(repaired)
     assert rescanned is not None  # a hazard page rescans cleanly
     assert scan_page(html)[:3] == rescanned[:3] == tree_path(html)[:3]
@@ -90,38 +101,83 @@ def assert_scan_equals_tree(html: str) -> None:
 
 
 class _Events:
-    """Records the raw event stream (no segmentation)."""
+    """Records the raw event stream (no segmentation); attributes as
+    parsed, text runs as a tuple."""
 
     def __init__(self) -> None:
-        self.events: list[tuple[str, str]] = []
+        self.events: list[tuple] = []
 
-    def enter(self, tag: str) -> None:
-        self.events.append(("enter", tag))
+    def enter(self, tag: str, attrs: str) -> None:
+        self.events.append(("enter", tag, parse_attrs(attrs)))
 
-    def text(self, text: str) -> None:
-        self.events.append(("text", text))
+    def text(self, runs: list[str]) -> None:
+        self.events.append(("text", tuple(runs)))
+
+    def raw(self, text: str) -> None:
+        self.events.append(("raw", text))
 
     def exit(self, tag: str) -> None:
         self.events.append(("exit", tag))
 
 
-def tree_events(html: str) -> list[tuple[str, str]]:
-    """Preorder events of the repaired DOM, by plain recursion."""
-    events: list[tuple[str, str]] = []
+def stream_events(html: str) -> tuple[list[tuple], bool, bool]:
+    """``parse_stream``'s events, ``opened`` and ``sound``."""
+    sink = _Events()
+    opened, sound = parse_stream(html, sink)
+    return sink.events, opened, sound
+
+
+def tree_events(tree) -> list[tuple]:
+    """Preorder events of a DOM by plain recursion, adjacent text
+    nodes grouped into one text event."""
+    events: list[tuple] = []
 
     def visit(node) -> None:
-        if node.is_text:
-            events.append(("text", node.text))
-            return
-        events.append(("enter", node.tag))
-        if node.tag not in ("script", "style"):
-            for child in node.children:
+        events.append(("enter", node.tag, node.attrs))
+        raw = node.tag in ("script", "style")
+        for child in node.children:
+            if raw:
+                events.append(("raw", child.text))
+            elif not child.is_text:
                 visit(child)
+            elif events[-1][0] == "text":
+                events[-1] = ("text", events[-1][1] + (child.text,))
+            else:
+                events.append(("text", (child.text,)))
         events.append(("exit", node.tag))
 
-    for child in parse_html(repair_html(html)[0]).children:
-        visit(child)
-    return events
+    visit(tree)
+    return events[1:-1]  # not the synthetic #root
+
+
+def is_sound(tree) -> bool:
+    """No element of ``tree`` sits under a parent its tag implicitly
+    closes."""
+    return not any(node.tag in _AUTO_CLOSE.get(child.tag, ())
+                   for node in tree.walk() for child in node.children)
+
+
+def joined(events: list[tuple]) -> list[tuple]:
+    """The events with each text event's runs joined into one."""
+    return [("text", "".join(event[1])) if event[0] == "text" else event
+            for event in events]
+
+
+def assert_events_are_tree_preorder(html: str) -> None:
+    """The events of the unrepaired page are the oracle tree's
+    preorder, ``sound`` flags exactly the trees with an implicit-close
+    adjacency, and a sound parse, runs joined, is the parse of the
+    repaired string — which is what the page scan reads."""
+    events, opened, sound = stream_events(html)
+    tree = parse_html(html)
+    assert events == tree_events(tree)
+    assert opened == any(not node.is_text for node in tree.children)
+    assert sound == is_sound(tree)
+    repaired, report = repair_html(html)
+    if sound and report.transcodable:
+        reparsed, _opened, resound = stream_events(repaired)
+        assert resound
+        assert joined(reparsed) == joined(events)
 
 
 FIXED = (PAGES + _rendered_pages() + TRICKY + [HAZARD] + TITLE_AND_ANCHOR
@@ -135,13 +191,7 @@ class TestFixedPages:
 
     @pytest.mark.parametrize("html", FIXED)
     def test_event_stream_is_the_tree_preorder(self, html):
-        sink = _Events()
-        try:
-            _hrefs, _title, transcodable = scan_document(html, sink)
-        except _ReparseHazard:
-            return
-        if transcodable:  # else the repair is the empty document
-            assert sink.events == tree_events(html)
+        assert_events_are_tree_preorder(html)
 
     def test_hazard_is_reported_not_guessed(self):
         assert scan_blocks(HAZARD) is None
@@ -212,11 +262,13 @@ class TestMutatedPages:
     @given(mutated_pages())
     def test_scan_equals_tree_path(self, html):
         assert_scan_equals_tree(html)
+        assert_events_are_tree_preorder(html)
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.sampled_from(_SPLICES), max_size=25))
     def test_fragment_soup(self, fragments):
         assert_scan_equals_tree("".join(fragments))
+        assert_events_are_tree_preorder("".join(fragments))
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(mutated_pages(),
