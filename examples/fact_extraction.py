@@ -2,12 +2,14 @@
 """From web crawl to structured fact database.
 
 Demonstrates the Section 5 extensions end to end: a checkpointed crawl
-with the consolidated (IE-informed) relevance function, near-duplicate
-removal, abbreviation detection, relation extraction, and JSONL/CSV
-fact export — "turning unstructured text into structured fact
-databases".
+with the consolidated (IE-informed) relevance function that is killed
+and resumed, near-duplicate removal, abbreviation detection, relation
+extraction into the entity/fact store, and its JSONL export —
+"turning unstructured text into structured fact databases".
 
 Run:  python examples/fact_extraction.py
+(writes ``facts_demo/`` in the working directory; read it back with
+``repro query facts_demo``)
 """
 
 import tempfile
@@ -18,9 +20,17 @@ from repro.crawler.checkpoint import ResumableCrawl
 from repro.crawler.consolidated import EntityAwareClassifier
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
 from repro.html.neardup import NearDuplicateFilter
-from repro.io import FactDatabase
-from repro.ner.relations import RelationExtractor, relations_to_records
 from repro.nlp.abbreviations import annotate_abbreviations
+from repro.store import (
+    EntityStore, QueryEngine, analyzed_documents, format_fact_table,
+)
+
+CHECKPOINT_EVERY = 40
+KILL_AFTER = 120
+
+
+class Killed(RuntimeError):
+    """Stands in for SIGKILL: aborts the crawl mid-run."""
 
 
 def main() -> None:
@@ -31,20 +41,33 @@ def main() -> None:
     classifier = EntityAwareClassifier(ctx.pipeline.classifier,
                                        ctx.pipeline.dictionary_taggers,
                                        entity_weight=2.0)
-    crawler = FocusedCrawler(ctx.web, classifier,
-                             ctx.build_filter_chain(),
-                             CrawlConfig(max_pages=10_000))
+
+    def fresh_crawler() -> FocusedCrawler:
+        # Checkpoints are only taken at batch boundaries, so a batch
+        # is one checkpoint interval.
+        return FocusedCrawler(ctx.web, classifier,
+                              ctx.build_filter_chain(),
+                              CrawlConfig(max_pages=360,
+                                          batch_size=CHECKPOINT_EVERY))
+
+    def kill_switch(partial) -> None:
+        if partial.pages_fetched >= KILL_AFTER:
+            raise Killed
+
     with tempfile.TemporaryDirectory() as tmp:
-        resumable = ResumableCrawl(crawler, Path(tmp) / "crawl.json")
-        seeds = ctx.seed_batch("second").urls
-        for leg in (1, 2, 3):
-            result = resumable.run_leg(seeds if leg == 1 else None,
-                                       leg_pages=120)
-            print(f"leg {leg}: {result.pages_fetched} pages total, "
-                  f"{len(result.relevant)} relevant, "
-                  f"stopped: {result.stop_reason}")
-            if result.stop_reason == "frontier_empty":
-                break
+        path = Path(tmp) / "crawl.json"
+        try:
+            ResumableCrawl(fresh_crawler(), path).run(
+                ctx.seed_batch("second").urls,
+                checkpoint_every=CHECKPOINT_EVERY,
+                page_callback=kill_switch)
+        except Killed:
+            print(f"killed at {KILL_AFTER} pages; resuming from the "
+                  "last checkpoint")
+        result = ResumableCrawl(fresh_crawler(), path).run(
+            resume=True, checkpoint_every=CHECKPOINT_EVERY)
+    print(f"{result.pages_fetched} pages, {len(result.relevant)} "
+          f"relevant, stopped: {result.stop_reason}")
 
     print("\n-- near-duplicate removal -----------------------------------")
     near_filter = NearDuplicateFilter(threshold=0.7)
@@ -53,36 +76,27 @@ def main() -> None:
           f"near-dup removal ({near_filter.dropped} dropped)")
 
     print("\n-- extraction ------------------------------------------------")
-    database = FactDatabase()
-    extractor = RelationExtractor()
+    store = EntityStore(vocabulary=ctx.vocabulary)
     n_abbreviations = 0
-    for document in unique[:25]:
-        copy = document.copy_shallow()
-        ctx.pipeline.analyze(copy)
-        n_abbreviations += len(annotate_abbreviations(copy))
-        database.add_document(copy)
-        database.add_relations(
-            relations_to_records(extractor.extract(copy)))
-    print(f"entity mentions: {len(database.entity_records)} "
-          f"({database.n_distinct_names} distinct names)")
-    print(f"relations: {len(database.relation_records)}")
+    for document, relations in analyzed_documents(unique[:25],
+                                                  ctx.pipeline):
+        n_abbreviations += len(annotate_abbreviations(document))
+        store.ingest_document(document, relations=relations)
+    snapshot = store.snapshot()
+    print(f"{snapshot.n_mentions} entity mentions -> "
+          f"{snapshot.n_entities} entities "
+          f"({snapshot.n_alias_merges} alias merges)")
+    print(f"{snapshot.n_facts} facts ({snapshot.n_corroborated} "
+          "corroborated)")
     print(f"abbreviation definitions: {n_abbreviations}")
 
     print("\n-- export ------------------------------------------------------")
-    paths = database.export("facts_demo")
-    for artifact, path in paths.items():
+    print(f"wrote store: {store.save('facts_demo')}")
+    for artifact, path in store.export("facts_demo").items():
         print(f"wrote {artifact}: {path}")
-    print("\ntop extracted facts by frequency:")
-    for entity_type, method, name, count in \
-            database.name_frequency_rows()[:8]:
-        print(f"  {entity_type:<8} [{method:<10}] {name!r} x{count}")
-    if database.relation_records:
-        print("\nsample relations:")
-        for record in database.relation_records[:5]:
-            negation = " (negated)" if record["negated"] else ""
-            print(f"  {record['subject']!r} -{record['verb'] or 'cooccurs'}-> "
-                  f"{record['object']!r}{negation} "
-                  f"[{record['confidence']}]")
+    print("\ntop facts by corroboration:")
+    for line in format_fact_table(QueryEngine(store).facts(limit=8)):
+        print(f"  {line}")
 
 
 if __name__ == "__main__":

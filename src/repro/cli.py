@@ -8,7 +8,8 @@ Subcommands cover the main workflows:
   mode (sequential / fused / fused-processes);
 * ``repro scalability`` — the simulated-cluster sweeps (Figs. 4-5);
 * ``repro seeds``       — seed generation statistics (Table 1);
-* ``repro facts``       — crawl, extract, and export a fact database;
+* ``repro facts``       — crawl, extract, and write an entity/fact
+  store (``store.json``) with its JSONL export;
 * ``repro query``       — query a persisted entity/fact store
   (docs/entity_store.md): facts by entity/alias/predicate/URL, ranked
   by corroboration;
@@ -143,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="term-count down-scale factor (default 20)")
 
     facts = subparsers.add_parser(
-        "facts", help="crawl, extract entities/relations, export JSONL")
+        "facts", help="crawl, extract entities/relations into a store, "
+        "export JSONL")
     facts.add_argument("--out", default="facts",
                        help="output directory (default ./facts)")
     facts.add_argument("--pages", type=int, default=400)
@@ -305,10 +307,10 @@ def _print_round_reports(reports) -> None:
               f"relevant {report['relevant']}")
 
 
-def _build_store_from_crawl(ctx, result, store_dir,
-                            metrics=None) -> None:
+def _build_store_from_crawl(ctx, result, store_dir, metrics=None):
     """Shared crawl-sink ingestion: analyze relevant pages, persist the
-    store, and publish its (deterministic) metrics before export."""
+    store, and publish its (deterministic) metrics before export.
+    Returns the store."""
     from repro.store import EntityStore, ingest_crawl_result
 
     store = EntityStore(vocabulary=ctx.vocabulary)
@@ -321,6 +323,7 @@ def _build_store_from_crawl(ctx, result, store_dir,
           f"({snapshot.n_corroborated} corroborated) from {n_docs} "
           f"documents | {snapshot.n_entities} entities, "
           f"{snapshot.n_alias_merges} alias merges -> {path}")
+    return store
 
 
 def cmd_crawl(args) -> int:
@@ -371,34 +374,26 @@ def cmd_crawl(args) -> int:
             sys.stdout.flush()
             os._exit(9)
 
-    try:
-        if args.recrawl_rounds > 1:
-            from repro.crawler.recrawl import (
-                IncrementalCrawl, PageMemory, RecrawlScheduler,
-            )
+    if args.recrawl_rounds > 1:
+        from repro.crawler.recrawl import PageMemory, RecrawlScheduler
 
-            crawler.memory = PageMemory()
-            crawler.scheduler = RecrawlScheduler(seed=args.seed)
-            driver = IncrementalCrawl(
-                crawler, rounds=args.recrawl_rounds,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every)
-            result = driver.run(list(seeds), resume=args.resume,
-                                page_callback=page_callback)
-            _print_round_reports(driver.round_reports)
-        elif args.checkpoint:
-            resumable = ResumableCrawl(crawler, args.checkpoint)
-            if args.resume and not resumable.checkpoint_path.exists():
-                print(f"no checkpoint at {args.checkpoint}; starting fresh")
-            result = resumable.run(seeds,
-                                   checkpoint_every=args.checkpoint_every,
-                                   resume=args.resume,
-                                   page_callback=page_callback)
-        else:
-            result = crawler.crawl(seeds, page_callback=page_callback)
+        crawler.memory = PageMemory()
+        crawler.scheduler = RecrawlScheduler(seed=args.seed)
+    driver = ResumableCrawl(crawler, args.checkpoint,
+                            rounds=args.recrawl_rounds)
+    if (args.resume and args.checkpoint
+            and not driver.checkpoint_path.exists()):
+        print(f"no checkpoint at {args.checkpoint}; starting fresh")
+    try:
+        result = driver.run(list(seeds),
+                            checkpoint_every=args.checkpoint_every,
+                            resume=args.resume,
+                            page_callback=page_callback)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.recrawl_rounds > 1:
+        _print_round_reports(driver.round_reports)
     mode = (f"{args.workers} workers" if args.workers > 1
             else "sequential")
     _print_crawl_report(result, mode)
@@ -636,23 +631,10 @@ def cmd_seeds(args) -> int:
 
 
 def cmd_facts(args) -> int:
-    from repro.io import FactDatabase
-    from repro.ner.relations import relations_to_records
-    from repro.store import analyzed_documents
-
     ctx = _context(args, crawl_pages=args.pages)
     result = ctx.run_crawl(max_pages=args.pages)
-    database = FactDatabase()
-    for document, relations in analyzed_documents(result.relevant,
-                                                  ctx.pipeline):
-        database.add_document(document)
-        database.add_relations(relations_to_records(relations))
-    paths = database.export(args.out)
-    print(f"analyzed {len(result.relevant)} relevant documents")
-    print(f"entity mentions: {len(database.entity_records)} "
-          f"({database.n_distinct_names} distinct names)")
-    print(f"relations: {len(database.relation_records)}")
-    for artifact, path in paths.items():
+    store = _build_store_from_crawl(ctx, result, args.out)
+    for artifact, path in store.export(args.out).items():
         print(f"wrote {artifact}: {path}")
     return 0
 

@@ -7,6 +7,8 @@ corpora, the link graph, the counters, and the crawler's runtime state
 (politeness schedule, robots cache, circuit breakers, filter counters)
 — as JSON, and restores a
 :class:`~repro.crawler.crawl.FocusedCrawler` run from it.
+:class:`ResumableCrawl` is the one single-coordinator crawl driver
+(:class:`~repro.crawler.shard.ShardedCrawl` drives sharded crawls).
 
 Checkpoints are durable :mod:`repro.persist` formats ("On-disk
 formats" in ``docs/robustness.md``), only taken at batch boundaries,
@@ -25,6 +27,9 @@ from repro.annotations import Document
 from repro.crawler.crawl import CrawlResult, FocusedCrawler
 from repro.crawler.frontier import CrawlDb, FrontierEntry
 from repro.crawler.linkdb import LinkDb
+from repro.crawler.recrawl import (
+    PageMemory, RecrawlScheduler, round_summary,
+)
 from repro.persist import FileFormat
 from repro.web.robots import RobotsPolicy
 
@@ -206,8 +211,6 @@ def restore_crawler_state(crawler: FocusedCrawler, payload: dict) -> None:
             stats.rejected = rejected
     recrawl = payload.get("recrawl")
     if recrawl:
-        from repro.crawler.recrawl import PageMemory, RecrawlScheduler
-
         crawler.round = int(recrawl.get("round", 0))
         if "memory" in recrawl:
             if crawler.memory is None:
@@ -315,100 +318,95 @@ def load_sharded_checkpoint(path: str | Path) -> dict:
 
 
 class ResumableCrawl:
-    """A focused crawl that checkpoints itself and survives kills.
+    """The single-coordinator crawl driver: one round or several, with
+    or without checkpoints, surviving kills.
 
-    :meth:`run` drives :meth:`FocusedCrawler.crawl` to completion,
-    writing an atomic checkpoint every ``checkpoint_every`` fetched
-    pages (at batch boundaries).  If the process dies at any point —
-    including mid-batch — rerunning :meth:`run` with ``resume=True``
-    restores the last checkpoint (frontier, partial corpus, clock,
-    politeness/robots/breaker state) and continues to results byte
-    identical to an uninterrupted run.
-
-    :meth:`run_leg` is the budgeted-leg interface: it runs up to
-    ``leg_pages`` fetches per call and checkpoints at the end of the
-    leg.
+    :meth:`run` drives :meth:`FocusedCrawler.crawl` to completion once
+    per round; with ``rounds > 1`` each round re-crawls from the seeds
+    against the evolved web (:meth:`FocusedCrawler.begin_round`).  With
+    a ``checkpoint_path`` it writes an atomic checkpoint every
+    ``checkpoint_every`` visited pages (at batch boundaries) and at the
+    end of each round.  If the process dies at any point — including
+    mid-batch — rerunning :meth:`run` with ``resume=True`` restores the
+    last checkpoint and continues to results byte identical to an
+    uninterrupted run.  ``round_reports`` summarizes each round this
+    process completed (a round finished before a resume from its
+    checkpointed result).
     """
 
     def __init__(self, crawler: FocusedCrawler,
-                 checkpoint_path: str | Path) -> None:
+                 checkpoint_path: str | Path | None = None, *,
+                 rounds: int = 1) -> None:
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
         self.crawler = crawler
-        self.checkpoint_path = Path(checkpoint_path)
-
-    # -- full-run interface -------------------------------------------------
+        self.checkpoint_path = (Path(checkpoint_path)
+                                if checkpoint_path is not None else None)
+        self.rounds = rounds
+        self.round_reports: list[dict] = []
 
     def run(self, seeds: list[str] | None = None,
             checkpoint_every: int = 200, resume: bool = False,
             page_callback=None) -> CrawlResult:
-        """Crawl to completion with periodic atomic checkpoints."""
+        """Crawl every round to completion.
+
+        On resume, a finished round moves on to the next round if there
+        is one; otherwise the checkpoint's frontier and result go back
+        to :meth:`FocusedCrawler.crawl`, which continues the round (for
+        a finished one it only re-takes the totals and saves the same
+        checkpoint again)."""
+        crawler = self.crawler
+        start_round = 0
         frontier = result = None
         state = self.restore() if resume else None
         if state is not None:
-            frontier, result = state.frontier, state.result
+            start_round = crawler.round
+            if start_round >= self.rounds:
+                raise CheckpointError(
+                    f"checkpoint {self.checkpoint_path} was taken in "
+                    f"recrawl round {start_round}, but this crawl runs "
+                    f"rounds={self.rounds}")
+            if (state.result.stop_reason
+                    and start_round + 1 < self.rounds):
+                self.round_reports.append(
+                    round_summary(start_round, state.result))
+                start_round += 1
+            else:
+                frontier, result = state.frontier, state.result
+                if self.rounds > 1:
+                    crawler.resume_round()
         elif seeds is None:
             raise ValueError("a fresh crawl requires seeds")
-        return self.crawler.crawl(seeds, frontier=frontier, result=result,
-                                  checkpoint=self.saver(checkpoint_every,
-                                                        result),
+        for rnd in range(start_round, self.rounds):
+            if frontier is None and self.rounds > 1:
+                crawler.begin_round(rnd)
+            saver = None
+            if self.checkpoint_path is not None:
+                saver = _PeriodicSaver(
+                    self, checkpoint_every,
+                    result.pages_visited if result is not None else 0)
+            final = crawler.crawl(seeds if frontier is None else None,
+                                  frontier=frontier, result=result,
+                                  checkpoint=saver,
                                   page_callback=page_callback)
-
-    # -- legged interface ---------------------------------------------------
-
-    def run_leg(self, seeds: list[str] | None, leg_pages: int,
-                ) -> CrawlResult:
-        """Run up to ``leg_pages`` fetches, then checkpoint.
-
-        The first leg needs ``seeds``; later legs resume from the
-        checkpoint and ignore the argument.
-        """
-        crawler = self.crawler
-        config = crawler.config
-        state = self.restore()
-        if state is not None:
-            frontier, result = state.frontier, state.result
-        else:
-            if seeds is None:
-                raise ValueError("first leg requires seeds")
-            frontier = CrawlDb(
-                host_fetch_list_cap=config.host_fetch_list_cap,
-                max_urls_per_host=config.max_urls_per_host)
-            frontier.add_seeds(seeds)
-            result = CrawlResult()
-        total_budget = config.max_pages
-        leg_budget = result.pages_fetched + leg_pages
-        config.max_pages = min(total_budget, leg_budget)
-        try:
-            result = crawler.crawl(frontier=frontier, result=result)
-        finally:
-            config.max_pages = total_budget
-        if (result.stop_reason == "page_budget"
-                and result.pages_fetched < total_budget):
-            result.stop_reason = "leg_budget"
-        self._save(frontier, result)
-        return result
-
-    # -- the two halves ------------------------------------------------------
+            frontier = result = None
+            self.round_reports.append(round_summary(rnd, final))
+        return final
 
     def restore(self) -> CheckpointState | None:
         """Load the checkpoint, if there is one, and put the crawler
-        back where it was (clock, politeness/robots/breaker state);
-        the returned state's frontier and result are the caller's to
-        continue from.  None when no checkpoint exists."""
-        if not self.checkpoint_path.exists():
+        back where it was (clock, politeness/robots/breaker state,
+        recrawl round); the returned state's frontier and result are
+        the caller's to continue from.  None when no checkpoint
+        exists."""
+        if (self.checkpoint_path is None
+                or not self.checkpoint_path.exists()):
             return None
         state = load_checkpoint(self.checkpoint_path)
         self.crawler.clock.now = state.clock_now
         if state.crawler_state is not None:
             restore_crawler_state(self.crawler, state.crawler_state)
         return state
-
-    def saver(self, every: int,
-              result: CrawlResult | None) -> "_PeriodicSaver":
-        """The ``checkpoint=`` callback for :meth:`FocusedCrawler.crawl`:
-        saves every ``every`` visited pages, counted from ``result``
-        (the restored one, when resuming), and at the end."""
-        return _PeriodicSaver(
-            self, every, result.pages_visited if result is not None else 0)
 
     def _save(self, frontier: CrawlDb, result: CrawlResult) -> None:
         save_checkpoint(self.checkpoint_path, frontier, result,
@@ -417,15 +415,15 @@ class ResumableCrawl:
 
 
 class _PeriodicSaver:
-    """Checkpoint callback: persists every N fetched pages (and at the
-    final boundary, where the crawl loop always invokes it)."""
+    """Checkpoint callback: persists every N visited pages, counted
+    from the restored result when resuming (and at the final boundary,
+    where the crawl loop always invokes it)."""
 
     def __init__(self, resumable: ResumableCrawl, every: int,
                  pages_done: int) -> None:
         self.resumable = resumable
         self.every = max(1, every)
         self.pages_at_last_save = pages_done
-        self.saves = 0
 
     def __call__(self, frontier: CrawlDb, result: CrawlResult) -> None:
         due = (result.pages_visited - self.pages_at_last_save
@@ -435,4 +433,3 @@ class _PeriodicSaver:
             return
         self.resumable._save(frontier, result)
         self.pages_at_last_save = result.pages_visited
-        self.saves += 1

@@ -4,7 +4,9 @@ A production crawler runs continuously over a changing web; refetching
 and reprocessing everything every round is unaffordable when most
 pages did not change (source-level churn is heavy-tailed).  This
 module supplies the three pieces the crawl loop composes into an
-incremental path:
+incremental path (the round loop itself, with checkpoint/resume at
+batch and round boundaries, is
+:class:`~repro.crawler.checkpoint.ResumableCrawl`'s):
 
 * :class:`PageMemory` — a content-addressed replay store.  For every
   cleanly fetched page it records the content fingerprint, the served
@@ -33,10 +35,6 @@ incremental path:
   Interval phases carry deterministic seeded jitter so revisits
   stagger instead of thundering in lockstep.
 
-* :class:`IncrementalCrawl` — the multi-round driver for the
-  single-coordinator crawler, with checkpoint/resume at batch
-  boundaries (mid-round) and at round boundaries.
-
 Everything here is deterministic and topology-invariant: memory and
 scheduler state are keyed per URL / per host (hosts are disjoint
 across shards), serialized in canonical sorted order, and replayed
@@ -48,14 +46,14 @@ kill+resume mid-round.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.html.neardup import MinHasher, shingles
 from repro.util import seeded_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.crawler.crawl import CrawlResult, FocusedCrawler
+    from repro.crawler.crawl import CrawlResult
 
 #: Estimated-Jaccard threshold above which a changed revision counts
 #: as *near-unchanged* (minor edit) for scheduling purposes.
@@ -323,74 +321,6 @@ class RecrawlScheduler:
                          payload.get("changes", {}).items()}
         self._round_seen = set(payload.get("round_seen", []))
         self._round_changed = set(payload.get("round_changed", []))
-
-
-class IncrementalCrawl:
-    """Multi-round incremental crawl driver (single coordinator).
-
-    Each round re-runs the focused crawl from the same seeds against
-    the evolved web (``web.set_epoch(round)``); the attached
-    :class:`PageMemory`/:class:`RecrawlScheduler` turn unchanged pages
-    into replays and not-yet-due hosts into fetch skips.  Checkpoints
-    (batch-boundary, via the same atomic store as single crawls) carry
-    the round, memory, and scheduler, so a kill mid-round resumes to
-    byte-identical results; a checkpoint taken at a round boundary
-    resumes into the next round.
-
-    ``round_reports`` summarizes each round completed *by this
-    process* (rounds finished before a resume are summarized from the
-    checkpointed result only).
-    """
-
-    def __init__(self, crawler: "FocusedCrawler", rounds: int = 1,
-                 checkpoint_path=None, checkpoint_every: int = 200,
-                 ) -> None:
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.crawler = crawler
-        self.rounds = rounds
-        self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = checkpoint_every
-        self.round_reports: list[dict] = []
-
-    def run(self, seeds: list[str], resume: bool = False,
-            page_callback: Callable[["CrawlResult"], None] | None = None,
-            ) -> "CrawlResult":
-        from repro.crawler.checkpoint import ResumableCrawl
-
-        crawler = self.crawler
-        resumable = (ResumableCrawl(crawler, self.checkpoint_path)
-                     if self.checkpoint_path is not None else None)
-        start_round = 0
-        frontier = result = None
-        state = (resumable.restore()
-                 if resume and resumable is not None else None)
-        if state is not None:
-            start_round = crawler.round
-            if state.result.stop_reason:
-                # The checkpointed round completed; its result is the
-                # round's final state.
-                self.round_reports.append(
-                    round_summary(start_round, state.result))
-                if start_round >= self.rounds - 1:
-                    return state.result
-                start_round += 1
-            else:
-                frontier, result = state.frontier, state.result
-                crawler.resume_round()
-        final = result
-        for rnd in range(start_round, self.rounds):
-            if frontier is None:
-                crawler.begin_round(rnd)
-            saver = (resumable.saver(self.checkpoint_every, result)
-                     if resumable is not None else None)
-            final = crawler.crawl(
-                seeds if frontier is None else None,
-                frontier=frontier, result=result,
-                checkpoint=saver, page_callback=page_callback)
-            frontier = result = None
-            self.round_reports.append(round_summary(rnd, final))
-        return final
 
 
 def round_summary(rnd: int, result: "CrawlResult") -> dict:

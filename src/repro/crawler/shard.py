@@ -162,7 +162,7 @@ class ShardCrawler(FocusedCrawler):
         """Enter recrawl round ``rnd`` on this shard: evolve the web
         epoch / fold the scheduler (the inherited hook), then start the
         round from a fresh frontier and a fresh per-round result —
-        exactly what :class:`~repro.crawler.recrawl.IncrementalCrawl`
+        exactly what :class:`~repro.crawler.checkpoint.ResumableCrawl`
         does for the single-coordinator crawl.  Host clocks persist
         across rounds (a host's timeline is continuous), as does all
         host-keyed robustness state."""

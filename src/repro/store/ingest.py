@@ -36,7 +36,7 @@ def analyzed_documents(documents: Iterable[Document],
     batches, byte-identical to per-document ``analyze``) and the
     originals stay untouched; without it, ``documents`` are taken as
     already annotated.  The one copy → analyze → extract loop behind
-    store ingest and ``repro facts``.
+    store ingest.
     """
     if extractor is None:
         from repro.ner.relations import RelationExtractor

@@ -1,78 +1,6 @@
-"""Tests for persistence (repro.io) and the command-line interface."""
-
-import json
+"""Tests for the command-line interface."""
 
 import pytest
-
-from repro.io import (
-    FactDatabase, document_from_dict, document_to_dict, read_documents,
-    write_documents,
-)
-
-
-@pytest.fixture()
-def annotated_document(context):
-    document = context.corpus_documents("medline")[0]
-    context.pipeline.analyze(document)
-    return document
-
-
-class TestDocumentRoundTrip:
-    def test_round_trip_preserves_everything(self, annotated_document):
-        payload = document_to_dict(annotated_document)
-        restored = document_from_dict(json.loads(json.dumps(payload)))
-        assert restored.doc_id == annotated_document.doc_id
-        assert restored.text == annotated_document.text
-        assert len(restored.sentences) == len(annotated_document.sentences)
-        assert restored.entities == annotated_document.entities
-        assert restored.linguistics == annotated_document.linguistics
-        assert (restored.sentences[0].tokens
-                == annotated_document.sentences[0].tokens)
-
-    def test_raw_optional(self, annotated_document):
-        annotated_document.raw = "<html>x</html>"
-        without = document_to_dict(annotated_document)
-        with_raw = document_to_dict(annotated_document, include_raw=True)
-        assert "raw" not in without
-        assert with_raw["raw"] == "<html>x</html>"
-
-    def test_jsonl_file_round_trip(self, tmp_path, context):
-        documents = context.corpus_documents("medline")[:3]
-        for document in documents:
-            context.pipeline.analyze(document)
-        path = tmp_path / "docs.jsonl"
-        count = write_documents(path, documents)
-        assert count == 3
-        restored = list(read_documents(path))
-        assert [d.doc_id for d in restored] == \
-            [d.doc_id for d in documents]
-        assert restored[1].entities == documents[1].entities
-
-
-class TestFactDatabase:
-    def test_accumulates_and_exports(self, tmp_path, annotated_document):
-        database = FactDatabase()
-        database.add_document(annotated_document)
-        database.add_relations([{"relation_type": "drug-disease",
-                                 "subject": "x", "object": "y"}])
-        paths = database.export(tmp_path / "facts")
-        assert paths["entities"].exists()
-        assert paths["relations"].exists()
-        assert paths["name_frequencies"].exists()
-        lines = paths["entities"].read_text().strip().splitlines()
-        assert len(lines) == len(annotated_document.entities)
-        header = paths["name_frequencies"].read_text().splitlines()[0]
-        assert header == "entity_type,method,name,frequency"
-
-    def test_distinct_name_count(self, annotated_document):
-        database = FactDatabase()
-        database.add_document(annotated_document)
-        assert database.n_distinct_names > 0
-        rows = database.name_frequency_rows()
-        assert all(row[3] >= 1 for row in rows)
-        # Sorted by descending frequency.
-        frequencies = [row[3] for row in rows]
-        assert frequencies == sorted(frequencies, reverse=True)
 
 
 class TestCli:
@@ -107,15 +35,23 @@ class TestCli:
         assert "DoP" in output
         assert "infeasible" in output  # entity flow at DoP 1
 
-    def test_facts_command_exports(self, tmp_path, capsys, monkeypatch):
+    def test_facts_command_exports(self, tmp_path, capsys):
         from repro.cli import main
+        from repro.store import EntityStore
 
         out_dir = tmp_path / "facts"
         assert main(["--seed", "19", "facts", "--out", str(out_dir),
                      "--pages", "40"]) == 0
-        assert (out_dir / "entities.jsonl").exists()
+        for name in ("store.json", "entities.jsonl", "facts.jsonl"):
+            assert (out_dir / name).exists()
+        # The JSONL files are the persisted store's canonical export
+        # (the lines its digest hashes).
+        exported = EntityStore.load(out_dir).export_lines()
+        for artifact, lines in exported.items():
+            assert (out_dir / f"{artifact}.jsonl").read_text(
+                ).splitlines() == lines
         output = capsys.readouterr().out
-        assert "entity mentions" in output
+        assert "store: " in output
 
 
 class TestCliCrawlAnalyze:

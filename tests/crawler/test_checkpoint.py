@@ -145,39 +145,6 @@ class TestResumableCrawl:
                               context.build_filter_chain(),
                               CrawlConfig(max_pages=10_000))
 
-    def test_legs_accumulate(self, context, tmp_path):
-        seeds = context.seed_batch("second").urls
-        resumable = ResumableCrawl(self._crawler(context),
-                                   tmp_path / "crawl.json")
-        leg1 = resumable.run_leg(seeds, leg_pages=60)
-        assert leg1.pages_fetched >= 50
-        leg2 = resumable.run_leg(None, leg_pages=60)
-        assert leg2.pages_fetched > leg1.pages_fetched
-        # Counters continue, documents accumulate, clock advances.
-        assert len(leg2.relevant) >= len(leg1.relevant)
-        assert leg2.clock_seconds > leg1.clock_seconds
-
-    def test_resume_equals_uninterrupted(self, context, tmp_path):
-        """Two 60-page legs visit the same pages as one 120-page run."""
-        seeds = context.seed_batch("second").urls
-        resumable = ResumableCrawl(self._crawler(context),
-                                   tmp_path / "cp.json")
-        resumable.run_leg(seeds, leg_pages=60)
-        legged = resumable.run_leg(None, leg_pages=60)
-        straight = self._crawler(context)
-        straight.config.max_pages = 120
-        uninterrupted = straight.crawl(seeds)
-        legged_urls = {d.doc_id for d in legged.relevant}
-        straight_urls = {d.doc_id for d in uninterrupted.relevant}
-        overlap = len(legged_urls & straight_urls)
-        assert overlap >= 0.8 * min(len(legged_urls), len(straight_urls))
-
-    def test_first_leg_requires_seeds(self, context, tmp_path):
-        resumable = ResumableCrawl(self._crawler(context),
-                                   tmp_path / "missing.json")
-        with pytest.raises(ValueError, match="seeds"):
-            resumable.run_leg(None, leg_pages=10)
-
     def test_run_requires_seeds_without_checkpoint(self, context, tmp_path):
         resumable = ResumableCrawl(self._crawler(context),
                                    tmp_path / "missing.json")

@@ -185,8 +185,19 @@ class TestObservabilityDeterminism:
             faults = FaultConfig.preset("default", seed=18)
             plain = _make_crawler(context, webgraph, 17, faults, workers)
             bare = plain.crawl(context.seed_batch("second").urls)
-            _, observed = self._observed_run(context, webgraph, workers)
+            crawler, observed = self._observed_run(context, webgraph,
+                                                   workers)
             assert result_to_dict(observed) == result_to_dict(bare)
+            # The driver with no checkpoint path is a bare crawl().
+            driven_crawler = _make_crawler(
+                context, webgraph, 17, FaultConfig.preset("default",
+                                                          seed=18),
+                workers, observed=True)
+            driven = ResumableCrawl(driven_crawler).run(
+                context.seed_batch("second").urls)
+            assert result_to_dict(driven) == result_to_dict(observed)
+            assert (driven_crawler.metrics.export_lines()
+                    == crawler.metrics.export_lines())
 
     def test_kill_resume_exports_byte_identical(self, context, webgraph,
                                                 tmp_path):

@@ -21,11 +21,12 @@ from __future__ import annotations
 import pytest
 
 from repro.crawler.checkpoint import (
-    crawler_state_to_dict, result_to_dict,
+    CheckpointError, ResumableCrawl, crawler_state_to_dict,
+    result_to_dict,
 )
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
 from repro.crawler.recrawl import (
-    IncrementalCrawl, PageMemory, PageRecord, RecrawlScheduler,
+    PageMemory, PageRecord, RecrawlScheduler,
     SchedulerConfig, content_fingerprint, near_unchanged,
     revision_signature,
 )
@@ -156,7 +157,7 @@ class TestReplay:
                                                  webgraph):
         crawler = _crawler(context, webgraph, churn=0.0)
         seeds = context.seed_batch("second").urls
-        driver = IncrementalCrawl(crawler, rounds=2)
+        driver = ResumableCrawl(crawler, rounds=2)
         final = driver.run(list(seeds))
         cold, warm = driver.round_reports
         assert cold["replay_hits"] == 0
@@ -177,7 +178,7 @@ class TestReplay:
         equals a cold crawl of epoch 1 (every host due, no faults)."""
         seeds = list(context.seed_batch("second").urls)
         warm_crawler = _crawler(context, webgraph, churn=0.3)
-        driver = IncrementalCrawl(warm_crawler, rounds=2)
+        driver = ResumableCrawl(warm_crawler, rounds=2)
         warm = driver.run(seeds)
         assert warm.replay_hits > 0, "churn 0.3 should leave replays"
         assert warm.pages_changed > 0, "churn 0.3 should change pages"
@@ -193,7 +194,7 @@ class TestReplay:
         for workers in (1, 3):
             crawler = _crawler(context, webgraph, churn=0.2,
                                workers=workers, metrics=True)
-            driver = IncrementalCrawl(crawler, rounds=3)
+            driver = ResumableCrawl(crawler, rounds=3)
             result = driver.run(list(context.seed_batch("second").urls))
             outputs.append({
                 "result": result_to_dict(result),
@@ -210,7 +211,7 @@ class TestReplay:
                            scheduler=scheduler)
         # Hosts are first *observed* (stable) in round 1 — the first
         # revisit — so the backoff starts skipping in round 2.
-        driver = IncrementalCrawl(crawler, rounds=3)
+        driver = ResumableCrawl(crawler, rounds=3)
         final = driver.run(list(context.seed_batch("second").urls))
         warm = driver.round_reports[2]
         assert warm["fetches_skipped"] > 0
@@ -221,45 +222,56 @@ class TestReplay:
             "clock_seconds"]
 
 
+class Killed(RuntimeError):
+    """Stands in for SIGKILL: aborts the crawl mid-round."""
+
+
 class TestKillResumeMidRound:
+    def _run(self, context, webgraph, path, *, rounds=2, resume=False,
+             kill_at=None):
+        """A checkpointed crawl with a fresh crawler; raises
+        :class:`Killed` once ``kill_at`` pages of round 1 are
+        visited."""
+        crawler = _crawler(context, webgraph, churn=0.2, metrics=True)
+
+        def kill_switch(partial):
+            if (crawler.round == 1 and kill_at is not None
+                    and partial.pages_visited >= kill_at):
+                raise Killed
+
+        return ResumableCrawl(crawler, path, rounds=rounds).run(
+            list(context.seed_batch("second").urls), checkpoint_every=20,
+            resume=resume, page_callback=kill_switch)
+
     def test_resume_mid_warm_round_is_byte_identical(
             self, context, webgraph, tmp_path):
-        seeds = list(context.seed_batch("second").urls)
-
-        def run(path, kill_at=None):
-            crawler = _crawler(context, webgraph, churn=0.2,
-                               metrics=True)
-            driver = IncrementalCrawl(crawler, rounds=2,
-                                      checkpoint_path=path,
-                                      checkpoint_every=20)
-
-            class Killed(RuntimeError):
-                pass
-
-            def kill_switch(partial):
-                if (crawler.round == 1 and kill_at is not None
-                        and partial.pages_visited >= kill_at):
-                    raise Killed
-
-            try:
-                result = driver.run(seeds, page_callback=kill_switch)
-            except Killed:
-                result = None
-                driver = IncrementalCrawl(crawler_for_resume(path),
-                                          rounds=2,
-                                          checkpoint_path=path,
-                                          checkpoint_every=20)
-                result = driver.run(seeds, resume=True)
-            return result, driver
-
-        def crawler_for_resume(path):
-            return _crawler(context, webgraph, churn=0.2, metrics=True)
-
-        reference, _ = run(tmp_path / "ref.json")
-        resumed, _ = run(tmp_path / "resumed.json", kill_at=30)
+        reference = self._run(context, webgraph, tmp_path / "ref.json")
+        with pytest.raises(Killed):
+            self._run(context, webgraph, tmp_path / "resumed.json",
+                      kill_at=30)
+        resumed = self._run(context, webgraph, tmp_path / "resumed.json",
+                            resume=True)
         assert result_to_dict(resumed) == result_to_dict(reference)
-        assert ((tmp_path / "resumed.json").read_bytes()
-                == (tmp_path / "ref.json").read_bytes())
+        finished = (tmp_path / "ref.json").read_bytes()
+        assert (tmp_path / "resumed.json").read_bytes() == finished
+        # Resuming the finished crawl re-takes the totals a checkpoint
+        # does not store (filter attrition) and saves the same bytes.
+        again = self._run(context, webgraph, tmp_path / "ref.json",
+                          resume=True)
+        assert result_to_dict(again) == result_to_dict(reference)
+        assert reference.filter_attrition
+        assert again.filter_attrition == reference.filter_attrition
+        assert (tmp_path / "ref.json").read_bytes() == finished
+
+    def test_recrawl_checkpoint_refused_by_fewer_rounds(
+            self, context, webgraph, tmp_path):
+        """A round-1 checkpoint resumed as a single-round crawl would
+        finish round 1 against the epoch-0 web; it is refused."""
+        path = tmp_path / "cp.json"
+        with pytest.raises(Killed):
+            self._run(context, webgraph, path, kill_at=60)
+        with pytest.raises(CheckpointError, match=r"round 1.*rounds=1"):
+            self._run(context, webgraph, path, rounds=1, resume=True)
 
 
 class TestShardedRounds:
