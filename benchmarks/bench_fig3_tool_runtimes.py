@@ -13,7 +13,6 @@ and writes the numbers to repo-root ``BENCH_nlp.json``.
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from repro.corpora.goldstandard import build_ner_gold
 from repro.corpora.profiles import MEDLINE
 from repro.ner.features import sentence_features
 from repro.ner.taggers import MlEntityTagger
-from repro.nlp.anno_cache import AnnotationCache
 from repro.nlp.pos_hmm import TaggerCrash
 
 BENCH_NLP_PATH = Path(__file__).resolve().parent.parent / "BENCH_nlp.json"
@@ -175,7 +173,7 @@ def _bench_sentences(ctx, max_sentences: int) -> list[list[str]]:
 
 def test_kernel_throughput(ctx, benchmark):
     """Frozen vs. reference annotator kernels: POS (array Viterbi) and
-    CRF decode (dense trellis), cold and annotation-cache-warm.
+    CRF decode (dense trellis).
 
     The ``crf_decode`` rows time ``predict_batch`` on *pre-extracted*
     features, so they never included building the feature strings —
@@ -199,21 +197,12 @@ def test_kernel_throughput(ctx, benchmark):
     tagger = ctx.pipeline.pos_tagger
     assert tagger.frozen  # pipeline.build freezes after training
 
-    # -- POS: reference dict Viterbi vs. frozen kernel vs. cache ----------
+    # -- POS: reference dict Viterbi vs. frozen kernel -------------------
     pos_reference = _best_seconds(
         lambda: [tagger.tag_reference(words) for words in sentences],
         rounds)
     pos_frozen = _best_seconds(
         lambda: [tagger.tag(words) for words in sentences], rounds)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        try:
-            tagger.annotation_cache = AnnotationCache(cache_dir)
-            for words in sentences:  # prime
-                tagger.tag(words)
-            pos_warm = _best_seconds(
-                lambda: [tagger.tag(words) for words in sentences], rounds)
-        finally:
-            tagger.annotation_cache = None
 
     # -- CRF decode: per-sentence reference vs. vectorized batch ----------
     crf = ctx.pipeline.ml_taggers["disease"].crf
@@ -223,14 +212,6 @@ def test_kernel_throughput(ctx, benchmark):
         lambda: [crf.predict_reference(sentence) for sentence in features],
         rounds)
     crf_frozen = _best_seconds(lambda: crf.predict_batch(features), rounds)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        cache = AnnotationCache(cache_dir)
-        fingerprint = crf.fingerprint()
-        for words, labels in zip(sentences, crf.predict_batch(features)):
-            cache.store(fingerprint, words, labels)
-        crf_warm = _best_seconds(
-            lambda: [cache.lookup(fingerprint, words)
-                     for words in sentences], rounds)
 
     # -- CRF, words -> labels: what a tagger pays per uncached sentence ---
     expected = [crf.predict_reference(sentence) for sentence in features]
@@ -259,16 +240,12 @@ def test_kernel_throughput(ctx, benchmark):
         "pos": {
             "reference_tokens_per_sec": tokens_per_second(pos_reference),
             "frozen_tokens_per_sec": tokens_per_second(pos_frozen),
-            "cache_warm_tokens_per_sec": tokens_per_second(pos_warm),
             "speedup_frozen": pos_reference / pos_frozen,
-            "speedup_cache_warm": pos_reference / pos_warm,
         },
         "crf_decode": {
             "reference_tokens_per_sec": tokens_per_second(crf_reference),
             "frozen_tokens_per_sec": tokens_per_second(crf_frozen),
-            "cache_warm_tokens_per_sec": tokens_per_second(crf_warm),
             "speedup_frozen": crf_reference / crf_frozen,
-            "speedup_cache_warm": crf_reference / crf_warm,
         },
         "crf_words_to_labels": {
             "n_types": n_types,
@@ -293,15 +270,13 @@ def test_kernel_throughput(ctx, benchmark):
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(results, indent=2) + "\n")
     lines = format_table(
-        ["kernel", "reference", "frozen", "cache-warm"],
+        ["kernel", "reference", "frozen"],
         [["POS (tokens/s)",
           f"{results['pos']['reference_tokens_per_sec']:,.0f}",
-          f"{results['pos']['frozen_tokens_per_sec']:,.0f}",
-          f"{results['pos']['cache_warm_tokens_per_sec']:,.0f}"],
+          f"{results['pos']['frozen_tokens_per_sec']:,.0f}"],
          ["CRF decode (tokens/s)",
           f"{results['crf_decode']['reference_tokens_per_sec']:,.0f}",
-          f"{results['crf_decode']['frozen_tokens_per_sec']:,.0f}",
-          f"{results['crf_decode']['cache_warm_tokens_per_sec']:,.0f}"]])
+          f"{results['crf_decode']['frozen_tokens_per_sec']:,.0f}"]])
     words_row = results["crf_words_to_labels"]
     lines.append("")
     lines.extend(format_table(
@@ -320,8 +295,6 @@ def test_kernel_throughput(ctx, benchmark):
         assert results["pos"]["speedup_frozen"] >= 3.0
         assert results["crf_decode"]["speedup_frozen"] >= 2.0
         assert words_row["speedup_cold_vs_feature_path"] >= 2.0
-        assert results["pos"]["speedup_cache_warm"] > \
-            results["pos"]["speedup_frozen"]
 
 
 def test_component_runtime_shares(ctx, benchmark):

@@ -1,8 +1,9 @@
 """Serve-path benchmark: request coalescing vs batch-size-1 dispatch.
 
-Starts real ``ExtractionServer`` instances (forked worker, warm
-annotation cache — the serving steady state) and drives them with the
-pipelined closed-loop load generator at several offered-load levels,
+Starts real ``ExtractionServer`` instances (forked worker, each with a
+new session whose response memo the warm-up drive fills — the serving
+steady state) and drives them with the pipelined closed-loop load
+generator at several offered-load levels,
 batched (coalescer on: size/token rule, work-conserving pipelined
 dispatch) vs a batch-size-1 baseline (same server, ``max_batch=1`` —
 every request pays its own dispatch wakeup and worker IPC round-trip).
@@ -57,20 +58,15 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 
 
 @pytest.fixture(scope="module")
-def serve_setup(ctx, tmp_path_factory):
-    """Trained pipeline + pre-populated annotation cache + workload."""
-    cache_dir = str(tmp_path_factory.mktemp("serve-anno-cache"))
-    workload = generate_workload(N_REQUESTS, seed=11)
-    warmer = ExtractionSession(ctx.pipeline, annotation_cache=cache_dir)
-    warmer.run_batch(workload)
-    warmer.close()
-    return ctx.pipeline, cache_dir, workload
+def serve_setup(ctx):
+    """Trained pipeline + workload."""
+    return ctx.pipeline, generate_workload(N_REQUESTS, seed=11)
 
 
-def run_once(pipeline, cache_dir, workload, max_batch: int,
+def run_once(pipeline, workload, max_batch: int,
              connections: int, window: int) -> tuple[dict, dict]:
     """One server lifecycle: start, warm drive, measured drive, stop."""
-    session = ExtractionSession(pipeline, annotation_cache=cache_dir)
+    session = ExtractionSession(pipeline)
     config = ServeConfig(workers=WORKERS, max_batch=max_batch,
                          queue_limit=256)
     server = ExtractionServer(session, config).start()
@@ -89,7 +85,7 @@ def run_once(pipeline, cache_dir, workload, max_batch: int,
 
 
 def test_serve_throughput_and_latency(serve_setup):
-    pipeline, cache_dir, workload = serve_setup
+    pipeline, workload = serve_setup
     cells: dict[tuple[str, str], dict] = {}
     digests = set()
     coalesced = {}
@@ -99,8 +95,7 @@ def test_serve_throughput_and_latency(serve_setup):
             for variant, max_batch in (("batched", MAX_BATCH),
                                        ("batch1", 1)):
                 summary, stats = run_once(
-                    pipeline, cache_dir, workload, max_batch,
-                    connections, window)
+                    pipeline, workload, max_batch, connections, window)
                 digests.add(summary.pop("digest"))
                 key = (variant, load_name)
                 best = cells.get(key)

@@ -10,7 +10,7 @@ this mirrors the Sopremo annotation scheme the paper's IE package uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,14 @@ class Span:
         return self.start <= other.start and other.end <= self.end
 
 
-@dataclass(frozen=True)
-class Token:
-    """A token with its document offsets and (optional) POS tag."""
+class Token(NamedTuple):
+    """A token with its document offsets and (optional) POS tag.
+
+    An immutable named tuple: one is built per token of every
+    annotated sentence, and a tuple is built at C speed
+    (``tuple.__new__`` over ready columns, see
+    :func:`repro.nlp.tokenize.tokenize_with_surfaces`).
+    """
 
     text: str
     start: int
@@ -48,9 +53,6 @@ class Token:
         return Span(self.start, self.end)
 
     def with_pos(self, pos: str) -> "Token":
-        # Direct construction: ``dataclasses.replace`` re-derives the
-        # field list per call, and this runs once per token per POS
-        # pass.
         return Token(self.text, self.start, self.end, pos)
 
 

@@ -181,10 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant token quota [tenant=]rate:burst"
                             " (repeatable; no tenant = default quota "
                             "for unlisted tenants)")
-    serve.add_argument("--anno-cache", default=None, metavar="DIR",
-                       help="persistent per-sentence annotation cache "
-                            "directory (POS + CRF results persist across "
-                            "runs)")
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write the deterministic metrics export on "
                             "shutdown")
@@ -716,8 +712,7 @@ def cmd_serve(args) -> int:
         print("warning: --max-delay-ms is deprecated and ignored",
               file=sys.stderr)
     ctx = _context(args)
-    session = ExtractionSession(ctx.pipeline,
-                                annotation_cache=args.anno_cache)
+    session = ExtractionSession(ctx.pipeline)
     config = ServeConfig(
         host=args.host, port=args.port, workers=args.workers,
         max_batch=args.max_batch, queue_limit=args.queue_limit,

@@ -171,11 +171,10 @@ class TextAnalyticsPipeline:
         """Batch :meth:`analyze` on the one-pass engine: identical
         per-document results with all the shared-work kernels engaged.
 
-        This is the kernel entry point the serve-layer coalescer uses:
-        sentences split and tokenize once into a shared arena, one
+        Sentences split and tokenize once into a shared arena, one
         merged-automaton pass matches every dictionary type, one
         ``tag_batch`` call covers every sentence of every document,
-        and one ``predict_words`` per entity type covers every uncached
+        and one ``predict_words`` per entity type covers every
         sentence in the batch (emissions looked up per word type, no
         feature strings built).  Per-document entity order
         (dictionary then ML, per entity type) matches :meth:`analyze`.

@@ -16,8 +16,8 @@ batch and round boundaries, is
   answered a conditional GET with *not modified*, or the refetched
   body hashes to the stored fingerprint — *replays* its stored outcome
   without re-running repair/parse/boilerplate/classify.  This extends
-  the content-addressed keying of the AnnotationCache and the automaton
-  cache through the whole per-page pipeline.
+  the content-addressed keying of the automaton cache through the
+  whole per-page pipeline.
 
 * change detection — exact change via :func:`content_fingerprint`;
   near-identical revisions (minor wording edits) via
@@ -165,8 +165,8 @@ def strip_stage_seconds(wire: tuple) -> tuple:
 class PageMemory:
     """Replay store: frontier URL -> :class:`PageRecord`.
 
-    ``context_key`` plays the role the model fingerprint plays for the
-    AnnotationCache: a stored outcome is only valid for the pipeline
+    ``context_key`` plays the role the content key plays for the
+    automaton cache: a stored outcome is only valid for the pipeline
     configuration that produced it, so restoring a checkpointed memory
     into a crawler keyed differently is refused.
     """

@@ -42,7 +42,7 @@ per-position emission loop of ``tests/ner/crf_oracle.py`` shares no
 code with either and ``tests/ner/test_crf_training.py`` holds the
 feature kernel to it.  The model fingerprint
 hashes weights, transitions and feature names, none of which the
-table touches, so persisted annotation-cache entries stay valid.
+table touches, so filling the table never changes it.
 """
 
 from __future__ import annotations
@@ -274,8 +274,7 @@ class LinearChainCrf:
         return self
 
     def fingerprint(self) -> str:
-        """Content hash of the trained model (weights + features) —
-        the key space of the annotation cache."""
+        """Content hash of the trained model (weights + features)."""
         return self._compiled().fingerprint
 
     def _compiled(self) -> _FrozenCrf:

@@ -19,13 +19,14 @@ steps over shared state instead:
   built at decode time.
 
 Outputs are byte-identical to running the elementary steps in order:
-the same mentions in the same ``document.entities`` order, the same
-``sentence.tokens`` replacements, the same annotation-cache lookups
-and stores.  The dataflow optimizer substitutes this engine for the
+the same mentions in the same ``document.entities`` order and the
+same ``sentence.tokens`` replacements.  The dataflow optimizer
+substitutes this engine for the
 ``annotate_sentences → annotate_tokens → annotate_pos → taggers``
 sub-chain (:func:`repro.dataflow.optimizer.fuse_annotation_stage`);
 the batch form backs :meth:`TextAnalyticsPipeline.analyze_batch` and
-therefore the serve path, and the streaming form
+the serve session's ``extract`` / ``annotate`` kernels, and the
+streaming form
 (:meth:`OnePassAnnotator.annotate_stream`, cut by
 :func:`volume_chunks`) backs every whole-document caller — the fused
 flow operator, store ingest, ``repro facts`` and corpus analysis.
@@ -33,9 +34,11 @@ flow operator, store ingest, ``repro facts`` and corpus analysis.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from repro.annotations import Document
+from repro.annotations import Document, Token
 from repro.ner.dictionary import MultiTypeDictionary, shared_dictionary
 from repro.nlp.arena import AnnotatedText, SentenceSlot
 from repro.nlp.pos_hmm import TaggerCrash
@@ -50,6 +53,11 @@ CHUNK_CHARS = 32_768
 #: Backstop for streams of tiny or empty documents, which never reach
 #: the volume budget.
 CHUNK_DOCS = 64
+
+#: The POS pass builds its tagged tokens from columns at C speed
+#: (``Token`` is a named tuple).
+_new_token = tuple.__new__
+_start, _end = itemgetter(1), itemgetter(2)
 
 
 def volume_chunks(documents: Iterable[Document],
@@ -153,9 +161,8 @@ class OnePassAnnotator:
         """Batched POS pass with the reference chain's crash behavior.
 
         Over-limit sentences are pre-filtered (counting into
-        ``meta["pos_crashes"]`` with no cache traffic — matching the
-        per-sentence path, where the crash fires before the cache
-        lookup); everything else decodes in one ``tag_batch`` call.  A
+        ``meta["pos_crashes"]``, as the per-sentence path's crash
+        would); everything else decodes in one ``tag_batch`` call.  A
         batch-level crash (pathological model state) falls back to the
         per-sentence path so accounting stays identical.
         """
@@ -192,6 +199,8 @@ class OnePassAnnotator:
                         document.meta.get("pos_crashes", 0) + 1)
             return
         for (_document, slot), tags in zip(jobs, tag_lists):
-            slot.sentence.tokens = [
-                token.with_pos(tag)
-                for token, tag in zip(slot.sentence.tokens, tags)]
+            tokens = slot.sentence.tokens
+            slot.sentence.tokens = list(map(
+                _new_token, repeat(Token),
+                zip(slot.words, map(_start, tokens), map(_end, tokens),
+                    tags)))

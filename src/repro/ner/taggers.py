@@ -34,24 +34,15 @@ ENTITY_TYPES = ("disease", "drug", "gene")
 
 
 class MlEntityTagger:
-    """CRF tagger for one entity type.
-
-    ``annotation_cache`` (an
-    :class:`~repro.nlp.anno_cache.AnnotationCache`) memoizes decoded
-    BIO labels per (model fingerprint, sentence) so repeated sentences
-    — re-crawled pages, shared boilerplate — skip CRF decoding
-    entirely.
-    """
+    """CRF tagger for one entity type."""
 
     method = "ml"
 
     def __init__(self, entity_type: str, crf: LinearChainCrf,
-                 quadratic_context: bool = False,
-                 annotation_cache=None) -> None:
+                 quadratic_context: bool = False) -> None:
         self.entity_type = entity_type
         self.crf = crf
         self.quadratic_context = quadratic_context
-        self.annotation_cache = annotation_cache
         self._fingerprint: str | None = None
 
     # -- training ------------------------------------------------------------
@@ -68,8 +59,8 @@ class MlEntityTagger:
     # -- annotation -----------------------------------------------------------
 
     def fingerprint(self) -> str:
-        """Annotation-cache key space: the CRF content hash plus this
-        tagger's own decoding-relevant configuration."""
+        """Content hash of what decides this tagger's labels: the CRF
+        content hash plus the tagger's own decoding configuration."""
         if self._fingerprint is None:
             self._fingerprint = (f"ml:{self.entity_type}:"
                                  f"q{int(self.quadratic_context)}:"
@@ -80,9 +71,9 @@ class MlEntityTagger:
         """Tag a document; extends ``document.entities`` in place.
 
         Uses existing sentence/token annotations when present,
-        otherwise runs the default splitter/tokenizer.  All uncached
-        sentences are decoded in a single CRF call, so per-sentence
-        Python overhead is paid once per document.
+        otherwise runs the default splitter/tokenizer.  All sentences
+        are decoded in a single CRF call, so per-sentence Python
+        overhead is paid once per document.
         """
         return self.annotate_many([document])[0]
 
@@ -91,13 +82,12 @@ class MlEntityTagger:
                       ) -> list[list[EntityMention]]:
         """Tag several documents with one cross-document decode.
 
-        The batch form of :meth:`annotate`, used by the serve-layer
-        request coalescer: uncached sentences from *every* document
-        feed a single CRF call, so the numpy path amortizes across
-        request boundaries, not just within one document.
-        Per-document results (mention lists, ``entities`` extension,
-        cache traffic) are identical to calling :meth:`annotate` on
-        each document in order.
+        The batch form of :meth:`annotate`, used by the one-pass
+        engine: sentences from *every* document feed a single CRF
+        call, so the numpy path amortizes across document (and serve
+        request) boundaries.  Per-document results (mention lists,
+        ``entities`` extension) are identical to calling
+        :meth:`annotate` on each document in order.
 
         With the context-window templates the words go straight to
         the CRF's type table (``predict_words``); only a
@@ -136,31 +126,14 @@ class MlEntityTagger:
                 first = len(flat)
                 flat.extend(pairs)
                 doc_slices.append((document, first, len(flat)))
-        cache = self.annotation_cache
-        decoded: list[list[str] | None] = [None] * len(flat)
-        if cache is not None:
-            fingerprint = self.fingerprint()
-            pending = []
-            for index, (_tokens, words) in enumerate(flat):
-                hit = cache.lookup(fingerprint, words)
-                if hit is None:
-                    pending.append(index)
-                else:
-                    decoded[index] = list(hit)
+        sentences = [words for _tokens, words in flat]
+        if not sentences:
+            decoded = []
+        elif self.quadratic_context:
+            decoded = self.crf.predict_batch(
+                [sentence_features(words, True) for words in sentences])
         else:
-            pending = list(range(len(flat)))
-        if pending:
-            sentences = [flat[index][1] for index in pending]
-            if self.quadratic_context:
-                fresh = self.crf.predict_batch(
-                    [sentence_features(words, True)
-                     for words in sentences])
-            else:
-                fresh = self.crf.predict_words(sentences)
-            for index, labels in zip(pending, fresh):
-                decoded[index] = labels
-                if cache is not None:
-                    cache.store(fingerprint, flat[index][1], labels)
+            decoded = self.crf.predict_words(sentences)
         results: list[list[EntityMention]] = []
         for document, first, last in doc_slices:
             mentions: list[EntityMention] = []

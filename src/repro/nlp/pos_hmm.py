@@ -292,10 +292,7 @@ class HmmPosTagger:
 
     Train with :meth:`train` on gold (word, tag) sequences, then tag
     token lists with :meth:`tag`.  Call :meth:`freeze` after training
-    to compile the fast array kernel; an
-    :class:`~repro.nlp.anno_cache.AnnotationCache` attached as
-    ``annotation_cache`` memoizes whole-sentence results across
-    re-crawls and duplicate boilerplate.
+    to compile the fast array kernel.
     """
 
     def __init__(self, emission_k: float = 0.05,
@@ -322,9 +319,6 @@ class HmmPosTagger:
         self._trained = False
         self._frozen: _FrozenHmm | None = None
         self._fingerprint: str | None = None
-        #: Optional cross-document annotation cache (see
-        #: repro.nlp.anno_cache); consulted per sentence by tag().
-        self.annotation_cache = None
 
     # -- training -----------------------------------------------------------
 
@@ -390,8 +384,8 @@ class HmmPosTagger:
     def fingerprint(self) -> str:
         """Content hash of the trained model (parameters + counts).
 
-        Keys the annotation cache: any retraining changes the
-        fingerprint, so stale cached annotations can never be served.
+        Any retraining changes the fingerprint, so a result keyed by
+        it can never outlive the model that produced it.
         """
         if not self._trained:
             raise RuntimeError("tagger has not been trained")
@@ -466,70 +460,34 @@ class HmmPosTagger:
         """Decode the most likely tag sequence for ``words``.
 
         Dispatches to the frozen array kernel when available (see
-        :meth:`freeze`), otherwise to the reference dict kernel; both
-        consult the annotation cache first when one is attached.
+        :meth:`freeze`), otherwise to the reference dict kernel.
         """
         self._check_input(words)
         if not words:
             return []
-        cache = self.annotation_cache
-        if cache is not None:
-            fingerprint = self.fingerprint()
-            cached = cache.lookup(fingerprint, words)
-            if cached is not None:
-                return list(cached)
         if self._frozen is not None:
-            tags = self._frozen.decode(words)
-        else:
-            tags = self._tag_dict(words)
-        if cache is not None:
-            cache.store(fingerprint, words, tags)
-        return tags
+            return self._frozen.decode(words)
+        return self._tag_dict(words)
 
     def tag_batch(self, batch: Sequence[Sequence[str]],
                   ) -> list[list[str]]:
         """Decode many sentences at once, bit-identical to
         ``[tag(s) for s in batch]``.
 
-        The entry point the one-pass engine and the serve-layer
-        request coalescer feed.  Cache misses decode per sentence
-        through the same kernel as :meth:`tag`; cache lookups, stores,
-        and crash semantics match the per-sentence path exactly; any
-        over-limit sentence raises :class:`TaggerCrash` before any
-        work is done, like mapping :meth:`tag` would on its first
-        offender.
+        The entry point the one-pass engine feeds.  Sentences decode
+        through the same kernel as :meth:`tag`; any over-limit
+        sentence raises :class:`TaggerCrash` before any work is done,
+        like mapping :meth:`tag` would on its first offender.
         """
-        sentences = [list(words) for words in batch]
-        for words in sentences:
+        for words in batch:
             self._check_input(words)
-        results: list[list[str] | None] = [None] * len(sentences)
-        pending: list[int] = []
-        cache = self.annotation_cache
-        fingerprint = ""
-        if cache is not None:
-            fingerprint = self.fingerprint()
-        for i, words in enumerate(sentences):
-            if not words:
-                results[i] = []
-                continue
-            if cache is not None:
-                cached = cache.lookup(fingerprint, words)
-                if cached is not None:
-                    results[i] = list(cached)
-                    continue
-            pending.append(i)
         decode = (self._frozen.decode if self._frozen is not None
                   else self._tag_dict)
-        for i in pending:
-            results[i] = tags = decode(sentences[i])
-            if cache is not None:
-                cache.store(fingerprint, sentences[i], tags)
-        return results
+        return [decode(words) if words else [] for words in batch]
 
     def tag_reference(self, words: Sequence[str]) -> list[str]:
-        """The original dict-of-tuples Viterbi, bypassing both the
-        frozen kernel and the annotation cache (equivalence tests
-        decode against this)."""
+        """The original dict-of-tuples Viterbi, bypassing the frozen
+        kernel (equivalence tests decode against this)."""
         self._check_input(words)
         if not words:
             return []

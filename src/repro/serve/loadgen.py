@@ -37,8 +37,8 @@ from repro.serve import protocol
 
 #: Word pool for generated workloads: a mix of dictionary-hit drug /
 #: disease surface forms and filler so extract requests exercise both
-#: the automaton and the CRF, while repeats keep the annotation cache
-#: warm (the serving steady state).
+#: the automaton and the CRF, while repeats keep the session's response
+#: memo warm (the serving steady state).
 _WORKLOAD_WORDS = (
     "aspirin", "ibuprofen", "metformin", "insulin", "warfarin",
     "diabetes", "asthma", "hypertension", "migraine", "anemia",
@@ -59,8 +59,9 @@ def generate_workload(n_requests: int, seed: int = 0,
 
     ``unique_texts`` bounds the distinct sentences: real serving
     traffic repeats (headers, boilerplate, popular queries), and the
-    repetition is what lets the annotation cache absorb per-request
-    kernel cost so the measurement isolates batching overhead.
+    repetition is what lets the session's response memo absorb
+    per-request kernel cost so the measurement isolates batching
+    overhead.
     """
     rng = random.Random(seed)
     pool = []

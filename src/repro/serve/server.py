@@ -391,8 +391,8 @@ class ExtractionServer:
     ``start()`` binds (port 0 = ephemeral; read :attr:`address`),
     forks workers, and returns; ``serve_forever()`` blocks until a
     ``shutdown`` op or :meth:`request_shutdown`.  Shutdown drains
-    in-flight batches, stops workers, flushes the annotation cache,
-    and writes the deterministic metrics export when configured.
+    in-flight batches, stops workers, releases the session's response
+    memo, and writes the deterministic metrics export when configured.
     """
 
     def __init__(self, session: ExtractionSession, config: ServeConfig,

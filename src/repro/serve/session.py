@@ -3,90 +3,127 @@
 A :class:`ExtractionSession` wraps a trained
 :class:`~repro.core.pipeline.TextAnalyticsPipeline` with the batch
 entry points the serve layer needs: a whole coalesced batch of
-requests runs through the cross-request kernels
-(``pipeline.analyze_batch`` → the one-pass annotation engine's merged
-dictionary scan, ``tag_batch``, and type-table ``predict_words``)
-in one call.  Results are plain JSON-able dicts, and each request's
-result is a pure function of its ``(op, text)`` — independent of what
-else shares the batch — which is what makes batched responses
-byte-identical to sequential single-request responses.
+requests runs through the cross-request kernels (the one-pass
+annotation engine's merged dictionary scan, ``tag_batch``, and
+type-table ``predict_words``) in one call.  Results are plain JSON-able
+dicts, and each request's result is a pure function of its
+``(op, text)`` — independent of what else shares the batch — which is
+what makes batched responses byte-identical to sequential
+single-request responses.
+
+Because a result is a pure function of ``(op, text)``, the session
+keeps a :class:`ResponseMemo`: a request it has answered before skips
+split, tokenize, POS, dictionary, CRF and classify and gets the same
+result object back.  The memo belongs to the session instance, so each
+forked worker fills its own copy and a new session starts empty.
 
 The session is built **once in the server parent**; forked workers
-inherit the frozen kernels, automata, and cache pages copy-on-write.
-:meth:`warm` forces every lazily-built structure into existence before
-the fork so child processes never privately rebuild shared state.
+inherit the frozen kernels and automata copy-on-write.  :meth:`warm`
+forces every lazily-built structure into existence before the fork so
+child processes never privately rebuild shared state.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Sequence
 
 from repro.annotations import Document
 from repro.core.pipeline import TextAnalyticsPipeline
-from repro.nlp.anno_cache import AnnotationCache
 
 #: Round-trippable float precision for probabilities in responses.
 _PROB_DIGITS = 12
 
+#: Bound on the total characters of request text the memo holds.
+#: Results retain about 7 bytes per request character, so this caps a
+#: worker's memo near 14 MiB.
+MEMO_CHARS = 2_000_000
+
+
+class ResponseMemo:
+    """Least-recently-used ``(op, text) -> result`` map, bounded by the
+    total characters of the memoized texts.
+
+    ``hits`` counts requests answered without running a kernel (a
+    repeat within one batch included), ``misses`` the distinct requests
+    that ran.  Not thread-safe by itself: :meth:`ExtractionSession.run_batch`
+    holds :attr:`lock` for the whole batch.
+    """
+
+    def __init__(self, max_chars: int = MEMO_CHARS) -> None:
+        self.max_chars = max_chars
+        self.chars = 0
+        self.hits = 0
+        self.misses = 0
+        self.lock = threading.Lock()
+        self._results: OrderedDict[tuple[str, str], dict] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def get(self, key: tuple[str, str]) -> dict | None:
+        result = self._results.get(key)
+        if result is not None:
+            self._results.move_to_end(key)
+        return result
+
+    def put(self, key: tuple[str, str], result: dict) -> None:
+        size = len(key[1])
+        if size > self.max_chars or key in self._results:
+            return
+        self._results[key] = result
+        self.chars += size
+        while self.chars > self.max_chars:
+            (_op, text), _result = self._results.popitem(last=False)
+            self.chars -= len(text)
+
+    def clear(self) -> None:
+        self._results.clear()
+        self.chars = 0
+
 
 class ExtractionSession:
-    """Batch-capable extraction operations over one pipeline.
+    """Batch-capable extraction operations over one pipeline, with a
+    per-session :class:`ResponseMemo` in front of them.
 
-    ``annotation_cache`` (an AnnotationCache or directory path)
-    optionally (re)wires the pipeline's POS/NER taggers to a cache for
-    the session's lifetime — this and ``repro serve --anno-cache`` are
-    the ways to enable the cache; :meth:`close` flushes it and
-    restores the prior wiring.
+    ``annotation_cache`` is accepted and ignored, and
+    :attr:`annotation_cache` is a read-only alias of :attr:`memo`: the
+    per-sentence annotation cache they configured is gone, and both
+    survive only because ``benchmarks/e2e`` still passes and reads
+    them — remove them with ``ServeConfig.max_delay_ms`` in the next
+    ``benchmark`` PR.
     """
 
     def __init__(self, pipeline: TextAnalyticsPipeline,
-                 annotation_cache: "AnnotationCache | str | None" = None,
-                 ) -> None:
+                 annotation_cache: object = None) -> None:
         self.pipeline = pipeline
-        self._prior_caches: list = []
-        if annotation_cache is not None:
-            if not isinstance(annotation_cache, AnnotationCache):
-                annotation_cache = AnnotationCache(annotation_cache)
-            self._install_cache(annotation_cache)
-            self.annotation_cache = annotation_cache
-        else:
-            self.annotation_cache = pipeline.pos_tagger.annotation_cache
+        self.memo = ResponseMemo()
 
-    def _install_cache(self, cache: AnnotationCache) -> None:
-        pipeline = self.pipeline
-        taggers = [pipeline.pos_tagger,
-                   *pipeline.ml_taggers.values()]
-        self._prior_caches = [(tagger, tagger.annotation_cache)
-                              for tagger in taggers]
-        for tagger in taggers:
-            tagger.annotation_cache = cache
+    @property
+    def annotation_cache(self) -> ResponseMemo:
+        return self.memo
 
     def close(self) -> None:
-        """Flush the session cache and restore prior tagger wiring."""
-        if self.annotation_cache is not None:
-            self.annotation_cache.flush()
-        for tagger, prior in self._prior_caches:
-            tagger.annotation_cache = prior
-        self._prior_caches = []
+        """Release the memoized responses."""
+        with self.memo.lock:
+            self.memo.clear()
 
     def warm(self) -> None:
         """Build every lazy structure now (pre-fork).
 
-        Fingerprints, frozen CRF weights, and the exact-match POS memo
-        for common tokens are all computed on first use; doing that in
-        the parent means forked workers share them copy-on-write
-        instead of rebuilding per process.
+        Frozen CRF weights, the classifier's tables and the
+        exact-match POS memo for common tokens are all computed on
+        first use; doing that in the parent means forked workers share
+        them copy-on-write instead of rebuilding per process.
         """
-        pipeline = self.pipeline
-        pipeline.pos_tagger.fingerprint()
-        for tagger in pipeline.ml_taggers.values():
-            tagger.fingerprint()  # freezes the CRF if it is not yet
-        pipeline.classifier.precompute()
-        # One tiny end-to-end run compiles whatever else is lazy
-        # (automaton state, linguistics regexes, numpy buffers).
-        self.run_batch([("extract", "Warmup sentence one."),
-                        ("annotate", "Warmup sentence two."),
-                        ("classify", "Warmup sentence three.")])
+        self.pipeline.classifier.precompute()
+        # One tiny end-to-end run compiles whatever else is lazy (the
+        # CRFs, automaton state, numpy buffers); it bypasses the memo,
+        # which only real requests fill.
+        self._execute([("extract", "Warmup sentence one."),
+                       ("annotate", "Warmup sentence two."),
+                       ("classify", "Warmup sentence three.")])
 
     # -- operations ----------------------------------------------------------
 
@@ -94,11 +131,40 @@ class ExtractionSession:
                   ) -> list[dict]:
         """Execute one coalesced batch of ``(op, text)`` requests.
 
-        Requests are grouped by op (preserving order within each op),
-        each group runs through its batch kernel, and results return
-        in the original request order.  A failed request yields an
-        ``{"_error": ...}`` marker rather than poisoning the batch.
+        Memoized requests are answered from the memo, and a request
+        repeated within the batch runs once.  The rest are grouped by
+        op (preserving order within each op), each group runs through
+        its batch kernel, and results return in the original request
+        order.  A failed request yields an ``{"_error": ...}`` marker
+        rather than poisoning the batch, and is never memoized.
+
+        Results are shared with the memo (and between repeats), so no
+        caller may mutate them.  The memo's lock is held for the whole
+        batch: it is taken once, and the kernels' lazily filled tables
+        are not safe to fill from two threads either.
         """
+        memo = self.memo
+        with memo.lock:
+            results: list[dict | None] = [None] * len(requests)
+            pending: dict[tuple[str, str], list[int]] = {}
+            for index, (op, text) in enumerate(requests):
+                key = (op, text)
+                result = memo.get(key)
+                if result is None:
+                    pending.setdefault(key, []).append(index)
+                else:
+                    results[index] = result
+            memo.misses += len(pending)
+            memo.hits += len(requests) - len(pending)
+            for key, result in zip(pending, self._execute(list(pending))):
+                for index in pending[key]:
+                    results[index] = result
+                if "_error" not in result:
+                    memo.put(key, result)
+        return results  # type: ignore[return-value]
+
+    def _execute(self, requests: list[tuple[str, str]]) -> list[dict]:
+        """Run distinct requests through their ops' batch kernels."""
         results: list[dict | None] = [None] * len(requests)
         groups: dict[str, list[int]] = {}
         for index, (op, _text) in enumerate(requests):
@@ -114,12 +180,9 @@ class ExtractionSession:
             try:
                 outputs = handler(texts)
             except Exception:  # noqa: BLE001 - batch isolation
-                outputs = None
-                for index, text in zip(indices, texts):
-                    results[index] = self._run_single(op, text)
-            if outputs is not None:
-                for index, output in zip(indices, outputs):
-                    results[index] = output
+                outputs = [self._run_single(op, text) for text in texts]
+            for index, output in zip(indices, outputs):
+                results[index] = output
         return results  # type: ignore[return-value]
 
     def _run_single(self, op: str, text: str) -> dict:
@@ -132,10 +195,12 @@ class ExtractionSession:
             return {"_error": f"{kind}: {exc}"}
 
     def extract_batch(self, texts: Sequence[str]) -> list[dict]:
-        """Entity extraction (dictionary + ML) over a batch of texts."""
+        """Entity extraction (dictionary + ML) over a batch of texts:
+        the one-pass engine alone — the response carries no
+        linguistic mentions, so the linguistics pass does not run."""
         documents = [Document(doc_id="serve", text=text)
                      for text in texts]
-        self.pipeline.analyze_batch(documents)
+        self.pipeline.one_pass_annotator().annotate_batch(documents)
         outputs = []
         for document in documents:
             entities = [{"text": m.text, "start": m.start,

@@ -81,17 +81,15 @@ def test_fingerprint_content_addressed():
     assert first.fingerprint() != third.fingerprint()
 
 
-def test_ml_tagger_cache_round_trip(tmp_path, medline_generator):
-    """MlEntityTagger produces identical mentions cold, memory-warm,
-    and disk-warm; the cache key space is the model's content (weights,
-    transitions, feature names, labels) and nothing the decoder builds
-    on top of it, so entries persisted by an earlier decoder stay
-    valid."""
+def test_ml_tagger_fingerprint_is_model_content(medline_generator):
+    """MlEntityTagger produces identical mentions cold and with its
+    word-type table warm; its fingerprint is the model's content
+    (weights, transitions, feature names, labels) and nothing the
+    decoder builds on top of it."""
     import hashlib
 
     import numpy as np
 
-    from repro.nlp.anno_cache import AnnotationCache
     from repro.ner.crf import LABELS
     from repro.ner.taggers import MlEntityTagger
 
@@ -106,8 +104,7 @@ def test_ml_tagger_cache_round_trip(tmp_path, medline_generator):
     fingerprint = f"ml:gene:q0:crf:{hasher.hexdigest()}"
     assert tagger.fingerprint() == fingerprint
 
-    def annotate(cache):
-        tagger.annotation_cache = cache
+    def annotate():
         mentions = []
         for i in range(12, 18):
             document = medline_generator.document(i).document.copy_shallow()
@@ -115,17 +112,10 @@ def test_ml_tagger_cache_round_trip(tmp_path, medline_generator):
                              for m in tagger.annotate(document)])
         return mentions
 
-    cold_cache = AnnotationCache(tmp_path)
-    cold = annotate(cold_cache)
-    assert cold_cache.misses > 0 and cold_cache.hits == 0
-    warm = annotate(cold_cache)
-    assert warm == cold
-    assert cold_cache.hits > 0
-    cold_cache.flush()
-    disk_cache = AnnotationCache(tmp_path)
-    assert annotate(disk_cache) == cold
-    assert disk_cache.misses == 0
-    # Decoding filled the word-type table; the key space did not move.
+    crf.freeze()
+    cold = annotate()
+    assert annotate() == cold
+    # Decoding filled the word-type table; the fingerprint did not move.
     assert crf._frozen.type_ids
     assert f"ml:gene:q0:{crf.fingerprint()}" == fingerprint
     assert f"ml:gene:q0:{crf.freeze().fingerprint()}" == fingerprint

@@ -1,7 +1,7 @@
 """Equivalence tests for the batched POS decode path.
 
 ``tag_batch`` must be bit-identical to mapping per-sentence ``tag``
-over the batch — same tags, same tie-breaking, same crash and cache
+over the batch — same tags, same tie-breaking, same crash
 semantics — at any batch composition: mixed lengths, empty sentences,
 duplicates, unknown shapes.
 """
@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nlp.anno_cache import AnnotationCache
 from repro.nlp.pos_hmm import HmmPosTagger, TaggerCrash
 
 TAGS = ["NN", "NNS", "VB", "VBD", "JJ", "DT", "IN", "CC", "."]
@@ -90,44 +89,19 @@ def test_empty_and_singleton_batches():
     assert tagger.tag_batch([sentence]) == [tagger.tag(sentence)]
 
 
-def test_batch_crash_on_over_limit_sentence(tmp_path):
+def test_batch_crash_on_over_limit_sentence(monkeypatch):
     tagger = HmmPosTagger(crash_token_limit=5)
     tagger.train([[("w", "NN")] * 3])
     tagger.freeze()
-    cache = tagger.annotation_cache = AnnotationCache(tmp_path)
+    decoded = []
+    monkeypatch.setattr(type(tagger._frozen), "decode",
+                        lambda _kernel, words: decoded.append(words))
     with pytest.raises(TaggerCrash):
         tagger.tag_batch([["w"] * 2, ["w"] * 6])
-    # Every sentence is checked before the first lookup or decode.
-    assert cache.hits == cache.misses == 0
+    # Every sentence is checked before the first decode.
+    assert decoded == []
 
 
 def test_untrained_batch_raises():
     with pytest.raises(RuntimeError):
         HmmPosTagger().tag_batch([["w"]])
-
-
-def test_batch_cache_integration(tmp_path):
-    tagger = _trained(9)
-    cache = AnnotationCache(tmp_path)
-    tagger.annotation_cache = cache
-    batch = _random_batch(random.Random(99), 30)
-    unique = len({tuple(s) for s in batch})
-    cold = tagger.tag_batch(batch)
-    assert cache.misses == unique
-    assert cache.hits == len(batch) - unique
-    warm = tagger.tag_batch(batch)
-    assert warm == cold
-    assert cache.hits == 2 * len(batch) - unique
-    # A fresh uncached tagger agrees sentence-for-sentence.
-    bare = _trained(9)
-    assert cold == [bare.tag(s) for s in batch]
-
-
-def test_batch_and_per_sentence_share_cache_entries(tmp_path):
-    tagger = _trained(10)
-    tagger.annotation_cache = AnnotationCache(tmp_path)
-    batch = _random_batch(random.Random(110), 15)
-    batched = tagger.tag_batch(batch)
-    misses = tagger.annotation_cache.misses
-    assert [tagger.tag(s) for s in batch] == batched
-    assert tagger.annotation_cache.misses == misses

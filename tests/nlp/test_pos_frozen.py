@@ -2,14 +2,13 @@
 
 The frozen kernel must reproduce the reference dict-based decoder
 exactly — same tags, same crash behaviour — across randomized seeded
-models, with and without the annotation cache in front of it.
+models.
 """
 
 import random
 
 import pytest
 
-from repro.nlp.anno_cache import AnnotationCache
 from repro.nlp.pos_hmm import HmmPosTagger, TaggerCrash
 
 TAGS = ["NN", "NNS", "VB", "VBD", "JJ", "DT", "IN", "CC", "."]
@@ -72,18 +71,6 @@ def test_crash_parity_on_long_sentences(medline_generator):
         tagger.tag(long_sentence)
 
 
-def test_crash_fires_even_with_cache(tmp_path):
-    """The crash check must precede the cache lookup — a cached long
-    sentence still crashes, as the real tool would."""
-    tagger = HmmPosTagger(crash_token_limit=5)
-    tagger.train([[("w", "NN")] * 3])
-    tagger.freeze()
-    tagger.annotation_cache = AnnotationCache(tmp_path)
-    with pytest.raises(TaggerCrash):
-        tagger.tag(["w"] * 6)
-    assert tagger.annotation_cache.misses == 0
-
-
 def test_incremental_training_invalidates_freeze():
     tagger = HmmPosTagger()
     tagger.train([[("the", "DT"), ("cats", "NNS")]])
@@ -110,39 +97,6 @@ def test_candidate_tags_returns_immutable_tuple():
     unknown = tagger._candidate_tags("never-seen-zzz")
     assert isinstance(unknown, tuple)
     assert set(unknown) == set(tagger.tags)
-
-
-def test_cache_hit_path_returns_equal_tags(tmp_path):
-    rng = random.Random(8)
-    tagger = HmmPosTagger()
-    tagger.train(_random_training(rng, 80))
-    tagger.freeze()
-    cache = AnnotationCache(tmp_path)
-    tagger.annotation_cache = cache
-    sentences = _random_test_sentences(rng, 20)
-    unique = len({tuple(s) for s in sentences})
-    cold = [tagger.tag(s) for s in sentences]
-    assert cache.misses == unique
-    assert cache.hits == len(sentences) - unique
-    warm = [tagger.tag(s) for s in sentences]
-    assert warm == cold
-    assert cache.hits == 2 * len(sentences) - unique
-
-
-def test_cache_survives_process_restart(tmp_path):
-    """Flushed entries are read back by a fresh cache instance keyed
-    by the same model fingerprint."""
-    rng = random.Random(9)
-    tagger = HmmPosTagger()
-    tagger.train(_random_training(rng, 80))
-    tagger.freeze()
-    tagger.annotation_cache = AnnotationCache(tmp_path)
-    sentences = _random_test_sentences(rng, 10)
-    cold = [tagger.tag(s) for s in sentences]
-    assert tagger.annotation_cache.flush() > 0
-    tagger.annotation_cache = AnnotationCache(tmp_path)
-    assert [tagger.tag(s) for s in sentences] == cold
-    assert tagger.annotation_cache.misses == 0
 
 
 def test_fingerprint_is_stable_and_content_addressed():

@@ -2,7 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.nlp.tokenize import Tokenizer, tokenize
+from repro.annotations import Token
+from repro.nlp.tokenize import (
+    _TOKEN_RE, Tokenizer, tokenize, tokenize_with_surfaces,
+)
 
 
 class TestBasics:
@@ -81,3 +84,44 @@ def test_property_non_whitespace_coverage(text):
     for index, char in enumerate(text):
         if not char.isspace():
             assert index in covered
+
+
+#: Every whitespace class the columns path must agree with the regex
+#: on: ASCII, the C0 separators, NEL, NBSP and the ideographic space.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2009\u3000"
+
+
+def _finditer_tokens(text, base_offset):
+    return [Token(m.group(), base_offset + m.start(), base_offset + m.end())
+            for m in _TOKEN_RE.finditer(text)]
+
+
+@given(text=st.text(alphabet=st.one_of(
+           st.sampled_from(_WHITESPACE),
+           st.sampled_from("aZ09.,-()'%/é漢"),
+           st.characters()), max_size=120),
+       base_offset=st.integers(0, 10_000))
+@settings(max_examples=400, deadline=None)
+def test_columns_equal_one_finditer_pass(text, base_offset):
+    tokens, surfaces = tokenize_with_surfaces(text, base_offset)
+    assert tokens == _finditer_tokens(text, base_offset)
+    assert surfaces == [token.text for token in tokens]
+    assert all(type(token) is Token and token.pos == ""
+               for token in tokens)
+
+
+def test_columns_on_empty_and_whitespace_only_text():
+    assert tokenize_with_surfaces("") == ([], [])
+    assert tokenize_with_surfaces(_WHITESPACE * 3, 7) == ([], [])
+    text = _WHITESPACE + "GAD-67" + _WHITESPACE + "(x)" + _WHITESPACE
+    tokens, surfaces = tokenize_with_surfaces(text, 5)
+    assert surfaces == ["GAD-67", "(", "x", ")"]
+    assert tokens == _finditer_tokens(text, 5)
+    assert text[tokens[0].start - 5:tokens[0].end - 5] == "GAD-67"
+
+
+def test_long_trailing_whitespace_is_linear():
+    """The match loop stops where the trailing whitespace starts, so
+    no attempt backtracks over it (quadratic otherwise)."""
+    text = "a" + " " * 200_000
+    assert tokenize(text) == [Token("a", 0, 1)]

@@ -37,6 +37,27 @@ class TestToken:
         assert token.pos == ""
         assert tagged.span == Span(0, 3)
 
+    def test_fields_are_immutable(self):
+        token = Token("cat", 0, 3)
+        for field in ("text", "start", "end", "pos"):
+            with pytest.raises(AttributeError):
+                setattr(token, field, "x")
+
+    def test_repr_and_defaults(self):
+        assert repr(Token("cat", 0, 3)) == \
+            "Token(text='cat', start=0, end=3, pos='')"
+        assert repr(Token("cat", 0, 3, "NN")) == \
+            "Token(text='cat', start=0, end=3, pos='NN')"
+
+    def test_span_and_with_pos(self):
+        token = Token("BRCA1", 4, 9)
+        assert token.span == Span(4, 9) and len(token.span) == 5
+        tagged = token.with_pos("NNP")
+        assert tagged == Token("BRCA1", 4, 9, "NNP")
+        assert (tagged.text, tagged.start, tagged.end) == \
+            (token.text, token.start, token.end)
+        assert tagged.with_pos("NN").pos == "NN"
+
 
 class TestDocument:
     def _document(self):

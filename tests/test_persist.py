@@ -1,10 +1,10 @@
-"""One fault matrix at the file seam, over all five on-disk formats.
+"""One fault matrix at the file seam, over all four on-disk formats.
 
 Every versioned file goes through :mod:`repro.persist`, so the crash,
 corruption, and version behaviour is checked once, per format, here:
 a failed write leaves the previous file, and a damaged file is the
-format's typed error (checkpoints, the store) or a miss (the two
-caches) — never any other exception.
+format's typed error (checkpoints, the store) or a miss (the
+automaton cache) — never any other exception.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ from repro.crawler.crawl import CrawlResult
 from repro.crawler.frontier import CrawlDb
 from repro.ner.automaton import WordTrie
 from repro.ner.cache import AutomatonCache, content_key
-from repro.nlp.anno_cache import AnnotationCache, sentence_key
 from repro.store import (
     EntityStore, StoreError, StoreNotFoundError, StoreVersionError,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "persist"
 
-WORDS = ["Aspirin", "reduced", "migraine", "."]
-MODEL = "model-fingerprint"
 AUTOMATON_KEY = content_key(["fixed key"])
 
 
@@ -105,19 +102,6 @@ def _read_store(directory: Path):
     return len(EntityStore.load(directory).to_dict()["mentions"])
 
 
-def _write_anno(directory: Path, variant: int) -> Path:
-    cache = AnnotationCache(directory, autosave_every=None)
-    cache.store(MODEL, WORDS, ["NN", "VBD", "NN", f"variant-{variant}"])
-    cache.flush()
-    return cache.path_for(
-        MODEL, AnnotationCache._shard_of(sentence_key(WORDS)))
-
-
-def _read_anno(directory: Path):
-    labels = AnnotationCache(directory).lookup(MODEL, WORDS)
-    return None if labels is None else labels[-1]
-
-
 def _write_automaton(directory: Path, variant: int) -> Path:
     trie = WordTrie.build(["brca1", "tp53", "tnf"][:2 + variant])
     return AutomatonCache(directory).store(AUTOMATON_KEY, trie)
@@ -173,8 +157,6 @@ FORMATS = [
            CheckpointError, CheckpointError, CheckpointError),
     Format("store", _write_store, _read_store, (1, 2),
            StoreError, StoreNotFoundError, StoreVersionError),
-    Format("anno_cache", _write_anno, _read_anno,
-           ("variant-0", "variant-1")),
     Format("automaton_cache", _write_automaton, _read_automaton, (2, 3)),
 ]
 every_format = pytest.mark.parametrize(
@@ -329,7 +311,6 @@ def test_store_link_without_an_observed_surface_is_typed(link, tmp_path):
 
 
 @pytest.mark.parametrize("name, field", [
-    ("anno_cache", "python"), ("anno_cache", "model"),
     ("automaton_cache", "python"), ("automaton_cache", "key")])
 def test_cache_entry_of_another_identity_is_a_miss(name, field, tmp_path):
     """Marshal is interpreter-specific and entries are content-keyed:
