@@ -14,7 +14,7 @@ package re-creates that stack:
 * :mod:`repro.dataflow.optimizer` — selectivity/cost-based reordering;
 * :mod:`repro.dataflow.fusion` — plan → execution stages (chain
   fusion);
-* :mod:`repro.dataflow.executor` — the one local executor (five
+* :mod:`repro.dataflow.executor` — the one local executor (three
   physical modes) with per-operator accounting;
 * :mod:`repro.dataflow.cluster` — the simulated cluster used for the
   scale-up/scale-out and war-story experiments (Figs. 4-5);

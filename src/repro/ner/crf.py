@@ -2,9 +2,9 @@
 
 A from-scratch CRF with BIO labels: log-space forward-backward for the
 partition function and marginals, exact gradients, L2-regularized
-L-BFGS training (scipy), and Viterbi decoding.  This is the Mallet
-analog under all three ML entity taggers (BANNER, ChemSpot, and the
-authors' disease tagger all build on Mallet CRFs).
+L-BFGS training (:mod:`repro.ner.lbfgs`), and Viterbi decoding.  This
+is the Mallet analog under all three ML entity taggers (BANNER,
+ChemSpot, and the authors' disease tagger all build on Mallet CRFs).
 
 Training is one batched kernel: a :class:`TrainingSet` lays the
 sentences out longest-first and time-major, and every L-BFGS objective
@@ -36,18 +36,15 @@ call and dropped after it.
 Contract: all three kernels return the labels of
 ``predict_reference``.  Emission *floats* are not part of it — the
 feature kernel (which the reference shares) sums a position's weights
-sequentially (``reduceat``), the type table adds three per-group
-partial sums in a fixed association — only the decoded path is; the
-per-position emission loop of ``tests/ner/crf_oracle.py`` shares no
-code with either and ``tests/ner/test_crf_training.py`` holds the
-feature kernel to it.  The model fingerprint
-hashes weights, transitions and feature names, none of which the
-table touches, so filling the table never changes it.
+with ``reduceat``, the type table adds three per-group partial sums in
+a fixed association — only the decoded path is; the per-position
+emission loop of ``tests/ner/crf_oracle.py`` shares no code with
+either and ``tests/ner/test_crf_training.py`` holds the feature kernel
+to it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import warnings
@@ -57,9 +54,8 @@ from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse import csr_array
 
+from repro.ner import lbfgs
 from repro.ner.features import (
     next_features, previous_features, self_features,
 )
@@ -81,7 +77,8 @@ _LABEL_INDEX = {label: i for i, label in enumerate(LABELS)}
 @dataclass(frozen=True)
 class TrainingReport:
     """How the last :meth:`LinearChainCrf.fit` went (``status`` and
-    ``message`` are L-BFGS-B's: 0 converged, 1 iteration limit)."""
+    ``message`` are :func:`repro.ner.lbfgs.minimize`'s: 0 converged, 1
+    iteration limit, 2 line search failed)."""
 
     iterations: int
     objective_calls: int
@@ -104,11 +101,11 @@ class TrainingSet:
     """
 
     feature_index: dict[str, int]
-    #: ``(rows, F)`` 0/1 matrix of each row's known features, in CSR —
-    #: the flat-ids-plus-offsets layout decode gathers from — so
-    #: emissions are ``incidence @ weights.T`` and expected feature
-    #: counts ``incidence.T @ marginals``.
-    incidence: csr_array
+    #: Each row's known feature ids, sorted, concatenated row after row
+    #: (the layout :meth:`LinearChainCrf._emissions_from_flat` reads).
+    feature_ids: np.ndarray
+    #: ``(rows + 1,)`` offset of each row's ids in ``feature_ids``.
+    offsets: np.ndarray
     #: ``(T + 1,)`` first row of each step.
     starts: np.ndarray
     #: Sentence lengths, longest first (row ``starts[t] + r`` is
@@ -140,11 +137,8 @@ class TrainingSet:
              for i in order[:count]), index.get)
         rank = {i: r for r, i in enumerate(order)}
         rows = [starts[:sizes[i]] + rank[i] for i in sorted(order)]
-        incidence = csr_array(
-            (np.ones(len(flat_ids)), np.asarray(flat_ids, dtype=np.intp),
-             np.asarray(boundaries, dtype=np.intp)),
-            shape=(len(boundaries) - 1, len(index)))
-        return cls(index, incidence, starts, lengths,
+        return cls(index, np.asarray(flat_ids, dtype=np.intp),
+                   np.asarray(boundaries, dtype=np.intp), starts, lengths,
                    np.concatenate(rows) if rows else starts[:0])
 
 
@@ -161,7 +155,6 @@ class _FrozenCrf:
     transitions_list: list[list[float]]
     #: Bound ``feature_index.get`` — one dict probe per feature string.
     index_get: object
-    fingerprint: str
     #: ``(rows, 3, L)`` per-word-type emission parts — self, as-previous
     #: and as-next — with row 0 the sentence boundary (its self part is
     #: unused).  Rows ``1..len(type_ids)`` are filled; a writer replaces
@@ -226,16 +219,15 @@ class LinearChainCrf:
         self.feature_index = dict(training.feature_index)
         n_labels, n_features = self.n_labels, self.n_features
         split = n_labels * n_features
-        result = minimize(objective, np.zeros(split + n_labels * n_labels),
-                          jac=True, method="L-BFGS-B",
-                          options={"maxiter": self.max_iterations})
+        result = lbfgs.minimize(
+            objective, np.zeros(split + n_labels * n_labels),
+            self.max_iterations)
         self.state_weights = result.x[:split].reshape(n_labels, n_features)
         self.transitions = result.x[split:].reshape(n_labels, n_labels)
         self.training_report = TrainingReport(
-            int(result.nit), int(result.nfev), float(result.fun),
-            time.perf_counter() - started, int(result.status),
-            str(result.message))
-        if result.status not in (0, 1):
+            result.iterations, result.calls, float(result.fun),
+            time.perf_counter() - started, result.status, result.message)
+        if result.status == 2:
             warnings.warn(f"CRF training stopped early: {result.message}",
                           RuntimeWarning, stacklevel=2)
         self.freeze()
@@ -247,21 +239,14 @@ class LinearChainCrf:
         """Compile the trained model for fast decoding.
 
         Caches the transposed weight matrix (C-contiguous), a scalar
-        transition table, the feature index's lookup, and the model
-        fingerprint, and starts an empty word-type table (rows scored
-        under earlier weights are dropped).  ``fit()`` calls this
-        automatically; call it again only after mutating weights by
-        hand.
+        transition table and the feature index's lookup, and starts an
+        empty word-type table (rows scored under earlier weights are
+        dropped).  ``fit()`` calls this automatically; call it again
+        only after mutating weights by hand.
         """
         if not self.trained:
             raise RuntimeError("CRF has not been trained")
         transitions = np.ascontiguousarray(self.transitions, dtype=float)
-        hasher = hashlib.sha256()
-        hasher.update(np.ascontiguousarray(self.state_weights,
-                                           dtype=float).tobytes())
-        hasher.update(transitions.tobytes())
-        hasher.update("\x00".join(sorted(self.feature_index)).encode())
-        hasher.update("|".join(LABELS).encode())
         weights_t = np.ascontiguousarray(self.state_weights.T, dtype=float)
         index_get = self.feature_index.get
         self._frozen = _FrozenCrf(
@@ -269,13 +254,8 @@ class LinearChainCrf:
             transitions=transitions,
             transitions_list=transitions.tolist(),
             index_get=index_get,
-            fingerprint=f"crf:{hasher.hexdigest()}",
             type_table=self._type_rows([None], index_get, weights_t))
         return self
-
-    def fingerprint(self) -> str:
-        """Content hash of the trained model (weights + features)."""
-        return self._compiled().fingerprint
 
     def _compiled(self) -> _FrozenCrf:
         """The frozen model, compiled on first use (raises if the CRF
@@ -629,7 +609,7 @@ def _training_objective(training: TrainingSet,
     """``theta -> (loss, gradient)``: the L2-regularised negative
     log-likelihood of ``labels`` over the whole training set.
 
-    Each call is one emission product over all rows, one forward and
+    Each call is one emission gather over all rows, one forward and
     one backward sweep of ``T_max`` vectorised steps, and the
     marginals and gradient as whole-array expressions.  ``theta`` is
     the ``(L, F)`` state weights then the ``(L, L)`` transitions,
@@ -644,9 +624,21 @@ def _training_objective(training: TrainingSet,
     gold[training.rows] = label_ids
     n_labels, n_features = len(LABELS), len(training.feature_index)
     split = n_labels * n_features
-    incidence, starts = training.incidence, training.starts
+    ids, starts = training.feature_ids, training.starts
     running = np.diff(starts)
     n_rows = len(gold)
+    # The row of each entry of ``ids``.  ``_bin_sums`` adds a bin's
+    # entries in entry order, so a row sums its features, and a feature
+    # its rows, in ascending order: a sparse 0/1 product's sums, bit
+    # for bit.
+    entry_rows = np.repeat(np.arange(n_rows), np.diff(training.offsets))
+
+    def feature_sums(values: np.ndarray) -> np.ndarray:
+        """``(rows, L)`` -> per-label feature sums, raveled ``(L, F)``."""
+        return np.concatenate([
+            _bin_sums(ids, values[:, label].take(entry_rows), n_features)
+            for label in range(n_labels)])
+
     # Sentence (by length rank) of each row; each sentence's last row;
     # for the rows past step 0 (``first`` on), the same sentence's row
     # one step earlier.
@@ -658,14 +650,16 @@ def _training_objective(training: TrainingSet,
     one_hot = np.zeros((n_rows, n_labels))
     one_hot[np.arange(n_rows), gold] = 1.0
     empirical = np.concatenate([
-        (incidence.T @ one_hot).T.ravel(),
+        feature_sums(one_hot),
         np.bincount(gold[before] * n_labels + gold[first:],
                     minlength=n_labels * n_labels)])
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         weights = theta[:split].reshape(n_labels, n_features)
         transitions = theta[split:].reshape(n_labels, n_labels)
-        emissions = incidence @ weights.T
+        emissions = np.stack([
+            _bin_sums(entry_rows, weights[label].take(ids), n_rows)
+            for label in range(n_labels)], axis=1)
         alpha = _forward_sweep(emissions, transitions, starts)
         beta = _backward_sweep(emissions, transitions, starts)
         log_z = _logsumexp(alpha[last], axis=1)
@@ -676,8 +670,7 @@ def _training_objective(training: TrainingSet,
         pairwise = np.exp(
             alpha[before][:, :, None] + transitions
             + (emissions + beta - shift)[first:, None, :]).sum(axis=0)
-        gradient = np.concatenate([(incidence.T @ state).T.ravel(),
-                                   pairwise.ravel()])
+        gradient = np.concatenate([feature_sums(state), pairwise.ravel()])
         gradient += l2 * theta - empirical
         # np.sum, not ``@``: past 10,000 elements BLAS threads a dot
         # product, and the hand-off costs milliseconds a call.
@@ -686,6 +679,11 @@ def _training_objective(training: TrainingSet,
         return loss, gradient
 
     return objective
+
+
+def _bin_sums(bins: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Each bin's ``values`` summed in order (floats, even if empty)."""
+    return np.bincount(bins, values, n).astype(float, copy=False)
 
 
 def _flatten(positions, index_get) -> tuple[list[int], list[int]]:

@@ -43,7 +43,6 @@ class MlEntityTagger:
         self.entity_type = entity_type
         self.crf = crf
         self.quadratic_context = quadratic_context
-        self._fingerprint: str | None = None
 
     # -- training ------------------------------------------------------------
 
@@ -57,15 +56,6 @@ class MlEntityTagger:
                              l2, max_iterations)[entity_type]
 
     # -- annotation -----------------------------------------------------------
-
-    def fingerprint(self) -> str:
-        """Content hash of what decides this tagger's labels: the CRF
-        content hash plus the tagger's own decoding configuration."""
-        if self._fingerprint is None:
-            self._fingerprint = (f"ml:{self.entity_type}:"
-                                 f"q{int(self.quadratic_context)}:"
-                                 f"{self.crf.fingerprint()}")
-        return self._fingerprint
 
     def annotate(self, document: Document) -> list[EntityMention]:
         """Tag a document; extends ``document.entities`` in place.

@@ -28,7 +28,6 @@ Both kernels preserve these semantics exactly.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
@@ -318,7 +317,6 @@ class HmmPosTagger:
         self._unigram_total = 0
         self._trained = False
         self._frozen: _FrozenHmm | None = None
-        self._fingerprint: str | None = None
 
     # -- training -----------------------------------------------------------
 
@@ -341,10 +339,9 @@ class HmmPosTagger:
     def _finalize(self) -> None:
         """Precompute totals and candidate-tag lists (called after
         every training round; training stays incremental).  Any new
-        counts invalidate the frozen kernel and the model fingerprint."""
+        counts invalidate the frozen kernel."""
         self._transition_rows.clear()
         self._frozen = None
-        self._fingerprint = None
         self._emission_totals = {tag: sum(c.values())
                                  for tag, c in self._emissions.items()}
         self._shape_totals = {tag: sum(c.values())
@@ -380,30 +377,6 @@ class HmmPosTagger:
             raise RuntimeError("tagger has not been trained")
         self._frozen = _FrozenHmm(self)
         return self
-
-    def fingerprint(self) -> str:
-        """Content hash of the trained model (parameters + counts).
-
-        Any retraining changes the fingerprint, so a result keyed by
-        it can never outlive the model that produced it.
-        """
-        if not self._trained:
-            raise RuntimeError("tagger has not been trained")
-        if self._fingerprint is None:
-            hasher = hashlib.sha256()
-            hasher.update(repr((self.emission_k, self.interpolation,
-                                self.crash_token_limit)).encode())
-            for name, table in (("tri", self._trigram),
-                                ("bi", self._bigram),
-                                ("emit", self._emissions),
-                                ("shape", self._shape_emissions)):
-                for key in sorted(table):
-                    counter = table[key]
-                    hasher.update(
-                        f"{name}:{key}:{sorted(counter.items())}".encode())
-            hasher.update(f"uni:{sorted(self._unigram.items())}".encode())
-            self._fingerprint = f"hmm:{hasher.hexdigest()}"
-        return self._fingerprint
 
     # -- probabilities -----------------------------------------------------
 

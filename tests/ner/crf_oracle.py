@@ -6,11 +6,13 @@ summed pairwise by ``weights[:, active].sum(axis=1)``.  It is kept
 here, out of ``src/``, as the ground truth the batched kernel in
 :mod:`repro.ner.crf` is held to (``tests/ner/test_crf_training.py``)
 and as an emission/partition-function reference that shares no code
-with the production module.
+with the production module.  ``fit`` trains with scipy's L-BFGS-B,
+the optimiser :mod:`repro.ner.lbfgs` reproduces.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -146,6 +148,16 @@ def model_emissions(crf: LinearChainCrf, features) -> np.ndarray:
 def log_partition(crf: LinearChainCrf, features) -> float:
     """log Z of one sentence under a trained model."""
     return forward(model_emissions(crf, features), crf.transitions)[1]
+
+
+def model_fingerprint(crf: LinearChainCrf) -> str:
+    """Hash of what decides a trained CRF's labels: its weights,
+    transitions and feature index (names and ids)."""
+    hasher = hashlib.sha256()
+    hasher.update(np.ascontiguousarray(crf.state_weights).tobytes())
+    hasher.update(np.ascontiguousarray(crf.transitions).tobytes())
+    hasher.update(repr(sorted(crf.feature_index.items())).encode())
+    return hasher.hexdigest()
 
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:

@@ -66,43 +66,19 @@ def test_untrained_predict_batch_raises():
         LinearChainCrf().predict_batch([[["bias"]]])
 
 
-def test_fingerprint_stable_across_freezes():
-    crf, _rng = _train(5, n_sentences=20, max_iterations=10)
-    first = crf.fingerprint()
-    crf.freeze()
-    assert crf.fingerprint() == first
-
-
-def test_fingerprint_content_addressed():
-    first, _ = _train(6, n_sentences=20, max_iterations=10)
-    second, _ = _train(6, n_sentences=20, max_iterations=10)
-    third, _ = _train(7, n_sentences=20, max_iterations=10)
-    assert first.fingerprint() == second.fingerprint()
-    assert first.fingerprint() != third.fingerprint()
-
-
 def test_ml_tagger_fingerprint_is_model_content(medline_generator):
     """MlEntityTagger produces identical mentions cold and with its
-    word-type table warm; its fingerprint is the model's content
-    (weights, transitions, feature names, labels) and nothing the
-    decoder builds on top of it."""
-    import hashlib
+    word-type table warm, and decoding leaves the model's content
+    (weights, transitions, feature index) as training left it."""
+    from crf_oracle import model_fingerprint
 
-    import numpy as np
-
-    from repro.ner.crf import LABELS
     from repro.ner.taggers import MlEntityTagger
 
-    gold = [medline_generator.document(i) for i in range(12)]
-    tagger = MlEntityTagger.train("gene", gold, max_iterations=15)
+    tagger = MlEntityTagger.train(
+        "gene", [medline_generator.document(i) for i in range(12)],
+        max_iterations=15)
     crf = tagger.crf
-    hasher = hashlib.sha256()
-    hasher.update(np.ascontiguousarray(crf.state_weights).tobytes())
-    hasher.update(np.ascontiguousarray(crf.transitions).tobytes())
-    hasher.update("\x00".join(sorted(crf.feature_index)).encode())
-    hasher.update("|".join(LABELS).encode())
-    fingerprint = f"ml:gene:q0:crf:{hasher.hexdigest()}"
-    assert tagger.fingerprint() == fingerprint
+    fingerprint = model_fingerprint(crf)
 
     def annotate():
         mentions = []
@@ -115,7 +91,7 @@ def test_ml_tagger_fingerprint_is_model_content(medline_generator):
     crf.freeze()
     cold = annotate()
     assert annotate() == cold
-    # Decoding filled the word-type table; the fingerprint did not move.
+    # Decoding filled the word-type table; the model did not move.
     assert crf._frozen.type_ids
-    assert f"ml:gene:q0:{crf.fingerprint()}" == fingerprint
-    assert f"ml:gene:q0:{crf.freeze().fingerprint()}" == fingerprint
+    assert model_fingerprint(crf) == fingerprint
+    assert model_fingerprint(crf.freeze()) == fingerprint
