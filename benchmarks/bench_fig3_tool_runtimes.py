@@ -8,7 +8,9 @@ superlinearly.
 
 ``test_kernel_throughput`` additionally measures the frozen annotator
 kernels (docs/performance.md) against their reference implementations
-and writes the numbers to repo-root ``BENCH_nlp.json``.
+(the test oracles ``tests/nlp/pos_oracle.py`` and
+``tests/ner/crf_oracle.py``) and writes the numbers to repo-root
+``BENCH_nlp.json``.
 """
 
 import json
@@ -25,6 +27,8 @@ from repro.corpora.profiles import MEDLINE
 from repro.ner.features import sentence_features
 from repro.ner.taggers import MlEntityTagger
 from repro.nlp.pos_hmm import TaggerCrash
+from tests.ner.crf_oracle import predict_reference
+from tests.nlp.pos_oracle import tag_reference
 
 BENCH_NLP_PATH = Path(__file__).resolve().parent.parent / "BENCH_nlp.json"
 
@@ -199,7 +203,7 @@ def test_kernel_throughput(ctx, benchmark):
 
     # -- POS: reference dict Viterbi vs. frozen kernel -------------------
     pos_reference = _best_seconds(
-        lambda: [tagger.tag_reference(words) for words in sentences],
+        lambda: [tag_reference(tagger, words) for words in sentences],
         rounds)
     pos_frozen = _best_seconds(
         lambda: [tagger.tag(words) for words in sentences], rounds)
@@ -209,15 +213,15 @@ def test_kernel_throughput(ctx, benchmark):
     features = [sentence_features(words, quadratic_context=False)
                 for words in sentences]
     crf_reference = _best_seconds(
-        lambda: [crf.predict_reference(sentence) for sentence in features],
+        lambda: [predict_reference(crf, sentence) for sentence in features],
         rounds)
     crf_frozen = _best_seconds(lambda: crf.predict_batch(features), rounds)
 
     # -- CRF, words -> labels: what a tagger pays per uncached sentence ---
-    expected = [crf.predict_reference(sentence) for sentence in features]
+    expected = [predict_reference(crf, sentence) for sentence in features]
     assert crf.predict_words(sentences) == expected
     words_reference = _best_seconds(
-        lambda: [crf.predict_reference(sentence_features(words))
+        lambda: [predict_reference(crf, sentence_features(words))
                  for words in sentences], rounds)
     words_features = _best_seconds(
         lambda: crf.predict_batch([sentence_features(words)

@@ -11,7 +11,8 @@ reversed ingest order, save → load → save) on every round.
 The "analyze + ingest" row is what `repro crawl --store` pays per
 harvest: the same crawl-sized pages annotated and ingested through
 the streaming one-pass engine (``ingest_documents(pipeline=...)``)
-against the per-document ``pipeline.analyze`` reference loop,
+against the per-document reference loop (the test oracle
+``tests/core/pipeline_oracle.analyze``),
 interleaved min-of-3 with the store digest asserted equal each round.
 
 Artifacts: repo-root ``BENCH_store.json`` and
@@ -33,6 +34,7 @@ from repro.ner.relations import RelationExtractor
 from repro.store import (
     EntityStore, QueryEngine, analyzed_documents, ingest_documents,
 )
+from tests.core.pipeline_oracle import analyze
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_DOCS = 10 if SMOKE else 30
@@ -67,7 +69,7 @@ def _reference_ingest(store, pages, pipeline) -> None:
     extractor = RelationExtractor()
     for page in pages:
         copy = page.copy_shallow()
-        pipeline.analyze(copy)
+        analyze(pipeline, copy)
         store.ingest_document(copy, relations=extractor.extract(copy))
 
 

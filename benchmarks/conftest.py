@@ -3,13 +3,25 @@
 Benchmarks both *time* the relevant kernels (pytest-benchmark) and
 *regenerate* the paper's tables/figures, writing each as a text report
 under ``benchmarks/out/`` and asserting the paper's qualitative shape.
+
+Reference arms (the pre-optimisation kernels a benchmark times its
+production kernel against) import the test oracles (``tests/*/
+*_oracle.py``), so the repository root goes on ``sys.path`` whatever
+directory the benchmarks run from.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.experiment import default_context
+
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.append(_REPO_ROOT)
 
 
 @pytest.fixture(scope="session")

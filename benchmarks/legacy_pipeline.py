@@ -14,10 +14,9 @@ benchmark swaps :func:`legacy_process_document` into the crawl loop to
 time the pre-change pipeline on the same simulated web, and asserts it
 produces byte-identical crawl results (modulo the ``title`` metadata
 the old path never extracted).  Model-level scoring goes through the
-``*_reference`` oracles kept in the package
-(``LanguageIdentifier.detect_reference``,
-``NaiveBayesClassifier.log_odds_reference``), which are the pre-change
-implementations by construction.
+test oracles (``tests/nlp/language_oracle.detect_reference``,
+``tests/classify/classifier_oracle.log_odds_reference``), which are the
+pre-change implementations by construction.
 
 Nothing here is exported for production use — the live pipeline lives
 in :mod:`repro.crawler.parallel`.
@@ -35,6 +34,8 @@ from urllib.parse import urljoin, urlsplit, urlunsplit
 
 from repro.crawler.parallel import DocumentOutcome, ProcessingContext
 from repro.html.boilerplate import TextBlock
+from tests.classify.classifier_oracle import log_odds_reference
+from tests.nlp.language_oracle import detect_reference
 
 # -- DOM (pre-optimisation tokenizer and serializer) --------------------------
 
@@ -385,7 +386,7 @@ def legacy_process_document(url: str, body: str, content_type: str,
 
     started = time.perf_counter()
     language = context.filters.language
-    if language.identifier.detect_reference(net_text) != language.target:
+    if detect_reference(language.identifier, net_text) != language.target:
         rejected_by = "language"
     elif not context.filters.length.accept(net_text):
         rejected_by = "length"
@@ -399,7 +400,7 @@ def legacy_process_document(url: str, body: str, content_type: str,
         return outcome
 
     started = time.perf_counter()
-    odds = context.classifier.log_odds_reference(net_text)
+    odds = log_odds_reference(context.classifier, net_text)
     if odds > 500:
         probability = 1.0
     elif odds < -500:

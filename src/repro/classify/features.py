@@ -34,10 +34,11 @@ class BagOfWords:
 
         Tokenizes with one C-level ``findall`` and counts via
         ``Counter(iterable)``; the token stream, filters, and therefore
-        the counter's contents *and insertion order* match
-        :meth:`vector_reference` exactly.  The tokenizer pattern never
-        yields a token shorter than two characters, so the length check
-        is skipped at the default ``min_length``.
+        the counter's contents *and insertion order* match a
+        match-at-a-time loop (``tests/classify/classifier_oracle.py``)
+        exactly.  The tokenizer pattern never yields a token shorter
+        than two characters, so the length check is skipped at the
+        default ``min_length``.
         """
         words = _WORD_RE.findall(text.lower())
         min_length = self.min_length
@@ -52,17 +53,3 @@ class BagOfWords:
             return Counter(word for word in words
                            if len(word) >= min_length)
         return Counter(words)
-
-    def vector_reference(self, text: str) -> Counter:
-        """Direct match-at-a-time implementation kept as the
-        correctness (and pre-optimisation benchmark) oracle for
-        :meth:`vector`."""
-        counts: Counter = Counter()
-        for match in _WORD_RE.finditer(text.lower()):
-            word = match.group()
-            if len(word) < self.min_length:
-                continue
-            if self.use_stopwords and word in STOPWORDS:
-                continue
-            counts[word] += 1
-        return counts

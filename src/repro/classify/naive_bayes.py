@@ -11,10 +11,10 @@ Scoring is served from a precomputed per-word log-ratio table
 changes, so classifying a document is one dict lookup and one multiply
 per word instead of four counter lookups and two ``log`` calls — the
 crawl loop classifies every fetched page, so this is on the crawler's
-hot path.  :meth:`log_odds_reference` keeps the direct computation for
-equivalence testing; the two are bit-identical by construction (the
-table stores exactly the float the reference would compute per word,
-and both accumulate in the same order).
+hot path.  ``tests/classify/classifier_oracle.py`` keeps the direct
+computation for equivalence testing; the two are bit-identical by
+construction (the table stores exactly the float the direct
+computation makes per word, and both accumulate in the same order).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class NaiveBayesClassifier:
         neg_counts = self._word_counts[False]
         pos_denominator = self._class_words[True] + self.smoothing * vocab_size
         neg_denominator = self._class_words[False] + self.smoothing * vocab_size
-        # Per word, exactly the float the reference computes:
+        # Per word, exactly the float the direct computation makes:
         # log((count+s)/denom_pos) - log((count+s)/denom_neg).
         self._log_ratio = {
             word: (math.log((pos_counts[word] + self.smoothing)
@@ -111,30 +111,6 @@ class NaiveBayesClassifier:
             ratio = ratios.get(word)
             if ratio is not None:
                 score += count * ratio
-        return score
-
-    def log_odds_reference(self, text: str) -> float:
-        """The direct (table-free) log-odds computation.
-
-        Kept as the correctness oracle for the precomputed table:
-        ``log_odds`` must match this bit-for-bit for any text and any
-        interleaving of online updates.
-        """
-        if not self.trained:
-            raise RuntimeError("classifier needs examples of both classes")
-        vector = self.features.vector_reference(text)
-        vocab_size = max(1, len(self._vocabulary))
-        total_docs = self._class_docs[True] + self._class_docs[False]
-        score = (math.log(self._class_docs[True] / total_docs)
-                 - math.log(self._class_docs[False] / total_docs))
-        for word, count in vector.items():
-            if word not in self._vocabulary:
-                continue
-            p_pos = (self._word_counts[True][word] + self.smoothing) / (
-                self._class_words[True] + self.smoothing * vocab_size)
-            p_neg = (self._word_counts[False][word] + self.smoothing) / (
-                self._class_words[False] + self.smoothing * vocab_size)
-            score += count * (math.log(p_pos) - math.log(p_neg))
         return score
 
     def probability(self, text: str) -> float:

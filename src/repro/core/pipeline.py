@@ -101,7 +101,7 @@ class TextAnalyticsPipeline:
             ml_taggers=ml_taggers,
         )
 
-    # -- direct (non-dataflow) document analysis ------------------------------
+    # -- whole-document analysis ---------------------------------------------
 
     def preprocess(self, document: Document) -> Document:
         """Sentence + token annotation (and POS) on net text."""
@@ -111,49 +111,14 @@ class TextAnalyticsPipeline:
                                        base_offset=sentence.start)
         return document
 
-    def analyze(self, document: Document,
-                methods: tuple[str, ...] = ("dictionary", "ml"),
-                entity_types: tuple[str, ...] = ENTITY_TYPES,
-                with_pos: bool = False) -> Document:
-        """Full linguistic + entity annotation of one document.
-
-        This is the one-step-at-a-time reference path; the equivalence
-        tests hold :meth:`analyze_batch` (the one-pass engine) to it.
-        Production code annotating whole documents goes through
-        :meth:`analyze_stream` instead (CI guards against a loop over
-        this method creeping back into ``src/repro``).
-        ``document.sentences is None`` means "never computed" and
-        triggers preprocessing; an empty list means the split genuinely
-        produced nothing and is trusted as-is.
-        """
-        if document.sentences is None:
-            self.preprocess(document)
-        if with_pos:
-            from repro.nlp.pos_hmm import TaggerCrash
-
-            for sentence in document.sentences:
-                try:
-                    sentence.tokens = self.pos_tagger.tag_tokens(
-                        sentence.tokens or ())
-                except TaggerCrash:
-                    document.meta["pos_crashes"] = (
-                        document.meta.get("pos_crashes", 0) + 1)
-        self.linguistics.analyze(document)
-        for entity_type in entity_types:
-            if "dictionary" in methods:
-                self.dictionary_taggers[entity_type].annotate(document)
-            if "ml" in methods:
-                self.ml_taggers[entity_type].annotate(document)
-        return document
-
     def one_pass_annotator(self,
                            methods: tuple[str, ...] = ("dictionary", "ml"),
                            entity_types: tuple[str, ...] = ENTITY_TYPES,
                            with_pos: bool = False) -> OnePassAnnotator:
-        """The one-pass engine matching :meth:`analyze`'s step order
-        for the given configuration: per entity type, dictionary then
-        ML.  Cheap — it only arranges the pipeline's own tools (the
-        dictionary steps share the pipeline's one automaton)."""
+        """The one-pass engine for the given configuration, steps in
+        annotation order: per entity type, dictionary then ML.  Cheap —
+        it only arranges the pipeline's own tools (the dictionary steps
+        share the pipeline's one automaton)."""
         steps = []
         for entity_type in entity_types:
             if "dictionary" in methods:
@@ -168,16 +133,20 @@ class TextAnalyticsPipeline:
                       methods: tuple[str, ...] = ("dictionary", "ml"),
                       entity_types: tuple[str, ...] = ENTITY_TYPES,
                       with_pos: bool = False) -> list[Document]:
-        """Batch :meth:`analyze` on the one-pass engine: identical
-        per-document results with all the shared-work kernels engaged.
+        """Full linguistic + entity annotation of a batch of
+        documents on the one-pass engine, each annotated as if alone.
 
         Sentences split and tokenize once into a shared arena, one
         merged-automaton pass matches every dictionary type, one
         ``tag_batch`` call covers every sentence of every document,
         and one ``predict_words`` per entity type covers every
         sentence in the batch (emissions looked up per word type, no
-        feature strings built).  Per-document entity order
-        (dictionary then ML, per entity type) matches :meth:`analyze`.
+        feature strings built).  Per document, entities come per entity
+        type, dictionary then ML, and the results equal one tool after
+        another over that document alone
+        (``tests/core/pipeline_oracle.py``).  ``document.sentences is
+        None`` means "never computed" and triggers the split; an empty
+        list is trusted as-is.
         """
         engine = self.one_pass_annotator(methods, entity_types, with_pos)
         engine.annotate_batch(documents)
@@ -189,9 +158,9 @@ class TextAnalyticsPipeline:
                        methods: tuple[str, ...] = ("dictionary", "ml"),
                        entity_types: tuple[str, ...] = ENTITY_TYPES,
                        with_pos: bool = False) -> Iterator[Document]:
-        """:meth:`analyze` over a stream of whole documents, on the
-        one-pass engine: yields the (mutated) documents in input
-        order, byte-identical to the per-document reference.
+        """:meth:`analyze_batch` over a stream of whole documents:
+        yields the (mutated) documents in input order, byte-identical
+        to annotating each alone.
 
         The stream is consumed lazily and cut on text volume
         (:func:`repro.ner.onepass.volume_chunks`), one

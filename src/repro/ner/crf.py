@@ -12,35 +12,33 @@ call is one emission product, one forward and one backward sweep over
 all sentences at once (``tests/ner/crf_oracle.py`` keeps the
 per-sentence objective it replaced as the test oracle).
 
-Decoding has three kernels over one trellis.
-:meth:`LinearChainCrf.predict_reference` is the original per-position
-Viterbi, kept as the ground truth for the equivalence suite.
-:meth:`LinearChainCrf.predict` / :meth:`LinearChainCrf.predict_batch`
-take feature strings and run over the frozen model — ``fit()`` ends by
-calling :meth:`LinearChainCrf.freeze`, which caches transposed
-C-contiguous weight arrays, a scalar transition table, and the feature
-index's ``get`` — computing emissions for *all* positions of all
-sentences in one vectorized pass and decoding the tiny 3-label trellis
-with scalar arithmetic.  :meth:`LinearChainCrf.predict_words` takes
-*words*: with the context-window templates of
-:mod:`repro.ner.features` a position's active features are the
-disjoint union of three groups that each read one word, so
-``emission[t] = S[w[t]] + P[w[t-1]] + N[w[t+1]]`` with three
-``L``-float rows per word type, held in a type table on the frozen
-model and filled on first sight of a type.  A row is a pure function
+Decoding has two kernels over one trellis, both on the frozen model
+(``fit()`` ends by calling :meth:`LinearChainCrf.freeze`, which caches
+transposed C-contiguous weight arrays, a scalar transition table, and
+the feature index's ``get``).  :meth:`LinearChainCrf.predict` /
+:meth:`LinearChainCrf.predict_batch` take feature strings, computing
+emissions for *all* positions of all sentences in one vectorized pass
+and decoding the tiny 3-label trellis with scalar arithmetic.
+:meth:`LinearChainCrf.predict_words` takes *words*: with the
+context-window templates of :mod:`repro.ner.features` a position's
+active features are the disjoint union of three groups that each read
+one word, so ``emission[t] = S[w[t]] + P[w[t-1]] + N[w[t+1]]`` with
+three ``L``-float rows per word type, held in a type table on the
+frozen model and filled on first sight of a type.  A row is a pure function
 of (word, model) — never of batch composition, table state, worker or
 shard — and the table holds at most :data:`TYPE_TABLE_ROWS` rows;
 types past the bound get rows computed by the same function for the
 call and dropped after it.
 
-Contract: all three kernels return the labels of
-``predict_reference``.  Emission *floats* are not part of it — the
-feature kernel (which the reference shares) sums a position's weights
-with ``reduceat``, the type table adds three per-group partial sums in
-a fixed association — only the decoded path is; the per-position
-emission loop of ``tests/ner/crf_oracle.py`` shares no code with
-either and ``tests/ner/test_crf_training.py`` holds the feature kernel
-to it.
+Contract: both kernels return the labels of the per-position numpy
+Viterbi that ``tests/ner/crf_oracle.py`` keeps as
+``predict_reference``, the equivalence suites' ground truth.  Emission
+*floats* are not part of it — the feature kernel (which that oracle
+shares) sums a position's weights with ``reduceat``, the type table
+adds three per-group partial sums in a fixed association — only the
+decoded path is; the oracle's per-position emission loop shares no
+code with either and ``tests/ner/test_crf_training.py`` holds the
+feature kernel to it.
 """
 
 from __future__ import annotations
@@ -268,8 +266,7 @@ class LinearChainCrf:
 
     def predict(self, features: Sequence[Sequence[str]]) -> list[str]:
         """Viterbi-decode BIO labels for one sentence's features
-        (frozen kernel; identical output to
-        :meth:`predict_reference`)."""
+        (frozen kernel)."""
         return self.predict_batch([features])[0]
 
     def predict_batch(self, sentences: Sequence[Sequence[Sequence[str]]],
@@ -527,48 +524,6 @@ class LinearChainCrf:
         path.reverse()
         return [LABELS[i] for i in path]
 
-    def predict_reference(self, features: Sequence[Sequence[str]],
-                          ) -> list[str]:
-        """The original per-position Viterbi (ground truth for the
-        equivalence suite)."""
-        if not self.trained:
-            raise RuntimeError("CRF has not been trained")
-        if not features:
-            return []
-        emissions = self._emissions_of(features, self.feature_index.get,
-                                       self.state_weights.T)
-        transitions = self.transitions
-        n = emissions.shape[0]
-        scores = emissions[0].copy()
-        pointers = np.zeros((n, self.n_labels), dtype=np.int64)
-        for t in range(1, n):
-            candidate = scores[:, None] + transitions
-            pointers[t] = candidate.argmax(axis=0)
-            scores = candidate.max(axis=0) + emissions[t]
-        best = int(scores.argmax())
-        path = [best]
-        for t in range(n - 1, 0, -1):
-            best = int(pointers[t, best])
-            path.append(best)
-        path.reverse()
-        return [LABELS[i] for i in path]
-
-    def log_likelihood(self, features: Sequence[Sequence[str]],
-                       labels: Sequence[str]) -> float:
-        """log P(labels | features) under the trained model."""
-        if not self.trained:
-            raise RuntimeError("CRF has not been trained")
-        emissions = self._emissions_of(features, self.feature_index.get,
-                                       self.state_weights.T)
-        gold = np.asarray([_LABEL_INDEX[label] for label in labels],
-                          dtype=np.intp)
-        # The training kernel over a batch of one sentence.
-        alpha = _forward_sweep(emissions, self.transitions,
-                               np.arange(len(gold) + 1))
-        score = (emissions[np.arange(len(gold)), gold].sum()
-                 + self.transitions[gold[:-1], gold[1:]].sum())
-        return float(score - _logsumexp(alpha[-1:], axis=1)[0])
-
 
 def bio_to_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
     """Token-index spans ``[start, end)`` of B/I runs."""
@@ -589,19 +544,6 @@ def bio_to_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
     if start is not None:
         spans.append((start, len(labels)))
     return spans
-
-
-def spans_to_bio(n_tokens: int,
-                 spans: Sequence[tuple[int, int]]) -> list[str]:
-    """Inverse of :func:`bio_to_spans`."""
-    labels = ["O"] * n_tokens
-    for start, end in spans:
-        if start < 0 or end > n_tokens or start >= end:
-            raise ValueError(f"invalid span ({start}, {end})")
-        labels[start] = "B"
-        for i in range(start + 1, end):
-            labels[i] = "I"
-    return labels
 
 
 def _training_objective(training: TrainingSet,

@@ -99,8 +99,9 @@ def extract_features(words: Sequence[str], position: int,
     token, :func:`previous_features` of its left neighbour and
     :func:`next_features` of its right one.  The CRF's type table
     (:meth:`~repro.ner.crf.LinearChainCrf.predict_words`) scores the
-    same three functions per word type, so training, the reference
-    decoder and the table share one definition of the templates.
+    same three functions per word type, so training, the
+    feature-string decoder and the table share one definition of the
+    templates.
     """
     features = self_features(words[position])
     features += previous_features(

@@ -25,8 +25,8 @@ from repro.nlp.sentence import SentenceSplitter, split_sentences
 from repro.nlp.tokenize import tokenize_with_surfaces
 
 #: ``split`` modes: re-split unconditionally (the ``annotate_sentences``
-#: operator's semantics), only when never computed (``analyze``'s
-#: semantics — ``None`` means never computed, ``[]`` means split came
+#: operator's semantics), only when never computed (whole-document
+#: analysis — ``None`` means never computed, ``[]`` means split came
 #: back empty and is trusted), or use whatever is present.
 SPLIT_MODES = ("always", "missing", "never")
 

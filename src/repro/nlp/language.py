@@ -5,6 +5,11 @@ profiles per language and classifies text by out-of-place distance to
 each profile.  A default identifier pre-trained on the synthetic
 English generator and the foreign word inventories ships with the
 package.
+
+Counting, ranking and scoring are C-level and array kernels;
+``tests/nlp/language_oracle.py`` keeps the slicing-loop /
+``most_common`` / per-profile implementations they replaced, and the
+kernels must return the same language for any text.
 """
 
 from __future__ import annotations
@@ -26,24 +31,13 @@ def _ngrams(text: str, n: int = 3) -> Counter:
     Counts in C via ``Counter(iterable)``; the gram stream visits the
     same positions in the same order as a manual slicing loop, so the
     counter's contents *and insertion order* (which ``most_common`` tie
-    -breaking depends on) match :func:`_ngrams_reference` exactly.
+    -breaking depends on) match the oracle's slicing loop exactly.
     """
     padded = f" {' '.join(text.lower().split())} "
     if n == 3:
         return Counter(map("".join, zip(padded, islice(padded, 1, None),
                                         islice(padded, 2, None))))
     return Counter([padded[i:i + n] for i in range(len(padded) - n + 1)])
-
-
-def _ngrams_reference(text: str, n: int = 3) -> Counter:
-    """Direct slicing-loop implementation kept as the correctness (and
-    pre-optimisation benchmark) oracle for :func:`_ngrams`."""
-    padded = f" {' '.join(text.lower().split())} "
-    counts: Counter = Counter()
-    for i in range(len(padded) - n + 1):
-        gram = padded[i:i + n]
-        counts[gram] += 1
-    return counts
 
 
 _BY_COUNT = itemgetter(1)
@@ -54,19 +48,10 @@ def _rank_profile(counts: Counter, size: int = _PROFILE_SIZE) -> dict[str, int]:
 
     ``sorted(..., reverse=True)[:size]`` is the documented equivalent
     of ``Counter.most_common(size)`` (``heapq.nlargest``) including tie
-    order, and is measurably faster at profile sizes; see
-    :func:`_rank_profile_reference`.
+    order, and is measurably faster at profile sizes.
     """
     ranked = sorted(counts.items(), key=_BY_COUNT, reverse=True)[:size]
     return {gram: rank for rank, (gram, _c) in enumerate(ranked)}
-
-
-def _rank_profile_reference(counts: Counter,
-                            size: int = _PROFILE_SIZE) -> dict[str, int]:
-    """``most_common``-based implementation kept as the correctness
-    (and pre-optimisation benchmark) oracle for :func:`_rank_profile`."""
-    ranked = [g for g, _c in counts.most_common(size)]
-    return {gram: rank for rank, gram in enumerate(ranked)}
 
 
 class LanguageIdentifier:
@@ -111,15 +96,16 @@ class LanguageIdentifier:
     def detect(self, text: str) -> str:
         """Return the closest language ('' when untrained or empty text).
 
-        One array pass, decision-identical to :meth:`detect_reference`:
-        every trigram becomes ``dense id << shift | position`` over a
-        per-document alphabet, so a single sort groups equal grams with
-        their first occurrence leading each group; a second sort on
-        ``(max count - count) << shift | first`` is the reference's
+        One array pass, decision-identical to the oracle's
+        per-profile out-of-place loop: every trigram becomes
+        ``dense id << shift | position`` over a per-document alphabet,
+        so a single sort groups equal grams with their first occurrence
+        leading each group; a second sort on
+        ``(max count - count) << shift | first`` is the oracle's
         count-descending, first-seen-first profile order.  The
         arithmetic (integer sums, one final division) and the
         first-strictly-smaller tie-breaking over profile insertion
-        order match the reference bit for bit.
+        order match the oracle bit for bit.
         """
         if not self._profiles or not text.strip():
             return ""
@@ -178,32 +164,8 @@ class LanguageIdentifier:
                 best_language = language
         return best_language
 
-    def detect_reference(self, text: str) -> str:
-        """Direct per-language implementation kept as the correctness
-        (and pre-optimisation benchmark) oracle for :meth:`detect`."""
-        if not self._profiles or not text.strip():
-            return ""
-        document_profile = _rank_profile_reference(
-            _ngrams_reference(text), self.profile_size)
-        best_language = ""
-        best_distance = float("inf")
-        for language, profile in self._profiles.items():
-            distance = self._out_of_place(document_profile, profile)
-            if distance < best_distance:
-                best_distance = distance
-                best_language = language
-        return best_language
-
     def is_english(self, text: str) -> bool:
         return self.detect(text) == "en"
-
-    def _out_of_place(self, document: dict[str, int],
-                      profile: dict[str, int]) -> float:
-        penalty = self.profile_size
-        distance = 0
-        for gram, rank in document.items():
-            distance += abs(profile.get(gram, penalty) - rank)
-        return distance / max(1, len(document))
 
 
 def default_identifier(seed: int = 3) -> LanguageIdentifier:

@@ -5,25 +5,22 @@ A trigram (order-3, like MedPost) HMM: transitions
 bigram and unigram, add-k smoothed emissions, and shape/suffix-based
 unknown-word handling.  Decoding is Viterbi over tag-pair states.
 
-Two decoding kernels share the model:
-
-* the **reference** kernel (:meth:`HmmPosTagger.tag_reference`) is the
-  original dict-of-tuples Viterbi — easy to audit, kept as the ground
-  truth the equivalence suite decodes against;
-* the **frozen** kernel (:meth:`HmmPosTagger.freeze` +
-  :class:`_FrozenHmm`) compiles the trained model into integer-indexed
-  dense structures (a precomputed interpolated transition log-prob
-  tensor over tag-pair states, per-word candidate-tag/emission arrays,
-  a shape-emission table) and decodes over those.  It produces
-  *identical* tag sequences (same floats, same tie-breaking) several
-  times faster; ``tag()`` dispatches to it automatically once the
-  model is frozen.
+Training accumulates counts; decoding runs one kernel, the compiled
+model (:class:`_FrozenHmm`): an integer-indexed dense compilation
+(a precomputed interpolated transition log-prob tensor over tag-pair
+states, per-word candidate-tag/emission arrays, a shape-emission
+table).  The first :meth:`HmmPosTagger.tag` or
+:meth:`HmmPosTagger.tag_batch` after training compiles it, and
+:meth:`HmmPosTagger.freeze` compiles it up front (the pipeline does so
+before forking workers, so they share the tables copy-on-write).  It
+returns the tag sequences of the dict-of-tuples Viterbi it replaced —
+same floats, same tie-breaking — which ``tests/nlp/pos_oracle.py``
+keeps as the equivalence suite's ground truth.
 
 Operational quirks of the original are modelled explicitly: runtime is
 linear in sentence length but fluctuates, and sentences beyond
 ``crash_token_limit`` raise :class:`TaggerCrash` — the behaviour the
 paper observed on >2000-character pseudo-sentences from web pages.
-Both kernels preserve these semantics exactly.
 """
 
 from __future__ import annotations
@@ -79,15 +76,16 @@ class _FrozenHmm:
 
     Built by :meth:`HmmPosTagger.freeze`.  Tags (plus the synthetic
     start tag) are numbered in sorted-name order, so ascending ids ==
-    lexicographic tag order — the exact iteration order the reference
-    kernel visits states in, which makes numpy's first-maximum
-    ``argmax`` reproduce its tie-breaking bit for bit.
+    lexicographic tag order — the exact iteration order the dict
+    Viterbi (``tests/nlp/pos_oracle.py``) visits states in, which makes
+    numpy's first-maximum ``argmax`` reproduce its tie-breaking bit for
+    bit.
 
     Frozen state:
 
     * ``trans`` — ``(E, E, E)`` tensor of interpolated transition
       log-probs ``log P(b | t2, t1)`` (and its nested-list twin for
-      the scalar kernel), computed once from the reference
+      the scalar kernel), computed once from
       :meth:`HmmPosTagger._transition_row`;
     * ``word_table`` — per known (lowercased) word: candidate tag ids
       and their precomputed emission log-probs;
@@ -147,7 +145,7 @@ class _FrozenHmm:
 
     def decode(self, words: Sequence[str]) -> list[str]:
         """Viterbi over the dense structures; identical output to the
-        reference kernel."""
+        dict Viterbi oracle."""
         trans_list = self.trans_list
         word_table = self.word_table
         shape_table = self.shape_table
@@ -263,7 +261,7 @@ class _FrozenHmm:
 
     def _backtrace(self, scores, steps) -> list[str]:
         # Final state: first maximum in (t_prev2, t_prev1) id order —
-        # the order the reference's sorted-dict max() resolves ties in.
+        # the order the dict oracle's sorted max() resolves ties in.
         if isinstance(scores, np.ndarray):
             flat_best = int(scores.argmax())
             x_idx, y_idx = divmod(flat_best, scores.shape[1])
@@ -290,8 +288,8 @@ class HmmPosTagger:
     """Trainable trigram HMM tagger.
 
     Train with :meth:`train` on gold (word, tag) sequences, then tag
-    token lists with :meth:`tag`.  Call :meth:`freeze` after training
-    to compile the fast array kernel.
+    token lists with :meth:`tag`.  The first tag after training
+    compiles the array kernel; :meth:`freeze` compiles it up front.
     """
 
     def __init__(self, emission_k: float = 0.05,
@@ -308,7 +306,6 @@ class HmmPosTagger:
         self._shape_emissions: dict[str, Counter] = defaultdict(Counter)
         self._vocabulary: set[str] = set()
         self._word_tags: dict[str, tuple[str, ...]] = {}
-        self._all_tags: tuple[str, ...] = ()
         self._transition_rows: dict[tuple[str, str], dict[str, float]] = {}
         self._emission_totals: dict[str, int] = {}
         self._shape_totals: dict[str, int] = {}
@@ -339,7 +336,7 @@ class HmmPosTagger:
     def _finalize(self) -> None:
         """Precompute totals and candidate-tag lists (called after
         every training round; training stays incremental).  Any new
-        counts invalidate the frozen kernel."""
+        counts drop the compiled kernel."""
         self._transition_rows.clear()
         self._frozen = None
         self._emission_totals = {tag: sum(c.values())
@@ -359,7 +356,6 @@ class HmmPosTagger:
                 word_tags[word].add(tag)
         self._word_tags = {w: tuple(sorted(tags))
                            for w, tags in word_tags.items()}
-        self._all_tags = tuple(self.tags)
 
     # -- freezing ------------------------------------------------------------
 
@@ -368,15 +364,22 @@ class HmmPosTagger:
         return self._frozen is not None
 
     def freeze(self) -> "HmmPosTagger":
-        """Compile the trained model into the dense array kernel.
+        """Compile the trained model into the dense array kernel now.
 
-        Further :meth:`train` calls drop the compiled form — re-freeze
-        after incremental training.
+        Tagging compiles on first use anyway; call this before forking
+        workers so they share the compiled tables copy-on-write.
+        Further :meth:`train` calls drop the compiled form.
         """
         if not self._trained:
             raise RuntimeError("tagger has not been trained")
         self._frozen = _FrozenHmm(self)
         return self
+
+    def _compiled(self) -> _FrozenHmm:
+        """The compiled kernel, built on first use."""
+        if self._frozen is None:
+            self.freeze()
+        return self._frozen
 
     # -- probabilities -----------------------------------------------------
 
@@ -420,51 +423,30 @@ class HmmPosTagger:
             shape_total + self.emission_k * len(_UNK_SHAPES))
         return math.log(p)
 
-    def _candidate_tags(self, word: str) -> tuple[str, ...]:
-        """Tags worth considering for a word: observed tags for known
-        words, the full tagset for unknown ones.  Always an immutable
-        tuple — never a reference to mutable model state."""
-        known = self._word_tags.get(word.lower())
-        return known if known is not None else self._all_tags
-
     # -- decoding ------------------------------------------------------------
 
     def tag(self, words: Sequence[str]) -> list[str]:
-        """Decode the most likely tag sequence for ``words``.
-
-        Dispatches to the frozen array kernel when available (see
-        :meth:`freeze`), otherwise to the reference dict kernel.
-        """
+        """Decode the most likely tag sequence for ``words``."""
         self._check_input(words)
         if not words:
             return []
-        if self._frozen is not None:
-            return self._frozen.decode(words)
-        return self._tag_dict(words)
+        return self._compiled().decode(words)
 
     def tag_batch(self, batch: Sequence[Sequence[str]],
                   ) -> list[list[str]]:
         """Decode many sentences at once, bit-identical to
         ``[tag(s) for s in batch]``.
 
-        The entry point the one-pass engine feeds.  Sentences decode
-        through the same kernel as :meth:`tag`; any over-limit
+        The entry point the one-pass engine feeds.  Any over-limit
         sentence raises :class:`TaggerCrash` before any work is done,
         like mapping :meth:`tag` would on its first offender.
         """
         for words in batch:
             self._check_input(words)
-        decode = (self._frozen.decode if self._frozen is not None
-                  else self._tag_dict)
-        return [decode(words) if words else [] for words in batch]
-
-    def tag_reference(self, words: Sequence[str]) -> list[str]:
-        """The original dict-of-tuples Viterbi, bypassing the frozen
-        kernel (equivalence tests decode against this)."""
-        self._check_input(words)
-        if not words:
+        if not batch:
             return []
-        return self._tag_dict(words)
+        decode = self._compiled().decode
+        return [decode(words) if words else [] for words in batch]
 
     def _check_input(self, words: Sequence[str]) -> None:
         if not self._trained:
@@ -474,40 +456,6 @@ class HmmPosTagger:
             raise TaggerCrash(
                 f"sentence of {len(words)} tokens exceeds the tagger's "
                 f"operational limit of {self.crash_token_limit}")
-
-    def _tag_dict(self, words: Sequence[str]) -> list[str]:
-        # State = (t_prev2, t_prev1); start state collapses to (_S, _S).
-        # States are visited in sorted order so tie-breaking is
-        # canonical (first maximum in lexicographic state order) —
-        # the property the frozen kernel's argmax reproduces.
-        scores: dict[tuple[str, str], float] = {(_START, _START): 0.0}
-        backpointers: list[dict[tuple[str, str], tuple[str, str]]] = []
-        for word in words:
-            candidates = self._candidate_tags(word)
-            emissions = {tag: self._log_emission(tag, word)
-                         for tag in candidates}
-            next_scores: dict[tuple[str, str], float] = {}
-            pointers: dict[tuple[str, str], tuple[str, str]] = {}
-            for (t2, t1), score in sorted(scores.items()):
-                row = self._transition_row(t2, t1)
-                for tag in candidates:
-                    candidate = score + row[tag] + emissions[tag]
-                    state = (t1, tag)
-                    if candidate > next_scores.get(state, -math.inf):
-                        next_scores[state] = candidate
-                        pointers[state] = (t2, t1)
-            if not next_scores:
-                raise TaggerCrash("no viable tag path (empty model?)")
-            scores = next_scores
-            backpointers.append(pointers)
-        best_state = max(sorted(scores), key=scores.get)
-        sequence = [best_state[1]]
-        state = best_state
-        for pointers in reversed(backpointers[1:]):
-            state = pointers[state]
-            sequence.append(state[1])
-        sequence.reverse()
-        return sequence
 
     def tag_tokens(self, tokens: Sequence) -> list:
         """Tag :class:`~repro.annotations.Token` objects, returning

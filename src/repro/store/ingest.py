@@ -33,7 +33,7 @@ def analyzed_documents(documents: Iterable[Document],
 
     With ``pipeline``, shallow copies stream through the one-pass
     engine (:meth:`TextAnalyticsPipeline.analyze_stream`: volume-cut
-    batches, byte-identical to per-document ``analyze``) and the
+    batches, byte-identical to annotating each document alone) and the
     originals stay untouched; without it, ``documents`` are taken as
     already annotated.  The one copy → analyze → extract loop behind
     store ingest.

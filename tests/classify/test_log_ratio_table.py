@@ -2,10 +2,10 @@
 
 ``NaiveBayesClassifier.log_odds`` serves scores from a per-word
 ``log(p_pos) - log(p_neg)`` table rebuilt lazily after every model
-change; ``log_odds_reference`` keeps the direct computation.  The two
-must agree *bit for bit* — the crawler's sequential/parallel
-equivalence guarantee leans on it — for randomized texts and for any
-interleaving of online-learning updates.
+change; ``classifier_oracle.log_odds_reference`` keeps the direct
+computation.  The two must agree *bit for bit* — the crawler's
+sequential/parallel equivalence guarantee leans on it — for randomized
+texts and for any interleaving of online-learning updates.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.classify.naive_bayes import NaiveBayesClassifier
+from tests.classify.classifier_oracle import log_odds_reference
 
 _POSITIVE = ["gene", "tumor", "protein", "therapy", "receptor",
              "carcinoma", "kinase", "mutation", "pathway", "clinical"]
@@ -43,7 +44,7 @@ class TestLogRatioTable:
         for _ in range(50):
             pool = rng.choice([_POSITIVE, _NEGATIVE, _SHARED])
             text = _text(rng, pool, rng.randint(1, 60))
-            assert model.log_odds(text) == model.log_odds_reference(text)
+            assert model.log_odds(text) == log_odds_reference(model, text)
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_interleaved_online_updates_invalidate_table(self, seed):
@@ -54,7 +55,7 @@ class TestLogRatioTable:
         for _ in range(40):
             text = _text(rng, rng.choice([_POSITIVE, _NEGATIVE]),
                          rng.randint(3, 30))
-            assert model.log_odds(text) == model.log_odds_reference(text)
+            assert model.log_odds(text) == log_odds_reference(model, text)
             if rng.random() < 0.6:
                 model.update(_text(rng, rng.choice([_POSITIVE, _NEGATIVE]),
                                    rng.randint(3, 30)),
@@ -64,7 +65,7 @@ class TestLogRatioTable:
         rng = random.Random(99)
         model = _fitted(rng, n=5)
         prior_only = model.log_odds("zzzqx vvvwk")
-        assert prior_only == model.log_odds_reference("zzzqx vvvwk")
+        assert prior_only == log_odds_reference(model, "zzzqx vvvwk")
         assert prior_only == model.log_odds("")
 
     def test_precompute_is_idempotent_and_matches(self):
@@ -82,7 +83,7 @@ class TestLogRatioTable:
         with pytest.raises(RuntimeError):
             model.log_odds("anything")
         with pytest.raises(RuntimeError):
-            model.log_odds_reference("anything")
+            log_odds_reference(model, "anything")
 
     def test_predict_unchanged_by_table(self):
         rng = random.Random(5)

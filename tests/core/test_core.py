@@ -14,6 +14,7 @@ from repro.dataflow.executor import Executor
 from repro.dataflow.meteor import parse_meteor
 from repro.dataflow.optimizer import SofaOptimizer
 from repro.web.htmlgen import PageRenderer
+from tests.core.pipeline_oracle import analyze
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestPipeline:
 
     def test_analyze_fills_all_layers(self, pipeline, context):
         document = context.corpus_documents("medline")[0]
-        pipeline.analyze(document, with_pos=True)
+        analyze(pipeline, document, with_pos=True)
         assert document.sentences
         assert document.sentences[0].tokens
         assert document.sentences[0].tokens[0].pos
@@ -52,14 +53,14 @@ class TestPipeline:
 
     def test_analyze_method_selection(self, pipeline, context):
         document = context.corpus_documents("medline")[1]
-        pipeline.analyze(document, methods=("dictionary",))
+        analyze(pipeline, document, methods=("dictionary",))
         assert all(m.method == "dictionary" for m in document.entities)
 
     def test_analyze_batch_matches_analyze(self, pipeline, context):
         """Cross-document batch analysis is equivalent per document:
         same entities in the same order, same POS tags, same meta."""
         originals = context.corpus_documents("relevant")[:5]
-        singles = [pipeline.analyze(doc.copy_shallow(), with_pos=True)
+        singles = [analyze(pipeline, doc.copy_shallow(), with_pos=True)
                    for doc in originals]
         batched = pipeline.analyze_batch(
             [doc.copy_shallow() for doc in originals], with_pos=True)
@@ -78,8 +79,8 @@ class TestPipeline:
         text = " ".join(["word"] * (limit + 1)) + "."
         batched = pipeline.analyze_batch([Document("long", text)],
                                          with_pos=True)[0]
-        single = pipeline.analyze(Document("long", text),
-                                  with_pos=True)
+        single = analyze(pipeline, Document("long", text),
+                         with_pos=True)
         assert batched.meta.get("pos_crashes") == \
             single.meta.get("pos_crashes")
         assert batched.meta.get("pos_crashes", 0) >= 1

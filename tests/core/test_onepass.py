@@ -1,6 +1,6 @@
 """One-pass annotation engine: parity with the reference path.
 
-``pipeline.analyze`` is the one-step-at-a-time reference;
+``pipeline_oracle.analyze`` is the one-step-at-a-time reference;
 ``pipeline.analyze_batch`` runs the fused engine.  Beyond the mention
 equivalence covered in ``test_core``, these tests pin warm-kernel
 parity and the serve layer's digest parity against the reference
@@ -19,6 +19,7 @@ from repro.ner.automaton import WordTrie
 from repro.ner.onepass import OnePassAnnotator
 from repro.ner.taggers import build_dictionary_taggers
 from repro.serve.session import ExtractionSession
+from tests.core.pipeline_oracle import analyze
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ class TestServeDigestParity:
         outputs = session.run_batch([("extract", text)
                                      for text in texts])
         for text, output in zip(texts, outputs):
-            reference = pipeline.analyze(Document("serve", text))
+            reference = analyze(pipeline, Document("serve", text))
             expected = [{"text": m.text, "start": m.start,
                          "end": m.end, "type": m.entity_type,
                          "method": m.method}
@@ -150,8 +151,8 @@ class TestEngineConstruction:
         engine = pipeline.one_pass_annotator(methods=("dictionary",))
         document = Document("d", texts[0])
         engine.annotate(document)
-        reference = pipeline.analyze(Document("d", texts[0]),
-                                     methods=("dictionary",))
+        reference = analyze(pipeline, Document("d", texts[0]),
+                            methods=("dictionary",))
         assert document.entities == reference.entities
 
     def test_ml_only_engine_has_no_merged_dictionary(self, pipeline):

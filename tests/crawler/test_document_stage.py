@@ -5,7 +5,8 @@ array language kernel.  Every field the merge phase consumes — and the
 ``stage_seconds`` key set, which becomes ``CrawlResult.stage_pages``
 inside the crawl digest — must equal a reference composed here from
 the literal pieces: ``repair_html`` -> ``parse_html`` -> the tree
-oracle's extractors -> ``detect_reference`` + length -> the classifier.
+oracle's extractors -> the language oracle's ``detect_reference`` +
+length -> the classifier.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from tests.html.boilerplate_oracle import (
 )
 from tests.html.dom_oracle import parse_html
 from tests.html.test_repair import DEEP_DIVS, DEEP_HAZARD
+from tests.nlp.language_oracle import detect_reference
 
 
 def reference_document(url: str, body: str, content_type: str,
@@ -47,7 +49,7 @@ def reference_document(url: str, body: str, content_type: str,
     net_text = extract_from_tree(context.boilerplate, tree)
     # The paper's order: language before length.
     language = filters.language
-    if language.identifier.detect_reference(net_text) != language.target:
+    if detect_reference(language.identifier, net_text) != language.target:
         rejected_by = "language"
     elif not filters.length.accept(net_text):
         rejected_by = "length"

@@ -6,6 +6,7 @@ from repro.core.analysis import CorpusStats, accumulate_document
 from repro.core.flows import build_fig2_flow
 from repro.dataflow.executor import Executor
 from repro.dataflow.optimizer import SofaOptimizer
+from tests.core.pipeline_oracle import analyze
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ class TestCrawlToAnalysis:
         stats = CorpusStats(name="crawled")
         for document in crawl.relevant[:10]:
             copy = document.copy_shallow()
-            context.pipeline.analyze(copy)
+            analyze(context.pipeline, copy)
             accumulate_document(stats, copy)
         assert stats.n_docs == 10
         assert stats.per_1000_sentences("disease") > 0
@@ -99,7 +100,7 @@ class TestCrawlToAnalysis:
             mentions = sentences = 0
             for document in documents[:8]:
                 copy = document.copy_shallow()
-                pipeline.analyze(copy, methods=("dictionary",))
+                analyze(pipeline, copy, methods=("dictionary",))
                 mentions += len(copy.entities)
                 sentences += len(copy.sentences)
             return mentions / max(1, sentences)

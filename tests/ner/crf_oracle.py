@@ -1,4 +1,4 @@
-"""Per-sentence CRF training objective — the test-only oracle.
+"""Per-sentence CRF training objective and decoder — the test-only oracle.
 
 This is the objective ``LinearChainCrf.fit`` ran before training was
 batched: one sentence at a time, one position at a time, emissions
@@ -8,6 +8,14 @@ here, out of ``src/``, as the ground truth the batched kernel in
 and as an emission/partition-function reference that shares no code
 with the production module.  ``fit`` trains with scipy's L-BFGS-B,
 the optimiser :mod:`repro.ner.lbfgs` reproduces.
+
+:func:`predict_reference` is the per-position numpy Viterbi the frozen
+decode kernels (``predict``, ``predict_batch``, ``predict_words``)
+must match label for label; it shares the production feature kernel
+(``LinearChainCrf._emissions_of``) and nothing else.
+:func:`log_likelihood` drives the production forward sweep over a
+batch of one sentence, so the brute-force partition tests in
+``tests/ner/test_crf.py`` check the training kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from collections import Counter
 import numpy as np
 from scipy.optimize import minimize
 
+import repro.ner.crf as crf_module
 from repro.ner.crf import LABELS, LinearChainCrf
 
 N_LABELS = len(LABELS)
@@ -158,6 +167,59 @@ def model_fingerprint(crf: LinearChainCrf) -> str:
     hasher.update(np.ascontiguousarray(crf.transitions).tobytes())
     hasher.update(repr(sorted(crf.feature_index.items())).encode())
     return hasher.hexdigest()
+
+
+def predict_reference(crf: LinearChainCrf, features) -> list[str]:
+    """Viterbi-decode one sentence's features, one position at a time."""
+    if not crf.trained:
+        raise RuntimeError("CRF has not been trained")
+    if not features:
+        return []
+    rows = crf._emissions_of(features, crf.feature_index.get,
+                             crf.state_weights.T)
+    transitions = crf.transitions
+    n = rows.shape[0]
+    scores = rows[0].copy()
+    pointers = np.zeros((n, N_LABELS), dtype=np.int64)
+    for t in range(1, n):
+        candidate = scores[:, None] + transitions
+        pointers[t] = candidate.argmax(axis=0)
+        scores = candidate.max(axis=0) + rows[t]
+    best = int(scores.argmax())
+    path = [best]
+    for t in range(n - 1, 0, -1):
+        best = int(pointers[t, best])
+        path.append(best)
+    path.reverse()
+    return [LABELS[i] for i in path]
+
+
+def log_likelihood(crf: LinearChainCrf, features, labels) -> float:
+    """log P(labels | features) under a trained model, by the
+    production training kernel over a batch of one sentence."""
+    if not crf.trained:
+        raise RuntimeError("CRF has not been trained")
+    rows = crf._emissions_of(features, crf.feature_index.get,
+                             crf.state_weights.T)
+    gold = np.asarray([_LABEL_INDEX[label] for label in labels],
+                      dtype=np.intp)
+    alpha = crf_module._forward_sweep(rows, crf.transitions,
+                                      np.arange(len(gold) + 1))
+    score = (rows[np.arange(len(gold)), gold].sum()
+             + crf.transitions[gold[:-1], gold[1:]].sum())
+    return float(score - crf_module._logsumexp(alpha[-1:], axis=1)[0])
+
+
+def spans_to_bio(n_tokens: int, spans) -> list[str]:
+    """Inverse of :func:`repro.ner.crf.bio_to_spans`."""
+    labels = ["O"] * n_tokens
+    for start, end in spans:
+        if start < 0 or end > n_tokens or start >= end:
+            raise ValueError(f"invalid span ({start}, {end})")
+        labels[start] = "B"
+        for i in range(start + 1, end):
+            labels[i] = "I"
+    return labels
 
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:

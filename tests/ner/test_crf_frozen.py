@@ -1,7 +1,8 @@
 """Equivalence tests for the frozen (vectorized) CRF decoder.
 
 ``predict``/``predict_batch`` run on the dense frozen kernel;
-``predict_reference`` is the original per-position implementation.
+``crf_oracle.predict_reference`` is the original per-position
+implementation.
 Both must produce identical label sequences on randomized seeded
 models and inputs, including the degenerate shapes (empty sentence,
 all-unknown features, empty feature positions).
@@ -10,6 +11,7 @@ all-unknown features, empty feature positions).
 import random
 
 import pytest
+from crf_oracle import predict_reference
 
 from repro.ner.crf import LinearChainCrf
 
@@ -46,7 +48,7 @@ def test_frozen_matches_reference_randomized(seed):
         [[], ["f1"], []],                  # empty feature positions
         [["f0"] * 4],                      # duplicated features
     ]
-    reference = [crf.predict_reference(features) for features in tests]
+    reference = [predict_reference(crf, features) for features in tests]
     assert [crf.predict(features) for features in tests] == reference
     assert crf.predict_batch(tests) == reference
 

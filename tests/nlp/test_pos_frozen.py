@@ -1,8 +1,9 @@
-"""Equivalence tests for the frozen (array-based) POS Viterbi kernel.
+"""Equivalence tests for the compiled (array-based) POS Viterbi kernel.
 
-The frozen kernel must reproduce the reference dict-based decoder
-exactly — same tags, same crash behaviour — across randomized seeded
-models.
+The compiled kernel must reproduce the dict-based decoder of
+``tests/nlp/pos_oracle.py`` exactly — same tags, same crash
+behaviour — across randomized seeded models, whether it was compiled
+by ``freeze()`` or on first use.
 """
 
 import random
@@ -10,6 +11,7 @@ import random
 import pytest
 
 from repro.nlp.pos_hmm import HmmPosTagger, TaggerCrash
+from tests.nlp.pos_oracle import candidate_tags, tag_reference
 
 TAGS = ["NN", "NNS", "VB", "VBD", "JJ", "DT", "IN", "CC", "."]
 WORDS = ["the", "a", "study", "studies", "patient", "patients", "shows",
@@ -44,7 +46,7 @@ def test_frozen_matches_reference_randomized(seed):
     tagger = HmmPosTagger()
     tagger.train(_random_training(rng, 150))
     sentences = _random_test_sentences(rng, 80)
-    reference = [tagger.tag_reference(s) for s in sentences]
+    reference = [tag_reference(tagger, s) for s in sentences]
     tagger.freeze()
     assert tagger.frozen
     assert [tagger.tag(s) for s in sentences] == reference
@@ -57,7 +59,7 @@ def test_unfrozen_tag_matches_reference():
     sentences = _random_test_sentences(rng, 30)
     assert not tagger.frozen
     assert [tagger.tag(s) for s in sentences] == \
-        [tagger.tag_reference(s) for s in sentences]
+        [tag_reference(tagger, s) for s in sentences]
 
 
 def test_crash_parity_on_long_sentences(medline_generator):
@@ -65,7 +67,7 @@ def test_crash_parity_on_long_sentences(medline_generator):
     tagger.train(medline_generator.document(0).tagged_sentences())
     long_sentence = ["word"] * 601
     with pytest.raises(TaggerCrash):
-        tagger.tag_reference(long_sentence)
+        tag_reference(tagger, long_sentence)
     tagger.freeze()
     with pytest.raises(TaggerCrash):
         tagger.tag(long_sentence)
@@ -79,7 +81,7 @@ def test_incremental_training_invalidates_freeze():
     tagger.train([[("dogs", "NNS"), ("run", "VB")]])
     assert not tagger.frozen
     assert tagger.tag(["the", "cats"]) == \
-        tagger.tag_reference(["the", "cats"])
+        tag_reference(tagger, ["the", "cats"])
 
 
 def test_untrained_freeze_raises():
@@ -90,8 +92,34 @@ def test_untrained_freeze_raises():
 def test_candidate_tags_returns_immutable_tuple():
     tagger = HmmPosTagger()
     tagger.train([[("the", "DT"), ("cats", "NNS")]])
-    candidates = tagger._candidate_tags("the")
+    candidates = candidate_tags(tagger, "the")
     assert isinstance(candidates, tuple)
-    unknown = tagger._candidate_tags("never-seen-zzz")
+    unknown = candidate_tags(tagger, "never-seen-zzz")
     assert isinstance(unknown, tuple)
     assert set(unknown) == set(tagger.tags)
+
+
+def test_first_use_compiles_and_retraining_drops_it():
+    """A tagger that is never frozen compiles on its first ``tag``;
+    retraining drops the compiled form, and the next ``tag`` and
+    ``tag_batch`` decode the retrained counts."""
+    rng = random.Random(23)
+    tagger = HmmPosTagger()
+    tagger.train(_random_training(rng, 60))
+    sentences = _random_test_sentences(rng, 30)
+    assert not tagger.frozen
+    assert [tagger.tag(s) for s in sentences] == \
+        [tag_reference(tagger, s) for s in sentences]
+    assert tagger.frozen
+    before = [tagger.tag(s) for s in sentences]
+    tagger.train(_random_training(random.Random(29), 120))
+    assert not tagger.frozen
+    after = [tag_reference(tagger, s) for s in sentences]
+    assert after != before  # the retrained counts decode differently
+    assert [tagger.tag(s) for s in sentences] == after
+    assert tagger.frozen
+    tagger.train([[("zzqx", "NN")]])
+    assert not tagger.frozen
+    assert tagger.tag_batch(sentences) == \
+        [tag_reference(tagger, s) for s in sentences]
+    assert tagger.frozen

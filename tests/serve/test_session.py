@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serve.session import ExtractionSession, ResponseMemo
+from tests.core.pipeline_oracle import analyze
 
 TEXTS = [
     "Aspirin reduced migraine symptoms in treated patients.",
@@ -89,8 +90,8 @@ class TestRunBatch:
         assert all(pos for _text, pos in short["tokens"])
         assert len(long_["tokens"]) > 6
         assert not any(pos for _text, pos in long_["tokens"])
-        reference = pipeline.analyze(Document("serve", text), methods=(),
-                                     with_pos=True)
+        reference = analyze(pipeline, Document("serve", text),
+                            methods=(), with_pos=True)
         assert reference.meta["pos_crashes"] == 1
         assert [[[t.text, t.pos] for t in s.tokens]
                 for s in reference.sentences] == [

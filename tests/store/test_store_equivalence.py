@@ -28,6 +28,7 @@ from repro.store import (
     ingest_flow_outputs,
 )
 from repro.web.server import SimulatedWeb
+from tests.core.pipeline_oracle import analyze
 
 MAX_PAGES = 90
 WEB_SEED = 11
@@ -154,7 +155,7 @@ class TestStreamingIngestEquivalence:
         reference = EntityStore(vocabulary=context.vocabulary)
         for page in pages:
             copy = page.copy_shallow()
-            pipeline.analyze(copy)
+            analyze(pipeline, copy)
             reference.ingest_document(
                 copy, relations=extractor.extract(copy))
 
