@@ -4,7 +4,9 @@
 crashes on pathological sentences; (b) entity annotation: dictionary
 matching is essentially linear, CRF tagging is far slower — orders of
 magnitude apart — and the BANNER-style quadratic feature set grows
-superlinearly.
+superlinearly.  The BANNER analog is the test oracle
+``tests/ner/banner_oracle.py``: the production taggers have no
+quadratic template.
 
 ``test_kernel_throughput`` additionally measures the frozen annotator
 kernels (docs/performance.md) against their reference implementations
@@ -25,8 +27,8 @@ from repro.annotations import Document
 from repro.corpora.goldstandard import build_ner_gold
 from repro.corpora.profiles import MEDLINE
 from repro.ner.features import sentence_features
-from repro.ner.taggers import MlEntityTagger
 from repro.nlp.pos_hmm import TaggerCrash
+from tests.ner.banner_oracle import BannerTagger
 from tests.ner.crf_oracle import predict_reference
 from tests.nlp.pos_oracle import tag_reference
 
@@ -77,9 +79,9 @@ def test_fig3b_dict_vs_ml_runtime(ctx, benchmark):
     """Dictionary automaton vs. the BANNER-analog CRF (quadratic
     feature machinery) on growing inputs."""
     pipeline = ctx.pipeline
-    banner_like = MlEntityTagger.train(
+    banner_like = BannerTagger.train(
         "gene", build_ner_gold(ctx.vocabulary, MEDLINE, 10, seed=6),
-        quadratic_context=True, max_iterations=8)
+        max_iterations=8)
     document_sizes = [1, 2, 4, 8]
     base = ctx.corpus_documents("medline")
     rows = []
@@ -122,9 +124,7 @@ def test_fig3b_quadratic_feature_growth(ctx, benchmark):
     cost grows superlinearly with sentence length."""
     training = build_ner_gold(ctx.vocabulary, MEDLINE, 10, seed=5)
     tagger = benchmark.pedantic(
-        lambda: MlEntityTagger.train("gene", training,
-                                     quadratic_context=True,
-                                     max_iterations=8),
+        lambda: BannerTagger.train("gene", training, max_iterations=8),
         rounds=1, iterations=1)
 
     def time_tagging(n_words: int) -> float:
@@ -210,8 +210,7 @@ def test_kernel_throughput(ctx, benchmark):
 
     # -- CRF decode: per-sentence reference vs. vectorized batch ----------
     crf = ctx.pipeline.ml_taggers["disease"].crf
-    features = [sentence_features(words, quadratic_context=False)
-                for words in sentences]
+    features = [sentence_features(words) for words in sentences]
     crf_reference = _best_seconds(
         lambda: [predict_reference(crf, sentence) for sentence in features],
         rounds)

@@ -14,8 +14,10 @@ on every round.
 Artifacts: repo-root ``BENCH_flow.json`` (machine-readable timings and
 digests) and ``out/flow_throughput.txt``.
 
-``BENCH_SMOKE=1`` shrinks the corpus and skips the ratio gate (CI
-timings are noise); the digest-equality assertions always hold.
+``BENCH_SMOKE=1`` shrinks the corpus, writes the JSON artifact under
+``benchmarks/out/`` instead (the committed repo-root file keeps the
+full-size numbers) and skips the ratio gate (CI timings are noise);
+the digest-equality assertions always hold.
 """
 
 from __future__ import annotations
@@ -100,7 +102,10 @@ def test_flow_throughput(ctx):
          "",
          f"speedup: {speedup:.2f}x (gate {TARGET_SPEEDUP}x"
          f"{', skipped: smoke' if SMOKE else ''})"])
-    (REPO_ROOT / "BENCH_flow.json").write_text(json.dumps({
+    out_path = (Path(__file__).resolve().parent / "out" / "BENCH_flow.json"
+                if SMOKE else REPO_ROOT / "BENCH_flow.json")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps({
         "smoke": SMOKE,
         "n_documents": N_DOCS,
         "n_mentions": n_mentions,

@@ -16,9 +16,11 @@ against the per-document reference loop (the test oracle
 interleaved min-of-3 with the store digest asserted equal each round.
 
 Artifacts: repo-root ``BENCH_store.json`` and
-``out/entity_store.txt``.  ``BENCH_SMOKE=1`` shrinks the corpus and
-skips the throughput gate (CI timings are noise); the byte-identity
-assertions always hold.
+``out/entity_store.txt``.  ``BENCH_SMOKE=1`` shrinks the corpus,
+writes the JSON artifact under ``benchmarks/out/`` instead (the
+committed repo-root file keeps the full-size numbers) and skips the
+throughput gate (CI timings are noise); the byte-identity assertions
+always hold.
 """
 
 from __future__ import annotations
@@ -190,8 +192,10 @@ def test_store_lifecycle(ctx, tmp_path):
         "analyze_ingest_speedup": round(streaming_speedup, 2),
         "smoke": SMOKE,
     }
-    (REPO_ROOT / "BENCH_store.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out_path = (Path(__file__).resolve().parent / "out" / "BENCH_store.json"
+                if SMOKE else REPO_ROOT / "BENCH_store.json")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     if not SMOKE:
         assert ingest_rate >= MIN_INGEST_DOCS_PER_S, (

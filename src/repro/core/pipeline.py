@@ -51,13 +51,10 @@ class TextAnalyticsPipeline:
     def build(cls, vocabulary: BiomedicalVocabulary | None = None,
               seed: int = 19, n_training_docs: int = 60,
               n_classifier_docs: int = 100, crf_iterations: int = 40,
-              gene_quadratic_context: bool = False,
               dictionary_cache: "AutomatonCache | str | Path | None" = None,
               ) -> "TextAnalyticsPipeline":
         """Train everything from synthetic gold.
 
-        ``gene_quadratic_context=True`` enables the BANNER-style heavy
-        feature set (slow; used by the runtime benchmarks).
         ``dictionary_cache`` (an AutomatonCache or a directory path)
         re-loads the persisted dictionary automaton instead of
         rebuilding it — the paper's fix for the per-worker 20-minute
@@ -87,9 +84,8 @@ class TextAnalyticsPipeline:
         classifier = NaiveBayesClassifier(decision_threshold=0.9).fit(
             build_classifier_gold(vocabulary, n_classifier_docs,
                                   seed=seed + 2))
-        ml_taggers = build_ml_taggers(
-            training, max_iterations=crf_iterations,
-            gene_quadratic_context=gene_quadratic_context)
+        ml_taggers = build_ml_taggers(training,
+                                      max_iterations=crf_iterations)
         return cls(
             vocabulary=vocabulary,
             classifier=classifier,

@@ -31,7 +31,6 @@ from repro.crawler.checkpoint import (
     CheckpointError, CheckpointState, ResumableCrawl, load_checkpoint,
     save_checkpoint,
 )
-from repro.crawler.analytics import CrawlAnalytics, analyze_crawl
 
 __all__ = [
     "EntityAwareClassifier",
@@ -45,8 +44,6 @@ __all__ = [
     "CircuitBreaker",
     "HostHealth",
     "RetryPolicy",
-    "CrawlAnalytics",
-    "analyze_crawl",
     "CrawlDb",
     "FrontierEntry",
     "FilterChain",

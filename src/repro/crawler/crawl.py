@@ -167,10 +167,6 @@ class CrawlResult:
             return 0.0
         return self.pages_fetched / self.clock_seconds
 
-    def bytes_of(self, which: str) -> int:
-        docs = self.relevant if which == "relevant" else self.irrelevant
-        return sum(len(d.raw) for d in docs)
-
     def record_failure(self, reason: str) -> None:
         self.failure_reasons[reason] = \
             self.failure_reasons.get(reason, 0) + 1

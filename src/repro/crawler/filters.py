@@ -92,11 +92,6 @@ class FilterChain:
         for name in (self.mime.name, self.language.name, self.length.name):
             self.stats.setdefault(name, FilterStats(name))
 
-    def accept_payload(self, body: str, url: str, declared: str) -> bool:
-        ok = self.decide_payload(body, url, declared)
-        self.record_payload(ok)
-        return ok
-
     def accept_text(self, text: str) -> tuple[bool, str]:
         """Run the text-level filters; returns (ok, rejecting_filter)."""
         ok, rejected_by = self.decide_text(text)

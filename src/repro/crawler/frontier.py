@@ -44,10 +44,6 @@ class CrawlDb:
     def __len__(self) -> int:
         return sum(len(q) for q in self._queues.values())
 
-    @property
-    def seen_count(self) -> int:
-        return len(self._seen)
-
     def add(self, url: str, depth: int = 0, irrelevant_steps: int = 0) -> bool:
         """Enqueue a URL unless seen or host-budget exhausted."""
         url = normalize(url)

@@ -237,8 +237,6 @@ class RecrawlScheduler:
         self.round = 0
         self._intervals: dict[str, int] = {}
         self._next_due: dict[str, int] = {}
-        self._visits: dict[str, int] = {}
-        self._changes: dict[str, int] = {}
         # Current-round observation buffer, folded at the next
         # ``begin_round``.
         self._round_seen: set[str] = set()
@@ -254,13 +252,6 @@ class RecrawlScheduler:
         self._round_seen.add(host)
         if changed:
             self._round_changed.add(host)
-        self._visits[host] = self._visits.get(host, 0) + 1
-        if changed:
-            self._changes[host] = self._changes.get(host, 0) + 1
-
-    def change_rate(self, host: str) -> float:
-        visits = self._visits.get(host, 0)
-        return self._changes.get(host, 0) / visits if visits else 0.0
 
     def begin_round(self, rnd: int) -> None:
         """Fold the previous round's observations into the intervals
@@ -300,10 +291,6 @@ class RecrawlScheduler:
                           for host in sorted(self._intervals)},
             "next_due": {host: self._next_due[host]
                          for host in sorted(self._next_due)},
-            "visits": {host: self._visits[host]
-                       for host in sorted(self._visits)},
-            "changes": {host: self._changes[host]
-                        for host in sorted(self._changes)},
             "round_seen": sorted(self._round_seen),
             "round_changed": sorted(self._round_changed),
         }
@@ -315,10 +302,6 @@ class RecrawlScheduler:
                            payload.get("intervals", {}).items()}
         self._next_due = {host: int(v) for host, v in
                           payload.get("next_due", {}).items()}
-        self._visits = {host: int(v) for host, v in
-                        payload.get("visits", {}).items()}
-        self._changes = {host: int(v) for host, v in
-                         payload.get("changes", {}).items()}
         self._round_seen = set(payload.get("round_seen", []))
         self._round_changed = set(payload.get("round_changed", []))
 

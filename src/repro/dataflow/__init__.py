@@ -24,7 +24,6 @@ package re-creates that stack:
 from repro.dataflow.operators import (
     Operator, MapOperator, FilterOperator, FlatMapOperator, UdfOperator,
 )
-from repro.dataflow.record import Record, parse_path
 from repro.dataflow.plan import LogicalPlan, PlanNode
 from repro.dataflow.optimizer import SofaOptimizer
 from repro.dataflow.fusion import FusedPlan, FusedStage, fuse_plan
@@ -38,8 +37,6 @@ from repro.dataflow.meteor import parse_meteor, MeteorError
 from repro.dataflow.packages import OPERATOR_REGISTRY, make_operator
 
 __all__ = [
-    "Record",
-    "parse_path",
     "Operator",
     "MapOperator",
     "FilterOperator",

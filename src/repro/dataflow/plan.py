@@ -9,7 +9,6 @@ supports arbitrary DAGs with single-output nodes and multiple sinks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.dataflow.operators import Operator
 
@@ -206,18 +205,3 @@ class LogicalPlan:
             parents = ", ".join(p.name for p in node.inputs) or "<source>"
             lines.append(f"{node.node_id:3d}  {node.name}  <- {parents}")
         return "\n".join(lines)
-
-    def iter_chain_from_source(self) -> Iterator[Operator]:
-        """Operators of a purely linear plan, in order (errors if the
-        plan branches, in either direction)."""
-        order = self.topological_order()
-        consumer_counts: dict[int, int] = {}
-        for node in order:
-            if len(node.inputs) > 1:
-                raise ValueError("plan is not linear (fan-in)")
-            for parent in node.inputs:
-                consumer_counts[parent.node_id] = \
-                    consumer_counts.get(parent.node_id, 0) + 1
-        if any(count > 1 for count in consumer_counts.values()):
-            raise ValueError("plan is not linear (fan-out)")
-        yield from (node.operator for node in order)

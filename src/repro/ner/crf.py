@@ -276,8 +276,7 @@ class LinearChainCrf:
         Feature encoding and emission computation run over the
         concatenated positions of *all* sentences in one vectorized
         pass; only the (tiny, 3-label) Viterbi recursion runs per
-        sentence.  A ``quadratic_context`` ``MlEntityTagger`` feeds it
-        a whole batch of documents at a time.
+        sentence.
         """
         frozen = self._compiled()
         emissions = self._emissions_of(
@@ -290,8 +289,8 @@ class LinearChainCrf:
     def predict_words(self, sentences: Sequence[Sequence[str]],
                       ) -> list[list[str]]:
         """Decode sentences given as word lists under the
-        context-window templates (:func:`~repro.ner.features.sentence_features`
-        without ``quadratic_context``); same labels as
+        context-window templates
+        (:func:`~repro.ner.features.sentence_features`); same labels as
         ``predict_batch`` over those features.
 
         One dict probe per token finds its type's row; emissions are

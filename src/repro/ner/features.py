@@ -1,12 +1,11 @@
 """Feature templates for CRF entity tagging.
 
 Standard BANNER/ChemSpot-style token features: word identity, shape,
-affixes, character classes, and a one-token context window.  The
-optional ``quadratic_context`` template adds shape-pair conjunctions
-between each token and *every* other token in the sentence — the kind
-of rich global feature set that makes heavyweight ML taggers scale
-quadratically with sentence length (the behaviour Fig. 3b of the
-paper measures).
+affixes, character classes, and a one-token context window.  Every
+template reads one word, so a tagger's cost is linear in sentence
+length.  BANNER's quadratic shape-pair template, which Fig. 3b of the
+paper measures, is a benchmark arm (``tests/ner/banner_oracle.py``),
+not a production option.
 """
 
 from __future__ import annotations
@@ -40,16 +39,6 @@ def _length_bucket(n: int) -> str:
     if n <= 8:
         return "len<=8"
     return "len>8"
-
-
-def _distance_bucket(d: int) -> str:
-    if d <= 1:
-        return "d1"
-    if d <= 3:
-        return "d3"
-    if d <= 8:
-        return "d8"
-    return "dfar"
 
 
 def self_features(word: str) -> list[str]:
@@ -90,13 +79,12 @@ def next_features(word: str | None) -> list[str]:
     return [f"w+1={word.lower()}", f"shape+1={token_shape(word)}"]
 
 
-def extract_features(words: Sequence[str], position: int,
-                     quadratic_context: bool = False) -> list[str]:
+def extract_features(words: Sequence[str], position: int) -> list[str]:
     """Feature strings for one token in its sentence.
 
-    Without ``quadratic_context`` the result is the disjoint union of
-    three groups that each read one word: :func:`self_features` of the
-    token, :func:`previous_features` of its left neighbour and
+    The result is the disjoint union of three groups that each read
+    one word: :func:`self_features` of the token,
+    :func:`previous_features` of its left neighbour and
     :func:`next_features` of its right one.  The CRF's type table
     (:meth:`~repro.ner.crf.LinearChainCrf.predict_words`) scores the
     same three functions per word type, so training, the
@@ -108,19 +96,9 @@ def extract_features(words: Sequence[str], position: int,
         words[position - 1] if position > 0 else None)
     features += next_features(
         words[position + 1] if position + 1 < len(words) else None)
-    if quadratic_context:
-        shape = token_shape(words[position])
-        for other, other_word in enumerate(words):
-            if other == position:
-                continue
-            features.append(
-                f"pair={shape}|{token_shape(other_word)}"
-                f"|{_distance_bucket(abs(other - position))}")
     return features
 
 
-def sentence_features(words: Sequence[str],
-                      quadratic_context: bool = False) -> list[list[str]]:
+def sentence_features(words: Sequence[str]) -> list[list[str]]:
     """Features for every position of a sentence."""
-    return [extract_features(words, i, quadratic_context)
-            for i in range(len(words))]
+    return [extract_features(words, i) for i in range(len(words))]

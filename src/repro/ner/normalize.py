@@ -25,11 +25,6 @@ class NormalizationStats:
     already_linked: int = 0
     unlinked: int = 0
 
-    @property
-    def link_rate(self) -> float:
-        total = self.linked + self.unlinked
-        return self.linked / total if total else 0.0
-
 
 class EntityNormalizer:
     """Surface-form → term-id resolver over one vocabulary."""

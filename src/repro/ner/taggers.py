@@ -3,9 +3,10 @@
 ``MlEntityTagger`` wraps a :class:`~repro.ner.crf.LinearChainCrf` for
 one entity type, mirroring the paper's tool choices:
 
-* gene — BANNER analog; trains with the *quadratic-context* feature
-  set (rich global features), making it the slowest tagger, and
-  exhibits the TLA false-positive pathology on out-of-domain text;
+* gene — BANNER analog; exhibits the TLA false-positive pathology on
+  out-of-domain text (BANNER's quadratic shape-pair features, which
+  make it the slowest tool in Fig. 3b, are the benchmark arm in
+  ``tests/ner/banner_oracle.py``);
 * drug — ChemSpot analog (hybrid leaning on morphology features);
 * disease — the authors' Mallet-based tagger analog.
 
@@ -38,22 +39,19 @@ class MlEntityTagger:
 
     method = "ml"
 
-    def __init__(self, entity_type: str, crf: LinearChainCrf,
-                 quadratic_context: bool = False) -> None:
+    def __init__(self, entity_type: str, crf: LinearChainCrf) -> None:
         self.entity_type = entity_type
         self.crf = crf
-        self.quadratic_context = quadratic_context
 
     # -- training ------------------------------------------------------------
 
     @classmethod
     def train(cls, entity_type: str, gold_documents: Sequence[GoldDocument],
-              quadratic_context: bool = False, l2: float = 0.2,
-              max_iterations: int = 60) -> "MlEntityTagger":
+              l2: float = 0.2, max_iterations: int = 60) -> "MlEntityTagger":
         """Train a tagger on gold documents (Medline-profile in the
         paper's setup)."""
-        return train_taggers(gold_documents, {entity_type: quadratic_context},
-                             l2, max_iterations)[entity_type]
+        return train_taggers(gold_documents, (entity_type,), l2,
+                             max_iterations)[entity_type]
 
     # -- annotation -----------------------------------------------------------
 
@@ -78,12 +76,6 @@ class MlEntityTagger:
         request) boundaries.  Per-document results (mention lists,
         ``entities`` extension) are identical to calling
         :meth:`annotate` on each document in order.
-
-        With the context-window templates the words go straight to
-        the CRF's type table (``predict_words``); only a
-        ``quadratic_context`` tagger, whose ``pair=`` features read
-        the whole sentence, builds feature strings for
-        ``predict_batch``.
 
         ``tokenized`` (one ``(tokens, words)`` sequence per document,
         empty-word sentences already excluded) skips the split/tokenize
@@ -117,13 +109,7 @@ class MlEntityTagger:
                 flat.extend(pairs)
                 doc_slices.append((document, first, len(flat)))
         sentences = [words for _tokens, words in flat]
-        if not sentences:
-            decoded = []
-        elif self.quadratic_context:
-            decoded = self.crf.predict_batch(
-                [sentence_features(words, True) for words in sentences])
-        else:
-            decoded = self.crf.predict_words(sentences)
+        decoded = self.decode(sentences) if sentences else []
         results: list[list[EntityMention]] = []
         for document, first, last in doc_slices:
             mentions: list[EntityMention] = []
@@ -139,6 +125,11 @@ class MlEntityTagger:
             document.entities.extend(mentions)
             results.append(mentions)
         return results
+
+    def decode(self, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
+        """BIO labels per word list: the words go straight to the CRF's
+        word-type table (``predict_words``), no feature strings."""
+        return self.crf.predict_words(sentences)
 
     def startup_seconds(self) -> float:
         """Model-load cost: negligible next to dictionary builds."""
@@ -185,47 +176,35 @@ def build_dictionary_taggers(
 
 
 def train_taggers(gold_documents: Sequence[GoldDocument],
-                  quadratic_context: dict[str, bool], l2: float = 0.2,
+                  entity_types: Sequence[str], l2: float = 0.2,
                   max_iterations: int = 60) -> dict[str, MlEntityTagger]:
-    """One tagger per entity type in ``quadratic_context`` (type ->
-    its template set), all on the same gold sentences.
+    """One tagger per entity type, all on the same gold sentences.
 
     Feature strings, the feature index and the position encoding
-    depend on the words and the template set only, so they are built
-    once per distinct template set; each CRF adds its own labels.
+    depend on the words only, so they are built once; each CRF adds
+    its own labels.
     """
     sentences = [(sentence, gold, words)
                  for gold in gold_documents for sentence in gold.sentences
                  if (words := [t.text for t in sentence.tokens])]
-    encoded: dict[bool, TrainingSet] = {}
+    encoded = TrainingSet.encode(
+        [sentence_features(words) for _sentence, _gold, words in sentences])
     taggers: dict[str, MlEntityTagger] = {}
-    for entity_type, quadratic in quadratic_context.items():
-        if quadratic not in encoded:
-            encoded[quadratic] = TrainingSet.encode(
-                [sentence_features(words, quadratic)
-                 for _sentence, _gold, words in sentences])
+    for entity_type in entity_types:
         crf = LinearChainCrf(l2=l2, max_iterations=max_iterations)
-        crf.fit_encoded(encoded[quadratic],
-                        [_bio_labels(sentence, gold, entity_type)
-                         for sentence, gold, _words in sentences])
-        taggers[entity_type] = MlEntityTagger(entity_type, crf, quadratic)
+        crf.fit_encoded(encoded, [_bio_labels(sentence, gold, entity_type)
+                                  for sentence, gold, _words in sentences])
+        taggers[entity_type] = MlEntityTagger(entity_type, crf)
     return taggers
 
 
 def build_ml_taggers(training_documents: Sequence[GoldDocument],
-                     max_iterations: int = 60,
-                     gene_quadratic_context: bool = False,
-                     ) -> dict[str, MlEntityTagger]:
+                     max_iterations: int = 60) -> dict[str, MlEntityTagger]:
     """Train the three ML taggers on (Medline-profile) gold documents.
 
     All three use the linear context-window templates, which decode
-    through the CRF's word-type table; ``gene_quadratic_context=True``
-    gives the gene tagger the quadratic-context feature set (BANNER's
-    heavier machinery — slow, used by the runtime benchmarks).  Each
-    tagger's ``crf.training_report`` says how its training went.
+    through the CRF's word-type table.  Each tagger's
+    ``crf.training_report`` says how its training went.
     """
-    return train_taggers(
-        training_documents,
-        {entity_type: entity_type == "gene" and gene_quadratic_context
-         for entity_type in ENTITY_TYPES},
-        max_iterations=max_iterations)
+    return train_taggers(training_documents, ENTITY_TYPES,
+                         max_iterations=max_iterations)

@@ -19,7 +19,6 @@ from repro.web.faults import (
 )
 from repro.web.server import SimulatedWeb, FetchResult, SimulatedClock
 from repro.web.robots import RobotsPolicy, parse_robots
-from repro.web.warc import ArchivedWeb, WarcRecord, WarcWriter, read_warc
 
 __all__ = [
     "WebGraph",
@@ -34,9 +33,5 @@ __all__ = [
     "FetchResult",
     "SimulatedClock",
     "RobotsPolicy",
-    "ArchivedWeb",
-    "WarcRecord",
-    "WarcWriter",
-    "read_warc",
     "parse_robots",
 ]

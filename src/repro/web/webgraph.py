@@ -24,7 +24,6 @@ is generated lazily (and cached per graph) from the corpus generators.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -364,10 +363,6 @@ def _next_trap_url(url: str) -> str:
         return f"{url}?page=2"
 
 
-def trap_page_url(host: str, index: int) -> str:
-    return f"http://{host}/calendar?page={index}"
-
-
 def is_trap_url(url: str) -> bool:
     return "/calendar?page=" in url
 
@@ -393,8 +388,3 @@ def _long_page_parts(render, doc_index: int, first, length) -> list:
         total += length(extra)
         k += 1
     return parts
-
-
-def log_normal_int(rng: random.Random, mean: float, sigma: float) -> int:
-    """Lognormal sample with the given arithmetic mean (helper)."""
-    return int(rng.lognormvariate(math.log(mean) - sigma ** 2 / 2, sigma))

@@ -101,3 +101,28 @@ class TestCrawlMechanics:
         result = context.run_crawl(max_pages=30)
         assert result.pages_fetched == 30
         assert result.stop_reason == "page_budget"
+
+
+class TestOnlineLearning:
+    def test_online_learning_updates_model(self, context):
+        import copy
+
+        classifier = copy.deepcopy(context.pipeline.classifier)
+        vocab_before = len(classifier._vocabulary)
+        crawler = FocusedCrawler(
+            context.web, classifier, context.build_filter_chain(),
+            CrawlConfig(max_pages=120, online_learning=True,
+                        online_confidence=0.9))
+        crawler.crawl(context.seed_batch("second").urls)
+        assert len(classifier._vocabulary) > vocab_before
+
+    def test_disabled_by_default(self, context):
+        import copy
+
+        classifier = copy.deepcopy(context.pipeline.classifier)
+        counts_before = dict(classifier._class_docs)
+        crawler = FocusedCrawler(
+            context.web, classifier, context.build_filter_chain(),
+            CrawlConfig(max_pages=60))
+        crawler.crawl(context.seed_batch("second").urls)
+        assert dict(classifier._class_docs) == counts_before

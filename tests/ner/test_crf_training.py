@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crf_oracle
+from banner_oracle import BannerTagger, quadratic_sentence_features
 from repro.corpora.goldstandard import build_ner_gold
 from repro.corpora.profiles import MEDLINE
 from repro.ner import crf as crf_module
@@ -39,6 +40,12 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: Small on purpose: types repeat, so cutoffs bite and features are shared.
 WORDS = ["the", "BRCA1", "gene", "p53", "Aspirin", "of", "x-ray", "TNF",
          "binds", "7", ",", "cells"]
+
+
+def _features(words, quadratic=False):
+    """Context-window features, or the BANNER oracle's quadratic ones."""
+    return (quadratic_sentence_features if quadratic
+            else sentence_features)(words)
 
 
 def _objective(sentences, l2=0.2, feature_cutoff=1):
@@ -79,7 +86,7 @@ def ragged_batches(draw):
                               max_size=length))
         labels = draw(st.lists(st.sampled_from(LABELS), min_size=length,
                                max_size=length))
-        sentences.append((sentence_features(words, quadratic), labels))
+        sentences.append((_features(words, quadratic), labels))
     return sentences
 
 
@@ -94,7 +101,7 @@ class TestObjectiveMatchesOracle:
     def test_central_finite_differences(self):
         rng = np.random.default_rng(5)
         sentences = [
-            (sentence_features(list(rng.choice(WORDS, size=n)), quadratic),
+            (_features(list(rng.choice(WORDS, size=n)), quadratic),
              list(rng.choice(LABELS, size=n)))
             for n, quadratic in [(5, False), (1, False), (9, True), (3, True)]]
         training, objective = _objective(sentences, l2=0.3)
@@ -201,7 +208,7 @@ def training_documents(vocabulary):
 
 
 def _labelled(training_documents, entity_type, quadratic=False):
-    return [(sentence_features(words, quadratic),
+    return [(_features(words, quadratic),
              _bio_labels(sentence, gold, entity_type))
             for gold in training_documents for sentence in gold.sentences
             if (words := [t.text for t in sentence.tokens])]
@@ -230,9 +237,8 @@ class TestTrainedModelsMatchOracle:
         documents = [gold.document for corpus in context.corpora().values()
                      for gold in corpus]
         assert len(context.corpora()) == 4
-        taggers = train_taggers(
-            training_documents, dict.fromkeys(ENTITY_TYPES, False),
-            max_iterations=iterations)
+        taggers = train_taggers(training_documents, ENTITY_TYPES,
+                                max_iterations=iterations)
         for entity_type, tagger in taggers.items():
             oracle = crf_oracle.fit(
                 _labelled(training_documents, entity_type), l2=0.2,
@@ -294,22 +300,24 @@ class TestDeterminism:
 
     def test_shared_encoding_equals_separate_training(self,
                                                       training_documents):
-        shared = train_taggers(
-            training_documents,
-            {"disease": False, "drug": False, "gene": True},
-            max_iterations=10)
+        shared = train_taggers(training_documents, ENTITY_TYPES,
+                               max_iterations=10)
         for entity_type, tagger in shared.items():
-            alone = MlEntityTagger.train(
-                entity_type, training_documents,
-                quadratic_context=tagger.quadratic_context,
-                max_iterations=10)
+            alone = MlEntityTagger.train(entity_type, training_documents,
+                                         max_iterations=10)
             assert crf_oracle.model_fingerprint(alone.crf) \
                 == crf_oracle.model_fingerprint(tagger.crf)
-        # Two linear taggers share one index; neither owns the other's.
+        # Two taggers share one index; neither owns the other's.
         assert shared["drug"].crf.feature_index \
             == shared["disease"].crf.feature_index
         assert shared["drug"].crf.feature_index \
             is not shared["disease"].crf.feature_index
+        # The quadratic template adds its pair features to that index.
+        banner = BannerTagger.train("gene", training_documents,
+                                    max_iterations=10)
+        assert {feature for feature in banner.crf.feature_index
+                if not feature.startswith("pair=")} \
+            == set(shared["gene"].crf.feature_index)
 
 
 class TestTrainingReport:
@@ -350,7 +358,9 @@ class TestTrainingReport:
     def test_build_ml_taggers_defaults_to_linear_gene_templates(
             self, training_documents):
         taggers = build_ml_taggers(training_documents[:3], max_iterations=3)
-        assert [t.quadratic_context for t in taggers.values()] == [False] * 3
+        assert not any(feature.startswith("pair=")
+                       for tagger in taggers.values()
+                       for feature in tagger.crf.feature_index)
         assert all(t.crf.training_report.seconds > 0
                    for t in taggers.values())
         assert not any(hasattr(t, "train_seconds") for t in taggers.values())

