@@ -153,13 +153,15 @@ def test_ablation_fuzzy_dictionary(ctx, benchmark):
     variants at a modest automaton-size cost."""
     from repro.ner.dictionary import (
         DictionaryTagger, EntityDictionary, MultiTypeDictionary,
+        surface_table,
     )
 
     entries = ctx.vocabulary.diseases
 
     def compile_disease(fuzzy: bool) -> MultiTypeDictionary:
         return MultiTypeDictionary(
-            [EntityDictionary("disease", entries, fuzzy=fuzzy)])
+            [EntityDictionary("disease",
+                              surface_table(entries, fuzzy=fuzzy))])
 
     fuzzy = benchmark.pedantic(lambda: compile_disease(True),
                                rounds=1, iterations=1)

@@ -101,6 +101,10 @@ class BiomedicalVocabulary:
     genes: list[TermEntry] = field(default_factory=list, repr=False)
     diseases: list[TermEntry] = field(default_factory=list, repr=False)
     drugs: list[TermEntry] = field(default_factory=list, repr=False)
+    #: :func:`repro.ner.dictionary.vocabulary_surfaces`' memo.  A
+    #: vocabulary is read-only once built: nothing edits its entries.
+    _surfaces: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)

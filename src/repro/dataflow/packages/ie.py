@@ -155,7 +155,8 @@ def _register_entity_ops() -> None:
             return _entity_operator(
                 _n, tagger, cost=1.0,
                 memory_mb=float(
-                    tagger.dictionary.approx_memory_bytes() // 2 ** 20 + 64),
+                    tagger.shared.memory_share(tagger.entity_type) // 2 ** 20
+                    + 64),
                 startup=tagger.startup_seconds(), **ann)
 
         def ml_factory(tagger, _n=ml_name, **ann) -> Operator:

@@ -167,7 +167,8 @@ class WordTrie:
     def approx_memory_bytes(self) -> int:
         """The bytes the trie's containers occupy: the two per-node
         lists, every child dict and distinct unit key, every non-empty
-        output tuple, the pattern strings and the payload table."""
+        output tuple, the pattern strings and the payload table (each
+        distinct payload once)."""
         size = sys.getsizeof
         tables = [table for table in self._children if table is not None]
         units = {id(unit): unit for table in tables for unit in table}
@@ -177,7 +178,8 @@ class WordTrie:
                  + sum(size(out) for out in self._outputs if out)
                  + size(self._patterns) + sum(map(size, self._patterns)))
         if self._payloads is not None:
-            total += size(self._payloads) + sum(map(size, self._payloads))
+            shared = {id(payload): payload for payload in self._payloads}
+            total += size(self._payloads) + sum(map(size, shared.values()))
         return total
 
     # -- serialization (see repro.ner.cache) --------------------------------

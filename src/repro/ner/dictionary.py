@@ -4,7 +4,10 @@ Each dictionary term is expanded into a small set of surface variants
 — the equivalent of the paper's "transform each dictionary term into a
 regular expression" step (which "almost only affects very short word
 suffixes"): case folding, hyphen/space alternation, and an optional
-plural *s*.  The variants of *every* entity type go into one
+plural *s*.  A vocabulary is expanded once per process, into one
+surface table per type (:func:`vocabulary_surfaces`) that the trie
+build and every entity normalizer read.  The variants of *every*
+entity type go into one
 :class:`~repro.ner.automaton.WordTrie` over word units
 (:class:`MultiTypeDictionary`), built once per pipeline and held by
 every tagger, engine and classifier that scans for dictionary
@@ -17,13 +20,12 @@ dictionary-load pitfall (Section 4.2).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro.annotations import Document, EntityMention
 from repro.ner.automaton import Match, WordTrie
 from repro.ner.cache import AutomatonCache
-from repro.corpora.vocabulary import TermEntry
+from repro.corpora.vocabulary import BiomedicalVocabulary, TermEntry
 
 
 def fold_case(text: str) -> str:
@@ -80,64 +82,72 @@ def expand_term(term: str) -> set[str]:
     return variants
 
 
-@dataclass(slots=True)
-class _PatternInfo:
-    term_id: str
-    canonical: str
+def surface_table(entries: Iterable[TermEntry],
+                  fuzzy: bool = True) -> dict[str, TermEntry]:
+    """``surface -> entry`` over every name of every entry.
+
+    A name's surfaces are its :func:`expand_term` variants (just its
+    case fold when not ``fuzzy``), in sorted order, and the first
+    entry to produce a surface keeps it; the table's insertion order
+    is therefore deterministic across processes, whatever the
+    set-iteration order.  The one place a vocabulary is expanded.
+    """
+    table: dict[str, TermEntry] = {}
+    for entry in entries:
+        for name in entry.all_names():
+            for surface in (sorted(expand_term(name)) if fuzzy
+                            else (fold_case(name),)):
+                table.setdefault(surface, entry)
+    return table
+
+
+def vocabulary_surfaces(vocabulary: BiomedicalVocabulary,
+                        entity_type: str) -> dict[str, TermEntry]:
+    """One type's :func:`surface_table`, built on first use and kept
+    on ``vocabulary``: the pipeline's dictionary and every
+    :class:`~repro.ner.normalize.EntityNormalizer` over that
+    vocabulary read the same table.  Callers must not modify it."""
+    table = vocabulary._surfaces.get(entity_type)
+    if table is None:
+        table = vocabulary._surfaces[entity_type] = surface_table(
+            vocabulary.entries(entity_type))
+    return table
 
 
 class EntityDictionary:
-    """The expanded surface patterns of one entity type.
+    """The trie patterns of one entity type.
 
-    Holds no trie: :class:`MultiTypeDictionary` compiles every type's
-    patterns into the one trie a pipeline scans with, then books that
-    build's time, cache outcome and footprint back onto each type in
-    proportion to its pattern count
-    (``build_seconds``, ``cache_hit``, :meth:`approx_memory_bytes`),
-    so per-type readers see shares that sum to the real build.
-    Surface variants are added in sorted order per name so the pattern
-    list (and therefore the trie's cache key) is deterministic across
-    processes regardless of set-iteration order.
+    ``surfaces`` is the type's :func:`surface_table`; the patterns are
+    its surfaces in table order minus the short and the stopword ones,
+    so the pattern list (and therefore the trie's cache key) is
+    deterministic.  Holds no trie: :class:`MultiTypeDictionary`
+    compiles every type's patterns into the one trie a pipeline scans
+    with, then books that build's time and cache outcome back onto
+    each type in proportion to its pattern count (``build_seconds``,
+    ``cache_hit``), so per-type readers see shares that sum to the
+    real build (the footprint's share is
+    :meth:`MultiTypeDictionary.memory_share`).
     """
 
-    def __init__(self, entity_type: str, entries: list[TermEntry],
-                 fuzzy: bool = True,
+    def __init__(self, entity_type: str, surfaces: dict[str, TermEntry],
                  stopwords: frozenset[str] = DEFAULT_STOPWORDS,
                  min_pattern_length: int = 3) -> None:
         self.entity_type = entity_type
-        self.fuzzy = fuzzy
-        self.n_entries = len(entries)
-        #: Ordered surface list, parallel to :attr:`info`.
-        self.patterns: list[str] = []
-        #: Per-pattern term resolution, parallel to :attr:`patterns`.
-        self.info: list[_PatternInfo] = []
-        seen: set[str] = set()
-        for entry in entries:
-            for name in entry.all_names():
-                variants = expand_term(name) if fuzzy else {fold_case(name)}
-                for surface in sorted(variants):
-                    if surface in seen or len(surface) < min_pattern_length:
-                        continue
-                    if surface in stopwords:
-                        continue
-                    seen.add(surface)
-                    self.patterns.append(surface)
-                    self.info.append(_PatternInfo(entry.term_id,
-                                                  entry.canonical))
+        #: ``surface -> entry``, shared and read-only.
+        self.surfaces = surfaces
+        self.patterns: list[str] = [
+            surface for surface in surfaces
+            if len(surface) >= min_pattern_length
+            and surface not in stopwords]
         #: This type's share of the trie build (or cache load) — the
         #: "dictionary load" cost that lower-bounds task runtime in
         #: Section 4.2.
         self.build_seconds = 0.0
         self.cache_hit = False
-        self._memory_bytes = 0
 
     @property
     def n_patterns(self) -> int:
         return len(self.patterns)
-
-    def approx_memory_bytes(self) -> int:
-        """This type's share of the trie's footprint."""
-        return self._memory_bytes
 
 
 def _longest_non_overlapping(matches: list[Match]) -> list[Match]:
@@ -160,7 +170,8 @@ class MultiTypeDictionary:
     Merges the pattern lists of several single-type
     :class:`EntityDictionary` instances into one
     :class:`~repro.ner.automaton.WordTrie` whose per-pattern payloads
-    carry ``(entity_type, term_id, canonical)``, so each document is
+    carry ``(entity_type, term_id, canonical)`` (one tuple per type and
+    entry, shared by all of the entry's surfaces), so each document is
     scanned once instead of once per type.  Overlap resolution stays
     *per type*: the types tag independently, so a type's mentions do
     not depend on which other types share the trie.
@@ -189,10 +200,16 @@ class MultiTypeDictionary:
         patterns: list[str] = []
         payloads: list[tuple[str, str, str]] = []
         for dictionary in ordered:
-            etype = dictionary.entity_type
-            for surface, info in zip(dictionary.patterns, dictionary.info):
+            etype, surfaces = dictionary.entity_type, dictionary.surfaces
+            shared: dict[int, tuple[str, str, str]] = {}
+            for surface in dictionary.patterns:
+                entry = surfaces[surface]
+                payload = shared.get(id(entry))
+                if payload is None:
+                    payload = shared[id(entry)] = (
+                        etype, entry.term_id, entry.canonical)
                 patterns.append(surface)
-                payloads.append((etype, info.term_id, info.canonical))
+                payloads.append(payload)
         started = time.perf_counter()
         if cache is not None:
             self._trie, self.cache_hit = cache.get_or_build(
@@ -201,16 +218,10 @@ class MultiTypeDictionary:
             self._trie = WordTrie.build(patterns, payloads)
             self.cache_hit = False
         self.build_seconds = time.perf_counter() - started
-        # Book the build onto the types by pattern count; the integer
-        # footprint shares are cut at cumulative boundaries so they sum
-        # to the whole exactly.
+        self._memory_bytes: int | None = None
+        # Book the build onto the types by pattern count.
         total = max(1, len(patterns))
-        memory = self._memory_bytes = self._trie.approx_memory_bytes()
-        counted = 0
         for dictionary in ordered:
-            before = memory * counted // total
-            counted += dictionary.n_patterns
-            dictionary._memory_bytes = memory * counted // total - before
             dictionary.build_seconds = (self.build_seconds
                                         * dictionary.n_patterns / total)
             dictionary.cache_hit = self.cache_hit
@@ -220,7 +231,24 @@ class MultiTypeDictionary:
         return len(self._trie)
 
     def approx_memory_bytes(self) -> int:
+        """The trie's footprint, measured on the first call (only the
+        operator memory hints and the benches read it)."""
+        if self._memory_bytes is None:
+            self._memory_bytes = self._trie.approx_memory_bytes()
         return self._memory_bytes
+
+    def memory_share(self, entity_type: str) -> int:
+        """``entity_type``'s share of :meth:`approx_memory_bytes` by
+        pattern count, cut at cumulative counts so the shares sum to
+        the whole exactly."""
+        memory, total = self.approx_memory_bytes(), max(1, self.n_patterns)
+        before = 0
+        for etype, dictionary in self.dictionaries.items():
+            through = before + dictionary.n_patterns
+            if etype == entity_type:
+                return memory * through // total - memory * before // total
+            before = through
+        raise KeyError(entity_type)
 
     def matches(self, text: str) -> dict[str, list[Match]]:
         """One pass over ``text``: every word-aligned match, per type,

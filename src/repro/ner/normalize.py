@@ -5,7 +5,10 @@ using different schemes"; the scheme merge that matters here is
 linking ML-recognized surface forms to dictionary term ids so that
 dictionary and CRF annotations count the same underlying entity once.
 Dictionary mentions already carry ids; ML mentions are linked by fuzzy
-lookup against the expanded term index.
+lookup in the vocabulary's surface tables
+(:func:`~repro.ner.dictionary.vocabulary_surfaces`), the ones the
+dictionary trie is built from: they are expanded once per process, not
+once per normalizer, so an entity store's normalizer costs nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.annotations import Document, EntityMention
 from repro.corpora.vocabulary import BiomedicalVocabulary, TermEntry
-from repro.ner.dictionary import expand_term, fold_case
+from repro.ner.dictionary import fold_case, vocabulary_surfaces
 
 
 @dataclass
@@ -27,25 +30,22 @@ class NormalizationStats:
 
 
 class EntityNormalizer:
-    """Surface-form → term-id resolver over one vocabulary."""
+    """Surface-form → term-id resolver over one vocabulary.
+
+    Unlike the trie, it also resolves the short and the stopword
+    surfaces the trie's patterns leave out.
+    """
 
     def __init__(self, vocabulary: BiomedicalVocabulary) -> None:
-        self._index: dict[tuple[str, str], TermEntry] = {}
-        for entity_type in ("gene", "drug", "disease"):
-            for entry in vocabulary.entries(entity_type):
-                for name in entry.all_names():
-                    for surface in expand_term(name):
-                        self._index.setdefault((entity_type, surface),
-                                               entry)
+        self._tables = {entity_type: vocabulary_surfaces(vocabulary,
+                                                         entity_type)
+                        for entity_type in ("gene", "drug", "disease")}
 
     def resolve(self, entity_type: str, surface: str) -> TermEntry | None:
         """The dictionary entry for a surface form, if any."""
+        table = self._tables.get(entity_type, {})
         folded = fold_case(surface)
-        entry = self._index.get((entity_type, folded))
-        if entry is not None:
-            return entry
-        collapsed = folded.replace("-", " ")
-        return self._index.get((entity_type, collapsed))
+        return table.get(folded) or table.get(folded.replace("-", " "))
 
     def normalize(self, document: Document) -> NormalizationStats:
         """Fill ``term_id`` on linkable mentions, in place."""

@@ -26,6 +26,7 @@ from repro.ner.cache import AutomatonCache
 from repro.ner.crf import LinearChainCrf, TrainingSet, bio_to_spans
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary,
+    surface_table, vocabulary_surfaces,
 )
 from repro.ner.features import sentence_features
 from repro.nlp.sentence import split_sentences
@@ -168,8 +169,10 @@ def build_dictionary_taggers(
     pipeline constructions pay the dictionary build once per content.
     """
     shared = MultiTypeDictionary(
-        [EntityDictionary(entity_type, vocabulary.entries(entity_type),
-                          fuzzy=fuzzy)
+        [EntityDictionary(entity_type,
+                          vocabulary_surfaces(vocabulary, entity_type)
+                          if fuzzy else surface_table(
+                              vocabulary.entries(entity_type), fuzzy=False))
          for entity_type in ENTITY_TYPES], cache=cache)
     return {entity_type: DictionaryTagger(shared, entity_type)
             for entity_type in ENTITY_TYPES}

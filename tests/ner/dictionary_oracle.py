@@ -28,7 +28,8 @@ class OracleDictionary:
 
     def __init__(self, dictionary: EntityDictionary) -> None:
         self.entity_type = dictionary.entity_type
-        self.info = dictionary.info
+        self.entries = [dictionary.surfaces[surface]
+                        for surface in dictionary.patterns]
         self._automaton = AhoCorasickAutomaton()
         self._automaton.add_all(dictionary.patterns)
         self._automaton.build()
@@ -45,7 +46,7 @@ class OracleDictionary:
                 text=document.text[match.start:match.end],
                 start=match.start, end=match.end,
                 entity_type=self.entity_type, method="dictionary",
-                term_id=self.info[match.pattern_id].term_id))
+                term_id=self.entries[match.pattern_id].term_id))
         document.entities.extend(mentions)
         return mentions
 

@@ -5,7 +5,7 @@ import marshal
 from repro.ner.automaton import WordTrie
 from repro.ner.cache import AutomatonCache, content_key
 from repro.ner.dictionary import (
-    DictionaryTagger, EntityDictionary, MultiTypeDictionary,
+    DictionaryTagger, EntityDictionary, MultiTypeDictionary, surface_table,
 )
 from repro.corpora.vocabulary import TermEntry
 
@@ -109,7 +109,8 @@ class TestDictionaryIntegration:
 
     def _merged(self, cache=None):
         return MultiTypeDictionary(
-            [EntityDictionary("gene", self._entries())], cache=cache)
+            [EntityDictionary("gene", surface_table(self._entries()))],
+            cache=cache)
 
     def test_cached_dictionary_identical_matches(self, tmp_path):
         cold = self._merged(AutomatonCache(tmp_path))

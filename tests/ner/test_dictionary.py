@@ -6,12 +6,14 @@ from repro.annotations import Document
 from repro.corpora.vocabulary import TermEntry
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary, expand_term,
+    surface_table,
 )
 
 
 def _tagger(*entries, entity_type="drug", fuzzy=True):
     """A tagger over an automaton compiled from one type's entries."""
-    dictionary = EntityDictionary(entity_type, list(entries), fuzzy=fuzzy)
+    dictionary = EntityDictionary(entity_type,
+                                  surface_table(entries, fuzzy=fuzzy))
     return DictionaryTagger(MultiTypeDictionary([dictionary]), entity_type)
 
 
@@ -112,13 +114,14 @@ class TestOperationalProperties:
     def test_memory_grows_with_entries(self, vocabulary):
         small = _tagger(*vocabulary.genes[:10], entity_type="gene")
         large = _tagger(*vocabulary.genes, entity_type="gene")
-        assert large.dictionary.approx_memory_bytes() > \
-            small.dictionary.approx_memory_bytes()
+        assert large.shared.memory_share("gene") > \
+            small.shared.memory_share("gene")
 
     def test_pattern_count_exceeds_entry_count(self, vocabulary):
         """Fuzzy expansion inflates the automaton — the memory cost the
         paper attributes to regex-to-NFA conversion."""
-        dictionary = EntityDictionary("gene", vocabulary.genes[:50])
+        dictionary = EntityDictionary("gene",
+                                      surface_table(vocabulary.genes[:50]))
         assert dictionary.n_patterns > 50
 
     def test_recall_on_gold(self, vocabulary, relevant_generator):

@@ -8,6 +8,7 @@ from repro.annotations import Document
 from repro.corpora.vocabulary import TermEntry
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary, expand_term,
+    surface_table,
 )
 
 _WORDS = ["alpha", "beta", "delta", "zeta"]
@@ -15,7 +16,8 @@ _TERMS = ["abraxol", "zintamab", "corvex-9", "brontase"]
 
 
 def _tagger(entity_type, entries, **options):
-    dictionary = EntityDictionary(entity_type, entries, **options)
+    dictionary = EntityDictionary(entity_type, surface_table(entries),
+                                  **options)
     return DictionaryTagger(MultiTypeDictionary([dictionary]), entity_type)
 
 

@@ -9,17 +9,22 @@ and order included, what each type's own automaton produces
 cache hit can never silently drop type resolution.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dictionary_oracle import OracleDictionary, per_type_scan
 from repro.annotations import Document
-from repro.corpora.vocabulary import TermEntry
+from repro.corpora.vocabulary import BiomedicalVocabulary, TermEntry
 from repro.ner.automaton import WordTrie
 from repro.ner.cache import AutomatonCache, content_key, payload_salt
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary, fold_case,
+    shared_dictionary, surface_table,
 )
+from repro.ner.taggers import build_dictionary_taggers
 
 #: Term pools with deliberate cross-type surface collisions ("malexia"
 #: is both a drug and a disease; "abraxol" both a drug and a gene) and
@@ -35,9 +40,9 @@ _SURFACES = [w for pool in _POOLS.values() for w in pool]
 
 def _dictionaries(chosen: dict[str, list[str]]) -> list[EntityDictionary]:
     return [
-        EntityDictionary(etype,
-                         [TermEntry(term, (), f"{etype[0].upper()}:{i}")
-                          for i, term in enumerate(terms)])
+        EntityDictionary(etype, surface_table(
+            [TermEntry(term, (), f"{etype[0].upper()}:{i}")
+             for i, term in enumerate(terms)]))
         for etype, terms in chosen.items() if terms]
 
 
@@ -97,8 +102,8 @@ class TestConstruction:
     def test_build_is_booked_onto_the_types_by_pattern_count(self):
         dictionaries = _dictionaries(_POOLS)
         merged = MultiTypeDictionary(dictionaries)
-        assert sum(d.approx_memory_bytes() for d in dictionaries) == \
-            merged.approx_memory_bytes()
+        assert sum(merged.memory_share(d.entity_type)
+                   for d in dictionaries) == merged.approx_memory_bytes()
         assert sum(d.build_seconds for d in dictionaries) == \
             pytest.approx(merged.build_seconds)
         for dictionary in dictionaries:
@@ -106,6 +111,46 @@ class TestConstruction:
                 merged.build_seconds * dictionary.n_patterns
                 / merged.n_patterns)
             assert dictionary.cache_hit is merged.cache_hit
+
+    def test_footprint_is_measured_on_first_read_only(self, monkeypatch):
+        calls = []
+        measure = WordTrie.approx_memory_bytes
+        monkeypatch.setattr(WordTrie, "approx_memory_bytes",
+                            lambda trie: calls.append(trie) or measure(trie))
+        dictionaries = _dictionaries(_POOLS)
+        merged = MultiTypeDictionary(dictionaries)
+        assert calls == []
+        total = merged.approx_memory_bytes()
+        assert sum(merged.memory_share(d.entity_type)
+                   for d in dictionaries) == total
+        assert len(calls) == 1
+
+    def test_a_dropped_dictionary_is_freed_without_the_cycle_collector(self):
+        """No type points back at the merged dictionary, so its trie goes
+        with its last reference even where the cyclic GC is off (the
+        crawl pool's coordinator)."""
+        merged = MultiTypeDictionary(_dictionaries(_POOLS))
+        merged.memory_share("gene")
+        dropped = weakref.ref(merged)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del merged
+            assert dropped() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_an_entry_shares_one_payload_across_its_surfaces(self):
+        entry = TermEntry("corvex-9", ("cvx",), "D:1")
+        merged = MultiTypeDictionary([
+            EntityDictionary("drug", surface_table([entry])),
+            EntityDictionary("gene", surface_table([entry]))])
+        payloads = merged._trie.payloads
+        assert len(payloads) == 2 * merged.dictionaries["drug"].n_patterns
+        assert len({id(payload) for payload in payloads}) == 2
+        assert set(payloads) == {("drug", "D:1", "corvex-9"),
+                                 ("gene", "D:1", "corvex-9")}
 
 
 class TestPayloadCache:
@@ -187,6 +232,20 @@ class TestPayloadCache:
         salted = content_key(self.PATTERNS,
                              salt=payload_salt(self.PAYLOADS))
         assert plain != salted
+
+    def test_default_vocabulary_key_is_pinned(self, tmp_path):
+        """The default vocabulary's patterns and payload values, and so
+        its cache key and entry file, are the ones every earlier
+        ``--dict-cache`` holds."""
+        merged = shared_dictionary(build_dictionary_taggers(
+            BiomedicalVocabulary(), cache=AutomatonCache(tmp_path)).values())
+        patterns = [surface for dictionary in merged.dictionaries.values()
+                    for surface in dictionary.patterns]
+        assert content_key(patterns, payload_salt(merged._trie.payloads)) \
+            == ("070174a7f068ebf0d1b8c464b1c486b1"
+                "649c5abcbb4548a42cdec0156f3f3b72")
+        assert [path.name for path in tmp_path.iterdir()] == [
+            "aho-47abf642aa815572a461397e658268360600e4d1.bin"]
 
 
 #: Case, hyphen/space and plural variants of the pool surfaces, and

@@ -12,6 +12,7 @@ is built from dicts, so CI also runs this module under two hash seeds.
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -23,7 +24,7 @@ from repro.corpora.textgen import DocumentGenerator
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.ner.automaton import BOUNDARY_CHARS, Match, WordTrie
 from repro.ner.dictionary import (
-    EntityDictionary, MultiTypeDictionary, fold_case,
+    EntityDictionary, MultiTypeDictionary, fold_case, surface_table,
 )
 from repro.web.server import SimulatedWeb
 from repro.web.webgraph import WebGraph, WebGraphConfig
@@ -51,7 +52,7 @@ def _merged_patterns(vocabulary: BiomedicalVocabulary) -> list[str]:
     """The pattern list a pipeline's one trie is built over."""
     return [surface for etype in ("disease", "drug", "gene")
             for surface in EntityDictionary(
-                etype, vocabulary.entries(etype)).patterns]
+                etype, surface_table(vocabulary.entries(etype))).patterns]
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +153,22 @@ class TestEdges:
 
 
 class TestFootprint:
+    def test_a_shared_payload_counts_once(self):
+        payload = ("gene", "G:1", "abc")
+        shared = WordTrie.build(["abc", "abcs"], [payload, payload])
+        copied = WordTrie.build(["abc", "abcs"],
+                                [payload, tuple(list(payload))])
+        assert copied.approx_memory_bytes() - \
+            shared.approx_memory_bytes() == sys.getsizeof(payload)
+
     def test_estimate_within_2x_of_retained(self):
         """``approx_memory_bytes`` feeds the simulated cluster's
         dictionary memory; it must land within 0.5x-2x of what a
         default-vocabulary build keeps alive (tracemalloc)."""
         vocabulary = BiomedicalVocabulary(seed=19)
-        dictionaries = [EntityDictionary(etype, vocabulary.entries(etype))
-                        for etype in ("disease", "drug", "gene")]
+        dictionaries = [
+            EntityDictionary(etype, surface_table(vocabulary.entries(etype)))
+            for etype in ("disease", "drug", "gene")]
         tracemalloc.start()
         try:
             merged = MultiTypeDictionary(dictionaries)
