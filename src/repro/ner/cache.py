@@ -11,10 +11,14 @@ This module is that fix for the local engine: built
 hash of their ordered pattern list (any dictionary change produces a
 new key, so stale entries can never be served) and stored as
 ``marshal``-serialized snapshots under a cache directory.  The trie's
-frozen state is deliberately all primitives (a list of str-keyed child
-dicts, a list of int tuples, str lists), so a warm load skips trie
-construction entirely and deserializes at C speed.  Marshal's format
-is Python-version-specific, which is fine for a local build cache.
+frozen state is its flat arrays as ``(dtype, shape, bytes)``, its unit
+strings and its payload table, so a warm load skips trie construction
+entirely: marshal reads a few large ``bytes`` objects and the arrays
+are read-only ``np.frombuffer`` views of them, with no per-node
+object.  Nothing in an entry derives from ``hash()``, so an entry
+written under one ``PYTHONHASHSEED`` serves every other.  Marshal's
+format is Python-version-specific, which is fine for a local build
+cache.
 
 The cache is two-tier: a per-instance in-memory memo serves repeat
 requests in the same process for free (tries are immutable once
@@ -39,8 +43,9 @@ from repro.ner.automaton import WordTrie
 from repro.persist import FileFormat, Miss
 
 #: Bump to invalidate every cached trie on on-disk format change.
-#: 2 was the character-level automaton; 3 is the word-unit trie.
-CACHE_FORMAT_VERSION = 3
+#: 2 was the character-level automaton, 3 the word-unit trie of
+#: per-node dicts; 4 is the same trie as flat arrays.
+CACHE_FORMAT_VERSION = 4
 
 _ENTRY = FileFormat("automaton cache entry", CACHE_FORMAT_VERSION,
                     durable=False)
@@ -105,7 +110,7 @@ class AutomatonCache:
         try:
             payload = _ENTRY.load(self.path_for(key), key=key)
             trie = WordTrie.from_state(payload["state"])
-        except (Miss, KeyError, TypeError):
+        except (Miss, KeyError, TypeError, ValueError):
             return None
         self._memory[key] = trie
         return trie

@@ -20,7 +20,7 @@ dictionary-load pitfall (Section 4.2).
 from __future__ import annotations
 
 import time
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.annotations import Document, EntityMention
 from repro.ner.automaton import Match, WordTrie
@@ -253,31 +253,39 @@ class MultiTypeDictionary:
     def matches(self, text: str) -> dict[str, list[Match]]:
         """One pass over ``text``: every word-aligned match, per type,
         before overlap resolution (in end-position order)."""
-        payloads = self._trie.payloads
-        per_type: dict[str, list[Match]] = {
-            etype: [] for etype in self.entity_types}
-        for match in self._trie.find_aligned(fold_case(text)):
-            per_type[payloads[match.pattern_id][0]].append(match)
-        return per_type
+        return self._matches([text])[0]
 
-    def scan(self, text: str) -> dict[str, list[EntityMention]]:
-        """One pass over ``text``; per-type mention lists.
+    def _matches(self, texts: Sequence[str],
+                 ) -> list[dict[str, list[Match]]]:
+        payloads = self._trie.payloads
+        found = []
+        for matches in self._trie.find_aligned_batch(
+                [fold_case(text) for text in texts]):
+            found.append({etype: [] for etype in self.entity_types})
+            for match in matches:
+                found[-1][payloads[match.pattern_id][0]].append(match)
+        return found
+
+    def scan(self, texts: str | Sequence[str]):
+        """Per-type mention lists: one dict per text of a batch, from
+        one pass over the whole batch (for one ``str``, its dict).
 
         :meth:`matches`, then each type resolves its own overlaps,
         longest match first.  (Within one type, two distinct patterns
         can never share a span — the per-type surface dedup guarantees
         it — so the greedy resolution has no order-dependent ties.)
         """
+        batch = [texts] if isinstance(texts, str) else texts
         payloads = self._trie.payloads
-        mentions: dict[str, list[EntityMention]] = {}
-        for etype, matches in self.matches(text).items():
-            mentions[etype] = [
-                EntityMention(text=text[match.start:match.end],
-                              start=match.start, end=match.end,
-                              entity_type=etype, method="dictionary",
-                              term_id=payloads[match.pattern_id][1])
-                for match in _longest_non_overlapping(matches)]
-        return mentions
+        scans = [{etype: [
+            EntityMention(text=text[match.start:match.end],
+                          start=match.start, end=match.end,
+                          entity_type=etype, method="dictionary",
+                          term_id=payloads[match.pattern_id][1])
+            for match in _longest_non_overlapping(matches)]
+            for etype, matches in per_type.items()}
+            for text, per_type in zip(batch, self._matches(batch))]
+        return scans[0] if isinstance(texts, str) else scans
 
 
 class DictionaryTagger:

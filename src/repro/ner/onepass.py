@@ -8,10 +8,10 @@ steps over shared state instead:
 
 * sentences are split and tokenized once into an
   :class:`~repro.nlp.arena.AnnotatedText` arena;
-* all dictionary types are matched in a single pass over the text by
-  the pipeline's one :class:`~repro.ner.dictionary.MultiTypeDictionary`
-  automaton, the one the dictionary taggers hold (overlap resolution
-  stays per type);
+* all dictionary types are matched in a single pass over the batch's
+  texts by the pipeline's one
+  :class:`~repro.ner.dictionary.MultiTypeDictionary` automaton, the one
+  the dictionary taggers hold (overlap resolution stays per type);
 * the POS decode is one cross-sentence ``tag_batch`` call with the
   reference path's per-sentence crash accounting;
 * CRF taggers consume the arena's word lists directly and score them
@@ -135,15 +135,14 @@ class OnePassAnnotator:
             self._pos_tag(arenas)
         # Pairs reference post-POS tokens.
         pairs_per_doc = [arena.pairs() for arena in arenas]
-        scans: list[dict | None] = [None] * len(documents)
+        scans: list[dict] | None = None
         for step in self.steps:
             if step.method == "dictionary":
-                merged = self.merged
-                for index, document in enumerate(documents):
-                    if scans[index] is None:
-                        scans[index] = merged.scan(document.text)
-                    document.entities.extend(
-                        scans[index][step.entity_type])
+                if scans is None:
+                    scans = self.merged.scan(
+                        [document.text for document in documents])
+                for document, scan in zip(documents, scans):
+                    document.entities.extend(scan[step.entity_type])
             else:
                 step.annotate_many(documents, tokenized=pairs_per_doc)
         return documents

@@ -26,7 +26,7 @@ from repro.ner.cache import AutomatonCache
 from repro.ner.crf import LinearChainCrf, TrainingSet, bio_to_spans
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary,
-    surface_table, vocabulary_surfaces,
+    vocabulary_surfaces,
 )
 from repro.ner.features import sentence_features
 from repro.nlp.sentence import split_sentences
@@ -157,7 +157,7 @@ def _bio_labels(sentence: Sentence, gold: GoldDocument,
 
 
 def build_dictionary_taggers(
-        vocabulary: BiomedicalVocabulary, fuzzy: bool = True,
+        vocabulary: BiomedicalVocabulary,
         cache: "AutomatonCache | None" = None,
         ) -> dict[str, DictionaryTagger]:
     """One dictionary tagger per entity type from the vocabulary, all
@@ -170,9 +170,7 @@ def build_dictionary_taggers(
     """
     shared = MultiTypeDictionary(
         [EntityDictionary(entity_type,
-                          vocabulary_surfaces(vocabulary, entity_type)
-                          if fuzzy else surface_table(
-                              vocabulary.entries(entity_type), fuzzy=False))
+                          vocabulary_surfaces(vocabulary, entity_type))
          for entity_type in ENTITY_TYPES], cache=cache)
     return {entity_type: DictionaryTagger(shared, entity_type)
             for entity_type in ENTITY_TYPES}

@@ -10,6 +10,7 @@ cache hit can never silently drop type resolution.
 """
 
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -234,18 +235,25 @@ class TestPayloadCache:
         assert plain != salted
 
     def test_default_vocabulary_key_is_pinned(self, tmp_path):
-        """The default vocabulary's patterns and payload values, and so
-        its cache key and entry file, are the ones every earlier
-        ``--dict-cache`` holds."""
+        """The default vocabulary's patterns and payload values are the
+        ones every earlier ``--dict-cache`` holds (the version-free
+        digests); the cache key and entry file add the format version,
+        4 since the trie became flat arrays."""
         merged = shared_dictionary(build_dictionary_taggers(
             BiomedicalVocabulary(), cache=AutomatonCache(tmp_path)).values())
         patterns = [surface for dictionary in merged.dictionaries.values()
                     for surface in dictionary.patterns]
-        assert content_key(patterns, payload_salt(merged._trie.payloads)) \
-            == ("070174a7f068ebf0d1b8c464b1c486b1"
-                "649c5abcbb4548a42cdec0156f3f3b72")
+        salt = payload_salt(merged._trie.payloads)
+        assert hashlib.sha256("\x00".join(patterns).encode("utf-8")) \
+            .hexdigest() == ("6205f4b7dc1ba25a89ea44a08d658b37"
+                             "98b65d81faaaab0445cbc1d154be23e2")
+        assert salt == ("payload:05b4a31362fb72ddbea04250fb739679"
+                        "ef03d507ca1e3e7d3351c201d7d4a8f1")
+        assert content_key(patterns, salt) == (
+            "a20b4f9d339c70107452c7777d6d02ba"
+            "9c43081d518dc57f4c9b87ee9457811e")
         assert [path.name for path in tmp_path.iterdir()] == [
-            "aho-47abf642aa815572a461397e658268360600e4d1.bin"]
+            "aho-06418d7e3848a28c1044f9fa32db47bb34634cb3.bin"]
 
 
 #: Case, hyphen/space and plural variants of the pool surfaces, and

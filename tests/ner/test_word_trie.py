@@ -6,8 +6,10 @@ return exactly the oracle's word-aligned matches
 (end, then longest first, then pattern id).  Checked over generated
 corpora of every profile (run-on pathological pages included), over
 rendered HTML pages, over random patterns and texts on an alphabet
-rich in boundary characters, and over hand-made edge cases.  The trie
-is built from dicts, so CI also runs this module under two hash seeds.
+rich in boundary characters, and over hand-made edge cases.  A batch
+scan (:meth:`WordTrie.find_aligned_batch`) must equal a scan of each
+text on its own.  The build deduplicates units through a dict, so CI
+also runs this module under two hash seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from aho_corasick_oracle import AhoCorasickAutomaton
 from repro.corpora.profiles import IRRELEVANT, MEDLINE, RELEVANT
 from repro.corpora.textgen import DocumentGenerator
 from repro.corpora.vocabulary import BiomedicalVocabulary
-from repro.ner.automaton import BOUNDARY_CHARS, Match, WordTrie
+from repro.ner.automaton import BOUNDARY_CHARS, SEPARATOR, Match, WordTrie
 from repro.ner.dictionary import (
     EntityDictionary, MultiTypeDictionary, fold_case, surface_table,
 )
@@ -83,6 +85,19 @@ class TestCorpora:
         assert len(texts) > 30
         assert _assert_equal(patterns, texts) > 0
 
+    def test_scale_30_vocabulary(self):
+        """A vocabulary of ~3x the default's names (the merged patterns
+        of ``scale=30``) on generated text of every profile."""
+        vocabulary = BiomedicalVocabulary(seed=5, scale=30)
+        patterns = _merged_patterns(vocabulary)
+        assert len(patterns) > 70_000
+        texts = [fold_case(gold.text)
+                 for profile in (RELEVANT, MEDLINE, IRRELEVANT)
+                 for gold in DocumentGenerator(
+                     vocabulary, profile, seed=3,
+                     pathological_fraction=0.2).documents(4)]
+        assert _assert_equal(patterns, texts) > 0
+
     def test_default_vocabulary(self):
         """The production dictionary (24 264 patterns) on its own
         generated text."""
@@ -112,6 +127,58 @@ def test_property_equals_oracle(patterns, text):
     other patterns, repeated units, and patterns that start or end
     with a boundary character all come up."""
     _assert_equal(patterns, [text])
+
+
+class TestBatch:
+    PATTERNS = ["a b", "b", "(a", "a.", ".", "b a", "x"]
+
+    def _assert_batch(self, texts):
+        trie = WordTrie.build(self.PATTERNS)
+        assert trie.find_aligned_batch(texts) == [
+            trie.find_aligned(text) for text in texts]
+        return trie.find_aligned_batch(texts)
+
+    def test_empty_batch_and_empty_texts(self):
+        assert WordTrie.build(self.PATTERNS).find_aligned_batch([]) == []
+        assert self._assert_batch(["", "", ""]) == [[], [], []]
+        found = self._assert_batch(["", "b", "", "a b", ""])
+        assert found[1] == [Match(0, 1, 1)] and found[3][-1].end == 3
+
+    def test_texts_that_start_or_end_on_a_boundary_unit(self):
+        found = self._assert_batch(["(a b", ".", "a.", " b ", "b."])
+        assert Match(0, 2, 2) in found[0]
+        assert found[1] == [Match(0, 1, 4)]
+        assert Match(0, 2, 3) in found[2]
+
+    def test_no_match_across_the_separator(self):
+        """``"a"`` then ``"b"`` would spell the pattern ``"a b"`` over a
+        space; ``"b"`` then ``"a"`` would spell ``"b a"``.  The joining
+        separator is a boundary character no pattern contains."""
+        found = self._assert_batch(["a", "b", "a", "b a", "x"])
+        assert all(match.end - match.start == 1
+                   for matches in found[:3] for match in matches)
+        assert found[0] == []
+
+    def test_separator_in_a_pattern_is_refused(self):
+        with pytest.raises(ValueError, match="separator"):
+            WordTrie.build(["a", "a" + SEPARATOR + "b"])
+
+    def test_offsets_index_each_text(self):
+        trie = WordTrie.build(["tp53"])
+        assert trie.find_aligned_batch(["x tp53", "tp53", "y", "tp53 z"]) \
+            == [[Match(2, 6, 0)], [Match(0, 4, 0)], [], [Match(0, 4, 0)]]
+
+
+@given(st.lists(st.text(alphabet=_ALPHABET, min_size=1, max_size=6),
+                min_size=1, max_size=10),
+       st.lists(st.text(alphabet=_ALPHABET, max_size=20), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_property_batch_equals_each_text(patterns, texts):
+    """One walk over the joined batch finds, per text, what the oracle
+    finds in that text alone."""
+    oracle = _oracle(patterns)
+    assert WordTrie.build(patterns).find_aligned_batch(texts) == [
+        oracle.find_aligned(text, BOUNDARY_CHARS) for text in texts]
 
 
 class TestEdges:

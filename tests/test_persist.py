@@ -323,22 +323,32 @@ def test_cache_entry_of_another_identity_is_a_miss(name, field, tmp_path):
     assert fmt.read(tmp_path) is None
 
 
-@pytest.mark.parametrize("version", [2, 3])
+#: The states older cache formats wrote for ``["brca1", "tp53"]``:
+#: the character automaton's flat edge dict and fail links (2), and the
+#: word trie's per-node child dicts and output tuples (3).
+_OLD_STATES = {
+    2: {"edges": {ord("b"): 1}, "fail": [0, 0], "outputs": [(), ()],
+        "patterns": ["brca1", "tp53"]},
+    3: {"children": [{"brca1": 1, "tp53": 2}, None, None],
+        "outputs": [(), (0,), (1,)], "patterns": ["brca1", "tp53"]},
+}
+
+
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_character_automaton_entry_is_a_miss_and_rebuilds(version, tmp_path):
-    """A cache directory written before the word-unit trie holds
-    version-2 entries of the character automaton's state (a flat edge
-    dict and fail links).  The content key hashes the format version,
-    so such a file is normally never opened; found under the current
-    key anyway, with its old version number or relabelled as the
-    current one, it is a miss that rebuilds and replaces the file,
-    never an error."""
+    """A cache directory written by an older trie layout holds entries
+    of another state: the character automaton's (version 2) or the
+    per-node word trie's (version 3).  The content key hashes the
+    format version, so such a file is normally never opened; found
+    under the current key anyway, with its old version number or
+    relabelled as the current one (4, holding the version-3 state), it
+    is a miss that rebuilds and replaces the file, never an error."""
     patterns = ["brca1", "tp53"]
     cache = AutomatonCache(tmp_path)
     key = content_key(patterns)
     persist.write_file(cache.path_for(key), marshal.dumps({
         "version": version, "python": persist.PYTHON_TAG, "key": key,
-        "state": {"edges": {ord("b"): 1}, "fail": [0, 0],
-                  "outputs": [(), ()], "patterns": patterns}}))
+        "state": _OLD_STATES[min(version, 3)]}))
     assert cache.load(key) is None
     trie, hit = cache.get_or_build(patterns)
     assert not hit and len(trie) == 2
