@@ -19,6 +19,7 @@ from repro.crawler.crawl import CrawlConfig, FocusedCrawler
 from repro.dataflow.cluster import SimulatedCluster, split_flow_plan
 from repro.dataflow.executor import Executor
 from repro.dataflow.optimizer import SofaOptimizer
+from repro.evaluation import Counts, score_pages, score_sets
 
 
 def test_ablation_classifier_threshold(ctx, benchmark):
@@ -38,14 +39,7 @@ def test_ablation_classifier_threshold(ctx, benchmark):
         run = functools.partial(crawler.crawl, seeds)
         result = (benchmark.pedantic(run, rounds=1, iterations=1)
                   if threshold == 0.5 else run())
-        graph = ctx.webgraph
-        correct = total = 0
-        for document in result.relevant:
-            page = graph.page(document.doc_id.split("?ref=r")[0])
-            if page is not None:
-                total += 1
-                correct += page.biomedical
-        precision = correct / total if total else 0.0
+        precision = score_pages(ctx.webgraph, result.relevant).precision
         yields[threshold] = len(result.relevant)
         rows.append([threshold, len(result.relevant),
                      f"{result.harvest_rate:.0%}", f"{precision:.0%}",
@@ -167,17 +161,17 @@ def test_ablation_fuzzy_dictionary(ctx, benchmark):
                                rounds=1, iterations=1)
     exact = compile_disease(False)
     gold_docs = [g for g in ctx.corpora()["relevant"][:15]]
-    found = {"fuzzy": 0, "exact": 0}
-    total = 0
+    scores = {"fuzzy": Counts(), "exact": Counts()}
     for gold in gold_docs:
         spans = {(g.mention.start, g.mention.end) for g in gold.entities
                  if g.mention.entity_type == "disease" and g.in_dictionary}
-        total += len(spans)
         for label, dictionary in (("fuzzy", fuzzy), ("exact", exact)):
             document = gold.document.copy_shallow()
             tagger = DictionaryTagger(dictionary, "disease")
             hits = {(m.start, m.end) for m in tagger.annotate(document)}
-            found[label] += len(spans & hits)
+            scores[label] += score_sets(hits, spans)
+    found = {label: score.tp for label, score in scores.items()}
+    total = scores["exact"].tp + scores["exact"].fn
     lines = [
         f"dictionary entries: {len(entries)}",
         f"fuzzy patterns: {fuzzy.n_patterns} "

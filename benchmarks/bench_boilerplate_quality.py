@@ -1,12 +1,11 @@
 """Section 4.1: boilerplate-detection quality on the gold set (paper:
 1,906 pages, P=90 %/R=82 %) and on crawled pages (P=98 %/R=72 %)."""
 
-import statistics
-
 from reporting import format_table, write_report
 
 from repro.corpora.goldstandard import build_boilerplate_gold
-from repro.html.boilerplate import BoilerplateDetector, evaluate_extraction
+from repro.evaluation import mean_precision_recall, score_words
+from repro.html.boilerplate import BoilerplateDetector
 
 
 def test_boilerplate_on_gold_set(ctx, benchmark):
@@ -14,13 +13,8 @@ def test_boilerplate_on_gold_set(ctx, benchmark):
     detector = BoilerplateDetector()
 
     def run():
-        precisions, recalls = [], []
-        for html, gold in pairs:
-            extracted = detector.extract(html)
-            precision, recall = evaluate_extraction(extracted, gold)
-            precisions.append(precision)
-            recalls.append(recall)
-        return statistics.mean(precisions), statistics.mean(recalls)
+        return mean_precision_recall([score_words(detector.extract(html), gold)
+                                      for html, gold in pairs])
 
     precision, recall = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = format_table(
@@ -45,8 +39,7 @@ def test_boilerplate_on_crawled_pages(ctx, benchmark):
             if p.kind == 'article' and p.language == 'en'
             and not p.content_type.startswith('application/'))).body),
         rounds=1, iterations=1)
-    precisions, recalls = [], []
-    n = 0
+    scores = []
     for url, page in graph.pages.items():
         if (page.kind != "article" or page.language != "en"
                 or page.content_type.startswith("application/")
@@ -55,16 +48,12 @@ def test_boilerplate_on_crawled_pages(ctx, benchmark):
         fetch = web.fetch(url)
         if not fetch.ok:
             continue
-        extracted = detector.extract(fetch.body)
-        precision, recall = evaluate_extraction(extracted,
-                                                graph.body_text(url))
-        precisions.append(precision)
-        recalls.append(recall)
-        n += 1
-        if n >= 120:
+        scores.append(score_words(detector.extract(fetch.body),
+                                  graph.body_text(url)))
+        if len(scores) >= 120:
             break
-    precision = statistics.mean(precisions)
-    recall = statistics.mean(recalls)
+    precision, recall = mean_precision_recall(scores)
+    n = len(scores)
     lines = format_table(
         ["evaluation", "paper P", "paper R", "repro P", "repro R"],
         [[f"crawled pages (n={n})", "98 %", "72 %",

@@ -10,10 +10,10 @@ import functools
 
 from reporting import format_table, write_report
 
-from repro.classify.evaluation import cross_validate, mean_precision_recall
-from repro.classify.logistic import LogisticTextClassifier
+from benchmarks.arms.logistic import LogisticTextClassifier
 from repro.classify.naive_bayes import NaiveBayesClassifier
 from repro.corpora.goldstandard import build_classifier_gold
+from repro.evaluation import cross_validate, mean_precision_recall
 
 
 def test_nb_vs_logistic(ctx, benchmark):

@@ -5,9 +5,11 @@ import functools
 
 from reporting import format_table, write_report
 
-from repro.classify.evaluation import cross_validate, mean_precision_recall
 from repro.classify.naive_bayes import NaiveBayesClassifier
 from repro.corpora.goldstandard import build_classifier_gold
+from repro.evaluation import (
+    cross_validate, mean_precision_recall, score_pages,
+)
 
 
 def test_classifier_cross_validation(ctx, benchmark):
@@ -33,29 +35,13 @@ def test_classifier_on_crawl_sample(ctx, benchmark):
     """The 200-page manual check: sample crawled pages whose true
     topic the web graph knows, compare with classifier output."""
     result = benchmark.pedantic(ctx.crawl, rounds=1, iterations=1)
-    graph = ctx.webgraph
     sample = (result.relevant + result.irrelevant)[:200]
-    tp = fp = fn = tn = 0
-    for document in sample:
-        url = document.doc_id.split("?ref=r")[0]
-        page = graph.page(url)
-        if page is None:
-            continue
-        truth = page.biomedical
-        predicted = document.meta["relevant"]
-        if predicted and truth:
-            tp += 1
-        elif predicted and not truth:
-            fp += 1
-        elif truth:
-            fn += 1
-        else:
-            tn += 1
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
+    score = score_pages(ctx.webgraph, sample)
+    precision, recall = score.precision, score.recall
+    n = score.tp + score.fp + score.fn + score.tn
     lines = format_table(
         ["evaluation", "paper P", "paper R", "repro P", "repro R"],
-        [[f"crawl sample (n={tp+fp+fn+tn})", "94 %", "90 %",
+        [[f"crawl sample (n={n})", "94 %", "90 %",
           f"{precision:.0%}", f"{recall:.0%}"]])
     lines.append("")
     lines.append("paper: false positives sit at the fringe of the "

@@ -3,6 +3,8 @@ download rate, filter attrition, link topology."""
 
 from reporting import format_table, write_report
 
+from repro.web import strip_redirect
+
 
 def test_crawl_quality(ctx, benchmark):
     result = benchmark.pedantic(ctx.crawl, rounds=1, iterations=1)
@@ -34,11 +36,11 @@ def test_biomedical_sites_weakly_linked(ctx, benchmark):
     graph = ctx.webgraph
 
     def is_bio(url):
-        page = graph.page(url.split("?ref=r")[0])
+        page = graph.page(strip_redirect(url))
         return bool(page and page.biomedical)
 
     def is_general(url):
-        page = graph.page(url.split("?ref=r")[0])
+        page = graph.page(strip_redirect(url))
         return bool(page and not page.biomedical)
 
     bio_nav = result.linkdb.navigational_fraction(is_bio)

@@ -18,17 +18,7 @@ from repro.crawler.consolidated import (
     EntityAwareClassifier, TwoPhaseClassifier,
 )
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
-
-
-def _corpus_precision(ctx, documents):
-    graph = ctx.webgraph
-    correct = total = 0
-    for document in documents:
-        page = graph.page(document.doc_id.split("?ref=r")[0])
-        if page is not None:
-            total += 1
-            correct += page.biomedical
-    return correct / total if total else 0.0
+from repro.evaluation import score_pages
 
 
 def test_consolidated_crawling(ctx, benchmark):
@@ -50,11 +40,11 @@ def test_consolidated_crawling(ctx, benchmark):
     rows = [
         ["two-stage (paper)", len(baseline.relevant),
          f"{baseline.harvest_rate:.0%}",
-         f"{_corpus_precision(ctx, baseline.relevant):.0%}",
+         f"{score_pages(ctx.webgraph, baseline.relevant).precision:.0%}",
          baseline.stop_reason],
         ["consolidated (IE-informed)", len(consolidated.relevant),
          f"{consolidated.harvest_rate:.0%}",
-         f"{_corpus_precision(ctx, consolidated.relevant):.0%}",
+         f"{score_pages(ctx.webgraph, consolidated.relevant).precision:.0%}",
          consolidated.stop_reason],
     ]
     lines = format_table(
@@ -69,7 +59,7 @@ def test_consolidated_crawling(ctx, benchmark):
                  "Extension — consolidated crawling + IE", lines)
     # Entity evidence rescues fringe pages: yield must not shrink.
     assert len(consolidated.relevant) >= len(baseline.relevant)
-    assert _corpus_precision(ctx, consolidated.relevant) > 0.6
+    assert score_pages(ctx.webgraph, consolidated.relevant).precision > 0.6
 
 
 def test_two_phase_crawling(ctx, benchmark):
@@ -93,12 +83,12 @@ def test_two_phase_crawling(ctx, benchmark):
     rows = [
         ["one-shot precision (paper)", strict.pages_fetched,
          len(strict.relevant), "-",
-         f"{_corpus_precision(ctx, strict.relevant):.0%}"],
+         f"{score_pages(ctx.webgraph, strict.relevant).precision:.0%}"],
         ["phase 1 (recall-geared)", phase1.pages_fetched,
          len(phase1.relevant), "-",
-         f"{_corpus_precision(ctx, phase1.relevant):.0%}"],
+         f"{score_pages(ctx.webgraph, phase1.relevant).precision:.0%}"],
         ["phase 2 (re-classified)", "-", len(kept), len(demoted),
-         f"{_corpus_precision(ctx, kept):.0%}"],
+         f"{score_pages(ctx.webgraph, kept).precision:.0%}"],
     ]
     lines = format_table(
         ["strategy", "fetched", "relevant", "demoted",
@@ -113,8 +103,8 @@ def test_two_phase_crawling(ctx, benchmark):
     # The recall-geared crawl explores at least as far...
     assert phase1.pages_fetched >= strict.pages_fetched
     # ...and re-classification restores precision.
-    assert _corpus_precision(ctx, kept) >= \
-        _corpus_precision(ctx, phase1.relevant)
+    assert score_pages(ctx.webgraph, kept).precision >= \
+        score_pages(ctx.webgraph, phase1.relevant).precision
 
 
 def test_sentence_length_limit_tradeoff(ctx, benchmark):

@@ -4,6 +4,7 @@ ML gene names."""
 
 from reporting import format_table, write_report
 
+from repro.evaluation import score_sets
 from repro.ner.postfilter import filter_tla_mentions, is_tla
 
 ORDER = ("relevant", "irrelevant", "medline", "pmc")
@@ -101,11 +102,10 @@ def test_tla_false_positive_flood_on_web_text(ctx, benchmark):
             document = gold.document.copy_shallow()
             predictions = tagger.annotate(document)
             mentions += len(predictions)
-            gold_spans = {(g.mention.start, g.mention.end)
-                          for g in gold.entities}
-            false_positives += sum(
-                1 for m in predictions
-                if is_tla(m.text) and (m.start, m.end) not in gold_spans)
+            false_positives += score_sets(
+                {(m.start, m.end) for m in predictions if is_tla(m.text)},
+                {(g.mention.start, g.mention.end)
+                 for g in gold.entities}).fp
         return mentions, false_positives
 
     mentions, false_positives = benchmark.pedantic(run, rounds=1,

@@ -9,8 +9,10 @@ content-statistics detector.
 
 from reporting import format_table, write_report
 
+from benchmarks.arms.mime_ml import (
+    build_default_detector, robust_is_textual,
+)
 from repro.html.mime import is_textual, sniff_mime
-from repro.html.mime_ml import build_default_detector, robust_is_textual
 from repro.util import seeded_rng
 
 

@@ -13,17 +13,7 @@ import functools
 from reporting import format_table, write_report
 
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
-
-
-def _corpus_precision(ctx, documents):
-    graph = ctx.webgraph
-    correct = total = 0
-    for document in documents:
-        page = graph.page(document.doc_id.split("?ref=r")[0])
-        if page is not None:
-            total += 1
-            correct += page.biomedical
-    return correct / total if total else 0.0
+from repro.evaluation import score_pages
 
 
 def test_online_learning_ablation(ctx, benchmark):
@@ -44,9 +34,9 @@ def test_online_learning_ablation(ctx, benchmark):
         result = (benchmark.pedantic(run, rounds=1, iterations=1)
                   if label.startswith("static") else run())
         outcomes[label] = result
+        precision = score_pages(ctx.webgraph, result.relevant).precision
         rows.append([label, len(result.relevant),
-                     f"{result.harvest_rate:.0%}",
-                     f"{_corpus_precision(ctx, result.relevant):.0%}",
+                     f"{result.harvest_rate:.0%}", f"{precision:.0%}",
                      result.stop_reason])
     lines = format_table(
         ["strategy", "relevant yield", "harvest", "corpus precision",
@@ -62,5 +52,5 @@ def test_online_learning_ablation(ctx, benchmark):
     static = outcomes["static model (paper)"]
     conservative = outcomes["self-training @0.98"]
     # Conservative self-training must not collapse the corpus quality.
-    assert _corpus_precision(ctx, conservative.relevant) > 0.6
+    assert score_pages(ctx.webgraph, conservative.relevant).precision > 0.6
     assert len(conservative.relevant) > 0.5 * len(static.relevant)

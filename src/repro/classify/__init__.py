@@ -8,16 +8,8 @@ incremental model updates (Section 2.1).
 
 from repro.classify.features import BagOfWords
 from repro.classify.naive_bayes import NaiveBayesClassifier
-from repro.classify.logistic import LogisticTextClassifier
-from repro.classify.evaluation import (
-    precision_recall, cross_validate, ClassificationReport,
-)
 
 __all__ = [
     "BagOfWords",
     "NaiveBayesClassifier",
-    "LogisticTextClassifier",
-    "precision_recall",
-    "cross_validate",
-    "ClassificationReport",
 ]

@@ -17,11 +17,8 @@ from repro.html.boilerplate import (
 )
 from repro.html.mime import sniff_mime, is_textual
 from repro.html.neardup import MinHasher, NearDuplicateFilter, jaccard
-from repro.html.mime_ml import MlMimeDetector, robust_is_textual
 
 __all__ = [
-    "MlMimeDetector",
-    "robust_is_textual",
     "MinHasher",
     "NearDuplicateFilter",
     "jaccard",

@@ -247,17 +247,3 @@ class BoilerplateDetector:
 def extract_content(html: str) -> str:
     """Extract net text with the default detector."""
     return BoilerplateDetector().extract(html)
-
-
-def evaluate_extraction(extracted: str, gold: str) -> tuple[float, float]:
-    """Word-multiset precision/recall of extracted vs. gold net text."""
-    from collections import Counter
-
-    extracted_words = Counter(extracted.split())
-    gold_words = Counter(gold.split())
-    overlap = sum((extracted_words & gold_words).values())
-    n_extracted = sum(extracted_words.values())
-    n_gold = sum(gold_words.values())
-    precision = overlap / n_extracted if n_extracted else 0.0
-    recall = overlap / n_gold if n_gold else 0.0
-    return precision, recall

@@ -24,9 +24,6 @@ from repro.ner.relations import (
     EntityRelation, RelationExtractor, relations_to_records,
 )
 from repro.ner.normalize import EntityNormalizer, merge_by_term
-from repro.ner.evaluation import (
-    NerReport, compare_taggers, evaluate_mentions, evaluate_tagger,
-)
 
 __all__ = [
     "EntityNormalizer",
@@ -34,10 +31,6 @@ __all__ = [
     "EntityRelation",
     "RelationExtractor",
     "relations_to_records",
-    "NerReport",
-    "compare_taggers",
-    "evaluate_mentions",
-    "evaluate_tagger",
     "Match",
     "EntityDictionary",
     "DictionaryTagger",

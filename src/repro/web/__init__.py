@@ -17,7 +17,9 @@ from repro.web.htmlgen import PageRenderer
 from repro.web.faults import (
     FaultConfig, FaultDecision, FaultInjector, FaultRates,
 )
-from repro.web.server import SimulatedWeb, FetchResult, SimulatedClock
+from repro.web.server import (
+    SimulatedWeb, FetchResult, SimulatedClock, strip_redirect,
+)
 from repro.web.robots import RobotsPolicy, parse_robots
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "SimulatedWeb",
     "FetchResult",
     "SimulatedClock",
+    "strip_redirect",
     "RobotsPolicy",
     "parse_robots",
 ]

@@ -30,6 +30,14 @@ from repro.web.robots import render_robots
 from repro.web.urls import host_of, normalize
 from repro.web.webgraph import PageSpec, WebGraph, _next_trap_url, is_trap_url
 
+#: What a canonicalizing redirect appends to an article URL.
+REDIRECT_SUFFIX = "?ref=r"
+
+
+def strip_redirect(url: str) -> str:
+    """The planted page's URL behind a possibly redirected one."""
+    return url.partition(REDIRECT_SUFFIX)[0]
+
 
 def _evolve_text(text: str, rng: random.Random,
                  fraction: float) -> str:
@@ -208,9 +216,9 @@ class SimulatedWeb:
                                "<html>Not Found</html>", elapsed,
                                failure="not_found")
         if (page.kind == "article" and rng.random() < self.redirect_rate
-                and not url.endswith("/") and "?ref=r" not in url):
+                and not url.endswith("/") and REDIRECT_SUFFIX not in url):
             # Canonicalizing redirect: …/itemN.html -> …/itemN.html?ref=r
-            target = url + "?ref=r"
+            target = url + REDIRECT_SUFFIX
             if url != normalize(target):
                 inner = self.fetch(target, attempt=attempt, now=now,
                                    if_version=if_version)
@@ -269,7 +277,7 @@ class SimulatedWeb:
     # -- internals ------------------------------------------------------------
 
     def _resolve_page(self, url: str) -> PageSpec | None:
-        stripped = url.split("?ref=r")[0]
+        stripped = strip_redirect(url)
         page = self.graph.page(stripped)
         if page is not None:
             return page

@@ -1,13 +1,7 @@
 """Tests for bag-of-words features and Naïve Bayes classification."""
 
-import functools
-
 import pytest
 
-from repro.classify.evaluation import (
-    ClassificationReport, cross_validate, mean_precision_recall,
-    precision_recall,
-)
 from repro.classify.features import STOPWORDS, BagOfWords
 from repro.classify.naive_bayes import NaiveBayesClassifier
 from repro.corpora.goldstandard import build_classifier_gold
@@ -93,53 +87,3 @@ class TestNaiveBayes:
             odds = trained.log_odds(text)
             assert (odds >= 0) == (trained.probability(text) >= 0.5)
 
-
-class TestEvaluation:
-    def test_report_metrics(self):
-        report = ClassificationReport(true_positives=8, false_positives=2,
-                                      true_negatives=9, false_negatives=1)
-        assert report.precision == 0.8
-        assert report.recall == pytest.approx(8 / 9)
-        assert 0 < report.f1 < 1
-        assert report.accuracy == 0.85
-
-    def test_report_empty(self):
-        report = ClassificationReport()
-        assert report.precision == 0.0 and report.recall == 0.0
-
-    def test_precision_recall_builder(self):
-        report = precision_recall([True, True, False], [True, False, False])
-        assert report.true_positives == 1
-        assert report.false_positives == 1
-        assert report.true_negatives == 1
-
-    def test_precision_recall_length_mismatch(self):
-        with pytest.raises(ValueError):
-            precision_recall([True], [True, False])
-
-    def test_cross_validation_stratified(self, gold):
-        reports = cross_validate(NaiveBayesClassifier, gold[:40], folds=4)
-        assert len(reports) == 4
-        # Every fold's test set contains both classes.
-        for report in reports:
-            positives = report.true_positives + report.false_negatives
-            negatives = report.true_negatives + report.false_positives
-            assert positives > 0 and negatives > 0
-
-    def test_cross_validation_band_matches_paper(self, gold):
-        """10-fold CV should land near the paper's P=98 % / R=83 %."""
-        factory = functools.partial(NaiveBayesClassifier,
-                                    decision_threshold=0.9)
-        precision, recall = mean_precision_recall(
-            cross_validate(factory, gold, folds=10))
-        assert precision > 0.85
-        assert 0.6 < recall < 1.0
-        assert precision > recall  # the precision-geared shape
-
-    def test_too_few_folds(self, gold):
-        with pytest.raises(ValueError):
-            cross_validate(NaiveBayesClassifier, gold, folds=1)
-
-    def test_more_folds_than_examples(self, gold):
-        with pytest.raises(ValueError):
-            cross_validate(NaiveBayesClassifier, gold[:4], folds=10)

@@ -4,9 +4,9 @@ import functools
 
 import pytest
 
-from repro.classify.evaluation import cross_validate, mean_precision_recall
-from repro.classify.logistic import LogisticTextClassifier
+from benchmarks.arms.logistic import LogisticTextClassifier
 from repro.corpora.goldstandard import build_classifier_gold
+from repro.evaluation import cross_validate, mean_precision_recall
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crawler.crawl import CrawlConfig, FocusedCrawler
+from repro.web import strip_redirect
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +45,7 @@ class TestCrawlOutcome:
         graph = context.webgraph
 
         def is_bio(url):
-            page = graph.page(url.split("?ref=r")[0])
+            page = graph.page(strip_redirect(url))
             return bool(page and page.biomedical)
         fraction = crawl_result.linkdb.navigational_fraction(is_bio)
         assert fraction > 0.5

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.html.mime_ml import (
+from benchmarks.arms.mime_ml import (
     MlMimeDetector, build_default_detector, extract_features,
     robust_is_textual,
 )
