@@ -9,6 +9,7 @@ so the crawl-time trade-off can be measured rather than argued.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 from repro.classify.features import BagOfWords
@@ -18,9 +19,10 @@ from repro.util import seeded_rng
 class LogisticTextClassifier:
     """Binary logistic regression over hashed bag-of-words features.
 
-    Feature hashing keeps memory constant; ``fit`` runs ``epochs``
-    passes of SGD with L2 regularization, and ``update`` performs one
-    online step (usable during a crawl like the NB model).
+    Feature hashing keeps memory constant (BLAKE2b of the word, so the
+    buckets do not change with ``PYTHONHASHSEED``); ``fit`` runs
+    ``epochs`` passes of SGD with L2 regularization, and ``update``
+    performs one online step (usable during a crawl like the NB model).
     """
 
     def __init__(self, features: BagOfWords | None = None,
@@ -53,8 +55,9 @@ class LogisticTextClassifier:
         scale = 1.0 / math.sqrt(len(vector))
         hashed: dict[int, float] = {}
         for word in vector:
-            bucket = hash(("lr", word)) % self.n_buckets
-            hashed[bucket] = scale
+            digest = hashlib.blake2b(word.encode("utf-8"), digest_size=8,
+                                     person=b"lr").digest()
+            hashed[int.from_bytes(digest, "little") % self.n_buckets] = scale
         return hashed
 
     # -- training -------------------------------------------------------------

@@ -1,24 +1,16 @@
-"""Streaming fused execution + persistent dictionary cache benchmark.
+"""Streaming fused execution benchmark.
 
 The physical-execution half of the Section 4.2 war story, measured:
-
-* **Dictionary cache** — the paper's "approximately 20 minutes (!)"
-  gene-dictionary load, re-paid by every worker at every task start,
-  against building once and re-loading the serialized automaton.
-  Criterion: cache-warm tagger construction >= 10x faster than cold.
-* **Execution modes** — the executor materializing every edge
-  against the same executor with chain fusion on (in-process / fork
-  processes).  All modes must produce byte-identical sink
-  outputs.
-* **End-to-end** — cold-build + naive execution vs warm-cache + best
-  fused execution on the Fig. 2 flow.  Criterion: >= 1.5x.
+the executor materializing every edge against the same executor with
+chain fusion on (in-process / fork processes), on the Fig. 2 flow over
+a pipeline whose one dictionary trie is built from a large vocabulary.
+All modes must produce byte-identical sink outputs.
 
 Artifacts: ``out/BENCH_executor.json`` (machine-readable reports per
 mode) and ``out/executor_fusion.txt``.
 
-``BENCH_SMOKE=1`` shrinks every size for CI smoke runs and skips the
-ratio assertions (timings on loaded CI machines are noise); the
-equivalence assertions always hold.
+``BENCH_SMOKE=1`` shrinks every size for CI smoke runs; the
+equivalence assertion always holds.
 """
 
 from __future__ import annotations
@@ -26,30 +18,23 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import time
 
 from reporting import OUT_DIR, format_table, write_report
 
 from repro.core.flows import build_fig2_flow
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.dataflow.executor import EXECUTION_MODES, Executor
-from repro.ner.cache import AutomatonCache
+from repro.ner.dictionary import shared_dictionary
 from repro.ner.taggers import build_dictionary_taggers
 from repro.web.htmlgen import PageRenderer
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
-#: Dictionary scale for the cache phase.  The build cost grows
-#: superlinearly with vocabulary size (dict churn), the cached load
-#: linearly — mirroring why the paper's full-size dictionaries hurt.
+#: Dictionary scale of the pipeline the flow runs.
 N_GENES = 800 if SMOKE else 12_000
 N_OTHER = 300 if SMOKE else 4_000
 N_DOCS = 6 if SMOKE else 30
 DOP = max(2, os.cpu_count() or 2)
-
-
-def _build_seconds(taggers) -> float:
-    return sum(t.dictionary.build_seconds for t in taggers.values())
 
 
 def _flow_documents(ctx):
@@ -64,33 +49,12 @@ def _flow_documents(ctx):
     return documents
 
 
-def test_executor_fusion_and_dictionary_cache(ctx, benchmark, tmp_path):
+def test_executor_fusion(ctx, benchmark):
     vocabulary = BiomedicalVocabulary(seed=11, n_genes=N_GENES,
                                       n_diseases=N_OTHER, n_drugs=N_OTHER)
-    cache_dir = tmp_path / "automata"
-
-    # -- Phase 1: cold build vs cache-warm construction -----------------
-    cache = AutomatonCache(cache_dir)
-    started = time.perf_counter()
-    cold_taggers = build_dictionary_taggers(vocabulary, cache=cache)
-    cold_wall = time.perf_counter() - started
-    cold_build = _build_seconds(cold_taggers)
-    # Same-process warm: served by the cache's in-memory tier (the
-    # paper's per-worker reuse).
-    warm_taggers = build_dictionary_taggers(vocabulary, cache=cache)
-    warm_build = _build_seconds(warm_taggers)
-    # Fresh-process-style warm: a new cache instance must deserialize
-    # from disk (the serialize-once-load-everywhere fix).
-    disk_taggers = build_dictionary_taggers(vocabulary,
-                                            cache=AutomatonCache(cache_dir))
-    disk_build = _build_seconds(disk_taggers)
-    # One automaton per build: one miss (cold), one memory hit (warm).
-    assert cache.misses == 1 and cache.hits == 1
-    n_patterns = sum(t.dictionary.n_patterns for t in cold_taggers.values())
-
-    # -- Phase 2: execution engines on the Fig. 2 flow ------------------
-    pipeline = dataclasses.replace(ctx.pipeline,
-                                   dictionary_taggers=warm_taggers)
+    taggers = build_dictionary_taggers(vocabulary)
+    dictionary = shared_dictionary(taggers.values())
+    pipeline = dataclasses.replace(ctx.pipeline, dictionary_taggers=taggers)
     documents = _flow_documents(ctx)
     mode_reports: dict[str, object] = {}
     mode_outputs = {}
@@ -110,61 +74,25 @@ def test_executor_fusion_and_dictionary_cache(ctx, benchmark, tmp_path):
     for mode, outputs in mode_outputs.items():
         assert outputs == reference, f"{mode} diverged from sequential"
 
-    # -- Phase 3: end-to-end totals -------------------------------------
-    naive_exec = mode_reports["sequential"].total_seconds
-    best_mode = min(("fused", "fused-processes"),
-                    key=lambda m: mode_reports[m].total_seconds)
-    best_exec = mode_reports[best_mode].total_seconds
-    naive_total = cold_build + naive_exec
-    cached_total = warm_build + best_exec
-    speedup = naive_total / cached_total if cached_total else 0.0
-    warm_ratio = cold_build / warm_build if warm_build else float("inf")
-    disk_ratio = cold_build / disk_build if disk_build else float("inf")
-
     rows = [[mode, f"{mode_reports[mode].total_seconds:.2f}",
              mode_reports[mode].n_fused_stages,
              f"{mode_reports[mode].total_records_per_second:.1f}"]
             for mode in EXECUTION_MODES]
     lines = [
-        f"dictionaries: {n_patterns} patterns "
-        f"({N_GENES} genes, {N_OTHER} diseases, {N_OTHER} drugs)",
-        f"cold build    {cold_build:8.2f} s   (wall {cold_wall:.2f} s)",
-        f"warm (memory) {warm_build:8.4f} s   ({warm_ratio:.0f}x faster)",
-        f"warm (disk)   {disk_build:8.2f} s   ({disk_ratio:.1f}x faster)",
+        f"dictionaries: {dictionary.n_patterns} patterns "
+        f"({N_GENES} genes, {N_OTHER} diseases, {N_OTHER} drugs), "
+        f"built in {dictionary.build_seconds:.2f} s",
         "",
         *format_table(["mode", "exec s", "fused stages", "docs/s"], rows),
-        "",
-        f"naive total   (cold build + sequential exec): {naive_total:.2f} s",
-        f"cached total  (warm cache + {best_mode}): {cached_total:.2f} s",
-        f"end-to-end speedup: {speedup:.2f}x",
     ]
-    write_report("executor_fusion",
-                 "Fused execution + dictionary cache (war story, local)",
+    write_report("executor_fusion", "Fused execution (war story, local)",
                  lines)
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_executor.json").write_text(json.dumps({
         "smoke": SMOKE,
-        "n_patterns": n_patterns,
+        "n_patterns": dictionary.n_patterns,
+        "dictionary_build_seconds": dictionary.build_seconds,
         "dop": DOP,
-        "dictionary_cache": {
-            "cold_build_seconds": cold_build,
-            "warm_memory_seconds": warm_build,
-            "warm_disk_seconds": disk_build,
-            "warm_ratio": warm_ratio,
-            "disk_ratio": disk_ratio,
-        },
         "modes": {mode: report.to_dict()
                   for mode, report in mode_reports.items()},
-        "end_to_end": {
-            "naive_total_seconds": naive_total,
-            "cached_total_seconds": cached_total,
-            "best_mode": best_mode,
-            "speedup": speedup,
-        },
     }, indent=2))
-
-    if not SMOKE:
-        assert warm_ratio >= 10.0, (
-            f"cache-warm construction only {warm_ratio:.1f}x faster")
-        assert speedup >= 1.5, (
-            f"fused+cached only {speedup:.2f}x over naive cold run")

@@ -117,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="degree of parallelism (default: CPU count)")
     flow.add_argument("--docs", type=int, default=16,
                       help="documents to run through the flow (default 16)")
-    flow.add_argument("--dict-cache", default=None, metavar="DIR",
-                      help="persistent dictionary-automaton cache directory"
-                           " (skips automaton rebuilds across runs)")
     flow.add_argument("--repeat", type=int, default=1, metavar="N",
                       help="run the flow N times through one reusable "
                            "FlowSession (plan/executor built once; "
@@ -520,8 +517,7 @@ def cmd_flow(args) -> int:
         print("error: --repeat must be >= 1", file=sys.stderr)
         return 2
 
-    ctx = _context(args, corpus_docs=max(8, args.docs),
-                   dictionary_cache_dir=args.dict_cache)
+    ctx = _context(args, corpus_docs=max(8, args.docs))
     automaton = ctx.pipeline.dictionary_taggers["gene"].shared
     renderer = PageRenderer(seed=args.seed)
     documents = []
@@ -556,9 +552,8 @@ def cmd_flow(args) -> int:
           f"({report.total_records_per_second:.1f} docs/s)")
     training_seconds = sum(tagger.crf.training_report.seconds
                            for tagger in ctx.pipeline.ml_taggers.values())
-    print(f"dictionary build {automaton.build_seconds:.2f} s "
-          f"(1 automaton, {'cached' if automaton.cache_hit else 'built'}) | "
-          f"CRF training {training_seconds:.2f} s")
+    print(f"dictionary build {automaton.build_seconds:.2f} s (1 automaton) "
+          f"| CRF training {training_seconds:.2f} s")
     for name in sorted(outputs):
         print(f"sink {name}: {len(outputs[name])} records")
     print(f"{'stage':<58} {'in':>6} {'out':>6} {'seconds':>8} {'rec/s':>9}")

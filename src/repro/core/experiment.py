@@ -43,9 +43,6 @@ class ContextConfig:
     n_hosts: int = 60
     crawl_pages: int = 800
     seed_scale: int = 20
-    #: Directory for the persistent dictionary-automaton cache
-    #: (None disables caching; see repro.ner.cache).
-    dictionary_cache_dir: str | None = None
 
 
 class ReproductionContext:
@@ -76,8 +73,7 @@ class ReproductionContext:
             self._pipeline = TextAnalyticsPipeline.build(
                 self.vocabulary, seed=self.config.seed,
                 n_training_docs=self.config.n_training_docs,
-                crf_iterations=self.config.crf_iterations,
-                dictionary_cache=self.config.dictionary_cache_dir)
+                crf_iterations=self.config.crf_iterations)
         return self._pipeline
 
     def corpora(self) -> dict[str, list[GoldDocument]]:

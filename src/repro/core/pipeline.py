@@ -11,7 +11,6 @@ automaton every dictionary scan in the process uses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.annotations import Document
@@ -20,7 +19,6 @@ from repro.corpora.goldstandard import build_classifier_gold, build_ner_gold
 from repro.corpora.profiles import MEDLINE
 from repro.corpora.vocabulary import BiomedicalVocabulary
 from repro.html.boilerplate import BoilerplateDetector
-from repro.ner.cache import AutomatonCache
 from repro.ner.dictionary import DictionaryTagger
 from repro.ner.onepass import OnePassAnnotator, volume_chunks
 from repro.ner.taggers import (
@@ -51,20 +49,9 @@ class TextAnalyticsPipeline:
     def build(cls, vocabulary: BiomedicalVocabulary | None = None,
               seed: int = 19, n_training_docs: int = 60,
               n_classifier_docs: int = 100, crf_iterations: int = 40,
-              dictionary_cache: "AutomatonCache | str | Path | None" = None,
               ) -> "TextAnalyticsPipeline":
-        """Train everything from synthetic gold.
-
-        ``dictionary_cache`` (an AutomatonCache or a directory path)
-        re-loads the persisted dictionary automaton instead of
-        rebuilding it — the paper's fix for the per-worker 20-minute
-        load.
-        """
+        """Train everything from synthetic gold."""
         import dataclasses
-
-        if dictionary_cache is not None and \
-                not isinstance(dictionary_cache, AutomatonCache):
-            dictionary_cache = AutomatonCache(dictionary_cache)
 
         vocabulary = vocabulary or BiomedicalVocabulary(seed=seed)
         # NER gold corpora (BioCreative-style) are entity-dense
@@ -92,8 +79,7 @@ class TextAnalyticsPipeline:
             identifier=default_identifier(seed=seed + 3),
             splitter=SentenceSplitter(),
             pos_tagger=pos_tagger,
-            dictionary_taggers=build_dictionary_taggers(
-                vocabulary, cache=dictionary_cache),
+            dictionary_taggers=build_dictionary_taggers(vocabulary),
             ml_taggers=ml_taggers,
         )
 

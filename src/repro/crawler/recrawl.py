@@ -15,9 +15,7 @@ batch and round boundaries, is
   later round, a page whose content is provably unchanged — the server
   answered a conditional GET with *not modified*, or the refetched
   body hashes to the stored fingerprint — *replays* its stored outcome
-  without re-running repair/parse/boilerplate/classify.  This extends
-  the content-addressed keying of the automaton cache through the
-  whole per-page pipeline.
+  without re-running repair/parse/boilerplate/classify.
 
 * change detection — exact change via :func:`content_fingerprint`;
   near-identical revisions (minor wording edits) via
@@ -165,10 +163,9 @@ def strip_stage_seconds(wire: tuple) -> tuple:
 class PageMemory:
     """Replay store: frontier URL -> :class:`PageRecord`.
 
-    ``context_key`` plays the role the content key plays for the
-    automaton cache: a stored outcome is only valid for the pipeline
-    configuration that produced it, so restoring a checkpointed memory
-    into a crawler keyed differently is refused.
+    ``context_key`` names the pipeline configuration that produced the
+    stored outcomes, which are only valid for it, so restoring a
+    checkpointed memory into a crawler keyed differently is refused.
     """
 
     def __init__(self, context_key: str = "") -> None:

@@ -30,7 +30,6 @@ page of the trie (a reference count is a write).
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 
 #: Characters that end a word: a match must have one (or the text
 #: edge) on each side.  Units depend on this set, so changing it
-#: changes every trie: bump ``repro.ner.cache.CACHE_FORMAT_VERSION``.
+#: changes every trie's units and matches.
 BOUNDARY_CHARS = frozenset(" \t\n\r.,;:!?()[]{}<>\"'`/\\|")
 #: Joins the texts of a batch scan: a boundary character, so no unit
 #: spans two texts, and one no pattern may contain, so no match does.
@@ -51,8 +50,6 @@ _BOUNDARY = np.zeros(129, dtype=bool)
 _BOUNDARY[[ord(char) for char in BOUNDARY_CHARS]] = True
 #: Units per block of the per-character kernels.
 _BLOCK = 1 << 16
-#: The arrays a cache entry stores, besides the unit strings.
-_ARRAYS = ("unit_bounds", "keys", "out_bounds", "out_ids")
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,8 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 class WordTrie:
     """An immutable trie over the units of its patterns.
 
-    Built in one call (:meth:`build`) or restored from a cache entry
-    (:meth:`from_state`).  Matching is case-sensitive; callers wanting
-    case-folding fold both sides.
+    Built in one call (:meth:`build`).  Matching is case-sensitive;
+    callers wanting case-folding fold both sides.
     """
 
     def __init__(self, unit_codes: np.ndarray, unit_hashes: np.ndarray,
@@ -157,7 +153,8 @@ class WordTrie:
             np.min_scalar_type(int(unit_codes.max(initial=0)))))
         self._unit_hashes, self._salt = _frozen(unit_hashes), salt
         self._unit_bounds, self._keys, self._out_bounds, self._out_ids = (
-            arrays[name] for name in _ARRAYS)
+            _frozen(arrays[name]) for name in (
+                "unit_bounds", "keys", "out_bounds", "out_ids"))
         # The root's child per unit (0 for none), so a walk's first
         # step is one gather, and the id of each one-character boundary
         # unit, so boundary units skip the hash lookup.
@@ -230,8 +227,7 @@ class WordTrie:
         np.cumsum(np.bincount(node, minlength=n_nodes),
                   out=arrays["out_bounds"][1:])
         return cls(codes[_ranges(unit_starts, unit_lengths)], hashes,
-                   {name: _frozen(array) for name, array in arrays.items()},
-                   salt, payloads)
+                   arrays, salt, payloads)
 
     def __len__(self) -> int:
         return len(self._out_ids)
@@ -246,8 +242,7 @@ class WordTrie:
 
         Multi-type dictionary scans attach ``(entity_type, term_id,
         canonical)`` tuples here so one matching pass can resolve every
-        hit without a second lookup structure; the table rides along in
-        the frozen serialized form (see :meth:`to_state`).
+        hit without a second lookup structure.
         """
         return self._payloads
 
@@ -334,48 +329,3 @@ class WordTrie:
             shared = {id(payload): payload for payload in self._payloads}
             total += size(self._payloads) + sum(map(size, shared.values()))
         return total
-
-    # -- serialization (see repro.ner.cache) --------------------------------
-
-    def to_state(self) -> dict[str, Any]:
-        """Snapshot for persistent caching: the unit strings, the hash
-        salt, each array as ``(dtype, shape, bytes)``, a digest of
-        those, and the payload table when attached, so a warm cache load
-        restores the full multi-type scan state without consulting the
-        source dictionaries.  Nothing in it derives from ``hash()``."""
-        units = self._unit_codes.astype(np.uint32).tobytes().decode(
-            "utf-32-le", "surrogatepass")
-        arrays = {}
-        for name in _ARRAYS:
-            array = getattr(self, f"_{name}")
-            arrays[name] = (array.dtype.str, array.shape, array.tobytes())
-        state = {"units": units, "salt": self._salt, "arrays": arrays,
-                 "digest": _digest(units, self._salt, arrays)}
-        if self._payloads is not None:
-            state["payloads"] = self._payloads
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "WordTrie":
-        """A trie from :meth:`to_state` output, without rebuilding: its
-        arrays are read-only views of the state's bytes.  A state that
-        fails its digest raises ``ValueError``."""
-        units, salt, arrays = state["units"], state["salt"], state["arrays"]
-        if state["digest"] != _digest(units, salt, arrays):
-            raise ValueError("dictionary trie state fails its digest")
-        arrays = {name: np.frombuffer(data, dtype=dtype).reshape(shape)
-                  for name, (dtype, shape, data) in arrays.items()}
-        codes, bounds = _codes(units), arrays["unit_bounds"]
-        return cls(codes, _hashes(codes, bounds[:-1], np.diff(bounds), salt),
-                   arrays, salt, state.get("payloads"))
-
-
-def _digest(units: str, salt: int, arrays: dict[str, tuple]) -> str:
-    """BLAKE2b over a trie state, so a damaged cache entry is a miss
-    rather than a scan over corrupt arrays."""
-    hasher = hashlib.blake2b(str.encode(f"{salt}:{units}", "utf-8",
-                                        "surrogatepass"))
-    for name, (dtype, shape, data) in sorted(arrays.items()):
-        hasher.update(f"{name}:{dtype}:{shape}:".encode())
-        hasher.update(data)
-    return hasher.hexdigest()

@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 from repro.annotations import Document, EntityMention
 from repro.ner.automaton import Match, WordTrie
-from repro.ner.cache import AutomatonCache
 from repro.corpora.vocabulary import BiomedicalVocabulary, TermEntry
 
 
@@ -119,12 +118,11 @@ class EntityDictionary:
 
     ``surfaces`` is the type's :func:`surface_table`; the patterns are
     its surfaces in table order minus the short and the stopword ones,
-    so the pattern list (and therefore the trie's cache key) is
-    deterministic.  Holds no trie: :class:`MultiTypeDictionary`
-    compiles every type's patterns into the one trie a pipeline scans
-    with, then books that build's time and cache outcome back onto
-    each type in proportion to its pattern count (``build_seconds``,
-    ``cache_hit``), so per-type readers see shares that sum to the
+    so the pattern list is deterministic.  Holds no trie:
+    :class:`MultiTypeDictionary` compiles every type's patterns into
+    the one trie a pipeline scans with, then books that build's time
+    back onto each type in proportion to its pattern count
+    (``build_seconds``), so per-type readers see shares that sum to the
     real build (the footprint's share is
     :meth:`MultiTypeDictionary.memory_share`).
     """
@@ -139,11 +137,9 @@ class EntityDictionary:
             surface for surface in surfaces
             if len(surface) >= min_pattern_length
             and surface not in stopwords]
-        #: This type's share of the trie build (or cache load) — the
-        #: "dictionary load" cost that lower-bounds task runtime in
-        #: Section 4.2.
+        #: This type's share of the trie build — the "dictionary load"
+        #: cost that lower-bounds task runtime in Section 4.2.
         self.build_seconds = 0.0
-        self.cache_hit = False
 
     @property
     def n_patterns(self) -> int:
@@ -182,13 +178,12 @@ class MultiTypeDictionary:
     all hold it.  The merged pattern list is canonical
     (entity types in sorted order; each type's surfaces in its
     dictionary's deterministic order), so every construction over the
-    same type set shares one :class:`~repro.ner.cache.AutomatonCache`
-    entry.  Duplicate surfaces across types are retained — each keeps
-    its own pattern id, so one hit position fires once per owning type.
+    same type set builds the same trie.  Duplicate surfaces across
+    types are retained — each keeps its own pattern id, so one hit
+    position fires once per owning type.
     """
 
-    def __init__(self, dictionaries: Iterable[EntityDictionary],
-                 cache: "AutomatonCache | None" = None) -> None:
+    def __init__(self, dictionaries: Iterable[EntityDictionary]) -> None:
         ordered = sorted(dictionaries, key=lambda d: d.entity_type)
         if len({d.entity_type for d in ordered}) != len(ordered):
             raise ValueError("duplicate entity types in merged dictionary")
@@ -211,12 +206,7 @@ class MultiTypeDictionary:
                 patterns.append(surface)
                 payloads.append(payload)
         started = time.perf_counter()
-        if cache is not None:
-            self._trie, self.cache_hit = cache.get_or_build(
-                patterns, payloads=payloads)
-        else:
-            self._trie = WordTrie.build(patterns, payloads)
-            self.cache_hit = False
+        self._trie = WordTrie.build(patterns, payloads)
         self.build_seconds = time.perf_counter() - started
         self._memory_bytes: int | None = None
         # Book the build onto the types by pattern count.
@@ -224,7 +214,6 @@ class MultiTypeDictionary:
         for dictionary in ordered:
             dictionary.build_seconds = (self.build_seconds
                                         * dictionary.n_patterns / total)
-            dictionary.cache_hit = self.cache_hit
 
     @property
     def n_patterns(self) -> int:

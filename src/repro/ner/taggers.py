@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from repro.annotations import Document, EntityMention, Sentence
 from repro.corpora.textgen import GoldDocument
 from repro.corpora.vocabulary import BiomedicalVocabulary
-from repro.ner.cache import AutomatonCache
 from repro.ner.crf import LinearChainCrf, TrainingSet, bio_to_spans
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary,
@@ -156,22 +155,15 @@ def _bio_labels(sentence: Sentence, gold: GoldDocument,
 # -- factories --------------------------------------------------------------------
 
 
-def build_dictionary_taggers(
-        vocabulary: BiomedicalVocabulary,
-        cache: "AutomatonCache | None" = None,
-        ) -> dict[str, DictionaryTagger]:
+def build_dictionary_taggers(vocabulary: BiomedicalVocabulary,
+                             ) -> dict[str, DictionaryTagger]:
     """One dictionary tagger per entity type from the vocabulary, all
     over one :class:`~repro.ner.dictionary.MultiTypeDictionary` — the
-    only automaton a pipeline builds.
-
-    ``cache`` (an :class:`~repro.ner.cache.AutomatonCache`) re-loads
-    a previously built automaton instead of rebuilding it, so repeated
-    pipeline constructions pay the dictionary build once per content.
-    """
+    only automaton a pipeline builds."""
     shared = MultiTypeDictionary(
         [EntityDictionary(entity_type,
                           vocabulary_surfaces(vocabulary, entity_type))
-         for entity_type in ENTITY_TYPES], cache=cache)
+         for entity_type in ENTITY_TYPES])
     return {entity_type: DictionaryTagger(shared, entity_type)
             for entity_type in ENTITY_TYPES}
 

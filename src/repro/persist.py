@@ -3,29 +3,19 @@
 Every file this package writes goes through :func:`write_file`, every
 versioned file it reads back through :meth:`FileFormat.load`; the
 formats and what a reader does on each failure are tabulated in
-``docs/robustness.md`` ("On-disk formats").  *Durable* formats are
+``docs/robustness.md`` ("On-disk formats").  Versioned formats are
 JSON, fsynced, load older versions and refuse newer ones with the
-caller's typed errors; *regenerable* ones (caches) are ``marshal``,
-interpreter-tagged, not fsynced, and every failure is a :class:`Miss`.
+caller's typed errors.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
 import os
-import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
-
-#: Marshal payloads are interpreter-specific; cache envelopes carry this.
-PYTHON_TAG = f"{sys.version_info[0]}.{sys.version_info[1]}"
-
-
-class Miss(Exception):
-    """A regenerable file could not be used; the caller recomputes."""
 
 
 def write_file(path: str | Path, data: str | bytes, *,
@@ -67,7 +57,7 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
 
 @dataclass(frozen=True)
 class FileFormat:
-    """One versioned format: its envelope and its failure map.
+    """One versioned JSON format: its envelope and its failure map.
 
     ``kind=None`` means the envelope must carry no ``kind`` field;
     ``sections`` are the payload keys a reader may rely on.  Every
@@ -78,11 +68,10 @@ class FileFormat:
 
     what: str
     version: int
+    error: type[Exception]
     kind: str | None = None
     sections: tuple[str, ...] = ()
-    durable: bool = True
     sort_keys: bool = False
-    error: type[Exception] = Miss
     not_found: type[Exception] | None = None
     too_new: type[Exception] | None = None
     hint: str = ""
@@ -92,19 +81,13 @@ class FileFormat:
         payload: dict = {"version": self.version}
         if self.kind is not None:
             payload["kind"] = self.kind
-        if not self.durable:
-            payload["python"] = PYTHON_TAG
         payload.update(body)
-        data = (json.dumps(payload, sort_keys=self.sort_keys)
-                if self.durable else marshal.dumps(payload))
-        return write_file(path, data, durable=self.durable)
+        return write_file(path, json.dumps(payload, sort_keys=self.sort_keys),
+                          durable=True)
 
-    def load(self, path: str | Path, **identity: Any) -> dict:
-        """The checked payload of ``path``; ``identity`` fields (a
-        cache's content key) must be in the envelope with these values."""
+    def load(self, path: str | Path) -> dict:
+        """The checked payload of ``path``."""
         what, error = self.what, self.error
-        codec = json if self.durable else marshal
-        encoding = codec.__name__.upper()
         try:
             data = Path(path).read_bytes()
         except FileNotFoundError as exc:
@@ -114,16 +97,15 @@ class FileFormat:
         except OSError as exc:
             raise error(f"cannot read {what} {path}: {exc}") from exc
         try:
-            payload = codec.loads(data)
-        except (ValueError, EOFError, TypeError) as exc:
-            # ValueError covers JSONDecodeError and UnicodeDecodeError.
+            payload = json.loads(data)
+        except ValueError as exc:
+            # Covers JSONDecodeError and UnicodeDecodeError.
             raise error(f"{what} {path} is corrupt (truncated or not "
-                        f"{encoding}): {exc}") from exc
+                        f"JSON): {exc}") from exc
         if not isinstance(payload, dict):
-            raise error(f"{what} {path} is not a {encoding} object")
+            raise error(f"{what} {path} is not a JSON object")
         version = payload.get("version")
-        oldest = 1 if self.durable else self.version
-        if not isinstance(version, int) or version < oldest:
+        if not isinstance(version, int) or version < 1:
             raise error(f"unsupported {what} version: {version!r}")
         if version > self.version:
             raise (self.too_new or error)(
@@ -131,12 +113,9 @@ class FileFormat:
                 f"build supports at most version {self.version}; "
                 f"refusing to load a {what} from a newer build "
                 "(downgrade detected)")
-        if not self.durable:
-            identity["python"] = PYTHON_TAG
-        for field, expected in {"kind": self.kind, **identity}.items():
-            if payload.get(field) != expected:
-                raise error(f"{path} is not the expected {what} "
-                            f"({field}={payload.get(field)!r})")
+        if payload.get("kind") != self.kind:
+            raise error(f"{path} is not the expected {what} "
+                        f"(kind={payload.get('kind')!r})")
         for section in self.sections:
             if section not in payload:
                 raise error(f"{what} {path} is missing its "

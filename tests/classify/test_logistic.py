@@ -1,12 +1,30 @@
 """Tests for the logistic-regression classifier."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from benchmarks.arms.logistic import LogisticTextClassifier
 from repro.corpora.goldstandard import build_classifier_gold
 from repro.evaluation import cross_validate, mean_precision_recall
+
+
+#: Trains the arm with few buckets (so words share buckets) and prints
+#: its probability for every training text.
+_TRAIN = """
+from benchmarks.arms.logistic import LogisticTextClassifier
+from repro.corpora.goldstandard import build_classifier_gold
+from repro.corpora.vocabulary import BiomedicalVocabulary
+gold = build_classifier_gold(BiomedicalVocabulary(seed=7, n_genes=150,
+                                                  n_diseases=80, n_drugs=80),
+                             20)
+model = LogisticTextClassifier(n_buckets=256, epochs=2).fit(gold)
+print([model.probability(text) for text, _label in gold])
+"""
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +81,22 @@ class TestLogistic:
                                  CrawlConfig(max_pages=80))
         result = crawler.crawl(context.seed_batch("second").urls)
         assert result.pages_fetched > 0
+
+
+def test_training_does_not_depend_on_the_hash_seed():
+    """The arm trained under ``PYTHONHASHSEED=0`` and under ``=1``
+    predicts the same probabilities: its feature buckets come from a
+    stable hash, not ``hash()``."""
+    root = Path(__file__).resolve().parents[2]
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   str(root), str(root / "src"),
+                   os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _TRAIN], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(",") >= 39

@@ -101,11 +101,9 @@ class TestEngineConstruction:
                                      pipeline.dictionary_taggers
                                      ).dictionary is shared
 
-    def test_pipeline_build_compiles_one_automaton(self, monkeypatch,
-                                                   tmp_path):
+    def test_pipeline_build_compiles_one_automaton(self, monkeypatch):
         """One ``WordTrie.build`` per pipeline, none per engine, flow
-        or session; a warm cache builds none and the cache directory
-        holds one entry."""
+        or session."""
         builds = []
         build = WordTrie.build
 
@@ -115,12 +113,10 @@ class TestEngineConstruction:
         monkeypatch.setattr(WordTrie, "build", staticmethod(counting))
         vocabulary = BiomedicalVocabulary(seed=7, n_genes=40,
                                           n_diseases=20, n_drugs=20)
-        options = dict(vocabulary=vocabulary, n_training_docs=6,
-                       n_classifier_docs=20, crf_iterations=2)
-        built = TextAnalyticsPipeline.build(dictionary_cache=tmp_path,
-                                            **options)
+        built = TextAnalyticsPipeline.build(
+            vocabulary, n_training_docs=6, n_classifier_docs=20,
+            crf_iterations=2)
         assert len(builds) == 1
-        assert len(list(tmp_path.glob("aho-*.bin"))) == 1
         for methods in (("dictionary", "ml"), ("dictionary",), ("ml",)):
             for with_pos in (False, True):
                 built.analyze_batch([Document("d", "BRCA1 and TP53.")],
@@ -131,10 +127,6 @@ class TestEngineConstruction:
         EntityAwareClassifier(built.classifier,
                               built.dictionary_taggers).evidence("BRCA1")
         assert len(builds) == 1
-        warm = TextAnalyticsPipeline.build(dictionary_cache=tmp_path,
-                                           **options)
-        assert len(builds) == 1
-        assert warm.dictionary_taggers["gene"].shared.cache_hit
 
     def test_mixed_automata_rejected(self, vocabulary):
         first = build_dictionary_taggers(vocabulary)

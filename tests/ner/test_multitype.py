@@ -4,9 +4,7 @@ The load-bearing property is union equivalence: for every text, the
 merged trie's per-type mention lists — and each
 :class:`DictionaryTagger` over it — must equal, spans, types, term ids
 and order included, what each type's own automaton produces
-(``dictionary_oracle``).  The trie's frozen state and the
-:class:`AutomatonCache` key must both cover the payload table, so a
-cache hit can never silently drop type resolution.
+(``dictionary_oracle``).
 """
 
 import gc
@@ -20,7 +18,6 @@ from dictionary_oracle import OracleDictionary, per_type_scan
 from repro.annotations import Document
 from repro.corpora.vocabulary import BiomedicalVocabulary, TermEntry
 from repro.ner.automaton import WordTrie
-from repro.ner.cache import AutomatonCache, content_key, payload_salt
 from repro.ner.dictionary import (
     DictionaryTagger, EntityDictionary, MultiTypeDictionary, fold_case,
     shared_dictionary, surface_table,
@@ -111,7 +108,6 @@ class TestConstruction:
             assert dictionary.build_seconds == pytest.approx(
                 merged.build_seconds * dictionary.n_patterns
                 / merged.n_patterns)
-            assert dictionary.cache_hit is merged.cache_hit
 
     def test_footprint_is_measured_on_first_read_only(self, monkeypatch):
         calls = []
@@ -159,101 +155,27 @@ class TestPayloadCache:
     PAYLOADS = [("gene", "G:0", "BRCA1"), ("disease", "D:0", "Malexia"),
                 ("gene", "G:1", "TP53")]
 
-    def test_payload_salt_deterministic_and_discriminating(self):
-        assert payload_salt(self.PAYLOADS) == payload_salt(
-            [tuple(p) for p in self.PAYLOADS])
-        changed = [self.PAYLOADS[0], ("drug", "D:0", "Malexia"),
-                   self.PAYLOADS[2]]
-        assert payload_salt(self.PAYLOADS) != payload_salt(changed)
-        assert payload_salt(self.PAYLOADS) != payload_salt(
-            self.PAYLOADS[::-1])
-
-    def test_miss_then_hit_preserves_payloads(self, tmp_path):
-        cache = AutomatonCache(tmp_path)
-        built, hit1 = cache.get_or_build(self.PATTERNS,
-                                         payloads=self.PAYLOADS)
-        assert not hit1 and built.payloads == self.PAYLOADS
-        # Fresh instance: must deserialize the payload table from disk.
-        loaded, hit2 = AutomatonCache(tmp_path).get_or_build(
-            self.PATTERNS, payloads=self.PAYLOADS)
-        assert hit2 and loaded.payloads == self.PAYLOADS
-        assert loaded.find_aligned("brca1 near malexia") == \
-            built.find_aligned("brca1 near malexia")
-
-    def test_payload_key_separate_from_plain_key(self, tmp_path):
-        """Same patterns with and without payloads must not share an
-        entry — a plain trie has no type resolution to serve."""
-        cache = AutomatonCache(tmp_path)
-        cache.get_or_build(self.PATTERNS)
-        with_payloads, hit = cache.get_or_build(self.PATTERNS,
-                                                payloads=self.PAYLOADS)
-        assert not hit
-        assert with_payloads.payloads == self.PAYLOADS
-
-    def test_different_payloads_different_entries(self, tmp_path):
-        cache = AutomatonCache(tmp_path)
-        cache.get_or_build(self.PATTERNS, payloads=self.PAYLOADS)
-        changed = [("drug", *p[1:]) for p in self.PAYLOADS]
-        other, hit = cache.get_or_build(self.PATTERNS, payloads=changed)
-        assert not hit
-        assert other.payloads == changed
-
-    def test_frozen_state_round_trips_payloads(self):
-        trie = WordTrie.build(self.PATTERNS, self.PAYLOADS)
-        restored = WordTrie.from_state(trie.to_state())
-        assert restored.payloads == self.PAYLOADS
-        assert restored.find_aligned("tp53 and brca1") == \
-            trie.find_aligned("tp53 and brca1")
-
-    def test_plain_state_has_no_payloads(self):
-        trie = WordTrie.build(self.PATTERNS)
-        assert "payloads" not in trie.to_state()
-        restored = WordTrie.from_state(trie.to_state())
-        assert restored.payloads is None
-
     def test_payload_count_must_match(self):
         with pytest.raises(ValueError):
             WordTrie.build(self.PATTERNS, self.PAYLOADS[:2])
 
-    def test_merged_dictionary_warm_from_component_cache(self, tmp_path):
-        """The merged trie is byte-equivalent after a cold reload
-        through its cache, and the hit is booked onto every type."""
-        cold = MultiTypeDictionary(_dictionaries(_POOLS),
-                                   cache=AutomatonCache(tmp_path))
-        assert not cold.cache_hit
-        warm = MultiTypeDictionary(_dictionaries(_POOLS),
-                                   cache=AutomatonCache(tmp_path))
-        assert warm.cache_hit
-        assert all(d.cache_hit for d in warm.dictionaries.values())
-        text = TestScanEquivalence.TEXT
-        assert warm.scan(text) == cold.scan(text)
-
-    def test_content_key_covers_payload_salt(self):
-        plain = content_key(self.PATTERNS)
-        salted = content_key(self.PATTERNS,
-                             salt=payload_salt(self.PAYLOADS))
-        assert plain != salted
-
-    def test_default_vocabulary_key_is_pinned(self, tmp_path):
-        """The default vocabulary's patterns and payload values are the
-        ones every earlier ``--dict-cache`` holds (the version-free
-        digests); the cache key and entry file add the format version,
-        4 since the trie became flat arrays."""
+    def test_default_vocabulary_key_is_pinned(self):
+        """The default vocabulary's pattern list and payload table, by
+        sha256: a change to either changes what a dictionary scan of
+        any text may find."""
         merged = shared_dictionary(build_dictionary_taggers(
-            BiomedicalVocabulary(), cache=AutomatonCache(tmp_path)).values())
+            BiomedicalVocabulary()).values())
         patterns = [surface for dictionary in merged.dictionaries.values()
                     for surface in dictionary.patterns]
-        salt = payload_salt(merged._trie.payloads)
+        payloads = hashlib.sha256()
+        for payload in merged._trie.payloads:
+            payloads.update("\x1f".join(map(str, payload)).encode("utf-8"))
+            payloads.update(b"\x00")
         assert hashlib.sha256("\x00".join(patterns).encode("utf-8")) \
             .hexdigest() == ("6205f4b7dc1ba25a89ea44a08d658b37"
                              "98b65d81faaaab0445cbc1d154be23e2")
-        assert salt == ("payload:05b4a31362fb72ddbea04250fb739679"
-                        "ef03d507ca1e3e7d3351c201d7d4a8f1")
-        assert content_key(patterns, salt) == (
-            "a20b4f9d339c70107452c7777d6d02ba"
-            "9c43081d518dc57f4c9b87ee9457811e")
-        assert [path.name for path in tmp_path.iterdir()] == [
-            "aho-06418d7e3848a28c1044f9fa32db47bb34634cb3.bin"]
+        assert payloads.hexdigest() == ("05b4a31362fb72ddbea04250fb739679"
+                                        "ef03d507ca1e3e7d3351c201d7d4a8f1")
 
 
 #: Case, hyphen/space and plural variants of the pool surfaces, and
@@ -328,15 +250,3 @@ class TestPropertyUnionEquivalence:
             assert [(m.start, m.end)
                     for m in matches[dictionary.entity_type]] == \
                 [(m.start, m.end) for m in expected]
-
-    @given(_scenarios())
-    @settings(max_examples=60, deadline=None)
-    def test_property_frozen_round_trip_preserves_scan(self, scenario):
-        chosen, text = scenario
-        merged = MultiTypeDictionary(_dictionaries(chosen))
-        state = merged._trie.to_state()
-        restored = WordTrie.from_state(state)
-        assert restored.payloads == merged._trie.payloads
-        lowered = text.lower()
-        assert restored.find_aligned(lowered) == \
-            merged._trie.find_aligned(lowered)

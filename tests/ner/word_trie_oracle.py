@@ -27,9 +27,8 @@ _UNITS = re.compile(f"[^{_CLASS}]+|[{_CLASS}]")
 class WordTrie:
     """An immutable trie over the units of its patterns.
 
-    Built in one call (:meth:`build`) or restored from a cache entry
-    (:meth:`from_state`).  Matching is case-sensitive; callers wanting
-    case-folding fold both sides.
+    Built in one call (:meth:`build`).  Matching is case-sensitive;
+    callers wanting case-folding fold both sides.
     """
 
     def __init__(self, children: list[dict[str, int] | None],
@@ -83,8 +82,7 @@ class WordTrie:
 
         Multi-type dictionary scans attach ``(entity_type, term_id,
         canonical)`` tuples here so one matching pass can resolve every
-        hit without a second lookup structure; the table rides along in
-        the frozen serialized form (see :meth:`to_state`).
+        hit without a second lookup structure.
         """
         return self._payloads
 
@@ -151,24 +149,3 @@ class WordTrie:
             shared = {id(payload): payload for payload in self._payloads}
             total += size(self._payloads) + sum(map(size, shared.values()))
         return total
-
-    # -- serialization (see repro.ner.cache) --------------------------------
-
-    def to_state(self) -> dict[str, Any]:
-        """Snapshot for persistent caching: primitives only.
-
-        The payload table (when attached) is part of the frozen form,
-        so a warm cache load restores the full multi-type scan state
-        without consulting the source dictionaries.
-        """
-        state = {"children": self._children, "outputs": self._outputs,
-                 "patterns": self._patterns}
-        if self._payloads is not None:
-            state["payloads"] = self._payloads
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "WordTrie":
-        """A trie from :meth:`to_state` output, without rebuilding."""
-        return cls(state["children"], state["outputs"], state["patterns"],
-                   state.get("payloads"))
